@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    tlexplain search    --config run.yaml [--out DIR] [--seed N] [--workers N]
+    tlexplain search    --config run.yaml [--out DIR] [--seed N]
     tlexplain oracle    --config run.yaml [--out DIR] [--force]
     tlexplain enumerate --config run.yaml [--list]
     tlexplain eval      --config run.yaml "F(...) & G(...)"
@@ -57,8 +57,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
         cfg.search.seed = args.seed
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
     if getattr(args, "out", None) is not None:
         cfg.output = args.out
     return cfg
@@ -206,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="run configuration YAML")
         p.add_argument("--out", help="output directory override")
         p.add_argument("--seed", type=int, help="global seed override")
-        p.add_argument("--workers", type=int, help="evaluation worker count")
 
     p = sub.add_parser("search", help="run the multi-start greedy search")
     common(p)

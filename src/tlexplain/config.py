@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -21,7 +20,7 @@ from .envs import CtfEnv, GridMap, NavEnv, NavMap
 from .product import EnvModel, ProductMdp, TransitionTable, build_env_model
 from .search import Evaluator, SearchParams, _key_stream
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -31,7 +30,6 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     seed: int
-    workers: int
     env_type: str
     map_text: str
     horizon: int
@@ -56,7 +54,6 @@ class RunConfig:
         return {
             "schema_version": SCHEMA_VERSION,
             "seed": self.seed,
-            "workers": self.workers,
             "environment": {
                 "type": self.env_type,
                 "map_text": self.map_text,
@@ -148,7 +145,6 @@ def load_config(path) -> RunConfig:
 
     return RunConfig(
         seed=int(raw.get("seed", 0)),
-        workers=int(raw.get("workers", 1)),
         env_type=env_type,
         map_text=map_text,
         horizon=int(env.get("horizon", 100)),
@@ -256,8 +252,7 @@ def _nav_shaped_target(cfg: RunConfig, model: EnvModel) -> rl.TabularPolicy:
     table = TransitionTable(model.n_rows, model.n_actions, model.branch_row,
                             model.branch_action, next_row, model.branch_prob,
                             reward, model.cell_offsets)
-    shim = SimpleNamespace(table=table, gamma=cfg.gamma)
-    return rl.soft_value_iteration(shim, cfg.trainer)
+    return rl.soft_value_iteration(table, cfg.gamma, cfg.trainer)
 
 
 def build_runtime(cfg: RunConfig) -> Runtime:

@@ -9,9 +9,9 @@ Two gridworlds are provided:
 * :class:`NavEnv` -- single-agent goal/hazard/vase navigation with
   deterministic 4-neighborhood dynamics.
 
-Both expose the same tabular interface: ``reset``, ``transitions`` (exact
-branch distribution), ``step`` (sampled), ``features``, ``is_terminal`` and
-``enumerate_states``.
+Both expose the same tabular interface: ``initial_states``, ``transitions``
+(exact branch distribution), ``step`` (sampled), ``features``,
+``is_terminal`` and ``enumerate_states``.
 """
 
 from __future__ import annotations
@@ -159,13 +159,6 @@ class CtfEnv:
         return tuple(sorted(set(cells)))
 
     # -- dynamics ----------------------------------------------------------
-
-    def reset(self, rng: np.random.Generator | None = None) -> CtfState:
-        if rng is None or (len(self.grid.blue_starts) == 1 and len(self.grid.red_starts) == 1):
-            return CtfState(self.grid.blue_starts[0], self.grid.red_starts[0])
-        blue = self.grid.blue_starts[rng.integers(len(self.grid.blue_starts))]
-        red = self.grid.red_starts[rng.integers(len(self.grid.red_starts))]
-        return CtfState(blue, red)
 
     def initial_states(self) -> list[tuple[CtfState, float]]:
         out = []
@@ -326,11 +319,8 @@ class NavEnv:
     def __init__(self, nav_map: NavMap):
         self.map = nav_map
 
-    def reset(self, rng: np.random.Generator | None = None) -> NavState:
-        return NavState(self.map.start)
-
     def initial_states(self) -> list[tuple[NavState, float]]:
-        return [(self.reset(), 1.0)]
+        return [(NavState(self.map.start), 1.0)]
 
     def is_terminal(self, s: NavState) -> bool:
         return s.pos == self.map.goal or s.pos in self.map.hazards

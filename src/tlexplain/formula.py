@@ -13,6 +13,7 @@ logically identical encodings compare equal.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,6 +345,23 @@ def iter_valid_encodings(n: int):
             for clause in bit_tuples:
                 for form_f, form_g in itertools.product((0, 1), repeat=2):
                     yield ExplanationEncoding(neg, temporal, clause, form_f, form_g)
+
+
+def class_size(n: int) -> int:
+    """Number of distinct canonical explanations over ``n`` predicates.
+
+    Closed form of ``len(enumerate_all(...))``: each predicate carries a
+    negation bit and goes to the F- or G-part, and a part with ``k``
+    predicates has ``forms(k)`` distinct canonical shapes after
+    :func:`_canonical_part`'s folding -- 1 for a single literal, 2 for two
+    (one AND, one OR clause), and ``2**k`` for ``k >= 3``.
+    """
+
+    def forms(k: int) -> int:
+        return k if k <= 2 else 2 ** k
+
+    return 2 ** n * sum(math.comb(n, k) * forms(k) * forms(n - k)
+                        for k in range(1, n))
 
 
 def enumerate_all(predicates, cap: int = 6) -> list[CanonicalExplanation]:

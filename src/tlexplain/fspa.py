@@ -63,10 +63,6 @@ class Fspa:
     def states(self):
         return STATES
 
-    @property
-    def edges(self):
-        return tuple(self.guards)
-
     def guard_robustness(self, q: str, q2: str, features) -> float:
         if (q, q2) not in self.guards:
             raise NoSuchEdgeError(f"no edge {q} -> {q2}")
@@ -86,13 +82,6 @@ class Fspa:
         if robustness_state(self.f_formula, features) > 0:
             return Q_ACC
         return Q0
-
-    def run(self, feature_seq) -> str:
-        """Final state after consuming a feature-vector sequence from q0."""
-        q = Q0
-        for features in feature_seq:
-            q = self.step(q, features)
-        return q
 
     def best_nontrap_neighbor(self, q: str, features) -> str:
         """Non-trap neighbor with maximal guard robustness; q0 wins ties."""

@@ -117,21 +117,6 @@ class TransitionTable:
     branch_reward: np.ndarray
     cell_offsets: np.ndarray
 
-    def __post_init__(self):
-        # padded copies for vectorized branch sampling
-        counts = np.diff(self.cell_offsets)
-        maxb = int(counts.max())
-        n_cells = self.n_rows * self.n_actions
-        self.pad_prob = np.zeros((n_cells, maxb))
-        self.pad_next_row = np.full((n_cells, maxb), -1, dtype=int)
-        self.pad_reward = np.zeros((n_cells, maxb))
-        slot = np.concatenate([np.arange(c) for c in counts]) if len(counts) else np.array([], int)
-        cells = self.branch_row * self.n_actions + self.branch_action
-        self.pad_prob[cells, slot] = self.branch_prob
-        self.pad_next_row[cells, slot] = self.branch_next_row
-        self.pad_reward[cells, slot] = self.branch_reward
-        self.pad_cum = np.cumsum(self.pad_prob, axis=1)
-
 
 class ProductMdp:
     """FSPA-augmented MDP with sparse or dense guard-robustness rewards."""
@@ -235,33 +220,21 @@ class ProductMdp:
                 break
         return trajectory, total
 
-    def average_return(self, policy, n_ep: int, rng: np.random.Generator) -> float:
-        """Mean undiscounted return over ``n_ep`` episodes, batch-stepped."""
-        if n_ep < 1:
-            raise ValueError("n_ep must be >= 1")
+    def average_return(self, policy) -> float:
+        """Exact expected undiscounted return over ``horizon`` steps.
+
+        Backward induction over the transition table: after pass ``i``,
+        ``v`` holds each row's expected return-to-go with ``i`` steps left.
+        A branch into a terminal product state earns its reward only.
+        """
         t = self.table
         m = self.model
-        if len(m.start_rows) == 1:
-            rows = np.full(n_ep, m.start_rows[0])
-        else:
-            rows = rng.choice(m.start_rows, size=n_ep, p=m.start_probs)
-        returns = np.zeros(n_ep)
-        active = np.ones(n_ep, dtype=bool)
+        w = policy.probs[t.branch_row, t.branch_action] * t.branch_prob
+        r_pi = np.bincount(t.branch_row, weights=w * t.branch_reward,
+                           minlength=t.n_rows)
+        live = t.branch_next_row >= 0
+        src, nxt, w_live = t.branch_row[live], t.branch_next_row[live], w[live]
+        v = np.zeros(t.n_rows)
         for _ in range(self.horizon):
-            live = np.flatnonzero(active)
-            if live.size == 0:
-                break
-            r = rows[live]
-            acdf = np.cumsum(policy.probs[r], axis=1)
-            u = rng.random((live.size, 1))
-            acts = np.minimum((u >= acdf).sum(axis=1), t.n_actions - 1)
-            cells = r * t.n_actions + acts
-            bu = rng.random((live.size, 1))
-            branch = np.minimum((bu >= t.pad_cum[cells]).sum(axis=1),
-                                t.pad_cum.shape[1] - 1)
-            returns[live] += t.pad_reward[cells, branch]
-            nxt = t.pad_next_row[cells, branch]
-            done = nxt < 0
-            rows[live] = np.where(done, 0, nxt)
-            active[live[done]] = False
-        return float(returns.mean())
+            v = r_pi + np.bincount(src, weights=w_live * v[nxt], minlength=t.n_rows)
+        return float(m.start_probs @ v[m.start_rows])

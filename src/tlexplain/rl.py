@@ -89,12 +89,12 @@ def _soft_backup(table: TransitionTable, v: np.ndarray, gamma: float, tau: float
     return q, tau * logsumexp(q / tau, axis=1)
 
 
-def soft_value_iteration(mdp: ProductMdp, cfg: TrainerConfig) -> TabularPolicy:
+def soft_value_iteration(table: TransitionTable, gamma: float,
+                         cfg: TrainerConfig) -> TabularPolicy:
     """Iterate the soft Bellman backup to tolerance; seed-independent."""
-    table = mdp.table
     v = np.zeros(table.n_rows)
     for _ in range(cfg.max_iterations):
-        q, v_new = _soft_backup(table, v, mdp.gamma, cfg.tau)
+        q, v_new = _soft_backup(table, v, gamma, cfg.tau)
         delta = np.abs(v_new - v).max()
         v = v_new
         if delta < cfg.tolerance:
@@ -131,7 +131,7 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator,
 def train(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator | None = None,
           seed: int | None = None) -> TabularPolicy:
     if cfg.mode == EXACT_SOFT_VI:
-        return soft_value_iteration(mdp, cfg)
+        return soft_value_iteration(mdp.table, mdp.gamma, cfg)
     if cfg.mode == Q_LEARNING:
         if rng is None:
             raise ValueError("q-learning needs an rng")

@@ -31,7 +31,6 @@ class SearchParams:
     n_search: int = 10
     n_max: int = 10
     n_rep: int = 1
-    n_ep: int = 200
     return_threshold: float = 0.05
     n_ext: int = 3
     extension_enabled: bool = True
@@ -42,7 +41,7 @@ class SearchParams:
     enumeration_cap: int = 6
 
     def __post_init__(self):
-        for name in ("n_search", "n_max", "n_rep", "n_ep", "top_k"):
+        for name in ("n_search", "n_max", "n_rep", "top_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.n_ext < 0:
@@ -124,9 +123,7 @@ class Evaluator:
         return ProductMdp(self.model, fspa, reward_mode=self.reward_mode,
                           beta=self.beta, gamma=self.gamma, horizon=self.horizon)
 
-    def train_policy(self, canon: fm.CanonicalExplanation) -> rl.TabularPolicy:
-        key = self.key_of(canon)
-        mdp = self.build_mdp(canon)
+    def train_policy(self, mdp: ProductMdp, key: str) -> rl.TabularPolicy:
         if self.trainer_cfg.mode == rl.EXACT_SOFT_VI:
             # deterministic trainer: replicates would be identical
             return rl.train(mdp, self.trainer_cfg)
@@ -146,10 +143,9 @@ class Evaluator:
         key = self.key_of(canon)
         if key in self.cache:
             return self.cache[key]
-        policy = self.train_policy(canon)
         mdp = self.build_mdp(canon)
-        ret_rng = _key_stream(self.params.seed, key, 999_983)
-        mean_return = mdp.average_return(policy, self.params.n_ep, ret_rng)
+        policy = self.train_policy(mdp, key)
+        mean_return = mdp.average_return(policy)
         if mean_return <= self.params.return_threshold:
             record = metrics.UtilityRecord(
                 key=key, wkl=None, utility=None, mean_return=mean_return,
@@ -270,7 +266,7 @@ def greedy_search(start: fm.ExplanationEncoding, ctx: _SearchContext
 def multi_start(evaluator: Evaluator, params: SearchParams) -> MultiStartResult:
     """Seeded random restarts sharing one cache, with top-k reporting."""
     n = len(evaluator.predicates)
-    denominator = len(fm.enumerate_all(evaluator.predicates, cap=params.enumeration_cap))
+    denominator = fm.class_size(n)
     trace: list[TraceNode] = []
     all_touched: set[str] = set()
     results = []

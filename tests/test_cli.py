@@ -7,6 +7,7 @@ from pathlib import Path
 import yaml
 
 from tlexplain import cli
+from tlexplain.config import SCHEMA_VERSION
 
 NAV_CONFIG = {
     "seed": 3,
@@ -48,7 +49,7 @@ class TestSearchCommand:
         assert manifest["environment"]["map_text"].startswith("S..G")
         for line in (out_dir / "trace.jsonl").read_text().splitlines():
             node = json.loads(line)
-            assert node["schema_version"] == 1
+            assert node["schema_version"] == SCHEMA_VERSION
         assert "rank" in capsys.readouterr().out
 
     def test_rerun_from_manifest_byte_identical(self, tmp_path):
@@ -71,6 +72,14 @@ class TestSearchCommand:
         missing = tmp_path / "ghost.yaml"
         assert cli.main(["search", "--config", str(missing)]) == cli.EXIT_CONFIG
         assert "ghost.yaml" in capsys.readouterr().err
+
+    def test_removed_n_ep_setting_is_config_error(self, tmp_path, capsys):
+        # the return filter is exact, so an episode count is a stale setting
+        cfg = dict(NAV_CONFIG)
+        cfg["search"] = {**NAV_CONFIG["search"], "n_ep": 200}
+        config = _write_config(tmp_path, cfg)
+        assert cli.main(["search", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "n_ep" in capsys.readouterr().err
 
     def test_missing_map_names_path(self, tmp_path, capsys):
         cfg = dict(NAV_CONFIG)

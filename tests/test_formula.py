@@ -150,6 +150,14 @@ class TestEnumerateAll:
         # from the externally reported 640, whose dedup rules are unspecified)
         assert len(fm.enumerate_all(generic_predicates(4))) == 1408
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_class_size_matches_enumeration(self, n):
+        assert fm.class_size(n) == len(fm.enumerate_all(generic_predicates(n)))
+
+    def test_class_size_n5(self):
+        # confirmed once by full enumeration, which takes seconds at n=5
+        assert fm.class_size(5) == 15360
+
     def test_cap_enforced(self):
         with pytest.raises(fm.CapExceededError):
             fm.enumerate_all(generic_predicates(5), cap=4)

@@ -21,6 +21,14 @@ def _simple_fspa(n=2, rho_max=1000.0, text=None, preds=None):
     return fa.build_fspa(canon, preds, rho_max=rho_max), preds
 
 
+def _run(fspa, feature_seq):
+    """Final state after consuming a feature-vector sequence from q0."""
+    q = fa.Q0
+    for x in feature_seq:
+        q = fspa.step(q, x)
+    return q
+
+
 def _run_oracle(fspa, feature_seq):
     """Independent acceptance check by explicit prefix scanning."""
     for t, x in enumerate(feature_seq):
@@ -36,7 +44,7 @@ def _run_oracle(fspa, feature_seq):
 class TestGuards:
     def test_template_edges(self):
         fspa, _ = _simple_fspa()
-        assert set(fspa.edges) == {
+        assert set(fspa.guards) == {
             (fa.Q0, fa.Q0), (fa.Q0, fa.Q_ACC), (fa.Q0, fa.Q_TRAP),
             (fa.Q_ACC, fa.Q_ACC), (fa.Q_TRAP, fa.Q_TRAP),
         }
@@ -141,16 +149,16 @@ class TestRun:
         levels = [np.array([a, b]) for a in (0.5, 1.5) for b in (0.5, 1.5)]
         for length in range(1, 5):
             for seq in itertools.product(levels, repeat=length):
-                assert fspa.run(seq) == _run_oracle(fspa, seq)
+                assert _run(fspa, seq) == _run_oracle(fspa, seq)
 
     def test_trap_permanence(self):
         fspa, _ = _simple_fspa()
         seq = [np.array([0.5, 1.5])] + [np.array([0.5, 0.5])] * 5
-        assert fspa.run(seq) == fa.Q_TRAP
+        assert _run(fspa, seq) == fa.Q_TRAP
 
     def test_empty_run_stays_initial(self):
         fspa, _ = _simple_fspa()
-        assert fspa.run([]) == fa.Q0
+        assert _run(fspa, []) == fa.Q0
 
 
 class TestBestNontrapNeighbor:

@@ -1,9 +1,11 @@
-"""Product MDP: reward cases, exact expansion, rollouts, batched returns."""
+"""Product MDP: reward cases, exact expansion, rollouts, exact returns."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tlexplain import envs
 from tlexplain import formula as fm
@@ -227,24 +229,25 @@ class TestRollout:
 
 class TestAverageReturn:
     def test_single_episode_equals_rollout(self):
+        # deterministic dynamics and policy: the one episode is the expectation
         model = _nav_model()
         mdp = _mdp(model, _nav_preds())
         policy = _right_policy(model)
         _, single = mdp.rollout(policy, np.random.default_rng(0))
-        avg = mdp.average_return(policy, 1, np.random.default_rng(1))
-        assert avg == pytest.approx(single)
+        assert mdp.average_return(policy) == pytest.approx(single, abs=1e-12)
 
     def test_constant_returns_average_exactly(self):
         model = _nav_model()
         mdp = _mdp(model, _nav_preds())
-        avg = mdp.average_return(_right_policy(model), 64, np.random.default_rng(2))
-        assert avg == pytest.approx(1.0)
+        assert mdp.average_return(_right_policy(model)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_needs_at_least_one_episode(self):
+    def test_horizon_truncates_return(self):
+        # the goal is three steps away, so two steps earn nothing
         model = _nav_model()
-        mdp = _mdp(model, _nav_preds())
-        with pytest.raises(ValueError):
-            mdp.average_return(_right_policy(model), 0, np.random.default_rng(0))
+        policy = _right_policy(model)
+        assert _mdp(model, _nav_preds(), horizon=2).average_return(policy) == 0.0
+        assert _mdp(model, _nav_preds(), horizon=3).average_return(policy) == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_matches_serial_rollouts_for_stochastic_env(self):
         model = build_env_model(envs.CtfEnv(envs.GridMap.parse(CTF_TEXT)))
@@ -253,8 +256,136 @@ class TestAverageReturn:
         mdp = _mdp(model, preds)
         probs = np.full((model.n_rows, model.n_actions), 1.0 / model.n_actions)
         policy = TabularPolicy(probs, tau=0.1, trainer="test")
-        batched = mdp.average_return(policy, 400, np.random.default_rng(9))
+        exact = mdp.average_return(policy)
         rng = np.random.default_rng(10)
-        serial = float(np.mean([mdp.rollout(policy, rng)[1] for _ in range(400)]))
-        # same distribution, different stream layout: agreement in expectation
-        assert batched == pytest.approx(serial, abs=0.25)
+        returns = np.array([mdp.rollout(policy, rng)[1] for _ in range(400)])
+        se = returns.std(ddof=1) / math.sqrt(len(returns))
+        assert abs(returns.mean() - exact) <= 4 * se
+
+
+# ---------------------------------------------------------------------------
+# The exact return against the reference semantics, on random small problems
+# ---------------------------------------------------------------------------
+
+
+def _reference_moments(mdp, policy):
+    """First and second moments of the return, by plain dict recursion.
+
+    Walks :meth:`ProductMdp.expand_transitions` only: a product state that
+    is not a key of the expanded table is terminal and earns nothing more.
+    """
+    table = mdp.expand_transitions()
+    row_of = mdp.model.row_of
+    m1, m2 = {}, {}
+    for _ in range(mdp.horizon):
+        n1, n2 = {}, {}
+        for (ps, a), entries in table.items():
+            pa = policy.probs[row_of[ps[0]], a]
+            for nxt, p, r in entries:
+                g1, g2 = m1.get(nxt, 0.0), m2.get(nxt, 0.0)
+                n1[ps] = n1.get(ps, 0.0) + pa * p * (r + g1)
+                n2[ps] = n2.get(ps, 0.0) + pa * p * (r * r + 2 * r * g1 + g2)
+        m1, m2 = n1, n2
+    starts = [((mdp.model.index_of(s), fa.Q0_I), p)
+              for s, p in mdp.model.env.initial_states()]
+    return (sum(p * m1.get(ps, 0.0) for ps, p in starts),
+            sum(p * m2.get(ps, 0.0) for ps, p in starts))
+
+
+def _cells(draw, height, width, fill):
+    return [[draw(st.sampled_from(fill)) for _ in range(width)]
+            for _ in range(height)]
+
+
+def _spot(draw, height, cols):
+    return draw(st.integers(0, height - 1)), draw(st.sampled_from(cols))
+
+
+@st.composite
+def _nav_text(draw):
+    height, width = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    cells = _cells(draw, height, width, ".#HV")
+    start = _spot(draw, height, range(width))
+    goal = draw(st.sampled_from([(r, c) for r in range(height)
+                                 for c in range(width) if (r, c) != start]))
+    cells[start[0]][start[1]], cells[goal[0]][goal[1]] = "S", "G"
+    return "\n".join("".join(row) for row in cells) + "\n"
+
+
+@st.composite
+def _ctf_text(draw):
+    """Blue territory left of column ``k``, red from it on, with one open
+    blue/red crossing so that the blue territory has a border."""
+    height, width = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    k = draw(st.integers(1, width - 1))
+    cells = [row[:k] + rest for row, rest in zip(
+        _cells(draw, height, k, "b#"), _cells(draw, height, width - k, "r.#"))]
+    gate = draw(st.integers(0, height - 1))
+    cells[gate][k - 1], cells[gate][k] = "b", "r"
+    (br, bc), (rr, rc) = _spot(draw, height, range(k)), _spot(draw, height, range(k, width))
+    cells[br][bc], cells[rr][rc] = "B", "R"
+    return "\n".join("".join(row) for row in cells) + "\n"
+
+
+@st.composite
+def _problems(draw):
+    """A random product MDP on a small nav or CtF map, plus a policy."""
+    if draw(st.booleans()):
+        env = envs.NavEnv(envs.NavMap.parse(draw(_nav_text())))
+    else:
+        grid = envs.GridMap.parse(draw(_ctf_text()),
+                                  random_starts=draw(st.booleans()))
+        env = envs.CtfEnv(grid)
+    model = build_env_model(env)
+    n = draw(st.integers(2, 3))
+    n_feat = len(env.feature_names)
+    preds = tuple(
+        fm.AtomicPredicate(i, f"psi{i}", draw(st.integers(0, n_feat - 1)),
+                           draw(st.floats(0.25, 4.0)))
+        for i in range(n))
+    enc = fm.ExplanationEncoding(
+        neg=tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+        temporal=(0, 1) + tuple(draw(st.lists(st.integers(0, 1),
+                                              min_size=n - 2, max_size=n - 2))),
+        clause=tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+        form_f=draw(st.integers(0, 1)), form_g=draw(st.integers(0, 1)))
+    mdp = ProductMdp(model, fa.build_fspa(fm.decode(enc), preds),
+                     reward_mode=draw(st.sampled_from((SPARSE, DENSE))),
+                     beta=draw(st.floats(0.0, 0.5)),
+                     horizon=draw(st.integers(1, 12)))
+    # row-stochastic, with every action at least 0.1/n_actions likely
+    seed = draw(st.integers(0, 2**32 - 1))
+    raw = np.random.default_rng(seed).dirichlet(np.ones(model.n_actions),
+                                                size=model.n_rows)
+    probs = 0.9 * raw + 0.1 / model.n_actions
+    policy = TabularPolicy(probs / probs.sum(axis=1, keepdims=True),
+                           tau=0.1, trainer="test")
+    return mdp, policy
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestExactReturnProperties:
+    @PROPERTY
+    @given(_problems())
+    def test_equals_dict_recursion_over_expanded_table(self, problem):
+        mdp, policy = problem
+        mean, _ = _reference_moments(mdp, policy)
+        assert mdp.average_return(policy) == pytest.approx(mean, rel=1e-12, abs=1e-12)
+
+    @PROPERTY
+    @given(_problems())
+    def test_agrees_with_rollout_mean(self, problem):
+        mdp, policy = problem
+        exact = mdp.average_return(policy)
+        mean, second = _reference_moments(mdp, policy)
+        n = 200
+        rng = np.random.default_rng(0)
+        sampled = np.mean([mdp.rollout(policy, rng)[1] for _ in range(n)])
+        # standard error from the exact variance: a rare return that the
+        # sample misses would make the sample's own spread read zero
+        se = math.sqrt(max(second - mean * mean, 0.0) / n)
+        assert abs(sampled - exact) <= 4 * se + 1e-9

@@ -1,7 +1,5 @@
 """Trainers: soft value iteration, Q-learning, entropy, replicate selection."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy.special import softmax
@@ -13,8 +11,8 @@ from tlexplain import rl
 from tlexplain.product import ProductMdp, TransitionTable, build_env_model
 
 
-def _bandit(rewards=(1.0, 0.0), gamma=0.9):
-    """Single-state MDP whose two actions terminate with the given rewards."""
+def _bandit(rewards=(1.0, 0.0)):
+    """Single-state table whose two actions terminate with the given rewards."""
     n = len(rewards)
     table = TransitionTable(
         n_rows=1, n_actions=n,
@@ -25,7 +23,7 @@ def _bandit(rewards=(1.0, 0.0), gamma=0.9):
         branch_reward=np.array(rewards, dtype=float),
         cell_offsets=np.arange(n + 1),
     )
-    return SimpleNamespace(table=table, gamma=gamma)
+    return table
 
 
 def _corridor_mdp(**kw):
@@ -71,19 +69,19 @@ class TestTabularPolicy:
 
 class TestSoftValueIteration:
     def test_closed_form_softmax(self):
-        policy = rl.soft_value_iteration(_bandit(), rl.TrainerConfig(tau=1.0))
+        policy = rl.soft_value_iteration(_bandit(), 0.9, rl.TrainerConfig(tau=1.0))
         assert policy.probs[0] == pytest.approx(softmax([1.0, 0.0]), abs=1e-9)
         assert policy.probs[0, 0] == pytest.approx(0.731, abs=1e-3)
 
     def test_small_tau_concentrates(self):
-        policy = rl.soft_value_iteration(_bandit(), rl.TrainerConfig(tau=0.01))
+        policy = rl.soft_value_iteration(_bandit(), 0.9, rl.TrainerConfig(tau=0.01))
         assert policy.probs[0, 0] > 0.99
 
     def test_bitwise_deterministic(self):
         mdp = _corridor_mdp()
         cfg = rl.TrainerConfig(tau=0.1)
-        p1 = rl.soft_value_iteration(mdp, cfg)
-        p2 = rl.soft_value_iteration(mdp, cfg)
+        p1 = rl.soft_value_iteration(mdp.table, mdp.gamma, cfg)
+        p2 = rl.soft_value_iteration(mdp.table, mdp.gamma, cfg)
         assert np.array_equal(p1.probs, p2.probs)
 
     def test_fixed_point_idempotent(self):
@@ -103,7 +101,7 @@ class TestSoftValueIteration:
         mdp = _corridor_mdp()
         cfg = rl.TrainerConfig(tau=0.1, tolerance=1e-15, max_iterations=2)
         with pytest.raises(rl.NoConvergenceError):
-            rl.soft_value_iteration(mdp, cfg)
+            rl.soft_value_iteration(mdp.table, mdp.gamma, cfg)
 
     def test_greedy_matches_brute_force_on_two_state_mdp(self):
         """Enumerate all four deterministic policies of a 2-row chain."""
@@ -116,9 +114,8 @@ class TestSoftValueIteration:
             branch_reward=np.array([0.0, 0.2, 1.0, 0.0]),
             cell_offsets=np.arange(5),
         )
-        shim = SimpleNamespace(table=table, gamma=0.9)
         # brute force: a0 then a0 earns 0 + 0.9*1 = 0.9 > 0.2
-        policy = rl.soft_value_iteration(shim, rl.TrainerConfig(tau=0.01))
+        policy = rl.soft_value_iteration(table, 0.9, rl.TrainerConfig(tau=0.01))
         assert policy.probs.argmax(axis=1).tolist() == [0, 0]
 
 
@@ -130,7 +127,7 @@ class TestQLearning:
     def test_greedy_matches_value_iteration(self):
         mdp = _corridor_mdp()
         ql = rl.q_learning(mdp, self._cfg(), np.random.default_rng(0))
-        vi = rl.soft_value_iteration(mdp, rl.TrainerConfig(tau=0.01))
+        vi = rl.soft_value_iteration(mdp.table, mdp.gamma, rl.TrainerConfig(tau=0.01))
         assert ql.probs.argmax(axis=1).tolist() == vi.probs.argmax(axis=1).tolist()
 
     def test_equal_seeds_identical(self):
