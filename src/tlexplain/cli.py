@@ -23,6 +23,7 @@ from pathlib import Path
 import yaml
 
 from . import formula as fm
+from . import rl
 from .config import SCHEMA_VERSION, ConfigError, RunConfig, build_runtime, load_config
 from .search import brute_force_oracle, multi_start
 
@@ -241,6 +242,10 @@ def main(argv=None) -> int:
         return EXIT_REFUSED
     except (ConfigError, MalformedTraceError, fm.ExplanationParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except rl.NoConvergenceError as exc:
+        print(f"error: {exc}\nhint: raise trainer.tau or trainer.max_iterations",
+              file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - invariant violations get status 4
         print(f"internal error: {exc}", file=sys.stderr)

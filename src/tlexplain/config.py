@@ -16,7 +16,7 @@ import yaml
 
 from . import formula as fm
 from . import metrics, rl
-from .envs import CtfEnv, GridMap, NavEnv, NavMap
+from .envs import CtfEnv, GridMap, MapFormatError, NavEnv, NavMap
 from .product import EnvModel, ProductMdp, TransitionTable, build_env_model
 from .search import Evaluator, SearchParams, _key_stream
 
@@ -109,8 +109,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError("environment needs a 'map' path or inline 'map_text'")
 
     predicates = raw.get("predicates")
-    if not predicates:
-        raise ConfigError("config needs a nonempty 'predicates' list")
+    if not isinstance(predicates, list) or len(predicates) < 2:
+        # each explanation F(phi_F) & G(phi_G) puts at least one predicate
+        # in each part, so one predicate admits no explanation at all
+        raise ConfigError("config needs a 'predicates' list of at least two entries")
 
     reward = _section(raw, "reward")
     trainer_raw = _section(raw, "trainer")
@@ -184,11 +186,14 @@ class Runtime:
 
 
 def build_env(cfg: RunConfig):
-    if cfg.env_type == "ctf":
-        grid = GridMap.parse(cfg.map_text, blue_start=cfg.blue_start,
-                             red_start=cfg.red_start, random_starts=cfg.random_starts)
-        return CtfEnv(grid)
-    return NavEnv(NavMap.parse(cfg.map_text))
+    try:
+        if cfg.env_type == "ctf":
+            grid = GridMap.parse(cfg.map_text, blue_start=cfg.blue_start,
+                                 red_start=cfg.red_start, random_starts=cfg.random_starts)
+            return CtfEnv(grid)
+        return NavEnv(NavMap.parse(cfg.map_text))
+    except MapFormatError as exc:
+        raise ConfigError(f"bad {cfg.env_type} map: {exc}") from exc
 
 
 def build_predicates(cfg: RunConfig, env) -> tuple[fm.AtomicPredicate, ...]:
@@ -259,7 +264,10 @@ def build_runtime(cfg: RunConfig) -> Runtime:
     env = build_env(cfg)
     model = build_env_model(env)
     predicates = build_predicates(cfg, env)
-    target, target_key = _train_target(cfg, model, predicates)
+    try:
+        target, target_key = _train_target(cfg, model, predicates)
+    except rl.NoConvergenceError as exc:
+        raise rl.NoConvergenceError(f"target policy: {exc}") from exc
     sample_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 424243]))
     sample = metrics.build_sample(model, target, cfg.sample_size, sample_rng,
                                   weights_enabled=cfg.search.weights_enabled,

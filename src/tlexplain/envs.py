@@ -112,8 +112,22 @@ class GridMap:
         for cell in blue_starts + red_starts:
             if cell in walls or not (0 <= cell[0] < height and 0 <= cell[1] < width):
                 raise MapFormatError(f"start cell {cell} is a wall or outside the map")
-        return cls(width, height, frozenset(walls), frozenset(blue_terr),
+        grid = cls(width, height, frozenset(walls), frozenset(blue_terr),
                    blue_flag, red_flag, blue_starts, red_starts)
+        # the red defender's heuristic steers by this border
+        if not grid.border_cells():
+            raise MapFormatError("blue territory has no passable neighbour outside it")
+        return grid
+
+    def border_cells(self) -> tuple[Cell, ...]:
+        """Passable cells outside the blue territory next to one inside it."""
+        cells = set()
+        for cell in self.blue_territory:
+            for dr, dc in ACTION_DELTAS[:4]:
+                nb = (cell[0] + dr, cell[1] + dc)
+                if self.passable(nb) and nb not in self.blue_territory:
+                    cells.add(nb)
+        return tuple(sorted(cells))
 
     def in_bounds(self, cell: Cell) -> bool:
         return 0 <= cell[0] < self.height and 0 <= cell[1] < self.width
@@ -146,17 +160,8 @@ class CtfEnv:
 
     def __init__(self, grid: GridMap):
         self.grid = grid
-        self._border = self._border_cells()
+        self._border = grid.border_cells()
         self._bt_cells = sorted(grid.blue_territory)
-
-    def _border_cells(self) -> tuple[Cell, ...]:
-        cells = []
-        for cell in sorted(self.grid.blue_territory):
-            for dr, dc in ACTION_DELTAS[:4]:
-                nb = (cell[0] + dr, cell[1] + dc)
-                if self.grid.passable(nb) and nb not in self.grid.blue_territory:
-                    cells.append(nb)
-        return tuple(sorted(set(cells)))
 
     # -- dynamics ----------------------------------------------------------
 

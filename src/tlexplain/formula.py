@@ -222,7 +222,13 @@ def expansion(nbh, parent: ExplanationEncoding) -> list[ExplanationEncoding]:
 
 
 def random_encoding(n: int, rng: np.random.Generator) -> ExplanationEncoding:
-    """Uniform draw over valid encodings (rejection on the temporal bits)."""
+    """Uniform draw over valid encodings (rejection on the temporal bits).
+
+    Needs ``n >= 2``: a valid encoding sends at least one predicate to each
+    of the F- and G-parts, so with fewer the rejection loop would never end.
+    """
+    if n < 2:
+        raise ValueError(f"random_encoding needs at least 2 predicates, got {n}")
     while True:
         bits = rng.integers(0, 2, size=3 * n + 2)
         enc = ExplanationEncoding.from_bits(bits)

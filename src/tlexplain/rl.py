@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp, softmax, xlogy
+from scipy.special import xlogy
 
 from .product import ProductMdp, TransitionTable
 
@@ -45,6 +45,8 @@ class TrainerConfig:
             raise ValueError("tau must be > 0")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -79,28 +81,59 @@ class TabularPolicy:
         return cls(probs, float(header["tau"]), header["trainer"])
 
 
-def _soft_backup(table: TransitionTable, v: np.ndarray, gamma: float, tau: float):
-    v_next = np.where(table.branch_next_row >= 0, v[table.branch_next_row], 0.0)
-    contrib = table.branch_prob * (table.branch_reward + gamma * v_next)
-    cells = table.branch_row * table.n_actions + table.branch_action
-    q = np.bincount(cells, weights=contrib,
-                    minlength=table.n_rows * table.n_actions)
-    q = q.reshape(table.n_rows, table.n_actions)
-    return q, tau * logsumexp(q / tau, axis=1)
+def _action_softmax(q: np.ndarray, tau: float):
+    """Max-shifted softmax of ``q / tau`` over axis 0: ``(m, z, s)``.
+
+    ``q`` is action-major, shape ``(n_actions, n_rows)``: with few actions,
+    numpy reduces over the leading axis several times faster than over a
+    short trailing one.  ``m`` is the max over actions,
+    ``z = exp((q - m) / tau)`` and ``s`` its sum, so the soft value is
+    ``m + tau * log(s)`` and the policy is ``(z / s).T``.
+    """
+    m = q.max(axis=0)
+    z = q - m
+    z /= tau
+    np.exp(z, out=z)
+    return m, z, z.sum(axis=0)
+
+
+def _policy_rows(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row-major ``(n_rows, n_actions)`` probabilities from ``_action_softmax``."""
+    return np.ascontiguousarray((z / s).T)
 
 
 def soft_value_iteration(table: TransitionTable, gamma: float,
                          cfg: TrainerConfig) -> TabularPolicy:
-    """Iterate the soft Bellman backup to tolerance; seed-independent."""
-    v = np.zeros(table.n_rows)
+    """Iterate the soft Bellman backup to tolerance; seed-independent.
+
+    Everything that does not depend on ``v`` is computed once: the flat
+    action-major cell of each branch, the expected immediate reward per
+    cell, and the discounted weights of branches into non-terminal rows.
+    A sweep is then one ``bincount`` plus a log-sum-exp over actions.
+    """
+    n_rows, n_actions = table.n_rows, table.n_actions
+    n_cells = n_rows * n_actions
+    cells = table.branch_action * n_rows + table.branch_row
+    base = np.bincount(cells, weights=table.branch_prob * table.branch_reward,
+                       minlength=n_cells)
+    live = table.branch_next_row >= 0
+    live_cells = cells[live]
+    live_next = table.branch_next_row[live]
+    live_w = gamma * table.branch_prob[live]
+    tau = cfg.tau
+    v = np.zeros(n_rows)
     for _ in range(cfg.max_iterations):
-        q, v_new = _soft_backup(table, v, gamma, cfg.tau)
+        q = base + np.bincount(live_cells, weights=live_w * v[live_next],
+                               minlength=n_cells)
+        m, z, s = _action_softmax(q.reshape(n_actions, n_rows), tau)
+        v_new = m + tau * np.log(s)
         delta = np.abs(v_new - v).max()
         v = v_new
         if delta < cfg.tolerance:
-            return TabularPolicy(softmax(q / cfg.tau, axis=1), cfg.tau, EXACT_SOFT_VI)
+            return TabularPolicy(_policy_rows(z, s), tau, EXACT_SOFT_VI)
     raise NoConvergenceError(
-        f"soft value iteration did not reach {cfg.tolerance} in {cfg.max_iterations} sweeps")
+        f"soft value iteration did not reach tolerance {cfg.tolerance} in "
+        f"{cfg.max_iterations} sweeps (final residual {delta:.3g})")
 
 
 def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator,
@@ -125,7 +158,8 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator,
             ps = ps_next
             if terminal:
                 break
-    return TabularPolicy(softmax(q / cfg.tau, axis=1), cfg.tau, Q_LEARNING, seed=seed)
+    _, z, s = _action_softmax(q.T, cfg.tau)
+    return TabularPolicy(_policy_rows(z, s), cfg.tau, Q_LEARNING, seed=seed)
 
 
 def train(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator | None = None,

@@ -144,7 +144,10 @@ class Evaluator:
         if key in self.cache:
             return self.cache[key]
         mdp = self.build_mdp(canon)
-        policy = self.train_policy(mdp, key)
+        try:
+            policy = self.train_policy(mdp, key)
+        except rl.NoConvergenceError as exc:
+            raise rl.NoConvergenceError(f"candidate {key}: {exc}") from exc
         mean_return = mdp.average_return(policy)
         if mean_return <= self.params.return_threshold:
             record = metrics.UtilityRecord(

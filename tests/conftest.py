@@ -1,12 +1,18 @@
-"""Shared fixtures: generic predicate sets and the reference CtF runtime."""
+"""Shared fixtures: generic predicate sets, the reference CtF runtime, and
+hypothesis strategies for random small product MDPs."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
+from tlexplain import envs
 from tlexplain import formula as fm
+from tlexplain import fspa as fa
 from tlexplain.config import build_runtime, load_config
+from tlexplain.product import DENSE, SPARSE, ProductMdp, build_env_model
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -39,3 +45,71 @@ def reference_runtime(reference_config):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _cells(draw, height, width, fill):
+    return [[draw(st.sampled_from(fill)) for _ in range(width)]
+            for _ in range(height)]
+
+
+def _spot(draw, height, cols):
+    return draw(st.integers(0, height - 1)), draw(st.sampled_from(cols))
+
+
+@st.composite
+def _nav_text(draw):
+    height, width = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    cells = _cells(draw, height, width, ".#HV")
+    start = _spot(draw, height, range(width))
+    goal = draw(st.sampled_from([(r, c) for r in range(height)
+                                 for c in range(width) if (r, c) != start]))
+    cells[start[0]][start[1]], cells[goal[0]][goal[1]] = "S", "G"
+    return "\n".join("".join(row) for row in cells) + "\n"
+
+
+@st.composite
+def _ctf_text(draw):
+    """Blue territory left of column ``k``, red from it on, with one open
+    blue/red crossing so that the blue territory has a border."""
+    height, width = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    k = draw(st.integers(1, width - 1))
+    cells = [row[:k] + rest for row, rest in zip(
+        _cells(draw, height, k, "b#"), _cells(draw, height, width - k, "r.#"))]
+    gate = draw(st.integers(0, height - 1))
+    cells[gate][k - 1], cells[gate][k] = "b", "r"
+    (br, bc), (rr, rc) = _spot(draw, height, range(k)), _spot(draw, height, range(k, width))
+    cells[br][bc], cells[rr][rc] = "B", "R"
+    return "\n".join("".join(row) for row in cells) + "\n"
+
+
+@st.composite
+def product_mdps(draw):
+    """A random product MDP on a small nav or CtF map and explanation."""
+    if draw(st.booleans()):
+        env = envs.NavEnv(envs.NavMap.parse(draw(_nav_text())))
+    else:
+        grid = envs.GridMap.parse(draw(_ctf_text()),
+                                  random_starts=draw(st.booleans()))
+        env = envs.CtfEnv(grid)
+    model = build_env_model(env)
+    n = draw(st.integers(2, 3))
+    n_feat = len(env.feature_names)
+    preds = tuple(
+        fm.AtomicPredicate(i, f"psi{i}", draw(st.integers(0, n_feat - 1)),
+                           draw(st.floats(0.25, 4.0)))
+        for i in range(n))
+    enc = fm.ExplanationEncoding(
+        neg=tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+        temporal=(0, 1) + tuple(draw(st.lists(st.integers(0, 1),
+                                              min_size=n - 2, max_size=n - 2))),
+        clause=tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+        form_f=draw(st.integers(0, 1)), form_g=draw(st.integers(0, 1)))
+    return ProductMdp(model, fa.build_fspa(fm.decode(enc), preds),
+                      reward_mode=draw(st.sampled_from((SPARSE, DENSE))),
+                      beta=draw(st.floats(0.0, 0.5)),
+                      horizon=draw(st.integers(1, 12)))

@@ -4,6 +4,7 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
 import yaml
 
 from tlexplain import cli
@@ -87,6 +88,26 @@ class TestSearchCommand:
         config = _write_config(tmp_path, cfg)
         assert cli.main(["search", "--config", str(config)]) == cli.EXIT_CONFIG
         assert "ghost_map.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("environment", {"type": "ctf", "map_text": "BXR\n"}, "unknown map character 'X'"),
+        ("environment", {"type": "ctf", "map_text": "B#R\n"}, "no passable neighbour"),
+        ("predicates", NAV_CONFIG["predicates"][:1], "at least two"),
+        ("trainer", {"tau": 0.01, "max_iterations": 2}, "2 sweeps"),
+    ])
+    def test_bad_input_is_config_error(self, tmp_path, capsys, section, value, message):
+        config = _write_config(tmp_path, {**NAV_CONFIG, section: value})
+        assert cli.main(["search", "--config", str(config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_no_convergence_names_residual_and_hint(self, tmp_path, capsys):
+        cfg = {**NAV_CONFIG, "trainer": {"tau": 0.01, "max_iterations": 2}}
+        config = _write_config(tmp_path, cfg)
+        assert cli.main(["search", "--config", str(config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "target policy" in err and "final residual" in err
+        assert "trainer.tau" in err and "trainer.max_iterations" in err
 
 
 class TestOracleCommand:

@@ -52,10 +52,12 @@ class TestLoadConfig:
             load_config(_write(tmp_path, cfg))
 
     def test_predicates_required(self, tmp_path):
+        # an explanation needs a predicate in each of its F- and G-parts
         cfg = dict(NAV_CONFIG)
-        cfg["predicates"] = []
-        with pytest.raises(ConfigError):
-            load_config(_write(tmp_path, cfg))
+        for predicates in ([], NAV_CONFIG["predicates"][:1]):
+            cfg["predicates"] = predicates
+            with pytest.raises(ConfigError):
+                load_config(_write(tmp_path, cfg))
 
     def test_exactly_one_target_variant(self, tmp_path):
         cfg = dict(NAV_CONFIG)

@@ -74,6 +74,10 @@ class TestGridMap:
         with pytest.raises(envs.MapFormatError):
             envs.GridMap.parse("Bx\nrR\n")
 
+    def test_walled_in_blue_territory_rejected(self):
+        with pytest.raises(envs.MapFormatError, match="no passable neighbour"):
+            envs.GridMap.parse("B#R\n")
+
     def test_start_in_wall_rejected(self):
         with pytest.raises(envs.MapFormatError):
             envs.GridMap.parse(CTF_WALLED, blue_start=(1, 2))

@@ -61,6 +61,12 @@ class TestEncoding:
         for _ in range(200):
             assert fm.random_encoding(3, rng).is_valid()
 
+    def test_random_encoding_needs_two_predicates(self, rng):
+        # no valid encoding exists, so rejection sampling would never stop
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                fm.random_encoding(n, rng)
+
 
 class TestDecode:
     def test_single_clause_cnf_is_disjunction(self, preds3):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from tlexplain import envs
@@ -12,6 +12,8 @@ from tlexplain import formula as fm
 from tlexplain import fspa as fa
 from tlexplain.product import DENSE, SPARSE, ProductMdp, build_env_model
 from tlexplain.rl import TabularPolicy
+
+from conftest import PROPERTY, product_mdps
 
 CORRIDOR = "S..G\n"
 WALLED = """\
@@ -292,67 +294,11 @@ def _reference_moments(mdp, policy):
             sum(p * m2.get(ps, 0.0) for ps, p in starts))
 
 
-def _cells(draw, height, width, fill):
-    return [[draw(st.sampled_from(fill)) for _ in range(width)]
-            for _ in range(height)]
-
-
-def _spot(draw, height, cols):
-    return draw(st.integers(0, height - 1)), draw(st.sampled_from(cols))
-
-
-@st.composite
-def _nav_text(draw):
-    height, width = draw(st.integers(1, 4)), draw(st.integers(2, 5))
-    cells = _cells(draw, height, width, ".#HV")
-    start = _spot(draw, height, range(width))
-    goal = draw(st.sampled_from([(r, c) for r in range(height)
-                                 for c in range(width) if (r, c) != start]))
-    cells[start[0]][start[1]], cells[goal[0]][goal[1]] = "S", "G"
-    return "\n".join("".join(row) for row in cells) + "\n"
-
-
-@st.composite
-def _ctf_text(draw):
-    """Blue territory left of column ``k``, red from it on, with one open
-    blue/red crossing so that the blue territory has a border."""
-    height, width = draw(st.integers(1, 3)), draw(st.integers(2, 5))
-    k = draw(st.integers(1, width - 1))
-    cells = [row[:k] + rest for row, rest in zip(
-        _cells(draw, height, k, "b#"), _cells(draw, height, width - k, "r.#"))]
-    gate = draw(st.integers(0, height - 1))
-    cells[gate][k - 1], cells[gate][k] = "b", "r"
-    (br, bc), (rr, rc) = _spot(draw, height, range(k)), _spot(draw, height, range(k, width))
-    cells[br][bc], cells[rr][rc] = "B", "R"
-    return "\n".join("".join(row) for row in cells) + "\n"
-
-
 @st.composite
 def _problems(draw):
     """A random product MDP on a small nav or CtF map, plus a policy."""
-    if draw(st.booleans()):
-        env = envs.NavEnv(envs.NavMap.parse(draw(_nav_text())))
-    else:
-        grid = envs.GridMap.parse(draw(_ctf_text()),
-                                  random_starts=draw(st.booleans()))
-        env = envs.CtfEnv(grid)
-    model = build_env_model(env)
-    n = draw(st.integers(2, 3))
-    n_feat = len(env.feature_names)
-    preds = tuple(
-        fm.AtomicPredicate(i, f"psi{i}", draw(st.integers(0, n_feat - 1)),
-                           draw(st.floats(0.25, 4.0)))
-        for i in range(n))
-    enc = fm.ExplanationEncoding(
-        neg=tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
-        temporal=(0, 1) + tuple(draw(st.lists(st.integers(0, 1),
-                                              min_size=n - 2, max_size=n - 2))),
-        clause=tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
-        form_f=draw(st.integers(0, 1)), form_g=draw(st.integers(0, 1)))
-    mdp = ProductMdp(model, fa.build_fspa(fm.decode(enc), preds),
-                     reward_mode=draw(st.sampled_from((SPARSE, DENSE))),
-                     beta=draw(st.floats(0.0, 0.5)),
-                     horizon=draw(st.integers(1, 12)))
+    mdp = draw(product_mdps())
+    model = mdp.model
     # row-stochastic, with every action at least 0.1/n_actions likely
     seed = draw(st.integers(0, 2**32 - 1))
     raw = np.random.default_rng(seed).dirichlet(np.ones(model.n_actions),
@@ -361,11 +307,6 @@ def _problems(draw):
     policy = TabularPolicy(probs / probs.sum(axis=1, keepdims=True),
                            tau=0.1, trainer="test")
     return mdp, policy
-
-
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
-                    database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestExactReturnProperties:

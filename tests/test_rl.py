@@ -1,14 +1,20 @@
 """Trainers: soft value iteration, Q-learning, entropy, replicate selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from scipy.special import softmax
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import logsumexp, softmax
 
 from tlexplain import envs
 from tlexplain import formula as fm
 from tlexplain import fspa as fa
 from tlexplain import rl
 from tlexplain.product import ProductMdp, TransitionTable, build_env_model
+
+from conftest import PROPERTY, product_mdps
 
 
 def _bandit(rewards=(1.0, 0.0)):
@@ -34,6 +40,40 @@ def _corridor_mdp(**kw):
     return ProductMdp(model, fa.build_fspa(canon, preds), **kw)
 
 
+def _reference_branches(mdp):
+    """Flat (row, action, next row, prob, reward) arrays, built by a loop over
+    :meth:`ProductMdp.expand_transitions`; next row -1 marks a terminal
+    product state, whose value is zero."""
+    row_of = mdp.model.row_of
+    flat = []
+    for (ps, a), entries in mdp.expand_transitions().items():
+        for (state, q), p, r in entries:
+            live = q == fa.Q0_I and row_of[state] >= 0
+            flat.append((row_of[ps[0]], a, row_of[state] if live else -1, p, r))
+    return tuple(map(np.array, zip(*flat)))
+
+
+def _reference_backup(branches, mdp, v, tau):
+    """One soft Bellman backup: accumulate Q per branch, then scipy logsumexp."""
+    rows, actions, next_rows, probs, rewards = branches
+    v_next = np.where(next_rows >= 0, v[next_rows], 0.0)
+    q = np.zeros((mdp.model.n_rows, mdp.model.n_actions))
+    np.add.at(q, (rows, actions), probs * (rewards + mdp.gamma * v_next))
+    return q, tau * logsumexp(q / tau, axis=1)
+
+
+def _reference_soft_vi(branches, mdp, cfg):
+    """Soft VI with the reference backup: (policy, values, sweeps)."""
+    v = np.zeros(mdp.model.n_rows)
+    for sweep in range(1, cfg.max_iterations + 1):
+        q, v_new = _reference_backup(branches, mdp, v, cfg.tau)
+        delta = np.abs(v_new - v).max()
+        v = v_new
+        if delta < cfg.tolerance:
+            return softmax(q / cfg.tau, axis=1), v, sweep
+    raise AssertionError("reference soft VI did not converge")
+
+
 class TestTrainerConfig:
     def test_tau_positive(self):
         with pytest.raises(ValueError):
@@ -42,6 +82,10 @@ class TestTrainerConfig:
     def test_tolerance_positive(self):
         with pytest.raises(ValueError):
             rl.TrainerConfig(tolerance=0.0)
+
+    def test_max_iterations_positive(self):
+        with pytest.raises(ValueError):
+            rl.TrainerConfig(max_iterations=0)
 
 
 class TestTabularPolicy:
@@ -87,20 +131,17 @@ class TestSoftValueIteration:
     def test_fixed_point_idempotent(self):
         mdp = _corridor_mdp()
         cfg = rl.TrainerConfig(tau=0.1, tolerance=1e-10)
-        v = np.zeros(mdp.table.n_rows)
-        for _ in range(cfg.max_iterations):
-            _, v_new = rl._soft_backup(mdp.table, v, mdp.gamma, cfg.tau)
-            if np.abs(v_new - v).max() < cfg.tolerance:
-                v = v_new
-                break
-            v = v_new
-        _, v_again = rl._soft_backup(mdp.table, v, mdp.gamma, cfg.tau)
+        branches = _reference_branches(mdp)
+        _, v, _ = _reference_soft_vi(branches, mdp, cfg)
+        q, v_again = _reference_backup(branches, mdp, v, cfg.tau)
         assert np.abs(v_again - v).max() < cfg.tolerance
+        policy = rl.soft_value_iteration(mdp.table, mdp.gamma, cfg)
+        assert np.abs(policy.probs - softmax(q / cfg.tau, axis=1)).max() < 1e-9
 
     def test_no_convergence_raises(self):
         mdp = _corridor_mdp()
         cfg = rl.TrainerConfig(tau=0.1, tolerance=1e-15, max_iterations=2)
-        with pytest.raises(rl.NoConvergenceError):
+        with pytest.raises(rl.NoConvergenceError, match="2 sweeps.*residual"):
             rl.soft_value_iteration(mdp.table, mdp.gamma, cfg)
 
     def test_greedy_matches_brute_force_on_two_state_mdp(self):
@@ -117,6 +158,32 @@ class TestSoftValueIteration:
         # brute force: a0 then a0 earns 0 + 0.9*1 = 0.9 > 0.2
         policy = rl.soft_value_iteration(table, 0.9, rl.TrainerConfig(tau=0.01))
         assert policy.probs.argmax(axis=1).tolist() == [0, 0]
+
+
+class TestSoftValueIterationAgainstReference:
+    @PROPERTY
+    @given(product_mdps(), st.sampled_from((0.05, 0.1, 0.3, 1.0)))
+    def test_matches_reference_on_random_problems(self, mdp, tau):
+        cfg = rl.TrainerConfig(tau=tau)
+        expected, _, sweeps = _reference_soft_vi(_reference_branches(mdp), mdp, cfg)
+        policy = rl.soft_value_iteration(mdp.table, mdp.gamma,
+                                         replace(cfg, max_iterations=sweeps))
+        assert np.abs(policy.probs - expected).max() <= 1e-12
+        if sweeps > 1:  # converging in exactly `sweeps`, not fewer
+            with pytest.raises(rl.NoConvergenceError):
+                rl.soft_value_iteration(mdp.table, mdp.gamma,
+                                        replace(cfg, max_iterations=sweeps - 1))
+
+    def test_matches_reference_on_every_reference_candidate(self, reference_runtime):
+        ev = reference_runtime.evaluator
+        candidates = fm.enumerate_all(reference_runtime.predicates)
+        assert len(candidates) == 96
+        for canon in candidates:
+            mdp = ev.build_mdp(canon)
+            expected, _, _ = _reference_soft_vi(_reference_branches(mdp), mdp,
+                                                ev.trainer_cfg)
+            policy = rl.soft_value_iteration(mdp.table, mdp.gamma, ev.trainer_cfg)
+            assert np.abs(policy.probs - expected).max() <= 1e-9, ev.key_of(canon)
 
 
 class TestQLearning:

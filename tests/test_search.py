@@ -85,6 +85,14 @@ class TestEvaluate:
             r1, r2 = a1.evaluate(canon_i), a2.evaluate(canon_i)
             assert r1 == r2
 
+    def test_no_convergence_names_candidate(self, reference_runtime):
+        ev = _fresh_evaluator(reference_runtime)
+        ev.trainer_cfg = replace(ev.trainer_cfg, max_iterations=2)
+        with pytest.raises(rl.NoConvergenceError) as excinfo:
+            ev.evaluate(_target_canon(reference_runtime))
+        assert TARGET_KEY in str(excinfo.value)
+        assert "2 sweeps" in str(excinfo.value)
+
     def test_unsatisfiable_on_map_is_filtered(self):
         """The goal is walled off, so the F-part can never fire."""
         env = envs.NavEnv(envs.NavMap.parse("S.#G\n..##\n....\n"))
