@@ -57,7 +57,6 @@ def _fmt(x) -> str:
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-        cfg.search.seed = args.seed
     if getattr(args, "out", None) is not None:
         cfg.output = args.out
     return cfg
@@ -237,7 +236,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RefusedError as exc:
+    except (RefusedError, fm.CapExceededError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except (ConfigError, MalformedTraceError, fm.ExplanationParseError, OSError) as exc:

@@ -2,13 +2,16 @@
 
 A run config is a single YAML file whose sections mirror the library
 modules (environment, predicates, reward, trainer, metric, search, target).
-``resolve`` inlines any referenced files (the map) so that the dumped
-manifest alone reproduces a run byte-for-byte.
+Each mapping section is one dataclass, defined in the module it configures,
+whose ``__post_init__`` checks its ranges; an unknown key at any level is an
+error.  ``load_config`` inlines any referenced files (the map) so that the
+dumped manifest alone reproduces a run byte-for-byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +19,16 @@ import yaml
 
 from . import formula as fm
 from . import metrics, rl
-from .envs import CtfEnv, GridMap, MapFormatError, NavEnv, NavMap
-from .product import EnvModel, ProductMdp, TransitionTable, build_env_model
-from .search import Evaluator, SearchParams, _key_stream
+from .envs import CtfEnv, EnvConfig, GridMap, MapFormatError, NavEnv, NavMap
+from .product import EnvModel, RewardConfig, TransitionTable, build_env_model
+from .search import Evaluator, SearchParams, build_mdp, train_replicates
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+SECTIONS = {"environment": EnvConfig, "reward": RewardConfig,
+            "trainer": rl.TrainerConfig, "metric": metrics.MetricConfig,
+            "search": SearchParams}
+TARGET_KINDS = ("explanation", "policy_path", "builtin")
+PREDICATE_FIELDS = {"name": "str", "feature": "str", "threshold": "float"}
 
 
 class ConfigError(ValueError):
@@ -29,58 +37,84 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    seed: int
-    env_type: str
-    map_text: str
-    horizon: int
-    random_starts: bool
-    blue_start: tuple | None
-    red_start: tuple | None
-    predicates: list[dict]
-    reward_mode: str
-    beta: float
-    gamma: float
-    rho_max: float
+    environment: EnvConfig
+    predicates: list
+    reward: RewardConfig
     trainer: rl.TrainerConfig
-    sample_size: int
-    kl_eps: float
-    replicate_mode: str
+    metric: metrics.MetricConfig
     search: SearchParams
     target: dict
-    output: str
+    seed: int = 0
+    output: str = "runs/out"
 
     def to_dict(self) -> dict:
         """Manifest form: fully resolved, file references inlined."""
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "seed": self.seed,
-            "environment": {
-                "type": self.env_type,
-                "map_text": self.map_text,
-                "horizon": self.horizon,
-                "random_starts": self.random_starts,
-                "blue_start": list(self.blue_start) if self.blue_start else None,
-                "red_start": list(self.red_start) if self.red_start else None,
-            },
-            "predicates": self.predicates,
-            "reward": {"mode": self.reward_mode, "beta": self.beta,
-                       "gamma": self.gamma, "rho_max": self.rho_max},
-            "trainer": asdict(self.trainer),
-            "metric": {"sample_size": self.sample_size, "kl_eps": self.kl_eps,
-                       "weights_enabled": self.search.weights_enabled,
-                       "replicate_mode": self.replicate_mode},
-            "search": {k: v for k, v in asdict(self.search).items()
-                       if k not in ("weights_enabled", "seed")},
-            "target": self.target,
-            "output": self.output,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
-def _section(raw: dict, name: str, default=None) -> dict:
-    value = raw.get(name, default if default is not None else {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"section {name!r} must be a mapping")
-    return value
+# field annotation -> type.  Numbers accept what int()/float() accept, so
+# ``1e-2``, which YAML reads as a string, is 0.01; floats must be finite.
+_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def _field(types: dict, key, value):
+    """``value`` as setting ``key`` of a section whose annotations are ``types``."""
+    if key not in types:
+        raise ValueError(f"{key} is not a setting (known: {', '.join(types)})")
+    kind = _TYPES.get(types[key])
+    if kind is None:
+        return value
+    try:
+        if kind in (int, float):
+            value = kind(value)
+        if isinstance(value, kind) and (kind is not float or math.isfinite(value)):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{key} must be {'a finite float' if kind is float else types[key]}, "
+                     f"got {value!r}")
+
+
+def _build(cls, values: dict, where: str, types: dict | None = None):
+    """``cls(**values)`` with each value passed through ``_field``; any error
+    is a ConfigError naming ``where + key`` (range checks name their field
+    first).  ``types`` defaults to the field annotations of dataclass ``cls``."""
+    types = types or {f.name: f.type for f in fields(cls)}
+    try:
+        return cls(**{key: _field(types, key, value) for key, value in values.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}{exc}") from exc
+
+
+def _inline_map(env: dict, base: Path) -> dict:
+    """The environment section with a ``map`` file read into ``map_text``."""
+    if "map" not in env:
+        if "map_text" not in env:
+            raise ConfigError("environment needs a 'map' path or inline 'map_text'")
+        return env
+    if "map_text" in env:
+        raise ConfigError("environment takes a 'map' path or an inline 'map_text', not both")
+    env = dict(env)
+    map_path = (base / str(env.pop("map"))).resolve()
+    if not map_path.is_file():
+        raise ConfigError(f"map file not found: {map_path}")
+    env["map_text"] = map_path.read_text()
+    return env
+
+
+def _target(target, base: Path) -> dict:
+    if not isinstance(target, dict):
+        raise ConfigError("config needs a 'target' mapping")
+    target = _build(dict, target, "target.", dict.fromkeys(TARGET_KINDS, "str"))
+    if len(target) != 1:
+        raise ConfigError("target must have exactly one of "
+                          f"{'/'.join(TARGET_KINDS)}, got {list(target)}")
+    if "policy_path" in target:
+        policy_path = (base / target["policy_path"]).resolve()
+        if not policy_path.exists():
+            raise ConfigError(f"target policy file not found: {policy_path}")
+        target["policy_path"] = str(policy_path)
+    return target
 
 
 def load_config(path) -> RunConfig:
@@ -93,79 +127,23 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a YAML mapping")
+    raw.pop("schema_version", None)   # manifests record it; loading ignores it
 
-    env = _section(raw, "environment")
-    env_type = env.get("type", "ctf")
-    if env_type not in ("ctf", "nav"):
-        raise ConfigError(f"unknown environment type {env_type!r}")
-    if "map_text" in env:
-        map_text = env["map_text"]
-    elif "map" in env:
-        map_path = (path.parent / env["map"]).resolve()
-        if not map_path.exists():
-            raise ConfigError(f"map file not found: {map_path}")
-        map_text = map_path.read_text()
-    else:
-        raise ConfigError("environment needs a 'map' path or inline 'map_text'")
+    for name, cls in SECTIONS.items():
+        section = raw.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"section {name!r} must be a mapping")
+        if name == "environment":
+            section = _inline_map(section, path.parent)
+        raw[name] = _build(cls, section, f"{name}.")
 
     predicates = raw.get("predicates")
     if not isinstance(predicates, list) or len(predicates) < 2:
         # each explanation F(phi_F) & G(phi_G) puts at least one predicate
         # in each part, so one predicate admits no explanation at all
         raise ConfigError("config needs a 'predicates' list of at least two entries")
-
-    reward = _section(raw, "reward")
-    trainer_raw = _section(raw, "trainer")
-    metric = _section(raw, "metric")
-    search_raw = _section(raw, "search")
-
-    target = raw.get("target")
-    if not isinstance(target, dict):
-        raise ConfigError("config needs a 'target' mapping")
-    variants = [k for k in ("explanation", "policy_path", "builtin") if k in target]
-    if len(variants) != 1:
-        raise ConfigError(
-            f"target must have exactly one of explanation/policy_path/builtin, got {variants}")
-    if "policy_path" in target:
-        policy_path = (path.parent / target["policy_path"]).resolve()
-        if not policy_path.exists():
-            raise ConfigError(f"target policy file not found: {policy_path}")
-        target = {"policy_path": str(policy_path)}
-
-    try:
-        trainer = rl.TrainerConfig(**trainer_raw)
-        search = SearchParams(
-            seed=int(raw.get("seed", 0)),
-            weights_enabled=bool(metric.get("weights_enabled", True)),
-            **search_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    def cell(key):
-        val = env.get(key)
-        return tuple(val) if val else None
-
-    return RunConfig(
-        seed=int(raw.get("seed", 0)),
-        env_type=env_type,
-        map_text=map_text,
-        horizon=int(env.get("horizon", 100)),
-        random_starts=bool(env.get("random_starts", False)),
-        blue_start=cell("blue_start"),
-        red_start=cell("red_start"),
-        predicates=[dict(p) for p in predicates],
-        reward_mode=reward.get("mode", "sparse"),
-        beta=float(reward.get("beta", 0.1)),
-        gamma=float(reward.get("gamma", 0.95)),
-        rho_max=float(reward.get("rho_max", 1000.0)),
-        trainer=trainer,
-        sample_size=int(metric.get("sample_size", 256)),
-        kl_eps=float(metric.get("kl_eps", metrics.KL_EPS)),
-        replicate_mode=metric.get("replicate_mode", "by-entropy"),
-        search=search,
-        target=target,
-        output=raw.get("output", "runs/out"),
-    )
+    raw["target"] = _target(raw.get("target"), path.parent)
+    return _build(RunConfig, raw, "")
 
 
 # ---------------------------------------------------------------------------
@@ -186,35 +164,45 @@ class Runtime:
 
 
 def build_env(cfg: RunConfig):
+    env = cfg.environment
     try:
-        if cfg.env_type == "ctf":
-            grid = GridMap.parse(cfg.map_text, blue_start=cfg.blue_start,
-                                 red_start=cfg.red_start, random_starts=cfg.random_starts)
+        if env.type == "ctf":
+            grid = GridMap.parse(env.map_text, blue_start=env.blue_start,
+                                 red_start=env.red_start, random_starts=env.random_starts)
             return CtfEnv(grid)
-        return NavEnv(NavMap.parse(cfg.map_text))
+        return NavEnv(NavMap.parse(env.map_text))
     except MapFormatError as exc:
-        raise ConfigError(f"bad {cfg.env_type} map: {exc}") from exc
+        raise ConfigError(f"bad {env.type} map: {exc}") from exc
 
 
 def build_predicates(cfg: RunConfig, env) -> tuple[fm.AtomicPredicate, ...]:
     feature_index = {name: i for i, name in enumerate(env.feature_names)}
     preds = []
     for i, spec in enumerate(cfg.predicates):
-        try:
-            feature = spec["feature"]
-            preds.append(fm.AtomicPredicate(
-                i, spec["name"], feature_index[feature], float(spec["threshold"])))
-        except KeyError as exc:
-            raise ConfigError(f"bad predicate entry {spec}: {exc}") from exc
-    fm.validate_predicates(tuple(preds))
+        where = f"predicates[{i}]"
+        if not isinstance(spec, dict) or set(spec) != set(PREDICATE_FIELDS):
+            raise ConfigError(f"{where} must be a mapping of exactly "
+                              f"{', '.join(PREDICATE_FIELDS)}, got {spec!r}")
+        spec = _build(dict, spec, f"{where}.", PREDICATE_FIELDS)
+        if spec["feature"] not in feature_index:
+            raise ConfigError(f"{where}.feature {spec['feature']!r} is not one of "
+                              f"{', '.join(feature_index)}")
+        preds.append(fm.AtomicPredicate(i, spec["name"], feature_index[spec["feature"]],
+                                        spec["threshold"]))
+    try:
+        fm.validate_predicates(tuple(preds))
+    except ValueError as exc:
+        raise ConfigError(f"predicates: {exc}") from exc
     return tuple(preds)
 
 
 def _train_target(cfg: RunConfig, model: EnvModel, predicates) -> tuple[rl.TabularPolicy, str | None]:
-    from .fspa import build_fspa
-
     if "policy_path" in cfg.target:
-        policy = rl.TabularPolicy.load(cfg.target["policy_path"])
+        try:
+            policy = rl.TabularPolicy.load(cfg.target["policy_path"])
+        except (ValueError, KeyError, IndexError) as exc:
+            raise ConfigError(f"target.policy_path {cfg.target['policy_path']} is not "
+                              f"a policy file: {exc!r}") from exc
         if policy.probs.shape != (model.n_rows, model.n_actions):
             raise ConfigError(
                 f"target policy shape {policy.probs.shape} does not match the "
@@ -224,23 +212,15 @@ def _train_target(cfg: RunConfig, model: EnvModel, predicates) -> tuple[rl.Tabul
     if "builtin" in cfg.target:
         if cfg.target["builtin"] != "nav-shaped":
             raise ConfigError(f"unknown builtin target {cfg.target['builtin']!r}")
-        if cfg.env_type != "nav":
+        if cfg.environment.type != "nav":
             raise ConfigError("the nav-shaped builtin target needs a nav environment")
         return _nav_shaped_target(cfg, model), None
 
     canon = fm.parse_explanation(cfg.target["explanation"], predicates)
     key = fm.render(canon, predicates)
-    fspa = build_fspa(canon, predicates, rho_max=cfg.rho_max)
-    mdp = ProductMdp(model, fspa, reward_mode=cfg.reward_mode, beta=cfg.beta,
-                     gamma=cfg.gamma, horizon=cfg.horizon)
-    if cfg.trainer.mode == rl.EXACT_SOFT_VI:
-        return rl.train(mdp, cfg.trainer), key
-    replicates = [
-        rl.train(mdp, cfg.trainer, rng=_key_stream(cfg.seed, "target:" + key, rep), seed=rep)
-        for rep in range(cfg.search.n_rep)
-    ]
-    sample_rows = list(range(model.n_rows))
-    return rl.select_replicate(replicates, sample_rows), key
+    replicates = train_replicates(build_mdp(model, predicates, canon, cfg), cfg,
+                                  "target:" + key)
+    return rl.select_replicate(replicates, range(model.n_rows)), key
 
 
 def _nav_shaped_target(cfg: RunConfig, model: EnvModel) -> rl.TabularPolicy:
@@ -253,11 +233,10 @@ def _nav_shaped_target(cfg: RunConfig, model: EnvModel) -> rl.TabularPolicy:
     nxt = model.branch_next
     reward = 0.1 * (cur_d - d_goal[nxt]) + np.where(goal_idx[nxt], 1.0,
                                                     np.where(hazard_idx[nxt], -1.0, 0.0))
-    next_row = np.where(model.terminal[nxt], -1, model.row_of[nxt])
     table = TransitionTable(model.n_rows, model.n_actions, model.branch_row,
-                            model.branch_action, next_row, model.branch_prob,
+                            model.branch_action, model.row_of[nxt], model.branch_prob,
                             reward, model.cell_offsets)
-    return rl.soft_value_iteration(table, cfg.gamma, cfg.trainer)
+    return rl.soft_value_iteration(table, cfg.reward.gamma, cfg.trainer)
 
 
 def build_runtime(cfg: RunConfig) -> Runtime:
@@ -269,11 +248,8 @@ def build_runtime(cfg: RunConfig) -> Runtime:
     except rl.NoConvergenceError as exc:
         raise rl.NoConvergenceError(f"target policy: {exc}") from exc
     sample_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 424243]))
-    sample = metrics.build_sample(model, target, cfg.sample_size, sample_rng,
-                                  weights_enabled=cfg.search.weights_enabled,
+    sample = metrics.build_sample(model, target, cfg.metric.sample_size, sample_rng,
+                                  weights_enabled=cfg.metric.weights_enabled,
                                   seed=cfg.seed)
-    evaluator = Evaluator(model, predicates, target, sample, cfg.trainer,
-                          cfg.search, reward_mode=cfg.reward_mode, beta=cfg.beta,
-                          gamma=cfg.gamma, horizon=cfg.horizon, rho_max=cfg.rho_max,
-                          kl_eps=cfg.kl_eps, replicate_mode=cfg.replicate_mode)
+    evaluator = Evaluator(model, predicates, target, sample, cfg)
     return Runtime(cfg, env, model, predicates, target, sample, evaluator, target_key)

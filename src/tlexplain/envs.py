@@ -40,6 +40,30 @@ class MapFormatError(ValueError):
     pass
 
 
+@dataclass
+class EnvConfig:
+    """The ``environment`` config section: map, start cells and horizon."""
+
+    map_text: str
+    type: str = "ctf"
+    horizon: int = 100
+    random_starts: bool = False
+    blue_start: Cell | None = None   # ctf only; default the flag cell
+    red_start: Cell | None = None
+
+    def __post_init__(self):
+        if self.type not in ("ctf", "nav"):
+            raise ValueError(f"type must be 'ctf' or 'nav', got {self.type!r}")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        for name in ("blue_start", "red_start"):
+            cell = getattr(self, name)
+            if cell is not None and not (isinstance(cell, (list, tuple)) and len(cell) == 2
+                                         and all(isinstance(x, int) for x in cell)):
+                raise ValueError(f"{name} must be a [row, column] pair, got {cell!r}")
+            setattr(self, name, cell and tuple(cell))
+
+
 def euclidean(a: Cell, b: Cell) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 

@@ -47,7 +47,7 @@ class Fspa:
 
     f_formula: object
     g_formula: object
-    rho_max: float = 1000.0
+    rho_max: float = 1000.0   # TOP guards of the absorbing states; no product reads them
     guards: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -105,10 +105,9 @@ class Fspa:
         return np.where(rho_g <= 0, Q_TRAP_I, np.where(rho_f > 0, Q_ACC_I, Q0_I))
 
 
-def build_fspa(canon: CanonicalExplanation, predicates, rho_max: float = 1000.0) -> Fspa:
+def build_fspa(canon: CanonicalExplanation, predicates) -> Fspa:
     """Instantiate the template automaton for one canonical explanation."""
     return Fspa(
         f_formula=part_formula(canon.f_part, predicates),
         g_formula=part_formula(canon.g_part, predicates),
-        rho_max=rho_max,
     )

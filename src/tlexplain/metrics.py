@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import xlogy
 
 KL_EPS = 1e-8
+REPLICATE_MODES = ("by-entropy", "by-utility")
 
 
 class NoNontrapStatesError(RuntimeError):
@@ -23,6 +24,25 @@ class NoNontrapStatesError(RuntimeError):
 
 class CoverageGapError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class MetricConfig:
+    """The ``metric`` config section: state sample, KL clamp, replicate choice."""
+
+    sample_size: int = 256
+    kl_eps: float = KL_EPS
+    weights_enabled: bool = True
+    replicate_mode: str = REPLICATE_MODES[0]
+
+    def __post_init__(self):
+        if self.sample_size < 1:
+            raise ValueError("sample_size must be >= 1")
+        if not 0.0 < self.kl_eps < 1.0:
+            raise ValueError(f"kl_eps must be in (0, 1), got {self.kl_eps}")
+        if self.replicate_mode not in REPLICATE_MODES:
+            raise ValueError(f"replicate_mode must be one of {REPLICATE_MODES}, "
+                             f"got {self.replicate_mode!r}")
 
 
 @dataclass(frozen=True)

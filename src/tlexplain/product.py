@@ -118,36 +118,43 @@ class TransitionTable:
     cell_offsets: np.ndarray
 
 
+@dataclass(frozen=True)
+class RewardConfig:
+    """The ``reward`` config section: reward shaping and discount."""
+
+    mode: str = SPARSE
+    beta: float = 0.1
+    gamma: float = 0.95
+
+    def __post_init__(self):
+        if self.mode not in (SPARSE, DENSE):
+            raise ValueError(f"mode must be {SPARSE!r} or {DENSE!r}, got {self.mode!r}")
+        for name in ("beta", "gamma"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+
+
 class ProductMdp:
     """FSPA-augmented MDP with sparse or dense guard-robustness rewards."""
 
-    def __init__(self, model: EnvModel, fspa: Fspa, reward_mode: str = SPARSE,
-                 beta: float = 0.1, gamma: float = 0.95, horizon: int = 100):
-        if not (0.0 <= beta < 1.0):
-            raise ValueError(f"beta must be in [0, 1): {beta}")
-        if not (0.0 <= gamma < 1.0):
-            raise ValueError(f"gamma must be in [0, 1): {gamma}")
-        if reward_mode not in (SPARSE, DENSE):
-            raise ValueError(f"unknown reward mode {reward_mode!r}")
+    def __init__(self, model: EnvModel, fspa: Fspa, reward: RewardConfig = RewardConfig(),
+                 horizon: int = 100):
         self.model = model
         self.fspa = fspa
-        self.reward_mode = reward_mode
-        self.beta = beta
-        self.gamma = gamma
+        self.reward = reward
         self.horizon = horizon
 
         rho_f, rho_g = fspa.part_robustness(model.features)
-        self.rho_f, self.rho_g = rho_f, rho_g
         # automaton successor and transition reward as a function of the
         # post-transition environment state, entered from q0
         self.q_next = fspa.step_codes(rho_f, rho_g)
-        reward = np.where(
+        r_next = np.where(
             self.q_next == Q_TRAP_I, rho_g,
             np.where(self.q_next == Q_ACC_I, np.minimum(rho_g, rho_f), 0.0))
-        if reward_mode == DENSE:
-            stay_bonus = beta * np.minimum(rho_g, np.maximum(rho_f, -rho_f))
-            reward = np.where(self.q_next == Q0_I, stay_bonus, reward)
-        self.reward_next = reward
+        if reward.mode == DENSE:
+            stay_bonus = reward.beta * np.minimum(rho_g, np.maximum(rho_f, -rho_f))
+            r_next = np.where(self.q_next == Q0_I, stay_bonus, r_next)
+        self.reward_next = r_next
         self._table = None
 
     @property
@@ -202,23 +209,7 @@ class ProductMdp:
                 (nxt, float(t.branch_prob[k]), float(t.branch_reward[k])))
         return out
 
-    # -- rollouts ----------------------------------------------------------
-
-    def rollout(self, policy, rng: np.random.Generator):
-        """One sampled episode; returns (product-state trajectory, return)."""
-        ps = self.initial_product_state(rng)
-        trajectory = [ps]
-        total = 0.0
-        for _ in range(self.horizon):
-            row = self.model.row_of[ps[0]]
-            probs = policy.probs[row]
-            a = min((rng.random() >= np.cumsum(probs)).sum(), len(probs) - 1)
-            ps, reward, terminal = self.product_step(ps, int(a), rng)
-            trajectory.append(ps)
-            total += reward
-            if terminal:
-                break
-        return trajectory, total
+    # -- returns -----------------------------------------------------------
 
     def average_return(self, policy) -> float:
         """Exact expected undiscounted return over ``horizon`` steps.

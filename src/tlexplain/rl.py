@@ -8,7 +8,7 @@ path that makes replicate selection meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,9 @@ class TrainerConfig:
     epsilon_end: float = 0.05
 
     def __post_init__(self):
+        if self.mode not in (EXACT_SOFT_VI, Q_LEARNING):
+            raise ValueError(f"mode must be {EXACT_SOFT_VI!r} or {Q_LEARNING!r}, "
+                             f"got {self.mode!r}")
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
         if self.tolerance <= 0:
@@ -153,7 +156,7 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator,
             ps_next, reward, terminal = mdp.product_step(ps, a, rng)
             target = reward
             if not terminal:
-                target += mdp.gamma * q[mdp.model.row_of[ps_next[0]]].max()
+                target += mdp.reward.gamma * q[mdp.model.row_of[ps_next[0]]].max()
             q[row, a] += cfg.learning_rate * (target - q[row, a])
             ps = ps_next
             if terminal:
@@ -165,12 +168,10 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator,
 def train(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator | None = None,
           seed: int | None = None) -> TabularPolicy:
     if cfg.mode == EXACT_SOFT_VI:
-        return soft_value_iteration(mdp.table, mdp.gamma, cfg)
-    if cfg.mode == Q_LEARNING:
-        if rng is None:
-            raise ValueError("q-learning needs an rng")
-        return q_learning(mdp, cfg, rng, seed=seed)
-    raise ValueError(f"unknown trainer mode {cfg.mode!r}")
+        return soft_value_iteration(mdp.table, mdp.reward.gamma, cfg)
+    if rng is None:
+        raise ValueError("q-learning needs an rng")
+    return q_learning(mdp, cfg, rng, seed=seed)
 
 
 def policy_entropy(policy: TabularPolicy, sample_rows) -> float:

@@ -12,7 +12,7 @@ encodings.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,7 @@ class SearchParams:
     n_ext: int = 3
     extension_enabled: bool = True
     expansion_enabled: bool = True
-    weights_enabled: bool = True
     top_k: int = 10
-    seed: int = 0
     enumeration_cap: int = 6
 
     def __post_init__(self):
@@ -91,53 +89,58 @@ def _key_stream(seed: int, key: str, purpose: int) -> np.random.Generator:
         np.random.SeedSequence([seed, zlib.crc32(key.encode()), purpose]))
 
 
+def build_mdp(model, predicates, canon: fm.CanonicalExplanation, cfg) -> ProductMdp:
+    """The product MDP of one explanation under the run's reward and horizon."""
+    return ProductMdp(model, build_fspa(canon, predicates), cfg.reward,
+                      cfg.environment.horizon)
+
+
+def train_replicates(mdp: ProductMdp, cfg, stream_key: str) -> list[rl.TabularPolicy]:
+    """One policy from the deterministic trainer, else ``search.n_rep``
+    replicates on the run's streams keyed by ``stream_key``."""
+    if cfg.trainer.mode == rl.EXACT_SOFT_VI:
+        # deterministic trainer: replicates would be identical
+        return [rl.train(mdp, cfg.trainer)]
+    return [rl.train(mdp, cfg.trainer, rng=_key_stream(cfg.seed, stream_key, rep), seed=rep)
+            for rep in range(cfg.search.n_rep)]
+
+
 class Evaluator:
-    """Shared pipeline + cache for scoring candidate explanations."""
+    """Shared pipeline + cache for scoring candidate explanations under the
+    run config ``cfg`` (a ``config.RunConfig``)."""
 
     def __init__(self, model, predicates, target: rl.TabularPolicy,
-                 sample: metrics.StateSample, trainer_cfg: rl.TrainerConfig,
-                 params: SearchParams, reward_mode: str = "sparse",
-                 beta: float = 0.1, gamma: float = 0.95, horizon: int = 100,
-                 rho_max: float = 1000.0, kl_eps: float = metrics.KL_EPS,
-                 replicate_mode: str = "by-entropy"):
+                 sample: metrics.StateSample, cfg):
         self.model = model
         self.predicates = tuple(predicates)
         self.target = target
         self.sample = sample
-        self.trainer_cfg = trainer_cfg
-        self.params = params
-        self.reward_mode = reward_mode
-        self.beta = beta
-        self.gamma = gamma
-        self.horizon = horizon
-        self.rho_max = rho_max
-        self.kl_eps = kl_eps
-        self.replicate_mode = replicate_mode
+        self.cfg = cfg
         self.cache: dict[str, metrics.UtilityRecord] = {}
+
+    @property
+    def params(self) -> SearchParams:
+        return self.cfg.search
+
+    @property
+    def trainer_cfg(self) -> rl.TrainerConfig:
+        return self.cfg.trainer
 
     def key_of(self, canon: fm.CanonicalExplanation) -> str:
         return fm.render(canon, self.predicates)
 
     def build_mdp(self, canon: fm.CanonicalExplanation) -> ProductMdp:
-        fspa = build_fspa(canon, self.predicates, rho_max=self.rho_max)
-        return ProductMdp(self.model, fspa, reward_mode=self.reward_mode,
-                          beta=self.beta, gamma=self.gamma, horizon=self.horizon)
+        return build_mdp(self.model, self.predicates, canon, self.cfg)
 
     def train_policy(self, mdp: ProductMdp, key: str) -> rl.TabularPolicy:
-        if self.trainer_cfg.mode == rl.EXACT_SOFT_VI:
-            # deterministic trainer: replicates would be identical
-            return rl.train(mdp, self.trainer_cfg)
-        replicates = [
-            rl.train(mdp, self.trainer_cfg, rng=_key_stream(self.params.seed, key, rep),
-                     seed=rep)
-            for rep in range(self.params.n_rep)
-        ]
-        if self.replicate_mode == "by-utility":
-            score = lambda p: metrics.utility(p, self.target, self.sample,
-                                              eps=self.kl_eps).utility
-            return rl.select_replicate(replicates, self.sample.rows,
-                                       mode="by-utility", utility_fn=score)
-        return rl.select_replicate(replicates, self.sample.rows)
+        replicates = train_replicates(mdp, self.cfg, key)
+        if len(replicates) == 1:
+            return replicates[0]
+        metric = self.cfg.metric
+        score = lambda p: metrics.utility(p, self.target, self.sample,
+                                          eps=metric.kl_eps).utility
+        return rl.select_replicate(replicates, self.sample.rows,
+                                   mode=metric.replicate_mode, utility_fn=score)
 
     def evaluate(self, canon: fm.CanonicalExplanation) -> metrics.UtilityRecord:
         key = self.key_of(canon)
@@ -149,16 +152,17 @@ class Evaluator:
         except rl.NoConvergenceError as exc:
             raise rl.NoConvergenceError(f"candidate {key}: {exc}") from exc
         mean_return = mdp.average_return(policy)
-        if mean_return <= self.params.return_threshold:
+        cfg = self.cfg
+        if mean_return <= cfg.search.return_threshold:
             record = metrics.UtilityRecord(
                 key=key, wkl=None, utility=None, mean_return=mean_return,
-                filtered=True, replicates=self.params.n_rep,
-                trainer=self.trainer_cfg.mode, seed=self.params.seed)
+                filtered=True, replicates=cfg.search.n_rep,
+                trainer=cfg.trainer.mode, seed=cfg.seed)
         else:
             record = metrics.utility(
                 policy, self.target, self.sample, key=key,
-                mean_return=mean_return, eps=self.kl_eps,
-                replicates=self.params.n_rep, seed=self.params.seed)
+                mean_return=mean_return, eps=cfg.metric.kl_eps,
+                replicates=cfg.search.n_rep, seed=cfg.seed)
         self.cache[key] = record
         return record
 
@@ -275,7 +279,8 @@ def multi_start(evaluator: Evaluator, params: SearchParams) -> MultiStartResult:
     results = []
     next_id = 0
     for i in range(params.n_search):
-        rng = np.random.default_rng(np.random.SeedSequence([params.seed, 7919, i]))
+        rng = np.random.default_rng(
+            np.random.SeedSequence([evaluator.cfg.seed, 7919, i]))
         start = fm.random_encoding(n, rng)
         touched: set[str] = set()
         ctx = _SearchContext(evaluator, params, trace, touched, restart=i,

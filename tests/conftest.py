@@ -1,6 +1,7 @@
 """Shared fixtures: generic predicate sets, the reference CtF runtime, and
 hypothesis strategies for random small product MDPs."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from tlexplain import envs
 from tlexplain import formula as fm
 from tlexplain import fspa as fa
 from tlexplain.config import build_runtime, load_config
-from tlexplain.product import DENSE, SPARSE, ProductMdp, build_env_model
+from tlexplain.product import DENSE, SPARSE, ProductMdp, RewardConfig, build_env_model
+from tlexplain.search import Evaluator
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -40,6 +42,14 @@ def reference_config():
 @pytest.fixture(scope="session")
 def reference_runtime(reference_config):
     return build_runtime(reference_config)
+
+
+def fresh_evaluator(runtime, sample=None, **sections):
+    """A new evaluator (empty cache) on ``runtime``'s model and target, with
+    the given config sections (``search=...``, ``trainer=...``) replaced."""
+    ev = runtime.evaluator
+    return Evaluator(ev.model, ev.predicates, ev.target, sample or ev.sample,
+                     replace(ev.cfg, **sections))
 
 
 @pytest.fixture()
@@ -109,7 +119,7 @@ def product_mdps(draw):
                                               min_size=n - 2, max_size=n - 2))),
         clause=tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
         form_f=draw(st.integers(0, 1)), form_g=draw(st.integers(0, 1)))
-    return ProductMdp(model, fa.build_fspa(fm.decode(enc), preds),
-                      reward_mode=draw(st.sampled_from((SPARSE, DENSE))),
-                      beta=draw(st.floats(0.0, 0.5)),
+    reward = RewardConfig(mode=draw(st.sampled_from((SPARSE, DENSE))),
+                          beta=draw(st.floats(0.0, 0.5)))
+    return ProductMdp(model, fa.build_fspa(fm.decode(enc), preds), reward,
                       horizon=draw(st.integers(1, 12)))

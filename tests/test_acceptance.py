@@ -11,13 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import generic_predicates
+from conftest import fresh_evaluator, generic_predicates
 from tlexplain import cli, envs, metrics
 from tlexplain import formula as fm
 from tlexplain import fspa as fa
-from tlexplain.product import DENSE, ProductMdp, build_env_model
+from tlexplain.product import DENSE, ProductMdp, RewardConfig, build_env_model
 from tlexplain.rl import TabularPolicy
-from tlexplain.search import Evaluator, brute_force_oracle, multi_start
+from tlexplain.search import brute_force_oracle, multi_start
 
 TARGET_KEY = "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)"
 # loosest disjunctive explanation in the class: the F-part is true almost
@@ -31,19 +31,11 @@ def _report(number, description, passed):
     assert passed, f"criterion {number}: {description}"
 
 
-def _fresh_evaluator(runtime, params=None, sample=None):
-    ev = runtime.evaluator
-    return Evaluator(ev.model, ev.predicates, ev.target, sample or ev.sample,
-                     ev.trainer_cfg, params or ev.params,
-                     reward_mode=ev.reward_mode, beta=ev.beta, gamma=ev.gamma,
-                     horizon=ev.horizon, rho_max=ev.rho_max, kl_eps=ev.kl_eps)
-
-
 @pytest.fixture(scope="module")
 def oracle(reference_runtime):
     """Brute-force ranking of all 96 explanations, with its wall time."""
     start = time.perf_counter()
-    ranked, filtered = brute_force_oracle(_fresh_evaluator(reference_runtime))
+    ranked, filtered = brute_force_oracle(fresh_evaluator(reference_runtime))
     return ranked, filtered, time.perf_counter() - start
 
 
@@ -68,7 +60,7 @@ def test_criterion_02_oracle_recovers_target(oracle):
 
 def test_criterion_03_search_matches_oracle(oracle, reference_runtime):
     ranked, _, _ = oracle
-    result = multi_start(_fresh_evaluator(reference_runtime),
+    result = multi_start(fresh_evaluator(reference_runtime),
                          reference_runtime.evaluator.params)
     best = result.results[0]
     under_budget = all(r.searched_frac < 0.60 for r in result.results)
@@ -92,7 +84,7 @@ def test_criterion_05_ablation_direction(oracle, reference_runtime):
     base = replace(reference_runtime.evaluator.params, n_search=20, top_k=20)
 
     def hits(params, sample=None):
-        result = multi_start(_fresh_evaluator(reference_runtime, params, sample),
+        result = multi_start(fresh_evaluator(reference_runtime, sample, search=params),
                              params)
         return sum(1 for r in result.results if r.key == optimum)
 
@@ -102,7 +94,7 @@ def test_criterion_05_ablation_direction(oracle, reference_runtime):
     unit_sample = metrics.StateSample(
         reference_runtime.evaluator.sample.rows,
         np.ones(len(reference_runtime.evaluator.sample.rows)))
-    no_weights = hits(replace(base, weights_enabled=False), unit_sample)
+    no_weights = hits(base, unit_sample)
     _report(5, "over 20 restarts the full search reaches the optimum at "
                f"least as often as each ablation (full={full}, "
                f"no-ext={no_ext}, no-exp={no_exp}, no-weights={no_weights})",
@@ -207,7 +199,7 @@ def test_criterion_09_reward_cases():
     dense_preds = (fm.AtomicPredicate(0, "psi0", 0, 1.5), preds[1])
     canon = fm.parse_explanation("F(psi0) & G(!psi1)", dense_preds)
     dense = ProductMdp(model, fa.build_fspa(canon, dense_preds),
-                       reward_mode=DENSE, beta=0.1)
+                       RewardConfig(mode=DENSE, beta=0.1))
     [(nxt, _, r_dense)] = dense.expand_transitions()[(start, right)]
     x = model.features[nxt[0]]
     q_star = dense.fspa.best_nontrap_neighbor(fa.Q0, x)

@@ -23,6 +23,8 @@ NAV_CONFIG = {
     "target": {"explanation": "F(psi0) & G(!psi1)"},
 }
 
+PSI0, PSI1 = NAV_CONFIG["predicates"]
+
 REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent
                        / "configs" / "ctf_reference.yaml")
 
@@ -94,8 +96,43 @@ class TestSearchCommand:
         ("environment", {"type": "ctf", "map_text": "B#R\n"}, "no passable neighbour"),
         ("predicates", NAV_CONFIG["predicates"][:1], "at least two"),
         ("trainer", {"tau": 0.01, "max_iterations": 2}, "2 sweeps"),
+        ("reward", {"beta": 1.5}, "reward.beta must be in [0, 1)"),
+        ("reward", {"gamma": 1.0}, "reward.gamma must be in [0, 1)"),
+        ("reward", {"mode": "bogus"}, "reward.mode must be"),
+        ("reward", {"rho_max": 1000.0}, "reward.rho_max is not a setting"),
+        ("reward", {"gama": 0.5}, "reward.gama is not a setting"),
+        ("trainer", {"mode": "sarsa"}, "trainer.mode must be"),
+        ("trainer", {"temperature": 0.1}, "trainer.temperature is not a setting"),
+        # YAML reads 1e-2 and 1e4 as strings: float() takes the first, int() not the second
+        ("trainer", {"tau": "1e-2", "max_iterations": "1e4"},
+         "trainer.max_iterations must be int, got '1e4'"),
+        ("environment", {**NAV_CONFIG["environment"], "horizon": "abc"},
+         "environment.horizon must be int"),
+        ("environment", {**NAV_CONFIG["environment"], "horizon": -3},
+         "environment.horizon must be >= 1"),
+        ("environment", {**NAV_CONFIG["environment"], "hoirzon": 40},
+         "environment.hoirzon is not a setting"),
+        ("environment", {**NAV_CONFIG["environment"], "map": "maps/ghost_map.txt"},
+         "'map' path or an inline 'map_text', not both"),
+        ("metric", {"sample_size": 0}, "metric.sample_size must be >= 1"),
+        ("metric", {"replicate_mode": "bogus"}, "metric.replicate_mode must be"),
+        ("metric", {"sample_sise": 8}, "metric.sample_sise is not a setting"),
+        ("search", {"return_threshold": "x"}, "search.return_threshold must be a finite float"),
+        ("search", {"n_serach": 3}, "search.n_serach is not a setting"),
+        ("workers", 2, "workers is not a setting"),
+        ("target", {"explanation": "F(psi0) & G(!psi1)", "note": "x"},
+         "target.note is not a setting"),
+        ("target", {"policy_path": "malformed_policy.txt"}, "target.policy_path"),
+        ("predicates", [1, 2], "predicates[0] must be a mapping"),
+        ("predicates", [{**PSI0, "comment": "x"}, PSI1], "predicates[0] must be a mapping"),
+        ("predicates", [PSI0, {**PSI1, "name": "psi0"}], "predicates: duplicate predicate names"),
+        ("predicates", [PSI0, {**PSI1, "threshold": "x"}],
+         "predicates[1].threshold must be a finite float, got 'x'"),
+        ("predicates", [PSI0, {**PSI1, "threshold": float("inf")}],
+         "predicates[1].threshold must be a finite float, got inf"),
     ])
     def test_bad_input_is_config_error(self, tmp_path, capsys, section, value, message):
+        (tmp_path / "malformed_policy.txt").write_text("not a policy\n")
         config = _write_config(tmp_path, {**NAV_CONFIG, section: value})
         assert cli.main(["search", "--config", str(config)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
@@ -139,6 +176,11 @@ class TestEnumerateCommand:
     def test_reference_count(self, capsys):
         assert cli.main(["enumerate", "--config", REFERENCE_CONFIG]) == cli.EXIT_OK
         assert capsys.readouterr().out.strip() == "96"
+
+    def test_cap_below_predicate_count_is_refused(self, tmp_path, capsys):
+        config = _write_config(tmp_path, {**NAV_CONFIG, "search": {"enumeration_cap": 1}})
+        assert cli.main(["enumerate", "--config", str(config)]) == cli.EXIT_REFUSED
+        assert "exceeds the enumeration cap 1" in capsys.readouterr().err
 
     def test_list_prints_every_explanation(self, tmp_path, capsys):
         config = _write_config(tmp_path)

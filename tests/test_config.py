@@ -1,5 +1,7 @@
 """Config loading, validation, and runtime assembly."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -7,6 +9,7 @@ import yaml
 from tlexplain import rl
 from tlexplain.config import ConfigError, SCHEMA_VERSION, build_runtime, load_config
 
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ctf_reference.yaml"
 NAV_CONFIG = {
     "seed": 3,
     "environment": {"type": "nav", "map_text": "S..G\n....\n.V..\n", "horizon": 40},
@@ -73,6 +76,16 @@ class TestLoadConfig:
         cfg["trainer"] = {"mode": "exact-soft-vi", "temperature": 0.1}
         with pytest.raises(ConfigError):
             load_config(_write(tmp_path, cfg))
+
+    def test_manifest_round_trip(self, tmp_path):
+        # YAML reads 1e-2 as a string; float() makes it 0.01
+        nav = load_config(_write(tmp_path, {
+            **NAV_CONFIG, "trainer": {"tau": "1e-2"},
+            "environment": {**NAV_CONFIG["environment"], "blue_start": [0, 1]}}))
+        assert nav.trainer.tau == 0.01 and nav.environment.blue_start == (0, 1)
+        for cfg in (nav, load_config(REFERENCE_CONFIG)):
+            manifest = _write(tmp_path, cfg.to_dict(), "manifest.yaml")
+            assert load_config(manifest).to_dict() == cfg.to_dict()
 
     def test_manifest_inlines_map(self, tmp_path):
         cfg = load_config(_write(tmp_path, NAV_CONFIG))

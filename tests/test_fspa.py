@@ -5,6 +5,8 @@ feature sequence is accepted iff some prefix keeps the G-part strictly
 satisfied through a step where the F-part is strictly satisfied.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ def _simple_fspa(n=2, rho_max=1000.0, text=None, preds=None):
     preds = preds or generic_predicates(n)
     text = text or "F(psi0) & G(psi1)"
     canon = fm.parse_explanation(text, preds)
-    return fa.build_fspa(canon, preds, rho_max=rho_max), preds
+    return replace(fa.build_fspa(canon, preds), rho_max=rho_max), preds
 
 
 def _run(fspa, feature_seq):

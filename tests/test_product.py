@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tlexplain import envs
 from tlexplain import formula as fm
 from tlexplain import fspa as fa
-from tlexplain.product import DENSE, SPARSE, ProductMdp, build_env_model
+from tlexplain.product import DENSE, SPARSE, ProductMdp, RewardConfig, build_env_model
 from tlexplain.rl import TabularPolicy
 
 from conftest import PROPERTY, product_mdps
@@ -41,9 +41,26 @@ def _nav_preds(goal_threshold=1.0):
             fm.AtomicPredicate(1, "psi1", 1, 1.0))
 
 
-def _mdp(model, preds, text="F(psi0) & G(!psi1)", **kw):
+def _mdp(model, preds, text="F(psi0) & G(!psi1)", horizon=100, **reward):
     canon = fm.parse_explanation(text, preds)
-    return ProductMdp(model, fa.build_fspa(canon, preds), **kw)
+    return ProductMdp(model, fa.build_fspa(canon, preds), RewardConfig(**reward), horizon)
+
+
+def _rollout(mdp, policy, rng):
+    """One sampled episode through ``product_step``: (product-state
+    trajectory, undiscounted return)."""
+    ps = mdp.initial_product_state(rng)
+    trajectory = [ps]
+    total = 0.0
+    for _ in range(mdp.horizon):
+        probs = policy.probs[mdp.model.row_of[ps[0]]]
+        a = min((rng.random() >= np.cumsum(probs)).sum(), len(probs) - 1)
+        ps, reward, terminal = mdp.product_step(ps, int(a), rng)
+        trajectory.append(ps)
+        total += reward
+        if terminal:
+            break
+    return trajectory, total
 
 
 def _right_policy(model):
@@ -66,7 +83,7 @@ class TestConstruction:
     def test_unknown_reward_mode(self):
         model = _nav_model()
         with pytest.raises(ValueError):
-            _mdp(model, _nav_preds(), reward_mode="shaped")
+            _mdp(model, _nav_preds(), mode="shaped")
 
 
 class TestRewardCases:
@@ -109,7 +126,7 @@ class TestRewardCases:
     def test_dense_self_loop_pays_beta_times_best_neighbor_guard(self):
         model = _nav_model()
         preds = _nav_preds(goal_threshold=1.5)
-        mdp = _mdp(model, preds, reward_mode=DENSE, beta=0.1)
+        mdp = _mdp(model, preds, mode=DENSE, beta=0.1)
         table = mdp.expand_transitions()
         start = mdp.initial_product_state(np.random.default_rng(0))
         # moving right lands on (0,1): d_goal = 2, |rho_f| = 0.5, rho_g large
@@ -122,8 +139,8 @@ class TestRewardCases:
 
     def test_dense_terminal_cases_match_sparse(self):
         model = _nav_model()
-        sparse = _mdp(model, _nav_preds(), reward_mode=SPARSE)
-        dense = _mdp(model, _nav_preds(), reward_mode=DENSE)
+        sparse = _mdp(model, _nav_preds(), mode=SPARSE)
+        dense = _mdp(model, _nav_preds(), mode=DENSE)
         acc_or_trap = sparse.q_next != fa.Q0_I
         assert np.array_equal(sparse.reward_next[acc_or_trap],
                               dense.reward_next[acc_or_trap])
@@ -188,7 +205,7 @@ class TestRollout:
     def test_optimal_policy_earns_positive_return(self):
         model = _nav_model()
         mdp = _mdp(model, _nav_preds())
-        _, total = mdp.rollout(_right_policy(model), np.random.default_rng(0))
+        _, total = _rollout(mdp, _right_policy(model), np.random.default_rng(0))
         assert total == pytest.approx(1.0)
 
     def test_walled_goal_returns_nonpositive(self):
@@ -198,7 +215,7 @@ class TestRollout:
         probs = np.full((model.n_rows, model.n_actions), 1.0 / model.n_actions)
         policy = TabularPolicy(probs, tau=0.1, trainer="test")
         for _ in range(50):
-            _, total = mdp.rollout(policy, rng)
+            _, total = _rollout(mdp, policy, rng)
             assert total <= 0.0
 
     def test_identical_seeds_identical_trajectories(self):
@@ -208,8 +225,8 @@ class TestRollout:
         mdp = _mdp(model, preds)
         probs = np.full((model.n_rows, model.n_actions), 1.0 / model.n_actions)
         policy = TabularPolicy(probs, tau=0.1, trainer="test")
-        t1, r1 = mdp.rollout(policy, np.random.default_rng(5))
-        t2, r2 = mdp.rollout(policy, np.random.default_rng(5))
+        t1, r1 = _rollout(mdp, policy, np.random.default_rng(5))
+        t2, r2 = _rollout(mdp, policy, np.random.default_rng(5))
         assert t1 == t2 and r1 == r2
 
     def test_step_on_terminal_product_state_rejected(self):
@@ -225,7 +242,7 @@ class TestRollout:
         probs = np.zeros((model.n_rows, model.n_actions))
         probs[:, envs.ACTION_NAMES.index("stay")] = 1.0
         policy = TabularPolicy(probs, tau=0.1, trainer="test")
-        traj, _ = mdp.rollout(policy, np.random.default_rng(0))
+        traj, _ = _rollout(mdp, policy, np.random.default_rng(0))
         assert len(traj) == 5  # start + horizon steps
 
 
@@ -235,7 +252,7 @@ class TestAverageReturn:
         model = _nav_model()
         mdp = _mdp(model, _nav_preds())
         policy = _right_policy(model)
-        _, single = mdp.rollout(policy, np.random.default_rng(0))
+        _, single = _rollout(mdp, policy, np.random.default_rng(0))
         assert mdp.average_return(policy) == pytest.approx(single, abs=1e-12)
 
     def test_constant_returns_average_exactly(self):
@@ -260,7 +277,7 @@ class TestAverageReturn:
         policy = TabularPolicy(probs, tau=0.1, trainer="test")
         exact = mdp.average_return(policy)
         rng = np.random.default_rng(10)
-        returns = np.array([mdp.rollout(policy, rng)[1] for _ in range(400)])
+        returns = np.array([_rollout(mdp, policy, rng)[1] for _ in range(400)])
         se = returns.std(ddof=1) / math.sqrt(len(returns))
         assert abs(returns.mean() - exact) <= 4 * se
 
@@ -325,7 +342,7 @@ class TestExactReturnProperties:
         mean, second = _reference_moments(mdp, policy)
         n = 200
         rng = np.random.default_rng(0)
-        sampled = np.mean([mdp.rollout(policy, rng)[1] for _ in range(n)])
+        sampled = np.mean([_rollout(mdp, policy, rng)[1] for _ in range(n)])
         # standard error from the exact variance: a rare return that the
         # sample misses would make the sample's own spread read zero
         se = math.sqrt(max(second - mean * mean, 0.0) / n)

@@ -32,12 +32,12 @@ def _bandit(rewards=(1.0, 0.0)):
     return table
 
 
-def _corridor_mdp(**kw):
+def _corridor_mdp():
     model = build_env_model(envs.NavEnv(envs.NavMap.parse("S..G\n")))
     preds = (fm.AtomicPredicate(0, "psi0", 0, 1.0),
              fm.AtomicPredicate(1, "psi1", 1, 1.0))
     canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
-    return ProductMdp(model, fa.build_fspa(canon, preds), **kw)
+    return ProductMdp(model, fa.build_fspa(canon, preds))
 
 
 def _reference_branches(mdp):
@@ -58,7 +58,7 @@ def _reference_backup(branches, mdp, v, tau):
     rows, actions, next_rows, probs, rewards = branches
     v_next = np.where(next_rows >= 0, v[next_rows], 0.0)
     q = np.zeros((mdp.model.n_rows, mdp.model.n_actions))
-    np.add.at(q, (rows, actions), probs * (rewards + mdp.gamma * v_next))
+    np.add.at(q, (rows, actions), probs * (rewards + mdp.reward.gamma * v_next))
     return q, tau * logsumexp(q / tau, axis=1)
 
 
@@ -124,8 +124,8 @@ class TestSoftValueIteration:
     def test_bitwise_deterministic(self):
         mdp = _corridor_mdp()
         cfg = rl.TrainerConfig(tau=0.1)
-        p1 = rl.soft_value_iteration(mdp.table, mdp.gamma, cfg)
-        p2 = rl.soft_value_iteration(mdp.table, mdp.gamma, cfg)
+        p1 = rl.soft_value_iteration(mdp.table, mdp.reward.gamma, cfg)
+        p2 = rl.soft_value_iteration(mdp.table, mdp.reward.gamma, cfg)
         assert np.array_equal(p1.probs, p2.probs)
 
     def test_fixed_point_idempotent(self):
@@ -135,14 +135,14 @@ class TestSoftValueIteration:
         _, v, _ = _reference_soft_vi(branches, mdp, cfg)
         q, v_again = _reference_backup(branches, mdp, v, cfg.tau)
         assert np.abs(v_again - v).max() < cfg.tolerance
-        policy = rl.soft_value_iteration(mdp.table, mdp.gamma, cfg)
+        policy = rl.soft_value_iteration(mdp.table, mdp.reward.gamma, cfg)
         assert np.abs(policy.probs - softmax(q / cfg.tau, axis=1)).max() < 1e-9
 
     def test_no_convergence_raises(self):
         mdp = _corridor_mdp()
         cfg = rl.TrainerConfig(tau=0.1, tolerance=1e-15, max_iterations=2)
         with pytest.raises(rl.NoConvergenceError, match="2 sweeps.*residual"):
-            rl.soft_value_iteration(mdp.table, mdp.gamma, cfg)
+            rl.soft_value_iteration(mdp.table, mdp.reward.gamma, cfg)
 
     def test_greedy_matches_brute_force_on_two_state_mdp(self):
         """Enumerate all four deterministic policies of a 2-row chain."""
@@ -166,12 +166,12 @@ class TestSoftValueIterationAgainstReference:
     def test_matches_reference_on_random_problems(self, mdp, tau):
         cfg = rl.TrainerConfig(tau=tau)
         expected, _, sweeps = _reference_soft_vi(_reference_branches(mdp), mdp, cfg)
-        policy = rl.soft_value_iteration(mdp.table, mdp.gamma,
+        policy = rl.soft_value_iteration(mdp.table, mdp.reward.gamma,
                                          replace(cfg, max_iterations=sweeps))
         assert np.abs(policy.probs - expected).max() <= 1e-12
         if sweeps > 1:  # converging in exactly `sweeps`, not fewer
             with pytest.raises(rl.NoConvergenceError):
-                rl.soft_value_iteration(mdp.table, mdp.gamma,
+                rl.soft_value_iteration(mdp.table, mdp.reward.gamma,
                                         replace(cfg, max_iterations=sweeps - 1))
 
     def test_matches_reference_on_every_reference_candidate(self, reference_runtime):
@@ -182,7 +182,7 @@ class TestSoftValueIterationAgainstReference:
             mdp = ev.build_mdp(canon)
             expected, _, _ = _reference_soft_vi(_reference_branches(mdp), mdp,
                                                 ev.trainer_cfg)
-            policy = rl.soft_value_iteration(mdp.table, mdp.gamma, ev.trainer_cfg)
+            policy = rl.soft_value_iteration(mdp.table, mdp.reward.gamma, ev.trainer_cfg)
             assert np.abs(policy.probs - expected).max() <= 1e-9, ev.key_of(canon)
 
 
@@ -194,7 +194,7 @@ class TestQLearning:
     def test_greedy_matches_value_iteration(self):
         mdp = _corridor_mdp()
         ql = rl.q_learning(mdp, self._cfg(), np.random.default_rng(0))
-        vi = rl.soft_value_iteration(mdp.table, mdp.gamma, rl.TrainerConfig(tau=0.01))
+        vi = rl.soft_value_iteration(mdp.table, mdp.reward.gamma, rl.TrainerConfig(tau=0.01))
         assert ql.probs.argmax(axis=1).tolist() == vi.probs.argmax(axis=1).tolist()
 
     def test_equal_seeds_identical(self):

@@ -5,11 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import fresh_evaluator
 from tlexplain import envs
 from tlexplain import formula as fm
 from tlexplain import metrics
 from tlexplain import rl
-from tlexplain.product import build_env_model
+from tlexplain.config import RunConfig
+from tlexplain.product import RewardConfig, build_env_model
 from tlexplain.search import (
     EmptyBufferError,
     Evaluator,
@@ -23,14 +25,6 @@ from tlexplain.search import (
 )
 
 TARGET_KEY = "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)"
-
-
-def _fresh_evaluator(runtime, params=None):
-    ev = runtime.evaluator
-    return Evaluator(ev.model, ev.predicates, ev.target, ev.sample,
-                     ev.trainer_cfg, params or ev.params,
-                     reward_mode=ev.reward_mode, beta=ev.beta, gamma=ev.gamma,
-                     horizon=ev.horizon, rho_max=ev.rho_max, kl_eps=ev.kl_eps)
 
 
 def _target_canon(runtime):
@@ -59,7 +53,7 @@ class TestEvaluate:
         assert record.mean_return > 0.05
 
     def test_cache_hit_skips_retraining(self, reference_runtime, monkeypatch):
-        ev = _fresh_evaluator(reference_runtime)
+        ev = fresh_evaluator(reference_runtime)
         canon = _target_canon(reference_runtime)
         calls = []
         original = rl.train
@@ -79,15 +73,15 @@ class TestEvaluate:
         canon = _target_canon(reference_runtime)
         neighbor = fm.parse_explanation(
             "F(psi_ba_rf) & G(psi_ba_ra | psi_ba_bt)", reference_runtime.predicates)
-        a1 = _fresh_evaluator(reference_runtime)
-        a2 = _fresh_evaluator(reference_runtime)
+        a1 = fresh_evaluator(reference_runtime)
+        a2 = fresh_evaluator(reference_runtime)
         for canon_i in (canon, neighbor):
             r1, r2 = a1.evaluate(canon_i), a2.evaluate(canon_i)
             assert r1 == r2
 
     def test_no_convergence_names_candidate(self, reference_runtime):
-        ev = _fresh_evaluator(reference_runtime)
-        ev.trainer_cfg = replace(ev.trainer_cfg, max_iterations=2)
+        trainer = replace(reference_runtime.evaluator.trainer_cfg, max_iterations=2)
+        ev = fresh_evaluator(reference_runtime, trainer=trainer)
         with pytest.raises(rl.NoConvergenceError) as excinfo:
             ev.evaluate(_target_canon(reference_runtime))
         assert TARGET_KEY in str(excinfo.value)
@@ -103,15 +97,17 @@ class TestEvaluate:
             np.full((model.n_rows, model.n_actions), 1.0 / model.n_actions),
             tau=0.1, trainer="t")
         sample = metrics.build_sample(model, uniform, 8, np.random.default_rng(0))
-        ev = Evaluator(model, preds, uniform, sample,
-                       rl.TrainerConfig(tau=0.01), SearchParams(seed=0))
+        cfg = RunConfig(envs.EnvConfig("S.#G\n..##\n....\n", type="nav"), [],
+                        RewardConfig(), rl.TrainerConfig(tau=0.01),
+                        metrics.MetricConfig(), SearchParams(), {})
+        ev = Evaluator(model, preds, uniform, sample, cfg)
         record = ev.evaluate(fm.parse_explanation("F(psi0) & G(!psi1)", preds))
         assert record.filtered and record.mean_return <= 0.05
 
 
 class TestEvalNeighbors:
     def _ctx(self, runtime, params=None):
-        ev = _fresh_evaluator(runtime, params)
+        ev = fresh_evaluator(runtime, search=params or runtime.evaluator.params)
         return _SearchContext(ev, params or ev.params, trace=[], touched=set())
 
     def _encode_target(self, runtime):
@@ -160,7 +156,7 @@ class TestEvalNeighbors:
 
 class TestGreedySearch:
     def test_start_at_optimum_stays(self, reference_runtime):
-        ev = _fresh_evaluator(reference_runtime)
+        ev = fresh_evaluator(reference_runtime)
         ctx = _SearchContext(ev, ev.params, trace=[], touched=set())
         enc = next(e for e in fm.iter_valid_encodings(3)
                    if ev.key_of(fm.decode(e)) == TARGET_KEY)
@@ -168,7 +164,7 @@ class TestGreedySearch:
         assert best_key == TARGET_KEY and best_utility == 0.0
 
     def test_trace_parents_form_a_forest(self, reference_runtime):
-        result = multi_start(_fresh_evaluator(reference_runtime),
+        result = multi_start(fresh_evaluator(reference_runtime),
                              replace(reference_runtime.evaluator.params, n_search=3))
         for node in result.traces:
             if node.move == "init":
@@ -180,13 +176,13 @@ class TestGreedySearch:
 class TestMultiStart:
     def test_deterministic(self, reference_runtime):
         params = reference_runtime.evaluator.params
-        r1 = multi_start(_fresh_evaluator(reference_runtime), params)
-        r2 = multi_start(_fresh_evaluator(reference_runtime), params)
+        r1 = multi_start(fresh_evaluator(reference_runtime), params)
+        r2 = multi_start(fresh_evaluator(reference_runtime), params)
         assert r1.results == r2.results
         assert r1.traces == r2.traces
 
     def test_searched_fractions_in_unit_interval(self, reference_runtime):
-        result = multi_start(_fresh_evaluator(reference_runtime),
+        result = multi_start(fresh_evaluator(reference_runtime),
                              reference_runtime.evaluator.params)
         assert 0.0 < result.overall_searched_frac <= 1.0
         for res in result.results:
@@ -194,18 +190,18 @@ class TestMultiStart:
 
     def test_single_restart_reduces_to_greedy(self, reference_runtime):
         params = replace(reference_runtime.evaluator.params, n_search=1)
-        result = multi_start(_fresh_evaluator(reference_runtime), params)
+        result = multi_start(fresh_evaluator(reference_runtime), params)
         assert len(result.results) == 1
 
     def test_denominator_is_canonical_count(self, reference_runtime):
-        result = multi_start(_fresh_evaluator(reference_runtime),
+        result = multi_start(fresh_evaluator(reference_runtime),
                              replace(reference_runtime.evaluator.params, n_search=1))
         assert result.denominator == 96
 
 
 @pytest.fixture(scope="module")
 def oracle(reference_runtime):
-    return brute_force_oracle(_fresh_evaluator(reference_runtime))
+    return brute_force_oracle(fresh_evaluator(reference_runtime))
 
 
 class TestBruteForceOracle:
@@ -225,7 +221,7 @@ class TestBruteForceOracle:
 
     def test_search_never_beats_oracle(self, oracle, reference_runtime):
         ranked, _ = oracle
-        result = multi_start(_fresh_evaluator(reference_runtime),
+        result = multi_start(fresh_evaluator(reference_runtime),
                              reference_runtime.evaluator.params)
         best = result.results[0]
         assert best.utility <= ranked[0].utility + 1e-12
