@@ -194,6 +194,17 @@ def cmd_trace_dot(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` value: a non-negative integer, as ``RunConfig.seed`` takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tlexplain", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -203,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", required=True, help="run configuration YAML")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--seed", type=int, help="global seed override")
+        p.add_argument("--seed", type=_seed, help="global seed override")
 
     p = sub.add_parser("search", help="run the multi-start greedy search")
     common(p)

@@ -47,6 +47,10 @@ class RunConfig:
     seed: int = 0
     output: str = "runs/out"
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
     def to_dict(self) -> dict:
         """Manifest form: fully resolved, file references inlined."""
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}

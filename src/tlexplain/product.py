@@ -15,7 +15,10 @@ consuming the start state.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,6 +61,26 @@ class EnvModel:
 
     def index_of(self, state) -> int:
         return self._index[state]
+
+    @cached_property
+    def step_cells(self) -> list:
+        """Per state, its per-action sampling cells as plain lists, or None
+        for a terminal state; built on the first ``product_step``.
+
+        A cell is ``(cums, nexts)`` for one ``(row, action)``: its branch
+        probabilities summed left to right, as ``np.cumsum`` does (None for
+        a single branch, which needs no draw), and its successor states.
+        """
+        nxt, prob = self.branch_next.tolist(), self.branch_prob.tolist()
+        offsets = self.cell_offsets.tolist()
+        n = self.n_actions
+        cells = [None] * len(self.states)
+        for r, s in enumerate(self.rows.tolist()):
+            bounds = offsets[r * n:(r + 1) * n + 1]
+            cells[s] = [(list(accumulate(prob[lo:hi])) if hi - lo > 1 else None,
+                         nxt[lo:hi])
+                        for lo, hi in zip(bounds, bounds[1:])]
+        return cells
 
     def __post_init__(self):
         self._index = {s: i for i, s in enumerate(self.states)}
@@ -178,23 +201,29 @@ class ProductMdp:
             row = rng.choice(self.model.start_rows, p=self.model.start_probs)
         return (int(self.model.rows[row]), Q0_I)
 
+    @cached_property
+    def step_outcomes(self) -> list:
+        """Per post-transition state ``s'``: ``((s', q'), reward, terminal)``,
+        the outcome of every branch into ``s'``; built on the first step."""
+        return [((s, q), r, q != Q0_I or row < 0) for s, (q, r, row) in enumerate(
+            zip(self.q_next.tolist(), self.reward_next.tolist(),
+                self.model.row_of.tolist()))]
+
     def product_step(self, product_state, action: int, rng: np.random.Generator):
-        """One sampled transition; returns (next product state, reward, terminal)."""
+        """One sampled transition; returns (next product state, reward, terminal).
+
+        Plain Python over ``EnvModel.step_cells`` and ``step_outcomes``: a
+        cell with several branches draws one ``rng.random()`` and takes the
+        first branch whose cumulative probability exceeds it; a single
+        branch draws nothing.
+        """
         idx, q = product_state
-        row = self.model.row_of[idx]
-        if q != Q0_I or row < 0:
+        actions = self.model.step_cells[idx]
+        if q != Q0_I or actions is None:
             raise StepOnTerminalError(f"step on terminal product state {product_state}")
-        t = self.table
-        cell = row * t.n_actions + action
-        lo, hi = t.cell_offsets[cell], t.cell_offsets[cell + 1]
-        probs = t.branch_prob[lo:hi]
-        k = lo + (rng.random() >= np.cumsum(probs)).sum() if hi - lo > 1 else lo
-        k = min(k, hi - 1)
-        nxt_state = int(self.model.branch_next[k])
-        q2 = int(self.q_next[nxt_state])
-        reward = float(t.branch_reward[k])
-        terminal = t.branch_next_row[k] < 0
-        return (nxt_state, q2), reward, terminal
+        cums, nexts = actions[action]
+        k = 0 if cums is None else min(bisect_right(cums, rng.random()), len(nexts) - 1)
+        return self.step_outcomes[nexts[k]]
 
     def expand_transitions(self):
         """Explicit table {(product state, action): [(next, prob, reward)]}."""

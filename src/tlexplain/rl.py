@@ -50,6 +50,13 @@ class TrainerConfig:
             raise ValueError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.episodes < 1:
+            raise ValueError(f"episodes must be >= 1, got {self.episodes}")
+        if not 0.0 < self.learning_rate <= 1.0:
+            raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
+        for name in ("epsilon_start", "epsilon_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 @dataclass
@@ -141,27 +148,35 @@ def soft_value_iteration(table: TransitionTable, gamma: float,
 
 def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator,
                seed: int | None = None) -> TabularPolicy:
-    """Epsilon-greedy tabular Q-learning; final policy is softmax over Q."""
-    table = mdp.table
-    q = np.zeros((table.n_rows, table.n_actions))
+    """Epsilon-greedy tabular Q-learning; final policy is softmax over Q.
+
+    The Q-table is a list of lists indexed by environment state while
+    training (terminal states' entries stay zero and unused), so a step is
+    plain Python: the greedy action is the first maximum, as ``np.argmax``
+    picks.  Per step ``rng.random()`` then, if exploring,
+    ``rng.integers(n_actions)`` is drawn before ``product_step``'s own draw;
+    that order fixes the random stream and therefore the policy.
+    """
+    m = mdp.model
+    n_actions = m.n_actions
+    q = [[0.0] * n_actions for _ in range(len(m.states))]
+    gamma, lr = mdp.reward.gamma, cfg.learning_rate
+    step, random, integers = mdp.product_step, rng.random, rng.integers
     for ep in range(cfg.episodes):
         eps = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * ep / max(cfg.episodes - 1, 1)
         ps = mdp.initial_product_state(rng)
         for _ in range(mdp.horizon):
-            row = mdp.model.row_of[ps[0]]
-            if rng.random() < eps:
-                a = int(rng.integers(table.n_actions))
+            q_s = q[ps[0]]
+            if random() < eps:
+                a = int(integers(n_actions))
             else:
-                a = int(np.argmax(q[row]))
-            ps_next, reward, terminal = mdp.product_step(ps, a, rng)
-            target = reward
-            if not terminal:
-                target += mdp.reward.gamma * q[mdp.model.row_of[ps_next[0]]].max()
-            q[row, a] += cfg.learning_rate * (target - q[row, a])
-            ps = ps_next
+                a = q_s.index(max(q_s))
+            ps, reward, terminal = step(ps, a, rng)
             if terminal:
+                q_s[a] += lr * (reward - q_s[a])
                 break
-    _, z, s = _action_softmax(q.T, cfg.tau)
+            q_s[a] += lr * (reward + gamma * max(q[ps[0]]) - q_s[a])
+    _, z, s = _action_softmax(np.array(q)[m.rows].T, cfg.tau)
     return TabularPolicy(_policy_rows(z, s), cfg.tau, Q_LEARNING, seed=seed)
 
 

@@ -71,6 +71,15 @@ class TestSearchCommand:
         manifest = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())
         assert manifest["seed"] == 99
 
+    def test_negative_seed_override_is_usage_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", "--config", str(config), "--seed", "-1"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "argument --seed: seed must be a non-negative integer, got '-1'" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         missing = tmp_path / "ghost.yaml"
         assert cli.main(["search", "--config", str(missing)]) == cli.EXIT_CONFIG
@@ -130,6 +139,12 @@ class TestSearchCommand:
          "predicates[1].threshold must be a finite float, got 'x'"),
         ("predicates", [PSI0, {**PSI1, "threshold": float("inf")}],
          "predicates[1].threshold must be a finite float, got inf"),
+        ("trainer", {"mode": "q-learning", "episodes": 0}, "trainer.episodes must be >= 1"),
+        ("trainer", {"mode": "q-learning", "learning_rate": 5.0},
+         "trainer.learning_rate must be in (0, 1]"),
+        ("trainer", {"epsilon_start": 1.5}, "trainer.epsilon_start must be in [0, 1]"),
+        ("trainer", {"epsilon_end": -0.1}, "trainer.epsilon_end must be in [0, 1]"),
+        ("seed", -1, "seed must be >= 0, got -1"),
     ])
     def test_bad_input_is_config_error(self, tmp_path, capsys, section, value, message):
         (tmp_path / "malformed_policy.txt").write_text("not a policy\n")

@@ -74,7 +74,67 @@ def _reference_soft_vi(branches, mdp, cfg):
     raise AssertionError("reference soft VI did not converge")
 
 
+def _reference_product_step(mdp, product_state, action, rng):
+    """One sampled transition, read from the numpy transition table: the
+    draw is compared against ``np.cumsum`` of the cell's probabilities."""
+    idx, q = product_state
+    row = mdp.model.row_of[idx]
+    if q != fa.Q0_I or row < 0:
+        raise envs.StepOnTerminalError(f"step on terminal product state {product_state}")
+    t = mdp.table
+    cell = row * t.n_actions + action
+    lo, hi = t.cell_offsets[cell], t.cell_offsets[cell + 1]
+    probs = t.branch_prob[lo:hi]
+    k = lo + (rng.random() >= np.cumsum(probs)).sum() if hi - lo > 1 else lo
+    k = min(k, hi - 1)
+    nxt_state = int(mdp.model.branch_next[k])
+    q2 = int(mdp.q_next[nxt_state])
+    reward = float(t.branch_reward[k])
+    terminal = t.branch_next_row[k] < 0
+    return (nxt_state, q2), reward, terminal
+
+
+def _reference_q_learning(mdp, cfg, rng):
+    """Epsilon-greedy Q-learning on a numpy Q-table indexed by row, stepping
+    with ``_reference_product_step``; returns the probs of the softmax over
+    Q that ``q_learning`` ends with."""
+    table = mdp.table
+    q = np.zeros((table.n_rows, table.n_actions))
+    for ep in range(cfg.episodes):
+        eps = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * ep / max(cfg.episodes - 1, 1)
+        ps = mdp.initial_product_state(rng)
+        for _ in range(mdp.horizon):
+            row = mdp.model.row_of[ps[0]]
+            if rng.random() < eps:
+                a = int(rng.integers(table.n_actions))
+            else:
+                a = int(np.argmax(q[row]))
+            ps_next, reward, terminal = _reference_product_step(mdp, ps, a, rng)
+            target = reward
+            if not terminal:
+                target += mdp.reward.gamma * q[mdp.model.row_of[ps_next[0]]].max()
+            q[row, a] += cfg.learning_rate * (target - q[row, a])
+            ps = ps_next
+            if terminal:
+                break
+    _, z, s = rl._action_softmax(q.T, cfg.tau)
+    return rl._policy_rows(z, s)
+
+
 class TestTrainerConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("episodes", 0), ("learning_rate", 0.0), ("learning_rate", 5.0),
+        ("epsilon_start", 1.5), ("epsilon_start", -0.1),
+        ("epsilon_end", 1.01), ("epsilon_end", -0.5),
+    ])
+    def test_q_learning_settings_checked(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            rl.TrainerConfig(mode=rl.Q_LEARNING, **{field: value})
+
+    def test_q_learning_bounds_inclusive(self):
+        rl.TrainerConfig(mode=rl.Q_LEARNING, episodes=1, learning_rate=1.0,
+                         epsilon_start=0.0, epsilon_end=1.0)
+
     def test_tau_positive(self):
         with pytest.raises(ValueError):
             rl.TrainerConfig(tau=0.0)
@@ -215,6 +275,84 @@ class TestQLearning:
             rl.train(mdp, rl.TrainerConfig(mode=rl.Q_LEARNING))  # rng required
         with pytest.raises(ValueError):
             rl.train(mdp, rl.TrainerConfig(mode="sarsa"))
+
+
+class TestQLearningAgainstReference:
+    """The list-based ``product_step`` and ``q_learning`` against the numpy
+    reference: the same outcomes, policies and random streams, bit for bit."""
+
+    @staticmethod
+    def _assert_same_training(mdp, cfg, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        policy = rl.q_learning(mdp, cfg, rng)
+        assert np.array_equal(policy.probs, _reference_q_learning(mdp, cfg, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @PROPERTY
+    @given(product_mdps(), st.integers(0, 2**32))
+    def test_product_step_matches_reference(self, mdp, seed):
+        expanded = mdp.expand_transitions()
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for (ps, a), entries in expanded.items():
+            for _ in range(3):
+                nxt, reward, terminal = mdp.product_step(ps, a, rng)
+                ref_nxt, ref_reward, ref_terminal = _reference_product_step(mdp, ps, a, ref_rng)
+                assert (nxt, reward, terminal) == (ref_nxt, ref_reward, bool(ref_terminal))
+                assert any(nxt == e_nxt and reward == e_reward
+                           for e_nxt, _, e_reward in entries)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_draw_past_the_last_cumulative_takes_the_last_branch(self):
+        class _AtOne:  # a draw no smaller than any cell's probability sum
+            def random(self):
+                return 1.0
+
+        model = build_env_model(envs.CtfEnv(envs.GridMap.parse("Bbbrr\nbbbrR\n")))
+        preds = (fm.AtomicPredicate(0, "psi0", 1, 1.0),
+                 fm.AtomicPredicate(1, "psi1", 2, 1.5))
+        canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
+        mdp = ProductMdp(model, fa.build_fspa(canon, preds))
+        combat = [key for key, entries in mdp.expand_transitions().items()
+                  if len(entries) > 1]
+        assert combat
+        for ps, a in combat:
+            last = mdp.expand_transitions()[(ps, a)][-1]
+            nxt, reward, _ = mdp.product_step(ps, a, _AtOne())
+            assert (nxt, reward) == (last[0], last[2])
+            ref = _reference_product_step(mdp, ps, a, _AtOne())
+            assert (nxt, reward) == ref[:2]
+
+    @PROPERTY
+    @given(product_mdps(), st.integers(0, 2**32), st.integers(1, 30),
+           st.floats(0.01, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.sampled_from((0.01, 0.1, 1.0)))
+    def test_matches_reference_on_random_problems(self, mdp, seed, episodes, lr,
+                                                  eps_start, eps_end, tau):
+        cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, tau=tau, episodes=episodes,
+                               learning_rate=lr, epsilon_start=eps_start,
+                               epsilon_end=eps_end)
+        self._assert_same_training(mdp, cfg, seed)
+
+    def test_matches_reference_with_random_starts_and_combat(self):
+        model = build_env_model(envs.CtfEnv(envs.GridMap.parse(
+            "Bbbrr\nbbbrr\nbbbrR\n", random_starts=True)))
+        assert len(model.start_rows) > 1
+        assert (np.diff(model.cell_offsets) > 1).any()   # kill branches
+        preds = (fm.AtomicPredicate(0, "psi0", 1, 1.0),
+                 fm.AtomicPredicate(1, "psi1", 2, 1.5))
+        canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
+        mdp = ProductMdp(model, fa.build_fspa(canon, preds))
+        cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, tau=0.05, episodes=40)
+        for seed in range(3):
+            self._assert_same_training(mdp, cfg, seed)
+
+    def test_matches_reference_on_every_reference_candidate(self, reference_runtime):
+        ev = reference_runtime.evaluator
+        cfg = replace(ev.trainer_cfg, mode=rl.Q_LEARNING, episodes=8)
+        candidates = fm.enumerate_all(reference_runtime.predicates)
+        assert len(candidates) == 96
+        for seed, canon in enumerate(candidates):
+            self._assert_same_training(ev.build_mdp(canon), cfg, seed)
 
 
 class TestPolicyEntropy:
