@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import yaml
@@ -89,12 +90,8 @@ def cmd_search(args) -> int:
 
     with (out_dir / "trace.jsonl").open("w") as fh:
         for node in result.traces:
-            fh.write(json.dumps({
-                "schema_version": SCHEMA_VERSION, "node_id": node.node_id,
-                "restart": node.restart, "step": node.step, "key": node.key,
-                "utility": node.utility, "filtered": node.filtered,
-                "parent": node.parent, "move": node.move,
-            }, sort_keys=True) + "\n")
+            fh.write(json.dumps({"schema_version": SCHEMA_VERSION, **asdict(node)},
+                                sort_keys=True) + "\n")
 
     print(f"searched {100.0 * result.overall_searched_frac:.2f}% of "
           f"{result.denominator} explanations over {cfg.search.n_search} restarts")
@@ -112,8 +109,7 @@ def cmd_oracle(args) -> int:
         raise RefusedError(
             f"oracle over {len(runtime.predicates)} predicates is expensive; "
             "pass --force to run it anyway")
-    ranked, filtered = brute_force_oracle(runtime.evaluator,
-                                         cap=cfg.search.enumeration_cap)
+    ranked, filtered = brute_force_oracle(runtime.evaluator)
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "oracle.csv").open("w", newline="") as fh:

@@ -23,7 +23,7 @@ from .envs import CtfEnv, EnvConfig, GridMap, MapFormatError, NavEnv, NavMap
 from .product import EnvModel, RewardConfig, TransitionTable, build_env_model
 from .search import Evaluator, SearchParams, build_mdp, train_replicates
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 SECTIONS = {"environment": EnvConfig, "reward": RewardConfig,
             "trainer": rl.TrainerConfig, "metric": metrics.MetricConfig,
             "search": SearchParams}
@@ -157,12 +157,9 @@ def load_config(path) -> RunConfig:
 
 @dataclass
 class Runtime:
-    config: RunConfig
-    env: object
     model: EnvModel
     predicates: tuple[fm.AtomicPredicate, ...]
     target: rl.TabularPolicy
-    sample: metrics.StateSample
     evaluator: Evaluator
     target_key: str | None
 
@@ -253,7 +250,6 @@ def build_runtime(cfg: RunConfig) -> Runtime:
         raise rl.NoConvergenceError(f"target policy: {exc}") from exc
     sample_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 424243]))
     sample = metrics.build_sample(model, target, cfg.metric.sample_size, sample_rng,
-                                  weights_enabled=cfg.metric.weights_enabled,
-                                  seed=cfg.seed)
+                                  weights_enabled=cfg.metric.weights_enabled)
     evaluator = Evaluator(model, predicates, target, sample, cfg)
-    return Runtime(cfg, env, model, predicates, target, sample, evaluator, target_key)
+    return Runtime(model, predicates, target, evaluator, target_key)

@@ -343,14 +343,17 @@ def part_formula(part: CanonicalPart, predicates):
     return And(clause_nodes) if part.outer == AND else Or(clause_nodes)
 
 
-def iter_valid_encodings(n: int):
-    bit_tuples = list(itertools.product((0, 1), repeat=n))
-    temporals = [t for t in bit_tuples if 0 in t and 1 in t]
-    for neg in bit_tuples:
-        for temporal in temporals:
-            for clause in bit_tuples:
-                for form_f, form_g in itertools.product((0, 1), repeat=2):
-                    yield ExplanationEncoding(neg, temporal, clause, form_f, form_g)
+def _part_shapes(lits: list[Literal]) -> list[CanonicalPart]:
+    """Every distinct canonical part over the literals ``lits``: each split
+    of them into a first and a second clause under each form, folded by
+    :func:`_canonical_part`, duplicates removed in order.  Needs a literal."""
+    shapes: dict[CanonicalPart, None] = {}
+    for mask in itertools.product((0, 1), repeat=len(lits)):
+        first = [lit for lit, m in zip(lits, mask) if not m]
+        second = [lit for lit, m in zip(lits, mask) if m]
+        for dnf in (False, True):
+            shapes.setdefault(_canonical_part(first, second, dnf), None)
+    return list(shapes)
 
 
 def class_size(n: int) -> int:
@@ -358,13 +361,12 @@ def class_size(n: int) -> int:
 
     Closed form of ``len(enumerate_all(...))``: each predicate carries a
     negation bit and goes to the F- or G-part, and a part with ``k``
-    predicates has ``forms(k)`` distinct canonical shapes after
-    :func:`_canonical_part`'s folding -- 1 for a single literal, 2 for two
-    (one AND, one OR clause), and ``2**k`` for ``k >= 3``.
+    predicates takes any of its :func:`_part_shapes`, whose number depends
+    only on ``k``.
     """
 
     def forms(k: int) -> int:
-        return k if k <= 2 else 2 ** k
+        return len(_part_shapes([(i, False) for i in range(k)]))
 
     return 2 ** n * sum(math.comb(n, k) * forms(k) * forms(n - k)
                         for k in range(1, n))
@@ -373,17 +375,22 @@ def class_size(n: int) -> int:
 def enumerate_all(predicates, cap: int = 6) -> list[CanonicalExplanation]:
     """Every distinct canonical explanation over the predicate set.
 
-    Exhausts all valid encodings and deduplicates through :func:`decode`;
-    result is sorted by rendered key for determinism.
+    For each F/G split of the predicates and each negation pattern, takes
+    the product of the two parts' shapes; distinct splits, negations or
+    shapes give distinct explanations.  Sorted by rendered key.
     """
     n = len(predicates)
     if n > cap:
         raise CapExceededError(f"{n} predicates exceeds the enumeration cap {cap}")
-    by_key: dict[str, CanonicalExplanation] = {}
-    for enc in iter_valid_encodings(n):
-        canon = decode(enc)
-        by_key.setdefault(render(canon, predicates), canon)
-    return [by_key[k] for k in sorted(by_key)]
+    out = []
+    for temporal in itertools.product((0, 1), repeat=n):
+        if 0 not in temporal or 1 not in temporal:
+            continue
+        for neg in itertools.product((False, True), repeat=n):
+            f_shapes = _part_shapes([(i, neg[i]) for i in range(n) if not temporal[i]])
+            g_shapes = _part_shapes([(i, neg[i]) for i in range(n) if temporal[i]])
+            out.extend(CanonicalExplanation(f, g) for f in f_shapes for g in g_shapes)
+    return sorted(out, key=lambda canon: render(canon, predicates))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import numpy as np
 from scipy.special import xlogy
 
 KL_EPS = 1e-8
+# a utility over 10^5 sampled rows takes ~0.04 s on ctf5 (2-vCPU Xeon), 10^6 ~0.4 s
+MAX_SAMPLE_SIZE = 100_000
 REPLICATE_MODES = ("by-entropy", "by-utility")
 
 
@@ -38,6 +40,9 @@ class MetricConfig:
     def __post_init__(self):
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
+        if self.sample_size > MAX_SAMPLE_SIZE:
+            raise ValueError(f"sample_size must be <= {MAX_SAMPLE_SIZE}, "
+                             f"got {self.sample_size}")
         if not 0.0 < self.kl_eps < 1.0:
             raise ValueError(f"kl_eps must be in (0, 1), got {self.kl_eps}")
         if self.replicate_mode not in REPLICATE_MODES:
@@ -51,8 +56,6 @@ class StateSample:
 
     rows: tuple[int, ...]
     weights: np.ndarray
-    seed: int | None = None
-    degenerate: bool = False  # target uniform everywhere; uniform fallback
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,6 @@ class UtilityRecord:
     utility: float | None
     mean_return: float
     filtered: bool
-    replicates: int = 1
-    trainer: str = ""
-    seed: int | None = None
 
 
 def sample_nontrap(model, n: int, rng: np.random.Generator) -> list[int]:
@@ -88,30 +88,25 @@ def _clamp(p: np.ndarray, eps: float) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def kl(p, q, eps: float = KL_EPS) -> float:
-    """Discrete KL(p || q) with epsilon-clamped, renormalized inputs."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    pc, qc = _clamp(p, eps), _clamp(q, eps)
-    return float(np.sum(pc * np.log(pc / qc)))
-
-
 def kl_rows(p: np.ndarray, q: np.ndarray, eps: float = KL_EPS) -> np.ndarray:
-    """Row-wise KL for stacked distributions, same clamping as :func:`kl`."""
+    """Row-wise KL(p || q) over the last axis of epsilon-clamped, renormalized inputs."""
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     pc, qc = _clamp(p, eps), _clamp(q, eps)
     return (pc * np.log(pc / qc)).sum(axis=-1)
 
 
-def normalized_entropy(p, h_max: float) -> float:
-    """1 - H(p)/H_max: zero for a uniform row, one for a deterministic row."""
+def kl(p, q, eps: float = KL_EPS) -> float:
+    """Discrete KL(p || q) of two distributions, clamped as :func:`kl_rows`."""
+    return float(kl_rows(np.asarray(p, dtype=float), np.asarray(q, dtype=float), eps))
+
+
+def normalized_entropy(p, h_max: float):
+    """1 - H(p)/H_max over the last axis: 0 for a uniform row, 1 for a deterministic one."""
     if h_max <= 0:
         raise ValueError("h_max must be > 0")
     p = np.asarray(p, dtype=float)
-    return float(1.0 + xlogy(p, p).sum() / h_max)
+    return 1.0 + xlogy(p, p).sum(axis=-1) / h_max
 
 
 def weights(target, sample_rows, enabled: bool = True):
@@ -127,8 +122,7 @@ def weights(target, sample_rows, enabled: bool = True):
     if not enabled:
         return np.ones(rows.size), False
     p = target.probs[rows]
-    h_max = np.log(p.shape[1])
-    hbar = 1.0 + xlogy(p, p).sum(axis=1) / h_max
+    hbar = normalized_entropy(p, np.log(p.shape[1]))
     total = hbar.sum()
     if total <= 0:
         return np.full(rows.size, 1.0 / rows.size), True
@@ -136,15 +130,14 @@ def weights(target, sample_rows, enabled: bool = True):
 
 
 def build_sample(model, target, n: int, rng: np.random.Generator,
-                 weights_enabled: bool = True, seed: int | None = None) -> StateSample:
+                 weights_enabled: bool = True) -> StateSample:
     rows = sample_nontrap(model, n, rng)
-    w, degenerate = weights(target, rows, enabled=weights_enabled)
-    return StateSample(tuple(rows), w, seed=seed, degenerate=degenerate)
+    w, _ = weights(target, rows, enabled=weights_enabled)
+    return StateSample(tuple(rows), w)
 
 
 def utility(candidate, target, sample: StateSample, key: str = "",
-            mean_return: float = float("nan"), eps: float = KL_EPS,
-            replicates: int = 1, seed: int | None = None) -> UtilityRecord:
+            mean_return: float = float("nan"), eps: float = KL_EPS) -> UtilityRecord:
     """Weighted-KL utility of a candidate policy against the target."""
     rows = np.asarray(sample.rows, dtype=int)
     if rows.max(initial=-1) >= candidate.probs.shape[0] or rows.max(initial=-1) >= target.probs.shape[0]:
@@ -152,5 +145,4 @@ def utility(candidate, target, sample: StateSample, key: str = "",
     divs = kl_rows(candidate.probs[rows], target.probs[rows], eps=eps)
     wkl = float(np.dot(sample.weights, divs))
     return UtilityRecord(key=key, wkl=wkl, utility=-wkl, mean_return=mean_return,
-                         filtered=False, replicates=replicates,
-                         trainer=candidate.trainer, seed=seed)
+                         filtered=False)

@@ -66,7 +66,6 @@ class TabularPolicy:
     probs: np.ndarray
     tau: float
     trainer: str
-    seed: int | None = None
 
     def __post_init__(self):
         rowsums = self.probs.sum(axis=1)
@@ -146,8 +145,7 @@ def soft_value_iteration(table: TransitionTable, gamma: float,
         f"{cfg.max_iterations} sweeps (final residual {delta:.3g})")
 
 
-def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator,
-               seed: int | None = None) -> TabularPolicy:
+def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) -> TabularPolicy:
     """Epsilon-greedy tabular Q-learning; final policy is softmax over Q.
 
     The Q-table is a list of lists indexed by environment state while
@@ -177,16 +175,16 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator,
                 break
             q_s[a] += lr * (reward + gamma * max(q[ps[0]]) - q_s[a])
     _, z, s = _action_softmax(np.array(q)[m.rows].T, cfg.tau)
-    return TabularPolicy(_policy_rows(z, s), cfg.tau, Q_LEARNING, seed=seed)
+    return TabularPolicy(_policy_rows(z, s), cfg.tau, Q_LEARNING)
 
 
-def train(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator | None = None,
-          seed: int | None = None) -> TabularPolicy:
+def train(mdp: ProductMdp, cfg: TrainerConfig,
+          rng: np.random.Generator | None = None) -> TabularPolicy:
     if cfg.mode == EXACT_SOFT_VI:
         return soft_value_iteration(mdp.table, mdp.reward.gamma, cfg)
     if rng is None:
         raise ValueError("q-learning needs an rng")
-    return q_learning(mdp, cfg, rng, seed=seed)
+    return q_learning(mdp, cfg, rng)
 
 
 def policy_entropy(policy: TabularPolicy, sample_rows) -> float:

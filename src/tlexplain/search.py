@@ -32,8 +32,7 @@ class SearchParams:
     n_max: int = 10
     n_rep: int = 1
     return_threshold: float = 0.05
-    n_ext: int = 3
-    extension_enabled: bool = True
+    n_ext: int = 3  # 0 turns the extension probes off
     expansion_enabled: bool = True
     top_k: int = 10
     enumeration_cap: int = 6
@@ -80,7 +79,6 @@ class _BufferEntry:
     key: str
     utility: float
     enc: fm.ExplanationEncoding
-    record: metrics.UtilityRecord
 
 
 def _key_stream(seed: int, key: str, purpose: int) -> np.random.Generator:
@@ -101,7 +99,7 @@ def train_replicates(mdp: ProductMdp, cfg, stream_key: str) -> list[rl.TabularPo
     if cfg.trainer.mode == rl.EXACT_SOFT_VI:
         # deterministic trainer: replicates would be identical
         return [rl.train(mdp, cfg.trainer)]
-    return [rl.train(mdp, cfg.trainer, rng=_key_stream(cfg.seed, stream_key, rep), seed=rep)
+    return [rl.train(mdp, cfg.trainer, rng=_key_stream(cfg.seed, stream_key, rep))
             for rep in range(cfg.search.n_rep)]
 
 
@@ -126,9 +124,6 @@ class Evaluator:
     def trainer_cfg(self) -> rl.TrainerConfig:
         return self.cfg.trainer
 
-    def key_of(self, canon: fm.CanonicalExplanation) -> str:
-        return fm.render(canon, self.predicates)
-
     def build_mdp(self, canon: fm.CanonicalExplanation) -> ProductMdp:
         return build_mdp(self.model, self.predicates, canon, self.cfg)
 
@@ -143,7 +138,7 @@ class Evaluator:
                                    mode=metric.replicate_mode, utility_fn=score)
 
     def evaluate(self, canon: fm.CanonicalExplanation) -> metrics.UtilityRecord:
-        key = self.key_of(canon)
+        key = fm.render(canon, self.predicates)
         if key in self.cache:
             return self.cache[key]
         mdp = self.build_mdp(canon)
@@ -152,17 +147,12 @@ class Evaluator:
         except rl.NoConvergenceError as exc:
             raise rl.NoConvergenceError(f"candidate {key}: {exc}") from exc
         mean_return = mdp.average_return(policy)
-        cfg = self.cfg
-        if mean_return <= cfg.search.return_threshold:
-            record = metrics.UtilityRecord(
-                key=key, wkl=None, utility=None, mean_return=mean_return,
-                filtered=True, replicates=cfg.search.n_rep,
-                trainer=cfg.trainer.mode, seed=cfg.seed)
+        if mean_return <= self.cfg.search.return_threshold:
+            record = metrics.UtilityRecord(key=key, wkl=None, utility=None,
+                                           mean_return=mean_return, filtered=True)
         else:
-            record = metrics.utility(
-                policy, self.target, self.sample, key=key,
-                mean_return=mean_return, eps=cfg.metric.kl_eps,
-                replicates=cfg.search.n_rep, seed=cfg.seed)
+            record = metrics.utility(policy, self.target, self.sample, key=key,
+                                     mean_return=mean_return, eps=self.cfg.metric.kl_eps)
         self.cache[key] = record
         return record
 
@@ -174,14 +164,12 @@ class _SearchContext:
     trace: list[TraceNode]
     touched: set
     restart: int = 0
-    _next_id: int = 0
 
-    def record(self, key, record, step, parent, move):
+    def record(self, record, step, parent, move):
         self.trace.append(TraceNode(
-            node_id=self._next_id, restart=self.restart, step=step, key=key,
+            node_id=len(self.trace), restart=self.restart, step=step, key=record.key,
             utility=record.utility, filtered=record.filtered,
             parent=parent, move=move))
-        self._next_id += 1
 
 
 def _sorted_buffer(entries: dict[str, _BufferEntry]) -> list[_BufferEntry]:
@@ -196,50 +184,45 @@ def eval_neighbors(enc: fm.ExplanationEncoding, ctx: _SearchContext, step: int,
     the plain neighborhood fails to beat the center explanation.
     """
     ev, params = ctx.evaluator, ctx.params
-    center = fm.decode(enc)
-    center_key = ev.key_of(center)
+    center = ev.evaluate(fm.decode(enc))
+    ctx.touched.add(center.key)
     entries: dict[str, _BufferEntry] = {}
-    seen = {center_key}
+    if not center.filtered:
+        entries[center.key] = _BufferEntry(center.key, center.utility, enc)
+    seen = {center.key}
 
-    def consider(cand_enc, move, parent):
-        canon = fm.decode(cand_enc)
-        key = ev.key_of(canon)
-        ctx.touched.add(key)
-        record = ev.evaluate(canon)
-        if key not in seen:
-            seen.add(key)
-            ctx.record(key, record, step, parent, move)
+    def consider(cand_enc, move):
+        record = ev.evaluate(fm.decode(cand_enc))
+        ctx.touched.add(record.key)
+        if record.key not in seen:
+            seen.add(record.key)
+            ctx.record(record, step, center.key, move)
             if not record.filtered:
-                entries[key] = _BufferEntry(key, record.utility, cand_enc, record)
+                entries[record.key] = _BufferEntry(record.key, record.utility, cand_enc)
 
-    center_record = ev.evaluate(center)
-    ctx.touched.add(center_key)
-    if not center_record.filtered:
-        entries[center_key] = _BufferEntry(center_key, center_record.utility,
-                                           enc, center_record)
     nbh = fm.neighborhood(enc)
     for cand in nbh:
-        consider(cand, move_label, center_key)
+        consider(cand, move_label)
     buffer = _sorted_buffer(entries)
-    stalled = not buffer or buffer[0].key == center_key
+    stalled = not buffer or buffer[0].key == center.key
     if stalled and params.expansion_enabled:
         for cand in fm.expansion(nbh, enc):
-            consider(cand, "expansion", center_key)
+            consider(cand, "expansion")
         buffer = _sorted_buffer(entries)
     if not buffer:
-        raise EmptyBufferError(f"all candidates around {center_key} were filtered")
+        raise EmptyBufferError(f"all candidates around {center.key} were filtered")
     return buffer
 
 
 def greedy_search(start: fm.ExplanationEncoding, ctx: _SearchContext
                   ) -> tuple[str | None, float | None]:
     """One local search from a start encoding; returns (best key, utility)."""
-    ev, params = ctx.evaluator, ctx.params
+    params = ctx.params
     enc = start
-    current_key = ev.key_of(fm.decode(enc))
+    start_record = ctx.evaluator.evaluate(fm.decode(enc))
+    current_key = start_record.key
     ctx.touched.add(current_key)
-    start_record = ev.evaluate(fm.decode(enc))
-    ctx.record(current_key, start_record, 0, None, "init")
+    ctx.record(start_record, 0, None, "init")
     current_utility = None if start_record.filtered else start_record.utility
 
     for step in range(1, params.n_max + 1):
@@ -253,18 +236,16 @@ def greedy_search(start: fm.ExplanationEncoding, ctx: _SearchContext
             continue
         # stalled on the current explanation: probe the next-best candidates
         jumped = False
-        if params.extension_enabled:
-            for entry in buffer[1:params.n_ext + 1]:
-                try:
-                    probe = eval_neighbors(entry.enc, ctx, step,
-                                           move_label="extension")
-                except EmptyBufferError:
-                    continue
-                if probe[0].utility > head.utility:
-                    enc, current_key, current_utility = (
-                        probe[0].enc, probe[0].key, probe[0].utility)
-                    jumped = True
-                    break
+        for entry in buffer[1:params.n_ext + 1]:
+            try:
+                probe = eval_neighbors(entry.enc, ctx, step, move_label="extension")
+            except EmptyBufferError:
+                continue
+            if probe[0].utility > head.utility:
+                enc, current_key, current_utility = (
+                    probe[0].enc, probe[0].key, probe[0].utility)
+                jumped = True
+                break
         if not jumped:
             break
     return (current_key, current_utility) if current_utility is not None else (None, None)
@@ -277,16 +258,13 @@ def multi_start(evaluator: Evaluator, params: SearchParams) -> MultiStartResult:
     trace: list[TraceNode] = []
     all_touched: set[str] = set()
     results = []
-    next_id = 0
     for i in range(params.n_search):
         rng = np.random.default_rng(
             np.random.SeedSequence([evaluator.cfg.seed, 7919, i]))
         start = fm.random_encoding(n, rng)
         touched: set[str] = set()
-        ctx = _SearchContext(evaluator, params, trace, touched, restart=i,
-                             _next_id=next_id)
-        best_key, best_utility = greedy_search(start, ctx)
-        next_id = ctx._next_id
+        best_key, best_utility = greedy_search(
+            start, _SearchContext(evaluator, params, trace, touched, restart=i))
         all_touched |= touched
         record = evaluator.cache.get(best_key) if best_key else None
         results.append(RestartResult(i, best_key, best_utility,
@@ -297,15 +275,16 @@ def multi_start(evaluator: Evaluator, params: SearchParams) -> MultiStartResult:
                             len(all_touched) / denominator, denominator, trace)
 
 
-def brute_force_oracle(evaluator: Evaluator, cap: int = 4
+def brute_force_oracle(evaluator: Evaluator
                        ) -> tuple[list[metrics.UtilityRecord], list[metrics.UtilityRecord]]:
     """Evaluate every canonical explanation with the shared pipeline.
 
     Returns (ranked unfiltered records, filtered records); the ranking is by
-    utility descending with the rendered key as tiebreak.
+    utility descending with the rendered key as tiebreak.  The enumeration
+    obeys ``search.enumeration_cap``.
     """
     ranked, filtered = [], []
-    for canon in fm.enumerate_all(evaluator.predicates, cap=cap):
+    for canon in fm.enumerate_all(evaluator.predicates, cap=evaluator.params.enumeration_cap):
         record = evaluator.evaluate(canon)
         (filtered if record.filtered else ranked).append(record)
     ranked.sort(key=lambda r: (-r.utility, r.key))

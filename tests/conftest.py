@@ -1,6 +1,7 @@
 """Shared fixtures: generic predicate sets, the reference CtF runtime, and
 hypothesis strategies for random small product MDPs."""
 
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,17 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 def generic_predicates(n: int) -> tuple[fm.AtomicPredicate, ...]:
     """psi0..psi{n-1}, one per feature, all with threshold 1."""
     return tuple(fm.AtomicPredicate(i, f"psi{i}", i, 1.0) for i in range(n))
+
+
+def iter_valid_encodings(n: int):
+    """Every valid raw encoding over ``n`` predicates."""
+    bit_tuples = list(itertools.product((0, 1), repeat=n))
+    temporals = [t for t in bit_tuples if 0 in t and 1 in t]
+    for neg in bit_tuples:
+        for temporal in temporals:
+            for clause in bit_tuples:
+                for form_f, form_g in itertools.product((0, 1), repeat=2):
+                    yield fm.ExplanationEncoding(neg, temporal, clause, form_f, form_g)
 
 
 @pytest.fixture(scope="session")

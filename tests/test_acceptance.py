@@ -89,7 +89,7 @@ def test_criterion_05_ablation_direction(oracle, reference_runtime):
         return sum(1 for r in result.results if r.key == optimum)
 
     full = hits(base)
-    no_ext = hits(replace(base, extension_enabled=False))
+    no_ext = hits(replace(base, n_ext=0))
     no_exp = hits(replace(base, expansion_enabled=False))
     unit_sample = metrics.StateSample(
         reference_runtime.evaluator.sample.rows,

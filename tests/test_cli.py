@@ -145,6 +145,11 @@ class TestSearchCommand:
         ("trainer", {"epsilon_start": 1.5}, "trainer.epsilon_start must be in [0, 1]"),
         ("trainer", {"epsilon_end": -0.1}, "trainer.epsilon_end must be in [0, 1]"),
         ("seed", -1, "seed must be >= 0, got -1"),
+        ("search", {"extension_enabled": False}, "search.extension_enabled is not a setting"),
+        ("environment", {**NAV_CONFIG["environment"], "horizon": 10**9},
+         "environment.horizon must be <= 10000, got 1000000000"),
+        ("metric", {"sample_size": 10**12},
+         "metric.sample_size must be <= 100000, got 1000000000000"),
     ])
     def test_bad_input_is_config_error(self, tmp_path, capsys, section, value, message):
         (tmp_path / "malformed_policy.txt").write_text("not a policy\n")

@@ -13,7 +13,7 @@ import pytest
 
 from tlexplain import formula as fm
 
-from conftest import generic_predicates
+from conftest import generic_predicates, iter_valid_encodings
 
 
 def _assignment_features(assignment):
@@ -95,7 +95,7 @@ class TestDecode:
         """decode(e1) == decode(e2) iff both parts are logically identical."""
         preds = generic_predicates(3)
         by_key, by_sig = {}, {}
-        for enc in fm.iter_valid_encodings(3):
+        for enc in iter_valid_encodings(3):
             canon = fm.decode(enc)
             by_key.setdefault(fm.render(canon, preds), set()).add(enc)
             by_sig.setdefault(_signature(canon, 3), set()).add(enc)
@@ -160,6 +160,16 @@ class TestEnumerateAll:
     def test_class_size_matches_enumeration(self, n):
         assert fm.class_size(n) == len(fm.enumerate_all(generic_predicates(n)))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_decoded_encodings(self, n):
+        """Building from canonical parts equals decoding every valid encoding."""
+        preds = generic_predicates(n)
+        by_key = {}
+        for enc in iter_valid_encodings(n):
+            canon = fm.decode(enc)
+            by_key.setdefault(fm.render(canon, preds), canon)
+        assert fm.enumerate_all(preds) == [by_key[k] for k in sorted(by_key)]
+
     def test_class_size_n5(self):
         # confirmed once by full enumeration, which takes seconds at n=5
         assert fm.class_size(5) == 15360
@@ -171,7 +181,7 @@ class TestEnumerateAll:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_signature_count(self, n):
         signatures = {
-            _signature(fm.decode(enc), n) for enc in fm.iter_valid_encodings(n)
+            _signature(fm.decode(enc), n) for enc in iter_valid_encodings(n)
         }
         assert len(fm.enumerate_all(generic_predicates(n))) == len(signatures)
 
@@ -321,7 +331,7 @@ class TestNeighborhood:
 
     def test_connectivity_n3(self):
         """All valid N=3 encodings form one component under single-bit flips."""
-        all_valid = set(fm.iter_valid_encodings(3))
+        all_valid = set(iter_valid_encodings(3))
         start = next(iter(all_valid))
         seen = {start}
         frontier = [start]

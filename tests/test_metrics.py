@@ -136,8 +136,8 @@ class TestWeights:
 
 class TestUtility:
     def _sample(self, target, rows, enabled=True):
-        w, degenerate = metrics.weights(target, rows, enabled=enabled)
-        return metrics.StateSample(tuple(rows), w, degenerate=degenerate)
+        w, _ = metrics.weights(target, rows, enabled=enabled)
+        return metrics.StateSample(tuple(rows), w)
 
     def test_self_match_is_zero(self, rng):
         target = _random_policy(8, 4, rng, sharpness=3.0)

@@ -243,7 +243,7 @@ class TestSoftValueIterationAgainstReference:
             expected, _, _ = _reference_soft_vi(_reference_branches(mdp), mdp,
                                                 ev.trainer_cfg)
             policy = rl.soft_value_iteration(mdp.table, mdp.reward.gamma, ev.trainer_cfg)
-            assert np.abs(policy.probs - expected).max() <= 1e-9, ev.key_of(canon)
+            assert np.abs(policy.probs - expected).max() <= 1e-9, fm.render(canon, ev.predicates)
 
 
 class TestQLearning:

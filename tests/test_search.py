@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fresh_evaluator
+from conftest import fresh_evaluator, iter_valid_encodings
 from tlexplain import envs
 from tlexplain import formula as fm
 from tlexplain import metrics
@@ -111,8 +111,8 @@ class TestEvalNeighbors:
         return _SearchContext(ev, params or ev.params, trace=[], touched=set())
 
     def _encode_target(self, runtime):
-        for enc in fm.iter_valid_encodings(3):
-            if runtime.evaluator.key_of(fm.decode(enc)) == TARGET_KEY:
+        for enc in iter_valid_encodings(3):
+            if fm.render(fm.decode(enc), runtime.predicates) == TARGET_KEY:
                 return enc
         raise AssertionError("target encoding not found")
 
@@ -136,13 +136,14 @@ class TestEvalNeighbors:
         # start from a neighbor of the optimum: the head strictly improves
         ctx = self._ctx(reference_runtime)
         enc = self._encode_target(reference_runtime)
+        preds = reference_runtime.predicates
         neighbor = next(
             nb for nb in fm.neighborhood(enc)
-            if ctx.evaluator.key_of(fm.decode(nb)) != TARGET_KEY
-            and TARGET_KEY in {ctx.evaluator.key_of(fm.decode(nb2))
+            if fm.render(fm.decode(nb), preds) != TARGET_KEY
+            and TARGET_KEY in {fm.render(fm.decode(nb2), preds)
                                for nb2 in fm.neighborhood(nb)})
         buffer = eval_neighbors(neighbor, ctx, step=1)
-        center_key = ctx.evaluator.key_of(fm.decode(neighbor))
+        center_key = fm.render(fm.decode(neighbor), preds)
         if buffer[0].key != center_key:
             assert not any(node.move == "expansion" for node in ctx.trace)
 
@@ -158,10 +159,19 @@ class TestGreedySearch:
     def test_start_at_optimum_stays(self, reference_runtime):
         ev = fresh_evaluator(reference_runtime)
         ctx = _SearchContext(ev, ev.params, trace=[], touched=set())
-        enc = next(e for e in fm.iter_valid_encodings(3)
-                   if ev.key_of(fm.decode(e)) == TARGET_KEY)
+        enc = next(e for e in iter_valid_encodings(3)
+                   if fm.render(fm.decode(e), ev.predicates) == TARGET_KEY)
         best_key, best_utility = greedy_search(enc, ctx)
         assert best_key == TARGET_KEY and best_utility == 0.0
+
+    def test_zero_n_ext_probes_nothing(self, reference_runtime):
+        def moves(n_ext):
+            params = replace(reference_runtime.evaluator.params, n_ext=n_ext)
+            result = multi_start(fresh_evaluator(reference_runtime, search=params), params)
+            return {node.move for node in result.traces}
+
+        assert "extension" in moves(3)
+        assert "extension" not in moves(0)
 
     def test_trace_parents_form_a_forest(self, reference_runtime):
         result = multi_start(fresh_evaluator(reference_runtime),
@@ -218,6 +228,11 @@ class TestBruteForceOracle:
     def test_head_is_target(self, oracle):
         ranked, _ = oracle
         assert ranked[0].key == TARGET_KEY and ranked[0].wkl == 0.0
+
+    def test_obeys_enumeration_cap(self, reference_runtime):
+        params = replace(reference_runtime.evaluator.params, enumeration_cap=2)
+        with pytest.raises(fm.CapExceededError):
+            brute_force_oracle(fresh_evaluator(reference_runtime, search=params))
 
     def test_search_never_beats_oracle(self, oracle, reference_runtime):
         ranked, _ = oracle
