@@ -44,7 +44,7 @@ def main() -> None:
             print(f"{key}\n  {line}  -> filtered by the return threshold\n")
             continue
         print(f"{key}\n  {line}  wKL {rec.wkl:.4f}  utility {rec.utility:.4f}")
-        cand = ev.train_policy(ev.build_mdp(canon), key)
+        cand, _ = ev.train_policy(ev.build_mdp(canon), key)
         rows = list(sample.rows)[:3]
         kls = metrics.kl_rows(cand.probs[rows], runtime.target.probs[rows])
         print(f"  first 3 sampled-state KLs: {np.array2string(kls, precision=3)}")

@@ -68,6 +68,13 @@ def _write_manifest(cfg: RunConfig, out_dir: Path) -> None:
     (out_dir / "manifest.yaml").write_text(manifest)
 
 
+def _shortcut_summary(evaluator) -> str:
+    """How many evaluations the evaluator's exact shortcuts left untrained."""
+    return (f"{len(evaluator.cache)} evaluations: {evaluator.n_unreachable} without "
+            f"training (acceptance unreachable), {evaluator.n_product_hits} reused "
+            "a trained product")
+
+
 def cmd_search(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     runtime = build_runtime(cfg)
@@ -99,6 +106,7 @@ def cmd_search(args) -> int:
     for rank, res in enumerate(result.results, start=1):
         wkl = res.record.wkl if res.record else None
         print(f"{rank:>4}  {_fmt(wkl):>12}  {100.0 * res.searched_frac:>9.2f}  {res.key}")
+    print(_shortcut_summary(runtime.evaluator))
     return EXIT_OK
 
 
@@ -122,6 +130,7 @@ def cmd_oracle(args) -> int:
     for rank, rec in enumerate(ranked[:10], start=1):
         print(f"{rank:>4}  {_fmt(rec.wkl):>12}  {rec.key}")
     print(f"({len(ranked)} ranked, {len(filtered)} filtered)")
+    print(_shortcut_summary(runtime.evaluator))
     return EXIT_OK
 
 
@@ -145,7 +154,9 @@ def cmd_eval(args) -> int:
     print(f"explanation:  {rec.key}")
     print(f"mean return:  {_fmt(rec.mean_return)}")
     if rec.filtered:
-        print("filtered:     true (failed the return filter)")
+        unreachable = runtime.evaluator.n_unreachable > 0
+        why = "acceptance unreachable" if unreachable else "failed the return filter"
+        print(f"filtered:     true ({why})")
     else:
         print(f"wKL:          {_fmt(rec.wkl)}")
         print(f"utility:      {_fmt(rec.utility)}")

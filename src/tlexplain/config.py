@@ -236,7 +236,7 @@ def _nav_shaped_target(cfg: RunConfig, model: EnvModel) -> rl.TabularPolicy:
                                                     np.where(hazard_idx[nxt], -1.0, 0.0))
     table = TransitionTable(model.n_rows, model.n_actions, model.branch_row,
                             model.branch_action, model.row_of[nxt], model.branch_prob,
-                            reward, model.cell_offsets)
+                            reward)
     return rl.soft_value_iteration(table, cfg.reward.gamma, cfg.trainer)
 
 

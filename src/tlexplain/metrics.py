@@ -60,6 +60,11 @@ class StateSample:
 
 @dataclass(frozen=True)
 class UtilityRecord:
+    """One candidate's score.  ``mean_return`` is its policy's exact return,
+    except for a candidate filtered because no acceptance is reachable
+    (``Evaluator.n_unreachable``): no policy is trained, and it holds 0.0,
+    an upper bound on every policy's return there."""
+
     key: str
     wkl: float | None
     utility: float | None

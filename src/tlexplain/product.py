@@ -138,7 +138,6 @@ class TransitionTable:
     branch_next_row: np.ndarray
     branch_prob: np.ndarray
     branch_reward: np.ndarray
-    cell_offsets: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -189,8 +188,32 @@ class ProductMdp:
             next_row = np.where(keeps_going, m.row_of[nxt], -1)
             self._table = TransitionTable(
                 m.n_rows, m.n_actions, m.branch_row, m.branch_action,
-                next_row, m.branch_prob, self.reward_next[nxt], m.cell_offsets)
+                next_row, m.branch_prob, self.reward_next[nxt])
         return self._table
+
+    def acceptance_reachable(self) -> bool:
+        """Whether some branch into acceptance leaves a row reachable from a
+        start row through live branches (``branch_next_row >= 0``).
+
+        Breadth-first, one frontier of rows per pass.  When this is False,
+        every run ends in the trap, a terminal environment state or the
+        horizon without accepting.
+        """
+        t = self.table
+        into_acc = self.q_next[self.model.branch_next] == Q_ACC_I
+        live = t.branch_next_row >= 0
+        reached = np.zeros(t.n_rows, dtype=bool)
+        reached[self.model.start_rows] = True
+        frontier = reached
+        while frontier.any():
+            out = frontier[t.branch_row]
+            if into_acc[out].any():
+                return True
+            frontier = np.zeros(t.n_rows, dtype=bool)
+            frontier[t.branch_next_row[out & live]] = True
+            frontier &= ~reached
+            reached |= frontier
+        return False
 
     # -- stepping ----------------------------------------------------------
 
@@ -245,7 +268,10 @@ class ProductMdp:
 
         Backward induction over the transition table: after pass ``i``,
         ``v`` holds each row's expected return-to-go with ``i`` steps left.
-        A branch into a terminal product state earns its reward only.
+        A branch into a terminal product state earns its reward only.  The
+        pass is a fixed map of ``v``, so once it returns a vector equal to
+        its input every later pass returns that vector too, and the loop
+        stops there with the full-horizon result.
         """
         t = self.table
         m = self.model
@@ -256,5 +282,8 @@ class ProductMdp:
         src, nxt, w_live = t.branch_row[live], t.branch_next_row[live], w[live]
         v = np.zeros(t.n_rows)
         for _ in range(self.horizon):
+            v_prev = v
             v = r_pi + np.bincount(src, weights=w_live * v[nxt], minlength=t.n_rows)
+            if np.array_equal(v, v_prev):
+                break
         return float(m.start_probs @ v[m.start_rows])

@@ -4,22 +4,24 @@ Each candidate evaluation is: build the template automaton, form the product
 MDP, train a policy (or several replicates), apply the average-return filter,
 and score the weighted-KL utility against the target policy.  Results are
 cached under the canonical rendered key, so re-encodings of the same formula
-are never retrained.  The search walks single-bit-flip neighborhoods with the
-form-bit expansion and next-best extension escapes, restarted from random
-encodings.
+are never retrained; a candidate that cannot accept, or whose product equals
+an earlier one's under soft VI, is not trained at all (see ``Evaluator``).
+The search walks single-bit-flip neighborhoods with the form-bit expansion
+and next-best extension escapes, restarted from random encodings.
 """
 
 from __future__ import annotations
 
+import hashlib
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import formula as fm
 from . import metrics, rl
 from .fspa import build_fspa
-from .product import ProductMdp
+from .product import SPARSE, ProductMdp
 
 
 class EmptyBufferError(RuntimeError):
@@ -105,7 +107,20 @@ def train_replicates(mdp: ProductMdp, cfg, stream_key: str) -> list[rl.TabularPo
 
 class Evaluator:
     """Shared pipeline + cache for scoring candidate explanations under the
-    run config ``cfg`` (a ``config.RunConfig``)."""
+    run config ``cfg`` (a ``config.RunConfig``).
+
+    Two exact shortcuts skip training that cannot change a record, and two
+    counters say how often each fired:
+
+    - ``n_unreachable``: with sparse rewards and ``return_threshold >= 0``,
+      a candidate whose product has no reachable acceptance branch
+      (``ProductMdp.acceptance_reachable``) is filtered untrained, since
+      every reward its runs can earn is <= 0.
+    - ``n_product_hits`` (soft VI only): a candidate whose ``q_next`` and
+      ``reward_next`` equal an earlier candidate's has the same transition
+      table, so the same policy, return and wKL; it gets a copy of that
+      record under its own key.
+    """
 
     def __init__(self, model, predicates, target: rl.TabularPolicy,
                  sample: metrics.StateSample, cfg):
@@ -115,6 +130,10 @@ class Evaluator:
         self.sample = sample
         self.cfg = cfg
         self.cache: dict[str, metrics.UtilityRecord] = {}
+        # digest of (q_next, reward_next) -> one (q_next, reward_next, record)
+        self._products: dict[bytes, tuple[np.ndarray, np.ndarray, metrics.UtilityRecord]] = {}
+        self.n_unreachable = 0
+        self.n_product_hits = 0
 
     @property
     def params(self) -> SearchParams:
@@ -127,34 +146,63 @@ class Evaluator:
     def build_mdp(self, canon: fm.CanonicalExplanation) -> ProductMdp:
         return build_mdp(self.model, self.predicates, canon, self.cfg)
 
-    def train_policy(self, mdp: ProductMdp, key: str) -> rl.TabularPolicy:
+    def train_policy(self, mdp: ProductMdp, key: str
+                     ) -> tuple[rl.TabularPolicy, metrics.UtilityRecord | None]:
+        """The policy that scores ``key``, with its utility record when
+        by-utility replicate selection has already computed it."""
         replicates = train_replicates(mdp, self.cfg, key)
         if len(replicates) == 1:
-            return replicates[0]
+            return replicates[0], None
         metric = self.cfg.metric
-        score = lambda p: metrics.utility(p, self.target, self.sample,
-                                          eps=metric.kl_eps).utility
-        return rl.select_replicate(replicates, self.sample.rows,
-                                   mode=metric.replicate_mode, utility_fn=score)
+        scored = {}
+
+        def score(p):
+            scored[id(p)] = metrics.utility(p, self.target, self.sample, eps=metric.kl_eps)
+            return scored[id(p)].utility
+
+        policy = rl.select_replicate(replicates, self.sample.rows,
+                                     mode=metric.replicate_mode, utility_fn=score)
+        return policy, scored.get(id(policy))
 
     def evaluate(self, canon: fm.CanonicalExplanation) -> metrics.UtilityRecord:
         key = fm.render(canon, self.predicates)
-        if key in self.cache:
-            return self.cache[key]
-        mdp = self.build_mdp(canon)
+        if key not in self.cache:
+            self.cache[key] = self._score(key, self.build_mdp(canon))
+        return self.cache[key]
+
+    def _score(self, key: str, mdp: ProductMdp) -> metrics.UtilityRecord:
+        if (self.cfg.reward.mode == SPARSE and self.cfg.search.return_threshold >= 0
+                and not mdp.acceptance_reachable()):
+            self.n_unreachable += 1
+            return metrics.UtilityRecord(key=key, wkl=None, utility=None,
+                                         mean_return=0.0, filtered=True)
+        if self.cfg.trainer.mode != rl.EXACT_SOFT_VI:
+            # Q-learning draws from a stream keyed by ``key``: equal products
+            # train to different policies
+            return self._train_and_score(key, mdp)
+        digest = hashlib.blake2b(mdp.q_next.tobytes() + mdp.reward_next.tobytes()).digest()
+        product = self._products.get(digest)
+        if (product is not None and np.array_equal(product[0], mdp.q_next)
+                and np.array_equal(product[1], mdp.reward_next)):
+            self.n_product_hits += 1
+            return replace(product[2], key=key)
+        record = self._train_and_score(key, mdp)
+        self._products.setdefault(digest, (mdp.q_next, mdp.reward_next, record))
+        return record
+
+    def _train_and_score(self, key: str, mdp: ProductMdp) -> metrics.UtilityRecord:
         try:
-            policy = self.train_policy(mdp, key)
+            policy, scored = self.train_policy(mdp, key)
         except rl.NoConvergenceError as exc:
             raise rl.NoConvergenceError(f"candidate {key}: {exc}") from exc
         mean_return = mdp.average_return(policy)
         if mean_return <= self.cfg.search.return_threshold:
-            record = metrics.UtilityRecord(key=key, wkl=None, utility=None,
-                                           mean_return=mean_return, filtered=True)
-        else:
-            record = metrics.utility(policy, self.target, self.sample, key=key,
-                                     mean_return=mean_return, eps=self.cfg.metric.kl_eps)
-        self.cache[key] = record
-        return record
+            return metrics.UtilityRecord(key=key, wkl=None, utility=None,
+                                         mean_return=mean_return, filtered=True)
+        if scored is not None:
+            return replace(scored, key=key, mean_return=mean_return)
+        return metrics.utility(policy, self.target, self.sample, key=key,
+                               mean_return=mean_return, eps=self.cfg.metric.kl_eps)
 
 
 @dataclass

@@ -109,9 +109,10 @@ def _ctf_text(draw):
     return "\n".join("".join(row) for row in cells) + "\n"
 
 
-@st.composite
-def product_mdps(draw):
-    """A random product MDP on a small nav or CtF map and explanation."""
+def _draw_products(draw, count: int) -> list:
+    """``count`` product MDPs on one random small nav or CtF map, sharing
+    its predicates, reward and horizon, for independently drawn
+    explanations."""
     if draw(st.booleans()):
         env = envs.NavEnv(envs.NavMap.parse(draw(_nav_text())))
     else:
@@ -125,13 +126,40 @@ def product_mdps(draw):
         fm.AtomicPredicate(i, f"psi{i}", draw(st.integers(0, n_feat - 1)),
                            draw(st.floats(0.25, 4.0)))
         for i in range(n))
-    enc = fm.ExplanationEncoding(
-        neg=tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
-        temporal=(0, 1) + tuple(draw(st.lists(st.integers(0, 1),
-                                              min_size=n - 2, max_size=n - 2))),
-        clause=tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+    bits = lambda size: tuple(draw(st.lists(st.integers(0, 1), min_size=size,
+                                            max_size=size)))
+    encs = [fm.ExplanationEncoding(
+        neg=bits(n), temporal=(0, 1) + bits(n - 2), clause=bits(n),
         form_f=draw(st.integers(0, 1)), form_g=draw(st.integers(0, 1)))
+        for _ in range(count)]
     reward = RewardConfig(mode=draw(st.sampled_from((SPARSE, DENSE))),
                           beta=draw(st.floats(0.0, 0.5)))
-    return ProductMdp(model, fa.build_fspa(fm.decode(enc), preds), reward,
-                      horizon=draw(st.integers(1, 12)))
+    horizon = draw(st.integers(1, 12))
+    return [ProductMdp(model, fa.build_fspa(fm.decode(enc), preds), reward, horizon)
+            for enc in encs]
+
+
+@st.composite
+def product_mdps(draw):
+    """A random product MDP on a small nav or CtF map and explanation."""
+    return _draw_products(draw, 1)[0]
+
+
+@st.composite
+def product_mdp_pairs(draw):
+    """Two random product MDPs that differ only in their explanation."""
+    return tuple(_draw_products(draw, 2))
+
+
+def full_horizon_return(mdp, policy) -> float:
+    """``ProductMdp.average_return`` without its early exit: backward
+    induction over all ``horizon`` passes."""
+    t, m = mdp.table, mdp.model
+    w = policy.probs[t.branch_row, t.branch_action] * t.branch_prob
+    r_pi = np.bincount(t.branch_row, weights=w * t.branch_reward, minlength=t.n_rows)
+    live = t.branch_next_row >= 0
+    src, nxt, w_live = t.branch_row[live], t.branch_next_row[live], w[live]
+    v = np.zeros(t.n_rows)
+    for _ in range(mdp.horizon):
+        v = r_pi + np.bincount(src, weights=w_live * v[nxt], minlength=t.n_rows)
+    return float(m.start_probs @ v[m.start_rows])

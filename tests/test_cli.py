@@ -27,6 +27,9 @@ PSI0, PSI1 = NAV_CONFIG["predicates"]
 
 REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent
                        / "configs" / "ctf_reference.yaml")
+# oracle.csv and results.csv of the reference config, as written before the
+# evaluator's exact shortcuts (acceptance pre-filter, product reuse) existed
+GOLDEN = Path(__file__).resolve().parent / "data" / "ctf_reference"
 
 
 def _write_config(tmp_path, cfg=None, name="run.yaml"):
@@ -226,6 +229,30 @@ class TestEvalCommand:
     def test_parse_error_is_config_error(self, tmp_path):
         config = _write_config(tmp_path)
         assert cli.main(["eval", "--config", str(config), "F(psi0)"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("explanation, reason", [
+        ("F(!psi_ba_bt) & G(psi_ba_rf & psi_ba_ra)", "acceptance unreachable"),
+        ("F(psi_ba_rf) & G(psi_ba_ra | psi_ba_bt)", "failed the return filter"),
+    ])
+    def test_names_why_filtered(self, tmp_path, capsys, explanation, reason):
+        args = ["eval", "--config", REFERENCE_CONFIG, "--out", str(tmp_path), explanation]
+        assert cli.main(args) == cli.EXIT_OK
+        assert f"filtered:     true ({reason})" in capsys.readouterr().out
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("command, name, summary", [
+        ("oracle", "oracle.csv", "96 evaluations: 52 without training "
+         "(acceptance unreachable), 5 reused a trained product"),
+        ("search", "results.csv", "86 evaluations: 44 without training "
+         "(acceptance unreachable), 5 reused a trained product"),
+    ])
+    def test_reference_output_is_byte_identical(self, tmp_path, capsys, command, name,
+                                                summary):
+        args = [command, "--config", REFERENCE_CONFIG, "--out", str(tmp_path)]
+        assert cli.main(args) == cli.EXIT_OK
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+        assert capsys.readouterr().out.splitlines()[-1] == summary
 
 
 class TestTraceDotCommand:

@@ -1,6 +1,7 @@
 """Product MDP: reward cases, exact expansion, rollouts, exact returns."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,18 @@ from hypothesis import strategies as st
 from tlexplain import envs
 from tlexplain import formula as fm
 from tlexplain import fspa as fa
-from tlexplain.product import DENSE, SPARSE, ProductMdp, RewardConfig, build_env_model
+from tlexplain import rl
+from tlexplain.product import (
+    DENSE,
+    SPARSE,
+    ProductMdp,
+    RewardConfig,
+    TransitionTable,
+    build_env_model,
+)
 from tlexplain.rl import TabularPolicy
 
-from conftest import PROPERTY, product_mdps
+from conftest import PROPERTY, full_horizon_return, product_mdp_pairs, product_mdps
 
 CORRIDOR = "S..G\n"
 WALLED = """\
@@ -347,3 +356,128 @@ class TestExactReturnProperties:
         # sample misses would make the sample's own spread read zero
         se = math.sqrt(max(second - mean * mean, 0.0) / n)
         assert abs(sampled - exact) <= 4 * se + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The exact shortcuts: reachable acceptance, the return's fixed point, and
+# products that are equal whatever their explanation
+# ---------------------------------------------------------------------------
+
+
+def _random_policy(model, seed):
+    probs = np.random.default_rng(seed).dirichlet(np.ones(model.n_actions),
+                                                  size=model.n_rows)
+    return TabularPolicy(probs, tau=0.1, trainer="test")
+
+
+def _with(mdp, reward=None, horizon=None):
+    """``mdp`` rebuilt with another ``reward`` or ``horizon``."""
+    return ProductMdp(mdp.model, mdp.fspa, reward or mdp.reward, horizon or mdp.horizon)
+
+
+def _reference_acceptance_reachable(mdp):
+    """Depth-first over :meth:`ProductMdp.expand_transitions` from the start
+    states: a product state that is not a key of the expanded table is
+    terminal and leads nowhere."""
+    table = mdp.expand_transitions()
+    n_actions = mdp.model.n_actions
+    todo = [(mdp.model.index_of(s), fa.Q0_I) for s, _ in mdp.model.env.initial_states()]
+    seen = set(todo)
+    while todo:
+        ps = todo.pop()
+        for a in range(n_actions):
+            for nxt, _, _ in table[(ps, a)]:
+                if nxt[1] == fa.Q_ACC_I:
+                    return True
+                if (nxt, 0) in table and nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    return False
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestAcceptanceReachable:
+    def test_walled_goal_is_unreachable(self):
+        assert not _mdp(_nav_model(WALLED), _nav_preds()).acceptance_reachable()
+        assert _mdp(_nav_model(), _nav_preds()).acceptance_reachable()
+
+    def test_every_start_row_counts(self):
+        """Blue's start cell (0, 0) is walled in, so from it alone the red
+        flag is out of reach; from the other random starts it is not."""
+        text = "b#Bbrr\nr#rrrR\n"
+        preds = (fm.AtomicPredicate(0, "psi0", 1, 1.0),    # d_ba_rf
+                 fm.AtomicPredicate(1, "psi1", 3, 0.5))    # d_ba_bt
+        walled = envs.GridMap.parse(text, blue_start=(0, 0), red_start=(0, 4))
+        assert not _mdp(build_env_model(envs.CtfEnv(walled)), preds).acceptance_reachable()
+        anywhere = envs.GridMap.parse(text, random_starts=True)
+        assert _mdp(build_env_model(envs.CtfEnv(anywhere)), preds).acceptance_reachable()
+
+    @PROPERTY
+    @given(product_mdps())
+    def test_matches_search_over_expanded_table(self, mdp):
+        assert mdp.acceptance_reachable() == _reference_acceptance_reachable(mdp)
+
+    @PROPERTY
+    @given(product_mdps(), st.integers(0, 2**32 - 1))
+    def test_unreachable_bounds_every_sparse_return_by_zero(self, mdp, seed):
+        mdp = _with(mdp, reward=replace(mdp.reward, mode=SPARSE))
+        if mdp.acceptance_reachable():
+            return
+        trained = rl.train(mdp, rl.TrainerConfig(tau=0.1))
+        assert full_horizon_return(mdp, trained) <= 0
+        assert full_horizon_return(mdp, _random_policy(mdp.model, seed)) <= 0
+
+
+class TestReturnFixedPoint:
+    @PROPERTY
+    @given(_problems(), st.integers(1, 500), st.booleans())
+    def test_equals_full_horizon_bit_for_bit(self, problem, horizon, trained):
+        mdp, policy = problem
+        mdp = _with(mdp, horizon=horizon)
+        if trained:
+            policy = rl.train(mdp, rl.TrainerConfig(tau=0.01))
+        assert _bits(mdp.average_return(policy)) == _bits(full_horizon_return(mdp, policy))
+
+    def test_reference_candidates_at_long_horizon(self, reference_runtime):
+        ev = reference_runtime.evaluator
+        for canon in fm.enumerate_all(ev.predicates):
+            mdp = _with(ev.build_mdp(canon), horizon=2_000)
+            policy = rl.train(mdp, ev.trainer_cfg)
+            assert _bits(mdp.average_return(policy)) == _bits(full_horizon_return(mdp, policy))
+
+
+def _same_product(a, b) -> bool:
+    return np.array_equal(a.q_next, b.q_next) and np.array_equal(a.reward_next, b.reward_next)
+
+
+def _assert_same_training(a, b, trainer_cfg):
+    for f in fields(TransitionTable):
+        assert np.array_equal(getattr(a.table, f.name), getattr(b.table, f.name)), f.name
+    assert np.array_equal(rl.train(a, trainer_cfg).probs, rl.train(b, trainer_cfg).probs)
+
+
+class TestEqualProducts:
+    @PROPERTY
+    @given(product_mdp_pairs())
+    def test_equal_vectors_give_equal_tables_and_policies(self, pair):
+        a, b = pair
+        if _same_product(a, b):
+            _assert_same_training(a, b, rl.TrainerConfig(tau=0.1))
+
+    def test_reference_candidates(self, reference_runtime):
+        ev = reference_runtime.evaluator
+        mdps = [ev.build_mdp(canon) for canon in fm.enumerate_all(ev.predicates)]
+        first_of = {}
+        repeats = 0
+        for mdp in mdps:
+            key = mdp.q_next.tobytes() + mdp.reward_next.tobytes()
+            if key in first_of:
+                repeats += 1
+                assert _same_product(first_of[key], mdp)
+                _assert_same_training(first_of[key], mdp, ev.trainer_cfg)
+            else:
+                first_of[key] = mdp
+        assert repeats == 11

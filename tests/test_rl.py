@@ -27,7 +27,6 @@ def _bandit(rewards=(1.0, 0.0)):
         branch_next_row=np.full(n, -1),
         branch_prob=np.ones(n),
         branch_reward=np.array(rewards, dtype=float),
-        cell_offsets=np.arange(n + 1),
     )
     return table
 
@@ -83,7 +82,8 @@ def _reference_product_step(mdp, product_state, action, rng):
         raise envs.StepOnTerminalError(f"step on terminal product state {product_state}")
     t = mdp.table
     cell = row * t.n_actions + action
-    lo, hi = t.cell_offsets[cell], t.cell_offsets[cell + 1]
+    offsets = mdp.model.cell_offsets
+    lo, hi = offsets[cell], offsets[cell + 1]
     probs = t.branch_prob[lo:hi]
     k = lo + (rng.random() >= np.cumsum(probs)).sum() if hi - lo > 1 else lo
     k = min(k, hi - 1)
@@ -213,7 +213,6 @@ class TestSoftValueIteration:
             branch_next_row=np.array([1, -1, -1, -1]),
             branch_prob=np.ones(4),
             branch_reward=np.array([0.0, 0.2, 1.0, 0.0]),
-            cell_offsets=np.arange(5),
         )
         # brute force: a0 then a0 earns 0 + 0.9*1 = 0.9 > 0.2
         policy = rl.soft_value_iteration(table, 0.9, rl.TrainerConfig(tau=0.01))

@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fresh_evaluator, iter_valid_encodings
+from conftest import fresh_evaluator, full_horizon_return, iter_valid_encodings
 from tlexplain import envs
 from tlexplain import formula as fm
 from tlexplain import metrics
 from tlexplain import rl
 from tlexplain.config import RunConfig
-from tlexplain.product import RewardConfig, build_env_model
+from tlexplain.product import DENSE, SPARSE, RewardConfig, build_env_model
 from tlexplain.search import (
     EmptyBufferError,
     Evaluator,
@@ -22,6 +22,7 @@ from tlexplain.search import (
     eval_neighbors,
     greedy_search,
     multi_start,
+    train_replicates,
 )
 
 TARGET_KEY = "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)"
@@ -241,3 +242,83 @@ class TestBruteForceOracle:
         best = result.results[0]
         assert best.utility <= ranked[0].utility + 1e-12
         assert best.key == ranked[0].key  # equality holds on the reference map
+
+
+def _reference_record(ev, canon):
+    """The evaluation without shortcuts: train, select a replicate, take the
+    full-horizon return, then filter or score."""
+    key = fm.render(canon, ev.predicates)
+    mdp = ev.build_mdp(canon)
+    policy = rl.select_replicate(train_replicates(mdp, ev.cfg, key), ev.sample.rows,
+                                 mode=ev.cfg.metric.replicate_mode)
+    mean_return = full_horizon_return(mdp, policy)
+    if mean_return <= ev.params.return_threshold:
+        return metrics.UtilityRecord(key, None, None, mean_return, True)
+    return metrics.utility(policy, ev.target, ev.sample, key=key,
+                           mean_return=mean_return, eps=ev.cfg.metric.kl_eps)
+
+
+class TestExactShortcuts:
+    @pytest.mark.parametrize("trainer, threshold, reward", [
+        (rl.EXACT_SOFT_VI, 0.05, SPARSE), (rl.Q_LEARNING, 0.05, SPARSE),
+        (rl.EXACT_SOFT_VI, -0.5, SPARSE), (rl.EXACT_SOFT_VI, 0.05, DENSE)])
+    def test_oracle_matches_reference_evaluation(self, reference_runtime, trainer,
+                                                 threshold, reward):
+        """Every record is the reference's; a candidate that cannot accept
+        holds the bound 0.0 as its return, where the reference holds the
+        trained policy's return, which is <= 0."""
+        base = reference_runtime.evaluator.cfg
+        ev = fresh_evaluator(
+            reference_runtime,
+            reward=replace(base.reward, mode=reward),
+            trainer=replace(base.trainer, mode=trainer, episodes=8),
+            search=replace(base.search, n_rep=2, return_threshold=threshold))
+        brute_force_oracle(ev)
+        prefilter = reward == SPARSE and threshold >= 0
+        unreachable, trained = 0, set()
+        for canon in fm.enumerate_all(ev.predicates):
+            record, ref = ev.cache[fm.render(canon, ev.predicates)], _reference_record(ev, canon)
+            mdp = ev.build_mdp(canon)
+            if prefilter and not mdp.acceptance_reachable():
+                unreachable += 1
+                assert record.filtered and record.mean_return == 0.0 and ref.mean_return <= 0
+                record = replace(record, mean_return=ref.mean_return)
+            else:
+                trained.add(mdp.q_next.tobytes() + mdp.reward_next.tobytes())
+            assert repr(record) == repr(ref)
+        assert ev.n_unreachable == unreachable
+        assert unreachable == (52 if prefilter else 0)
+        reused = 96 - unreachable - len(trained) if trainer == rl.EXACT_SOFT_VI else 0
+        assert ev.n_product_hits == reused
+        assert (reused > 0) == (trainer == rl.EXACT_SOFT_VI)
+        assert len(ev.cache) == 96
+
+    def test_by_utility_scores_each_replicate_once(self, reference_runtime, monkeypatch):
+        base = reference_runtime.evaluator.cfg
+        ev = fresh_evaluator(
+            reference_runtime,
+            trainer=replace(base.trainer, mode=rl.Q_LEARNING, episodes=50),
+            search=replace(base.search, n_rep=2),
+            metric=replace(base.metric, replicate_mode="by-utility"))
+        canon = _target_canon(reference_runtime)
+        calls = []
+        original = metrics.utility
+
+        def counting_utility(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "utility", counting_utility)
+        record = ev.evaluate(canon)
+        assert len(calls) == 2 and not record.filtered
+        monkeypatch.undo()
+        # the record scoring the chosen replicate afresh would give
+        mdp = ev.build_mdp(canon)
+        replicates = train_replicates(mdp, ev.cfg, TARGET_KEY)
+        eps = base.metric.kl_eps
+        scores = [metrics.utility(p, ev.target, ev.sample, eps=eps).utility
+                  for p in replicates]
+        chosen = replicates[int(np.argmax(scores))]
+        expected = metrics.utility(chosen, ev.target, ev.sample, key=TARGET_KEY,
+                                   mean_return=full_horizon_return(mdp, chosen), eps=eps)
+        assert repr(record) == repr(expected)
