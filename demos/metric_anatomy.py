@@ -37,7 +37,7 @@ def main() -> None:
           f"(decisive target states dominate)\n")
 
     for key in CANDIDATES:
-        canon = fm.parse_explanation(key, runtime.predicates)
+        canon = fm.parse_explanation(key, ev.predicates)
         rec = ev.evaluate(canon)
         line = f"mean return {rec.mean_return:7.3f}"
         if rec.filtered:
@@ -46,7 +46,7 @@ def main() -> None:
         print(f"{key}\n  {line}  wKL {rec.wkl:.4f}  utility {rec.utility:.4f}")
         cand, _ = ev.train_policy(ev.build_mdp(canon), key)
         rows = list(sample.rows)[:3]
-        kls = metrics.kl_rows(cand.probs[rows], runtime.target.probs[rows])
+        kls = metrics.kl_rows(cand.probs[rows], ev.target.probs[rows])
         print(f"  first 3 sampled-state KLs: {np.array2string(kls, precision=3)}")
         print()
 

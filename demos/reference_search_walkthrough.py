@@ -23,8 +23,8 @@ def main() -> None:
     cfg = load_config(CONFIG)
     runtime = build_runtime(cfg)
     print(f"target explanation: {runtime.target_key}")
-    print(f"product model: {runtime.model.n_rows} policy rows, "
-          f"{runtime.model.n_actions} actions\n")
+    model = runtime.evaluator.model
+    print(f"product model: {model.n_rows} policy rows, {model.n_actions} actions\n")
 
     t0 = time.perf_counter()
     ranked, filtered = brute_force_oracle(runtime.evaluator)

@@ -26,6 +26,7 @@ import yaml
 from . import formula as fm
 from . import rl
 from .config import SCHEMA_VERSION, ConfigError, RunConfig, build_runtime, load_config
+from .envs import StateSpaceTooLargeError
 from .search import brute_force_oracle, multi_start
 
 EXIT_OK = 0
@@ -35,6 +36,16 @@ EXIT_INTERNAL = 4
 
 RESULT_COLUMNS = ("rank", "explanation", "wkl", "utility", "mean_return",
                   "filtered", "searched_specs_pct", "restart_id", "seed")
+# the trace node fields trace-dot reads, with the JSON types search writes
+TRACE_FIELDS = {
+    "node_id": ((int,), "an integer"),
+    "restart": ((int,), "an integer"),
+    "key": ((str,), "a string"),
+    "utility": ((int, float, type(None)), "a number or null"),
+    "filtered": ((bool,), "a boolean"),
+    "parent": ((str, type(None)), "a string or null"),
+    "move": ((str,), "a string"),
+}
 
 
 class RefusedError(RuntimeError):
@@ -113,9 +124,10 @@ def cmd_search(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     runtime = build_runtime(cfg)
-    if len(runtime.predicates) > 4 and not args.force:
+    n_predicates = len(runtime.evaluator.predicates)
+    if n_predicates > 4 and not args.force:
         raise RefusedError(
-            f"oracle over {len(runtime.predicates)} predicates is expensive; "
+            f"oracle over {n_predicates} predicates is expensive; "
             "pass --force to run it anyway")
     ranked, filtered = brute_force_oracle(runtime.evaluator)
     out_dir = Path(cfg.output)
@@ -148,19 +160,36 @@ def cmd_enumerate(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    runtime = build_runtime(cfg)
-    canon = fm.parse_explanation(args.explanation, runtime.predicates)
-    rec = runtime.evaluator.evaluate(canon)
+    evaluator = build_runtime(cfg).evaluator
+    rec = evaluator.evaluate(fm.parse_explanation(args.explanation, evaluator.predicates))
     print(f"explanation:  {rec.key}")
     print(f"mean return:  {_fmt(rec.mean_return)}")
     if rec.filtered:
-        unreachable = runtime.evaluator.n_unreachable > 0
+        unreachable = evaluator.n_unreachable > 0
         why = "acceptance unreachable" if unreachable else "failed the return filter"
         print(f"filtered:     true ({why})")
     else:
         print(f"wKL:          {_fmt(rec.wkl)}")
         print(f"utility:      {_fmt(rec.utility)}")
     return EXIT_OK
+
+
+def _trace_node(line: str) -> tuple:
+    """The ``TRACE_FIELDS`` of one trace line, in order; ValueError if the
+    line is not a node ``cmd_search`` could have written."""
+    node = json.loads(line)
+    if not isinstance(node, dict):
+        raise ValueError(f"a trace node must be a JSON object, got {node!r}")
+    for field, (types, kind) in TRACE_FIELDS.items():
+        if field not in node:
+            raise ValueError(f"missing field {field!r}")
+        value = node[field]
+        # JSON true/false load as bool, which is an int subclass
+        if not isinstance(value, types) or isinstance(value, bool) != (bool in types):
+            raise ValueError(f"{field} must be {kind}, got {value!r}")
+    if not node["filtered"] and node["utility"] is None:
+        raise ValueError("an unfiltered node needs a numeric utility")
+    return tuple(node[field] for field in TRACE_FIELDS)
 
 
 def cmd_trace_dot(args) -> int:
@@ -172,11 +201,8 @@ def cmd_trace_dot(args) -> int:
         if not line.strip():
             continue
         try:
-            node = json.loads(line)
-            nodes.append((node["node_id"], node["restart"], node["key"],
-                          node.get("utility"), node["filtered"],
-                          node.get("parent"), node["move"]))
-        except (json.JSONDecodeError, KeyError) as exc:
+            nodes.append(_trace_node(line))
+        except ValueError as exc:  # json.JSONDecodeError is one too
             raise MalformedTraceError(f"{trace_path}:{lineno}: {exc}") from exc
 
     # extension edges are dashed, expansion edges dotted
@@ -254,7 +280,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RefusedError, fm.CapExceededError) as exc:
+    except (RefusedError, fm.CapExceededError, StateSpaceTooLargeError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except (ConfigError, MalformedTraceError, fm.ExplanationParseError, OSError) as exc:

@@ -157,9 +157,9 @@ def load_config(path) -> RunConfig:
 
 @dataclass
 class Runtime:
-    model: EnvModel
-    predicates: tuple[fm.AtomicPredicate, ...]
-    target: rl.TabularPolicy
+    """The evaluator (which holds the model, predicates and target policy)
+    and the target's rendered explanation, if it has one."""
+
     evaluator: Evaluator
     target_key: str | None
 
@@ -251,5 +251,4 @@ def build_runtime(cfg: RunConfig) -> Runtime:
     sample_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 424243]))
     sample = metrics.build_sample(model, target, cfg.metric.sample_size, sample_rng,
                                   weights_enabled=cfg.metric.weights_enabled)
-    evaluator = Evaluator(model, predicates, target, sample, cfg)
-    return Runtime(model, predicates, target, evaluator, target_key)
+    return Runtime(Evaluator(model, predicates, target, sample, cfg), target_key)

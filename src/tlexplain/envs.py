@@ -9,9 +9,13 @@ Two gridworlds are provided:
 * :class:`NavEnv` -- single-agent goal/hazard/vase navigation with
   deterministic 4-neighborhood dynamics.
 
-Both expose the same tabular interface: ``initial_states``, ``transitions``
-(exact branch distribution), ``step`` (sampled), ``features``,
-``is_terminal`` and ``enumerate_states``.
+Both expose the same four-call tabular interface, which
+``product.build_env_model`` reads once to enumerate the reachable states:
+
+* ``initial_states()`` -- the start distribution, ``[(state, prob)]``;
+* ``transitions(s, a)`` -- the exact next-state distribution;
+* ``features(s)`` -- the distance features the predicates threshold;
+* ``is_terminal(s)`` -- whether an episode ends in ``s``.
 """
 
 from __future__ import annotations
@@ -251,18 +255,6 @@ class CtfEnv:
                     (self._finish(moved), 1.0 - self.kill_prob)]
         return [(self._finish(moved), 1.0)]
 
-    def step(self, s: CtfState, action: int, rng: np.random.Generator) -> CtfState:
-        branches = self.transitions(s, action)
-        if len(branches) == 1:
-            return branches[0][0]
-        u = rng.random()
-        acc = 0.0
-        for nxt, p in branches:
-            acc += p
-            if u < acc:
-                return nxt
-        return branches[-1][0]
-
     # -- features ----------------------------------------------------------
 
     def features(self, s: CtfState) -> np.ndarray:
@@ -277,9 +269,6 @@ class CtfEnv:
         else:
             d_ba_bt = min(euclidean(s.blue, c) for c in self._bt_cells)
         return np.array([d_ra_bf, d_ba_rf, d_ba_ra, d_ba_bt])
-
-    def enumerate_states(self, cap: int = 2_000_000) -> list[CtfState]:
-        return _bfs_states(self, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +354,6 @@ class NavEnv:
         nxt = (s.pos[0] + dr, s.pos[1] + dc)
         return [(NavState(nxt if self.map.passable(nxt) else s.pos), 1.0)]
 
-    def step(self, s: NavState, action: int, rng: np.random.Generator) -> NavState:
-        return self.transitions(s, action)[0][0]
-
     def features(self, s: NavState) -> np.ndarray:
         d_max = self.map.diagonal
         d_goal = euclidean(s.pos, self.map.goal)
@@ -375,25 +361,3 @@ class NavEnv:
         d_vase = min((euclidean(s.pos, c) for c in self.map.vases), default=d_max)
         return np.array([d_goal, d_haz, d_vase])
 
-    def enumerate_states(self, cap: int = 2_000_000) -> list[NavState]:
-        return _bfs_states(self, cap)
-
-
-def _bfs_states(env, cap: int) -> list:
-    """All states reachable from the start distribution, in BFS order."""
-    frontier = [s for s, _ in env.initial_states()]
-    seen = dict.fromkeys(frontier)
-    while frontier:
-        nxt_frontier = []
-        for s in frontier:
-            if env.is_terminal(s):
-                continue
-            for a in range(env.n_actions):
-                for nxt, _ in env.transitions(s, a):
-                    if nxt not in seen:
-                        seen[nxt] = None
-                        nxt_frontier.append(nxt)
-        if len(seen) > cap:
-            raise StateSpaceTooLargeError(f"more than {cap} reachable states")
-        frontier = nxt_frontier
-    return list(seen)

@@ -34,13 +34,12 @@ class EnvModel:
     """Enumerated environment: states, features, and exact branch arrays.
 
     Shared by every candidate explanation evaluated on the same environment;
-    building it once amortizes the BFS and feature computation.
+    building it once amortizes the enumeration and feature computation.
     """
 
     env: object
     states: list
     features: np.ndarray       # (n_states, n_features)
-    terminal: np.ndarray       # (n_states,) bool
     rows: np.ndarray           # row -> state index, non-terminal states only
     row_of: np.ndarray         # state index -> row, -1 for terminal
     branch_row: np.ndarray     # flat branch arrays, sorted by (row, action)
@@ -58,9 +57,6 @@ class EnvModel:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    def index_of(self, state) -> int:
-        return self._index[state]
 
     @cached_property
     def step_cells(self) -> list:
@@ -82,45 +78,55 @@ class EnvModel:
                         for lo, hi in zip(bounds, bounds[1:])]
         return cells
 
-    def __post_init__(self):
-        self._index = {s: i for i, s in enumerate(self.states)}
-
 
 def build_env_model(env, cap: int = 2_000_000) -> EnvModel:
-    states = env.enumerate_states(cap=cap)
-    index = {s: i for i, s in enumerate(states)}
-    features = np.array([env.features(s) for s in states])
-    terminal = np.array([env.is_terminal(s) for s in states])
-    rows = np.flatnonzero(~terminal)
-    row_of = np.full(len(states), -1, dtype=int)
-    row_of[rows] = np.arange(len(rows))
+    """Enumerate ``env`` in one breadth-first pass from its start states.
 
+    A state gets its index when it is first reached.  Each non-terminal
+    state is expanded once, in index order, with one ``transitions`` call
+    per action, so its row is the next one and its branches follow the
+    previous row's: the branch arrays come out sorted by (row, action).
+    """
+    starts = env.initial_states()
+    if any(env.is_terminal(s) for s, _ in starts):
+        raise ValueError("start states must be non-terminal")
+    index = {}
+    for s, _ in starts:
+        index.setdefault(s, len(index))
+    states = list(index)
     n_actions = env.n_actions
+    rows, row_of = [], []
     b_row, b_act, b_next, b_prob = [], [], [], []
-    for r, si in enumerate(rows):
-        s = states[si]
+    offsets = [0]
+    # the loop also visits the states it appends, so it ends when every
+    # reached state has been visited
+    for i, s in enumerate(states):
+        if len(states) > cap:
+            raise StateSpaceTooLargeError(f"more than {cap} reachable states")
+        if env.is_terminal(s):
+            row_of.append(-1)
+            continue
+        r = len(rows)
+        rows.append(i)
+        row_of.append(r)
         for a in range(n_actions):
             for nxt, p in env.transitions(s, a):
+                j = index.get(nxt)
+                if j is None:
+                    j = index[nxt] = len(states)
+                    states.append(nxt)
                 b_row.append(r)
                 b_act.append(a)
-                b_next.append(index[nxt])
+                b_next.append(j)
                 b_prob.append(p)
-    b_row = np.array(b_row)
-    b_act = np.array(b_act)
-    b_next = np.array(b_next)
-    b_prob = np.array(b_prob)
-    cells = b_row * n_actions + b_act
-    counts = np.bincount(cells, minlength=len(rows) * n_actions)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+            offsets.append(len(b_row))
 
-    starts = env.initial_states()
-    start_rows = np.array([row_of[index[s]] for s, _ in starts])
-    start_probs = np.array([p for _, p in starts])
-    if (start_rows < 0).any():
-        raise StateSpaceTooLargeError("start states must be non-terminal")
-    return EnvModel(env, states, features, terminal, rows, row_of,
-                    b_row, b_act, b_next, b_prob, offsets,
-                    start_rows, start_probs)
+    row_of = np.array(row_of)
+    return EnvModel(env, states, np.array([env.features(s) for s in states]),
+                    np.array(rows), row_of, np.array(b_row), np.array(b_act),
+                    np.array(b_next), np.array(b_prob), np.array(offsets),
+                    row_of[[index[s] for s, _ in starts]],
+                    np.array([p for _, p in starts]))
 
 
 @dataclass
@@ -184,7 +190,7 @@ class ProductMdp:
         if self._table is None:
             m = self.model
             nxt = m.branch_next
-            keeps_going = (self.q_next[nxt] == Q0_I) & ~m.terminal[nxt]
+            keeps_going = (self.q_next[nxt] == Q0_I) & (m.row_of[nxt] >= 0)
             next_row = np.where(keeps_going, m.row_of[nxt], -1)
             self._table = TransitionTable(
                 m.n_rows, m.n_actions, m.branch_row, m.branch_action,

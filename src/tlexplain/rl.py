@@ -196,22 +196,10 @@ def policy_entropy(policy: TabularPolicy, sample_rows) -> float:
     return float(-xlogy(p, p).sum(axis=1).mean())
 
 
-def select_replicate(policies, sample_rows, mode: str = "by-entropy",
-                     utility_fn=None) -> TabularPolicy:
-    """Pick one of several trained replicates.
-
-    ``by-entropy`` maximizes mean action entropy over the sample;
-    ``by-utility`` maximizes ``utility_fn(policy)``.  Ties go to the lowest
-    replicate index.
-    """
+def select_replicate(policies, sample_rows) -> TabularPolicy:
+    """The replicate with the highest mean action entropy over the sample;
+    ties go to the lowest replicate index."""
     if not policies:
         raise ValueError("no replicates to select from")
-    if mode == "by-entropy":
-        scores = [policy_entropy(p, sample_rows) for p in policies]
-    elif mode == "by-utility":
-        if utility_fn is None:
-            raise ValueError("by-utility selection needs a utility function")
-        scores = [utility_fn(p) for p in policies]
-    else:
-        raise ValueError(f"unknown replicate selection mode {mode!r}")
+    scores = [policy_entropy(p, sample_rows) for p in policies]
     return policies[int(np.argmax(scores))]

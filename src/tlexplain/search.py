@@ -149,20 +149,21 @@ class Evaluator:
     def train_policy(self, mdp: ProductMdp, key: str
                      ) -> tuple[rl.TabularPolicy, metrics.UtilityRecord | None]:
         """The policy that scores ``key``, with its utility record when
-        by-utility replicate selection has already computed it."""
+        by-utility replicate selection has already computed it.
+
+        By utility, each replicate is scored once and the first maximum wins,
+        as ``np.argmax`` picks; otherwise ``rl.select_replicate`` picks by
+        entropy.
+        """
         replicates = train_replicates(mdp, self.cfg, key)
         if len(replicates) == 1:
             return replicates[0], None
-        metric = self.cfg.metric
-        scored = {}
-
-        def score(p):
-            scored[id(p)] = metrics.utility(p, self.target, self.sample, eps=metric.kl_eps)
-            return scored[id(p)].utility
-
-        policy = rl.select_replicate(replicates, self.sample.rows,
-                                     mode=metric.replicate_mode, utility_fn=score)
-        return policy, scored.get(id(policy))
+        if self.cfg.metric.replicate_mode != "by-utility":
+            return rl.select_replicate(replicates, self.sample.rows), None
+        records = [metrics.utility(p, self.target, self.sample, eps=self.cfg.metric.kl_eps)
+                   for p in replicates]
+        best = int(np.argmax([r.utility for r in records]))
+        return replicates[best], records[best]
 
     def evaluate(self, canon: fm.CanonicalExplanation) -> metrics.UtilityRecord:
         key = fm.render(canon, self.predicates)

@@ -69,6 +69,21 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def sampled_successors(env, state, action: int, n: int, rng) -> list:
+    """``n`` environment successors of ``state`` under ``action``, each drawn
+    by ``ProductMdp.product_step``, the sampler Q-learning trains on.
+
+    ``state`` must be reachable in ``env``; the explanation only decides
+    the automaton component of each outcome, which is dropped.
+    """
+    model = build_env_model(env)
+    preds = generic_predicates(2)
+    canon = fm.parse_explanation("F(psi0) & G(psi1)", preds)
+    mdp = ProductMdp(model, fa.build_fspa(canon, preds))
+    ps = (model.states.index(state), fa.Q0_I)
+    return [model.states[mdp.product_step(ps, action, rng)[0][0]] for _ in range(n)]
+
+
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None,
                     suppress_health_check=[HealthCheck.too_slow])

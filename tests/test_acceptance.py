@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fresh_evaluator, generic_predicates
+from conftest import fresh_evaluator, generic_predicates, sampled_successors
 from tlexplain import cli, envs, metrics
 from tlexplain import formula as fm
 from tlexplain import fspa as fa
@@ -71,7 +71,7 @@ def test_criterion_03_search_matches_oracle(oracle, reference_runtime):
 
 def test_criterion_04_catch_all_rejected(oracle, reference_runtime):
     ranked, _, _ = oracle
-    canon = fm.parse_explanation(CATCH_ALL, reference_runtime.predicates)
+    canon = fm.parse_explanation(CATCH_ALL, reference_runtime.evaluator.predicates)
     record = reference_runtime.evaluator.evaluate(canon)
     _report(4, "the all-disjunction catch-all scores strictly worse wkl "
                "than the target",
@@ -106,7 +106,7 @@ def test_criterion_06_combat_stochasticity():
     s = envs.CtfState(blue=(2, 2), red=(2, 3))  # adjacent, blue on blue turf
     rng = np.random.default_rng(0)
     stay = envs.ACTION_NAMES.index("stay")
-    kills = sum(not env.step(s, stay, rng).red_alive for _ in range(100_000))
+    kills = sum(not nxt.red_alive for nxt in sampled_successors(env, s, stay, 100_000, rng))
     freq = kills / 100_000
     _report(6, f"adjacent-in-blue-territory kill frequency {freq:.4f} is "
                "within 0.75 +/- 0.01 over 1e5 steps",
@@ -188,7 +188,7 @@ def test_criterion_09_reward_cases():
                -trap_mdp.fspa.guard_robustness(fa.Q0, fa.Q_TRAP, x)))
 
     pre = next(s for s in model.states if s.pos == (0, 2))
-    ps = (model.index_of(pre), fa.Q0_I)
+    ps = (model.states.index(pre), fa.Q0_I)
     [(nxt, _, r_acc)] = mdp.expand_transitions()[(ps, right)]
     x = model.features[nxt[0]]
     ok &= (nxt[1] == fa.Q_ACC_I

@@ -1,13 +1,14 @@
 """CLI subcommands: outputs, schemas, exit statuses, trace export."""
 
 import csv
+import functools
 import json
 from pathlib import Path
 
 import pytest
 import yaml
 
-from tlexplain import cli
+from tlexplain import cli, config, product
 from tlexplain.config import SCHEMA_VERSION
 
 NAV_CONFIG = {
@@ -240,6 +241,15 @@ class TestEvalCommand:
         assert f"filtered:     true ({reason})" in capsys.readouterr().out
 
 
+    def test_state_space_over_cap_is_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(config, "build_env_model",
+                            functools.partial(product.build_env_model, cap=50))
+        args = ["eval", "--config", REFERENCE_CONFIG, "--out", str(tmp_path),
+                "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)"]
+        assert cli.main(args) == cli.EXIT_REFUSED
+        assert capsys.readouterr().err == "refused: more than 50 reachable states\n"
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize("command, name, summary", [
         ("oracle", "oracle.csv", "96 evaluations: 52 without training "
@@ -253,6 +263,12 @@ class TestGoldenOutputs:
         assert cli.main(args) == cli.EXIT_OK
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
         assert capsys.readouterr().out.splitlines()[-1] == summary
+
+
+# one well-formed trace node, as the search command writes it
+NODE = {"filtered": False, "key": "F(psi0) & G(!psi1)", "move": "init", "node_id": 0,
+        "parent": None, "restart": 0, "schema_version": SCHEMA_VERSION, "step": 0,
+        "utility": -0.5}
 
 
 class TestTraceDotCommand:
@@ -291,6 +307,17 @@ class TestTraceDotCommand:
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"node_id": 0}\n')
         assert cli.main(["trace-dot", str(bad)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("line, message", [
+        ("1", "a trace node must be a JSON object, got 1"),
+        (json.dumps({**NODE, "utility": None}), "an unfiltered node needs a numeric utility"),
+        (json.dumps({**NODE, "key": 5}), "key must be a string, got 5"),
+    ], ids=["not-an-object", "unfiltered-null-utility", "integer-key"])
+    def test_malformed_node_is_config_error(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(NODE) + "\n" + line + "\n")
+        assert cli.main(["trace-dot", str(bad)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
 
     def test_missing_trace_is_config_error(self, tmp_path):
         assert cli.main(["trace-dot", str(tmp_path / "nope.jsonl")]) == cli.EXIT_CONFIG

@@ -98,22 +98,24 @@ class TestLoadConfig:
 class TestBuildRuntime:
     def test_nav_runtime(self, tmp_path):
         runtime = build_runtime(load_config(_write(tmp_path, NAV_CONFIG)))
+        ev = runtime.evaluator
         assert runtime.target_key == "F(psi0) & G(!psi1)"
-        assert runtime.target.probs.shape == (runtime.model.n_rows, 5)
-        record = runtime.evaluator.evaluate(
+        assert ev.target.probs.shape == (ev.model.n_rows, 5)
+        record = ev.evaluate(
             __import__("tlexplain").formula.parse_explanation(
-                runtime.target_key, runtime.predicates))
+                runtime.target_key, ev.predicates))
         assert record.wkl == 0.0
 
     def test_policy_path_target(self, tmp_path):
         runtime = build_runtime(load_config(_write(tmp_path, NAV_CONFIG)))
         policy_file = tmp_path / "target_policy.txt"
-        runtime.target.save(policy_file)
+        runtime.evaluator.target.save(policy_file)
         cfg = dict(NAV_CONFIG)
         cfg["target"] = {"policy_path": "target_policy.txt"}
         runtime2 = build_runtime(load_config(_write(tmp_path, cfg, "run2.yaml")))
         assert runtime2.target_key is None
-        assert np.array_equal(runtime2.target.probs, runtime.target.probs)
+        assert np.array_equal(runtime2.evaluator.target.probs,
+                              runtime.evaluator.target.probs)
 
     def test_policy_shape_mismatch_rejected(self, tmp_path):
         bad = tmp_path / "bad_policy.txt"
@@ -130,8 +132,9 @@ class TestBuildRuntime:
         runtime = build_runtime(load_config(_write(tmp_path, cfg)))
         assert runtime.target_key is None
         # the shaped target heads toward the goal from the start cell
-        start_row = int(runtime.model.start_rows[0])
-        assert runtime.target.probs[start_row].argmax() == 3  # "right"
+        ev = runtime.evaluator
+        start_row = int(ev.model.start_rows[0])
+        assert ev.target.probs[start_row].argmax() == 3  # "right"
 
     def test_builtin_requires_nav_env(self, tmp_path):
         cfg = dict(NAV_CONFIG)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sampled_successors
 from tlexplain import envs
+from tlexplain.product import build_env_model
 
 CTF_TEXT = """\
 Bbbrr
@@ -186,9 +188,8 @@ class TestCtfStep:
         env = _ctf()
         s = _state((2, 2), (2, 3))
         rng = np.random.default_rng(0)
-        kills = sum(
-            not env.step(s, envs.ACTION_NAMES.index("stay"), rng).red_alive
-            for _ in range(4000))
+        stay = envs.ACTION_NAMES.index("stay")
+        kills = sum(not nxt.red_alive for nxt in sampled_successors(env, s, stay, 4000, rng))
         assert kills / 4000 == pytest.approx(0.75, abs=0.03)
 
     def test_step_on_terminal_rejected(self):
@@ -199,7 +200,7 @@ class TestCtfStep:
 
     def test_probabilities_sum_to_one_everywhere(self):
         env = _ctf()
-        for s in env.enumerate_states():
+        for s in build_env_model(env).states:
             if env.is_terminal(s):
                 continue
             for a in range(env.n_actions):
@@ -214,21 +215,6 @@ class TestCtfStep:
         assert nxt.red == (4, 3)
         [(nxt2, _)] = env.transitions(nxt, envs.ACTION_NAMES.index("stay"))
         assert nxt2.red == (4, 3)
-
-    def test_seeded_episode_reproducible(self):
-        env = _ctf()
-        outs = []
-        for _ in range(2):
-            rng = np.random.default_rng(42)
-            s = env.initial_states()[0][0]
-            traj = [s]
-            for _ in range(30):
-                if env.is_terminal(s):
-                    break
-                s = env.step(s, int(rng.integers(env.n_actions)), rng)
-                traj.append(s)
-            outs.append(traj)
-        assert outs[0] == outs[1]
 
 
 class TestCtfFeatures:
@@ -270,21 +256,21 @@ class TestCtfFeatures:
 
 class TestCtfEnumerate:
     def test_no_duplicates(self):
-        states = _ctf().enumerate_states()
+        states = build_env_model(_ctf()).states
         assert len(states) == len(set(states))
 
     def test_no_wall_positions(self):
         env = envs.CtfEnv(envs.GridMap.parse(CTF_WALLED))
-        for s in env.enumerate_states():
+        for s in build_env_model(env).states:
             assert s.blue not in env.grid.walls
             assert s.red not in env.grid.walls
 
     def test_start_included_and_cap(self):
         env = _ctf()
-        states = env.enumerate_states()
+        states = build_env_model(env).states
         assert env.initial_states()[0][0] in states
-        with pytest.raises(envs.StateSpaceTooLargeError):
-            env.enumerate_states(cap=10)
+        with pytest.raises(envs.StateSpaceTooLargeError, match="more than 10 reachable"):
+            build_env_model(env, cap=10)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +300,7 @@ class TestNavEnv:
 
     def test_deterministic_single_branch(self):
         env = self._env()
-        for s in env.enumerate_states():
+        for s in build_env_model(env).states:
             if env.is_terminal(s):
                 continue
             for a in range(env.n_actions):
@@ -328,7 +314,7 @@ class TestNavEnv:
 
     def test_state_count_bound(self):
         env = self._env()
-        nonterminal = [s for s in env.enumerate_states() if not env.is_terminal(s)]
+        nonterminal = [s for s in build_env_model(env).states if not env.is_terminal(s)]
         assert len(nonterminal) <= 16
 
     def test_no_hazard_map_features_default_to_d_max(self):

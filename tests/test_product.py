@@ -1,7 +1,9 @@
 """Product MDP: reward cases, exact expansion, rollouts, exact returns."""
 
 import math
+from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from tlexplain import rl
 from tlexplain.product import (
     DENSE,
     SPARSE,
+    EnvModel,
     ProductMdp,
     RewardConfig,
     TransitionTable,
@@ -78,6 +81,123 @@ def _right_policy(model):
     return TabularPolicy(probs, tau=0.1, trainer="test")
 
 
+# ---------------------------------------------------------------------------
+# The environment model: one breadth-first pass
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _two_pass_env_model(env, cap: int = 2_000_000) -> dict:
+    """The fields of ``build_env_model(env)`` as the two-pass builder it
+    replaced computed them: a breadth-first search for the states, then
+    ``transitions`` once more per row and action for the branches."""
+    frontier = [s for s, _ in env.initial_states()]
+    seen = dict.fromkeys(frontier)
+    while frontier:
+        nxt_frontier = []
+        for s in frontier:
+            if env.is_terminal(s):
+                continue
+            for a in range(env.n_actions):
+                for nxt, _ in env.transitions(s, a):
+                    if nxt not in seen:
+                        seen[nxt] = None
+                        nxt_frontier.append(nxt)
+        if len(seen) > cap:
+            raise envs.StateSpaceTooLargeError(f"more than {cap} reachable states")
+        frontier = nxt_frontier
+    states = list(seen)
+    index = {s: i for i, s in enumerate(states)}
+    terminal = np.array([env.is_terminal(s) for s in states])
+    rows = np.flatnonzero(~terminal)
+    row_of = np.full(len(states), -1, dtype=int)
+    row_of[rows] = np.arange(len(rows))
+    b_row, b_act, b_next, b_prob = [], [], [], []
+    for r, si in enumerate(rows):
+        for a in range(env.n_actions):
+            for nxt, p in env.transitions(states[si], a):
+                b_row.append(r)
+                b_act.append(a)
+                b_next.append(index[nxt])
+                b_prob.append(p)
+    b_row, b_act = np.array(b_row), np.array(b_act)
+    counts = np.bincount(b_row * env.n_actions + b_act, minlength=len(rows) * env.n_actions)
+    starts = env.initial_states()
+    return dict(
+        states=states, features=np.array([env.features(s) for s in states]),
+        rows=rows, row_of=row_of, branch_row=b_row, branch_action=b_act,
+        branch_next=np.array(b_next), branch_prob=np.array(b_prob),
+        cell_offsets=np.concatenate([[0], np.cumsum(counts)]),
+        start_rows=np.array([row_of[index[s]] for s, _ in starts]),
+        start_probs=np.array([p for _, p in starts]))
+
+
+def _assert_same_model(model, expected: dict):
+    assert [f.name for f in fields(EnvModel)] == ["env", *expected]
+    assert model.states == expected["states"]
+    for name, want in expected.items():
+        if name != "states":
+            got = getattr(model, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+class _CountingEnv:
+    """``env`` with a count of ``transitions`` calls per (state, action)."""
+
+    def __init__(self, env):
+        self.env = env
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        return getattr(self.env, name)
+
+    def transitions(self, s, a):
+        self.calls[s, a] += 1
+        return self.env.transitions(s, a)
+
+
+def _map_env(name):
+    if name == "ctf5":
+        return envs.CtfEnv(envs.GridMap.parse((ROOT / "configs/maps/ctf5.txt").read_text()))
+    text = (ROOT / "perfbench/maps" / f"{name}.txt").read_text()
+    if name == "nav10":
+        return envs.NavEnv(envs.NavMap.parse(text))
+    return envs.CtfEnv(envs.GridMap.parse(text, random_starts=True))
+
+
+class TestBuildEnvModel:
+    @pytest.mark.parametrize("name", ["ctf5", "ctf7", "nav10"])
+    def test_equals_two_pass_builder(self, name):
+        env = _map_env(name)
+        _assert_same_model(build_env_model(env), _two_pass_env_model(env))
+
+    @PROPERTY
+    @given(product_mdps())
+    def test_equals_two_pass_builder_on_random_maps(self, mdp):
+        _assert_same_model(mdp.model, _two_pass_env_model(mdp.model.env))
+
+    @pytest.mark.parametrize("name", ["ctf5", "ctf7", "nav10"])
+    def test_one_transitions_call_per_state_and_action(self, name):
+        env = _CountingEnv(_map_env(name))
+        model = build_env_model(env)
+        assert env.calls == Counter({(s, a): 1 for s in model.states if not env.is_terminal(s)
+                                     for a in range(env.n_actions)})
+
+    def test_cap_is_the_largest_state_count_allowed(self):
+        env = _map_env("ctf5")
+        assert len(build_env_model(env, cap=502).states) == 502
+        with pytest.raises(envs.StateSpaceTooLargeError, match="more than 501 reachable"):
+            build_env_model(env, cap=501)
+
+    def test_terminal_start_is_not_a_size_error(self):
+        env = envs.NavEnv(envs.NavMap.parse(CORRIDOR))
+        env.initial_states = lambda: [(envs.NavState(env.map.goal), 1.0)]
+        # a ValueError (exit 4 from the CLI), not the size error (exit 3)
+        with pytest.raises(ValueError, match="start states must be non-terminal"):
+            build_env_model(env)
+
+
 class TestConstruction:
     def test_beta_range_checked(self):
         model = _nav_model()
@@ -116,7 +236,7 @@ class TestRewardCases:
         assert nxt[1] == fa.Q_TRAP_I
         assert r == pytest.approx(1.0 - d_max)
         fspa = mdp.fspa
-        x = model.features[model.index_of(model.states[nxt[0]])]
+        x = model.features[nxt[0]]
         assert r == pytest.approx(-fspa.guard_robustness(fa.Q0, fa.Q_TRAP, x))
 
     def test_sparse_accept_reward_is_accept_guard_robustness(self):
@@ -125,7 +245,7 @@ class TestRewardCases:
         table = mdp.expand_transitions()
         # stepping right from the cell next to the goal enters q_acc
         pre = next(s for s in model.states if s.pos == (0, 2))
-        ps = (model.index_of(pre), fa.Q0_I)
+        ps = (model.states.index(pre), fa.Q0_I)
         [(nxt, _, r)] = table[(ps, envs.ACTION_NAMES.index("right"))]
         assert nxt[1] == fa.Q_ACC_I
         x = model.features[nxt[0]]
@@ -186,7 +306,7 @@ class TestExpandTransitions:
         mdp = _mdp(model, preds)
         combat = envs.CtfState(blue=(2, 2), red=(2, 3))
         assert combat in model.states
-        ps = (model.index_of(combat), fa.Q0_I)
+        ps = (model.states.index(combat), fa.Q0_I)
         entries = mdp.expand_transitions()[(ps, envs.ACTION_NAMES.index("stay"))]
         assert sorted(p for _, p, _ in entries) == [0.25, 0.75]
 
@@ -196,7 +316,7 @@ class TestExpandTransitions:
                  fm.AtomicPredicate(1, "psi1", 2, 1.5))
         mdp = _mdp(model, preds)
         combat = envs.CtfState(blue=(2, 2), red=(2, 3))
-        ps = (model.index_of(combat), fa.Q0_I)
+        ps = (model.states.index(combat), fa.Q0_I)
         a = envs.ACTION_NAMES.index("stay")
         entries = mdp.expand_transitions()[(ps, a)]
         rng = np.random.default_rng(11)
@@ -314,7 +434,7 @@ def _reference_moments(mdp, policy):
                 n1[ps] = n1.get(ps, 0.0) + pa * p * (r + g1)
                 n2[ps] = n2.get(ps, 0.0) + pa * p * (r * r + 2 * r * g1 + g2)
         m1, m2 = n1, n2
-    starts = [((mdp.model.index_of(s), fa.Q0_I), p)
+    starts = [((mdp.model.states.index(s), fa.Q0_I), p)
               for s, p in mdp.model.env.initial_states()]
     return (sum(p * m1.get(ps, 0.0) for ps, p in starts),
             sum(p * m2.get(ps, 0.0) for ps, p in starts))
@@ -381,7 +501,7 @@ def _reference_acceptance_reachable(mdp):
     terminal and leads nowhere."""
     table = mdp.expand_transitions()
     n_actions = mdp.model.n_actions
-    todo = [(mdp.model.index_of(s), fa.Q0_I) for s, _ in mdp.model.env.initial_states()]
+    todo = [(mdp.model.states.index(s), fa.Q0_I) for s, _ in mdp.model.env.initial_states()]
     seen = set(todo)
     while todo:
         ps = todo.pop()

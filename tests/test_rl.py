@@ -235,7 +235,7 @@ class TestSoftValueIterationAgainstReference:
 
     def test_matches_reference_on_every_reference_candidate(self, reference_runtime):
         ev = reference_runtime.evaluator
-        candidates = fm.enumerate_all(reference_runtime.predicates)
+        candidates = fm.enumerate_all(ev.predicates)
         assert len(candidates) == 96
         for canon in candidates:
             mdp = ev.build_mdp(canon)
@@ -348,7 +348,7 @@ class TestQLearningAgainstReference:
     def test_matches_reference_on_every_reference_candidate(self, reference_runtime):
         ev = reference_runtime.evaluator
         cfg = replace(ev.trainer_cfg, mode=rl.Q_LEARNING, episodes=8)
-        candidates = fm.enumerate_all(reference_runtime.predicates)
+        candidates = fm.enumerate_all(ev.predicates)
         assert len(candidates) == 96
         for seed, canon in enumerate(candidates):
             self._assert_same_training(ev.build_mdp(canon), cfg, seed)
@@ -407,17 +407,6 @@ class TestSelectReplicate:
         high_a = self._policy([[0.5, 0.5]])
         high_b = self._policy([[0.5, 0.5]])
         assert rl.select_replicate([low, high_a, high_b], [0]) is high_a
-
-    def test_by_utility_mode(self):
-        a = self._policy([[1.0, 0.0]])
-        b = self._policy([[0.0, 1.0]])
-        chosen = rl.select_replicate([a, b], [0], mode="by-utility",
-                                     utility_fn=lambda p: p.probs[0, 1])
-        assert chosen is b
-
-    def test_by_utility_requires_function(self):
-        with pytest.raises(ValueError):
-            rl.select_replicate([self._policy([[1.0, 0.0]])], [0], mode="by-utility")
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from conftest import fresh_evaluator, full_horizon_return, iter_valid_encodings
 from tlexplain import envs
 from tlexplain import formula as fm
 from tlexplain import metrics
-from tlexplain import rl
+from tlexplain import rl, search
 from tlexplain.config import RunConfig
 from tlexplain.product import DENSE, SPARSE, RewardConfig, build_env_model
 from tlexplain.search import (
@@ -29,7 +29,7 @@ TARGET_KEY = "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)"
 
 
 def _target_canon(runtime):
-    return fm.parse_explanation(TARGET_KEY, runtime.predicates)
+    return fm.parse_explanation(TARGET_KEY, runtime.evaluator.predicates)
 
 
 class TestSearchParams:
@@ -72,8 +72,8 @@ class TestEvaluate:
 
     def test_cache_soundness_across_evaluators(self, reference_runtime):
         canon = _target_canon(reference_runtime)
-        neighbor = fm.parse_explanation(
-            "F(psi_ba_rf) & G(psi_ba_ra | psi_ba_bt)", reference_runtime.predicates)
+        neighbor = fm.parse_explanation("F(psi_ba_rf) & G(psi_ba_ra | psi_ba_bt)",
+                                        reference_runtime.evaluator.predicates)
         a1 = fresh_evaluator(reference_runtime)
         a2 = fresh_evaluator(reference_runtime)
         for canon_i in (canon, neighbor):
@@ -113,7 +113,7 @@ class TestEvalNeighbors:
 
     def _encode_target(self, runtime):
         for enc in iter_valid_encodings(3):
-            if fm.render(fm.decode(enc), runtime.predicates) == TARGET_KEY:
+            if fm.render(fm.decode(enc), runtime.evaluator.predicates) == TARGET_KEY:
                 return enc
         raise AssertionError("target encoding not found")
 
@@ -137,7 +137,7 @@ class TestEvalNeighbors:
         # start from a neighbor of the optimum: the head strictly improves
         ctx = self._ctx(reference_runtime)
         enc = self._encode_target(reference_runtime)
-        preds = reference_runtime.predicates
+        preds = reference_runtime.evaluator.predicates
         neighbor = next(
             nb for nb in fm.neighborhood(enc)
             if fm.render(fm.decode(nb), preds) != TARGET_KEY
@@ -249,8 +249,7 @@ def _reference_record(ev, canon):
     full-horizon return, then filter or score."""
     key = fm.render(canon, ev.predicates)
     mdp = ev.build_mdp(canon)
-    policy = rl.select_replicate(train_replicates(mdp, ev.cfg, key), ev.sample.rows,
-                                 mode=ev.cfg.metric.replicate_mode)
+    policy = rl.select_replicate(train_replicates(mdp, ev.cfg, key), ev.sample.rows)
     mean_return = full_horizon_return(mdp, policy)
     if mean_return <= ev.params.return_threshold:
         return metrics.UtilityRecord(key, None, None, mean_return, True)
@@ -322,3 +321,23 @@ class TestExactShortcuts:
         expected = metrics.utility(chosen, ev.target, ev.sample, key=TARGET_KEY,
                                    mean_return=full_horizon_return(mdp, chosen), eps=eps)
         assert repr(record) == repr(expected)
+
+    def test_by_utility_takes_first_best_replicate(self, reference_runtime, monkeypatch):
+        """By utility, the first replicate of highest utility wins, as
+        ``np.argmax`` picks, and comes back with its record."""
+        base = reference_runtime.evaluator.cfg
+        ev = fresh_evaluator(
+            reference_runtime,
+            trainer=replace(base.trainer, mode=rl.Q_LEARNING),
+            search=replace(base.search, n_rep=3),
+            metric=replace(base.metric, replicate_mode="by-utility"))
+        replicates, scores = [object(), object(), object()], [0.1, 0.3, 0.3]
+        monkeypatch.setattr(search, "train_replicates", lambda mdp, cfg, key: replicates)
+
+        def utility(policy, *args, **kwargs):
+            u = scores[replicates.index(policy)]
+            return metrics.UtilityRecord("", -u, u, 0.0, False)
+
+        monkeypatch.setattr(metrics, "utility", utility)
+        policy, record = ev.train_policy(None, "key")
+        assert policy is replicates[1] and record.utility == 0.3
