@@ -19,6 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from math import fsum, isfinite, sqrt
 
 import numpy as np
 
@@ -78,18 +79,32 @@ class EnvModel:
                         for lo, hi in zip(bounds, bounds[1:])]
         return cells
 
+    @cached_property
+    def start_cdf(self) -> list:
+        """Start probabilities summed and scaled to end at 1.0, as numpy's
+        ``Generator.choice`` builds its CDF."""
+        cdf = np.cumsum(self.start_probs)
+        cdf /= cdf[-1]
+        return cdf.tolist()
 
-def build_env_model(env, cap: int = 2_000_000) -> EnvModel:
+
+def build_env_model(env, cap: int = 250_000) -> EnvModel:
     """Enumerate ``env`` in one breadth-first pass from its start states.
 
     A state gets its index when it is first reached.  Each non-terminal
     state is expanded once, in index order, with one ``transitions`` call
     per action, so its row is the next one and its branches follow the
     previous row's: the branch arrays come out sorted by (row, action).
+    The start probabilities are checked as ``Generator.choice`` checks them.
     """
     starts = env.initial_states()
     if any(env.is_terminal(s) for s, _ in starts):
         raise ValueError("start states must be non-terminal")
+    probs = [p for _, p in starts]
+    if not all(isfinite(p) and p >= 0 for p in probs):
+        raise ValueError(f"start probabilities must be finite and >= 0, got {probs}")
+    if abs(fsum(probs) - 1.0) > sqrt(np.finfo(float).eps):
+        raise ValueError(f"start probabilities must sum to 1, got {fsum(probs)}")
     index = {}
     for s, _ in starts:
         index.setdefault(s, len(index))
@@ -125,8 +140,7 @@ def build_env_model(env, cap: int = 2_000_000) -> EnvModel:
     return EnvModel(env, states, np.array([env.features(s) for s in states]),
                     np.array(rows), row_of, np.array(b_row), np.array(b_act),
                     np.array(b_next), np.array(b_prob), np.array(offsets),
-                    row_of[[index[s] for s, _ in starts]],
-                    np.array([p for _, p in starts]))
+                    row_of[[index[s] for s, _ in starts]], np.array(probs))
 
 
 @dataclass
@@ -223,12 +237,15 @@ class ProductMdp:
 
     # -- stepping ----------------------------------------------------------
 
-    def initial_product_state(self, rng: np.random.Generator):
-        if len(self.model.start_rows) == 1:
-            row = self.model.start_rows[0]
+    def initial_product_state(self, rng):
+        """A start state; with several start rows, one ``rng.random()`` picks
+        the same row as ``rng.choice(start_rows, p=start_probs)``."""
+        m = self.model
+        if len(m.start_rows) == 1:
+            row = m.start_rows[0]
         else:
-            row = rng.choice(self.model.start_rows, p=self.model.start_probs)
-        return (int(self.model.rows[row]), Q0_I)
+            row = m.start_rows[bisect_right(m.start_cdf, rng.random())]
+        return (int(m.rows[row]), Q0_I)
 
     @cached_property
     def step_outcomes(self) -> list:
@@ -238,7 +255,7 @@ class ProductMdp:
             zip(self.q_next.tolist(), self.reward_next.tolist(),
                 self.model.row_of.tolist()))]
 
-    def product_step(self, product_state, action: int, rng: np.random.Generator):
+    def product_step(self, product_state, action: int, rng):
         """One sampled transition; returns (next product state, reward, terminal).
 
         Plain Python over ``EnvModel.step_cells`` and ``step_outcomes``: a

@@ -145,35 +145,109 @@ def soft_value_iteration(table: TransitionTable, gamma: float,
         f"{cfg.max_iterations} sweeps (final residual {delta:.3g})")
 
 
+_BLOCK_WORDS = 1024  # raw words fetched per numpy call; larger blocks cost memory
+_LOW32 = 0xFFFFFFFF
+
+
+class _Pcg64Draws:
+    """numpy ``Generator.random()`` and ``.integers(n)`` for ``1 <= n < 2**32``
+    from blocks of ``bit_generator.random_raw``: the values and the stream of
+    the scalar calls, without numpy's per-call cost.
+
+    ``random()`` is one raw word ``w`` as ``(w >> 11) * 2**-53``.
+    ``integers(n)`` is Lemire's method over 32-bit halves: a word gives its
+    low half and keeps its high half buffered (``has_uint32``/``uinteger``),
+    as PCG64's ``next_uint32`` does.  After :meth:`close` the generator's
+    state is what the scalar calls would have left.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int = _BLOCK_WORDS):
+        bg = rng.bit_generator
+        if type(bg) is not np.random.PCG64:
+            raise ValueError(f"q-learning needs a PCG64 bit generator, got {type(bg).__name__}")
+        self._bg, self._block, self._start = bg, block, bg.state
+        self._has32, self._uint32 = self._start["has_uint32"], self._start["uinteger"]
+        self._fetched = 0
+        self._words = []           # the current block, reversed: pop() is the next word
+        self._pop = self._words.pop
+
+    def _refill(self) -> int:
+        block = self._bg.random_raw(self._block).tolist()
+        block.reverse()
+        self._words.extend(block)
+        self._fetched += self._block
+        return self._pop()
+
+    def random(self) -> float:
+        try:
+            w = self._pop()
+        except IndexError:
+            w = self._refill()
+        return (w >> 11) * 2 ** -53
+
+    def _next32(self) -> int:
+        if self._has32:
+            self._has32 = 0
+            return self._uint32
+        try:
+            w = self._pop()
+        except IndexError:
+            w = self._refill()
+        self._has32, self._uint32 = 1, w >> 32
+        return w & _LOW32
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0               # numpy draws nothing for a one-value range
+        m = self._next32() * n
+        if (m & _LOW32) < n:
+            threshold = (2 ** 32 - n) % n
+            while (m & _LOW32) < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+    def close(self):
+        """Advance the generator past the words used, keeping its buffer."""
+        bg = self._bg
+        bg.state = self._start
+        bg.advance(self._fetched - len(self._words))   # also empties the buffer
+        bg.state = {**bg.state, "has_uint32": self._has32, "uinteger": self._uint32}
+
+
 def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) -> TabularPolicy:
     """Epsilon-greedy tabular Q-learning; final policy is softmax over Q.
 
     The Q-table is a list of lists indexed by environment state while
     training (terminal states' entries stay zero and unused), so a step is
     plain Python: the greedy action is the first maximum, as ``np.argmax``
-    picks.  Per step ``rng.random()`` then, if exploring,
-    ``rng.integers(n_actions)`` is drawn before ``product_step``'s own draw;
-    that order fixes the random stream and therefore the policy.
+    picks.  Per step ``random()`` then, if exploring, ``integers(n_actions)``
+    is drawn before ``product_step``'s own draw; that order fixes the random
+    stream and therefore the policy.  Every draw comes from
+    :class:`_Pcg64Draws`, so ``rng`` must be PCG64-backed.
     """
     m = mdp.model
     n_actions = m.n_actions
     q = [[0.0] * n_actions for _ in range(len(m.states))]
     gamma, lr = mdp.reward.gamma, cfg.learning_rate
-    step, random, integers = mdp.product_step, rng.random, rng.integers
-    for ep in range(cfg.episodes):
-        eps = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * ep / max(cfg.episodes - 1, 1)
-        ps = mdp.initial_product_state(rng)
-        for _ in range(mdp.horizon):
-            q_s = q[ps[0]]
-            if random() < eps:
-                a = int(integers(n_actions))
-            else:
-                a = q_s.index(max(q_s))
-            ps, reward, terminal = step(ps, a, rng)
-            if terminal:
-                q_s[a] += lr * (reward - q_s[a])
-                break
-            q_s[a] += lr * (reward + gamma * max(q[ps[0]]) - q_s[a])
+    draws = _Pcg64Draws(rng)
+    step, random, integers = mdp.product_step, draws.random, draws.integers
+    try:
+        for ep in range(cfg.episodes):
+            eps = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * ep / max(cfg.episodes - 1, 1)
+            ps = mdp.initial_product_state(draws)
+            for _ in range(mdp.horizon):
+                q_s = q[ps[0]]
+                if random() < eps:
+                    a = integers(n_actions)
+                else:
+                    a = q_s.index(max(q_s))
+                ps, reward, terminal = step(ps, a, draws)
+                if terminal:
+                    q_s[a] += lr * (reward - q_s[a])
+                    break
+                q_s[a] += lr * (reward + gamma * max(q[ps[0]]) - q_s[a])
+    finally:
+        draws.close()
     _, z, s = _action_softmax(np.array(q)[m.rows].T, cfg.tau)
     return TabularPolicy(_policy_rows(z, s), cfg.tau, Q_LEARNING)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tlexplain import envs
@@ -190,12 +190,59 @@ class TestBuildEnvModel:
         with pytest.raises(envs.StateSpaceTooLargeError, match="more than 501 reachable"):
             build_env_model(env, cap=501)
 
+    def test_default_cap_refuses_an_endless_state_space(self):
+        class Endless:  # state i always moves on to i + 1
+            n_actions = 1
+            initial_states = staticmethod(lambda: [(0, 1.0)])
+            is_terminal = staticmethod(lambda s: False)
+            transitions = staticmethod(lambda s, a: [(s + 1, 1.0)])
+            features = staticmethod(lambda s: [0.0])
+
+        with pytest.raises(envs.StateSpaceTooLargeError, match="more than 250000 reachable"):
+            build_env_model(Endless())
+
+    @pytest.mark.parametrize("probs", [(-0.5, 1.5), (math.nan, 1.0), (math.inf, 0.0),
+                                       (0.5, 0.6), (0.25, 0.25)])
+    def test_bad_start_probabilities_rejected(self, probs):
+        env = _map_env("ctf7")
+        starts = [s for s, _ in env.initial_states()][:2]
+        env.initial_states = lambda: list(zip(starts, probs))
+        with pytest.raises(ValueError, match="start probabilities must"):
+            build_env_model(env)
+
     def test_terminal_start_is_not_a_size_error(self):
         env = envs.NavEnv(envs.NavMap.parse(CORRIDOR))
         env.initial_states = lambda: [(envs.NavState(env.map.goal), 1.0)]
         # a ValueError (exit 4 from the CLI), not the size error (exit 3)
         with pytest.raises(ValueError, match="start states must be non-terminal"):
             build_env_model(env)
+
+
+def _assert_start_draws_match_choice(mdp, seed, draws=300):
+    """``initial_product_state`` picks as ``rng.choice(start_rows, p=start_probs)``
+    and leaves the generator in the same state."""
+    m = mdp.model
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        row = ref.choice(m.start_rows, p=m.start_probs)
+        assert mdp.initial_product_state(rng) == (m.rows[row], fa.Q0_I)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestInitialProductState:
+    def test_matches_choice_on_random_start_ctf7(self):
+        model = build_env_model(_map_env("ctf7"))
+        assert len(model.start_rows) == 540
+        mdp = _mdp(model, (fm.AtomicPredicate(0, "psi0", 1, 1.0),
+                           fm.AtomicPredicate(1, "psi1", 2, 1.5)))
+        for seed in range(3):
+            _assert_start_draws_match_choice(mdp, seed, draws=2000)
+
+    @PROPERTY
+    @given(product_mdps(), st.integers(0, 2**32))
+    def test_matches_choice_on_random_multi_start_maps(self, mdp, seed):
+        assume(len(mdp.model.start_rows) > 1)
+        _assert_start_draws_match_choice(mdp, seed)
 
 
 class TestConstruction:

@@ -73,6 +73,19 @@ def _reference_soft_vi(branches, mdp, cfg):
     raise AssertionError("reference soft VI did not converge")
 
 
+def _combat_mdp(start_probs=None):
+    """A product MDP on a small CtF map with random starts and combat cells;
+    ``start_probs`` replaces the uniform start distribution."""
+    env = envs.CtfEnv(envs.GridMap.parse("Bbbrr\nbbbrr\nbbbrR\n", random_starts=True))
+    if start_probs is not None:
+        starts = [s for s, _ in env.initial_states()]
+        env.initial_states = lambda: list(zip(starts, start_probs))
+    preds = (fm.AtomicPredicate(0, "psi0", 1, 1.0),
+             fm.AtomicPredicate(1, "psi1", 2, 1.5))
+    canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
+    return ProductMdp(build_env_model(env), fa.build_fspa(canon, preds))
+
+
 def _reference_product_step(mdp, product_state, action, rng):
     """One sampled transition, read from the numpy transition table: the
     draw is compared against ``np.cumsum`` of the cell's probabilities."""
@@ -333,14 +346,9 @@ class TestQLearningAgainstReference:
         self._assert_same_training(mdp, cfg, seed)
 
     def test_matches_reference_with_random_starts_and_combat(self):
-        model = build_env_model(envs.CtfEnv(envs.GridMap.parse(
-            "Bbbrr\nbbbrr\nbbbrR\n", random_starts=True)))
-        assert len(model.start_rows) > 1
-        assert (np.diff(model.cell_offsets) > 1).any()   # kill branches
-        preds = (fm.AtomicPredicate(0, "psi0", 1, 1.0),
-                 fm.AtomicPredicate(1, "psi1", 2, 1.5))
-        canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
-        mdp = ProductMdp(model, fa.build_fspa(canon, preds))
+        mdp = _combat_mdp()
+        assert len(mdp.model.start_rows) > 1
+        assert (np.diff(mdp.model.cell_offsets) > 1).any()   # kill branches
         cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, tau=0.05, episodes=40)
         for seed in range(3):
             self._assert_same_training(mdp, cfg, seed)
@@ -352,6 +360,67 @@ class TestQLearningAgainstReference:
         assert len(candidates) == 96
         for seed, canon in enumerate(candidates):
             self._assert_same_training(ev.build_mdp(canon), cfg, seed)
+
+
+class _NoScalarCalls:
+    """A PCG64-backed stand-in for a Generator whose scalar draws raise."""
+
+    def __init__(self, seed):
+        self.bit_generator = np.random.PCG64(seed)
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("q_learning called a Generator draw method")
+
+    integers = choice = random
+
+
+class TestPcg64Draws:
+    """``rl._Pcg64Draws`` copies numpy's algorithms; these tests pin it to the
+    installed numpy's stream."""
+
+    NUMPY = f"numpy {np.__version__}: Generator's stream differs from rl._Pcg64Draws"
+    # 2**31 + 1 rejects about half its draws; above 2**31 the threshold is 2**32 - n
+    RANGES = (1, 2, 3, 5, 7, 2**31 + 1, 3 * 2**30)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_stream_matches_numpy(self, seed):
+        ops = np.random.default_rng(1000 + seed)
+        probs = ops.random(6)
+        probs[ops.random(6) < 0.3] = 0.0
+        probs[0] += 0.1
+        mdp = _combat_mdp(probs / probs.sum())
+        m = mdp.model
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:       # start with half a word buffered
+            assert rng.integers(5) == ref.integers(5)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        draws = rl._Pcg64Draws(rng, block=7)
+        for op, k in zip(ops.integers(3, size=20_000), ops.integers(len(self.RANGES), size=20_000)):
+            if op == 0:
+                assert draws.random() == ref.random(), self.NUMPY
+            elif op == 1:
+                n = self.RANGES[k]
+                assert draws.integers(n) == ref.integers(n), self.NUMPY
+            else:
+                row = ref.choice(m.start_rows, p=m.start_probs)
+                assert mdp.initial_product_state(draws) == (m.rows[row], fa.Q0_I), self.NUMPY
+        draws.close()
+        assert rng.bit_generator.state == ref.bit_generator.state, self.NUMPY
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
+    def test_q_learning_needs_pcg64(self, bit_generator):
+        cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, episodes=2)
+        with pytest.raises(ValueError, match=f"PCG64 bit generator, got {bit_generator.__name__}"):
+            rl.q_learning(_corridor_mdp(), cfg, np.random.Generator(bit_generator(0)))
+
+    def test_q_learning_makes_no_generator_draw_calls(self):
+        mdp = _combat_mdp()
+        cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, tau=0.05, episodes=40)
+        for seed in range(3):
+            stand_in, rng = _NoScalarCalls(seed), np.random.default_rng(seed)
+            policy = rl.q_learning(mdp, cfg, stand_in)
+            assert np.array_equal(policy.probs, rl.q_learning(mdp, cfg, rng).probs)
+            assert stand_in.bit_generator.state == rng.bit_generator.state
 
 
 class TestPolicyEntropy:
