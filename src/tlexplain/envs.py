@@ -21,7 +21,7 @@ Both expose the same four-call tabular interface, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,7 +183,14 @@ class CtfState:
 
 
 class CtfEnv:
-    """Adversarial gridworld; the blue agent is the policy under study."""
+    """Adversarial gridworld; the blue agent is the policy under study.
+
+    Enumeration asks for the same cells again and again, so the env keeps
+    three tables of its own: each passable cell's move under each action
+    (built here), the red defender's move per (blue cell, red cell) pair,
+    and ``d_ba_bt`` per blue cell (both filled on first use).  They belong
+    to this instance: a new env starts with empty memos.
+    """
 
     n_actions = len(ACTION_NAMES)
     action_names = ACTION_NAMES
@@ -194,6 +201,14 @@ class CtfEnv:
         self.grid = grid
         self._border = grid.border_cells()
         self._bt_cells = sorted(grid.blue_territory)
+        self._moves: dict[Cell, tuple[Cell, ...]] = {}
+        for r in range(grid.height):
+            for c in range(grid.width):
+                if grid.passable((r, c)):
+                    nxt = [(r + dr, c + dc) for dr, dc in ACTION_DELTAS]
+                    self._moves[r, c] = tuple(n if grid.passable(n) else (r, c) for n in nxt)
+        self._red_moves: dict[tuple[Cell, Cell], Cell] = {}
+        self._d_ba_bt: dict[Cell, float] = {}
 
     # -- dynamics ----------------------------------------------------------
 
@@ -210,50 +225,49 @@ class CtfEnv:
         # explained (blue) agent dying or either flag falling ends it
         return not s.blue_alive or s.blue_captured or s.red_captured
 
-    def _move(self, cell: Cell, action: int) -> Cell:
-        dr, dc = ACTION_DELTAS[action]
-        nxt = (cell[0] + dr, cell[1] + dc)
-        return nxt if self.grid.passable(nxt) else cell
-
     def _red_move(self, blue: Cell, red: Cell) -> Cell:
         """Deterministic defense: chase blue near the border, else hold it.
 
         Ties among equally good moves resolve in fixed action order.
         """
+        best = self._red_moves.get((blue, red))
+        if best is not None:
+            return best
         near_border = min(chebyshev(blue, b) for b in self._border) <= 2
         target_dist = ((lambda c: euclidean(c, blue)) if near_border
                        else (lambda c: min(euclidean(c, b) for b in self._border)))
         best, best_d = red, target_dist(red)
-        for a in range(4):
-            cand = self._move(red, a)
+        for cand in self._moves[red][:4]:
             d = target_dist(cand)
             if d < best_d - 1e-12:
                 best, best_d = cand, d
+        self._red_moves[blue, red] = best
         return best
 
-    def _finish(self, s: CtfState) -> CtfState:
-        if s.blue_alive and s.blue == self.grid.red_flag:
-            s = replace(s, blue_captured=True)
-        if s.red_alive and s.red == self.grid.blue_flag:
-            s = replace(s, red_captured=True)
-        return s
-
     def transitions(self, s: CtfState, action: int) -> list[tuple[CtfState, float]]:
-        """Exact next-state distribution for (state, action)."""
+        """Exact next-state distribution for (state, action).
+
+        In a non-terminal state blue is alive and neither flag is taken, so
+        each successor's flags follow from where the survivors stand.
+        """
         if self.is_terminal(s):
             raise StepOnTerminalError(f"step on terminal state {s}")
-        blue = self._move(s.blue, action)
-        red = self._red_move(blue, s.red) if s.red_alive else s.red
-        moved = replace(s, blue=blue, red=red)
-        if s.red_alive and chebyshev(blue, red) <= 1:
+        grid = self.grid
+        blue = self._moves[s.blue][action]
+        blue_captured = blue == grid.red_flag
+        if not s.red_alive:
+            return [(CtfState(blue, s.red, True, False, blue_captured), 1.0)]
+        red = self._red_move(blue, s.red)
+        red_captured = red == grid.blue_flag
+        moved = CtfState(blue, red, True, True, blue_captured, red_captured)
+        if chebyshev(blue, red) <= 1:
             # combat: territory of the blue agent's cell decides the defender
-            if blue in self.grid.blue_territory:
-                dead = replace(moved, red_alive=False)
+            if blue in grid.blue_territory:
+                dead = CtfState(blue, red, True, False, blue_captured, False)
             else:
-                dead = replace(moved, blue_alive=False)
-            return [(self._finish(dead), self.kill_prob),
-                    (self._finish(moved), 1.0 - self.kill_prob)]
-        return [(self._finish(moved), 1.0)]
+                dead = CtfState(blue, red, False, True, False, red_captured)
+            return [(dead, self.kill_prob), (moved, 1.0 - self.kill_prob)]
+        return [(moved, 1.0)]
 
     # -- features ----------------------------------------------------------
 
@@ -264,10 +278,12 @@ class CtfEnv:
         d_ba_ra = euclidean(s.blue, s.red) if (s.blue_alive and s.red_alive) else d_max
         if not s.blue_alive:
             d_ba_bt = d_max
-        elif s.blue in self.grid.blue_territory:
-            d_ba_bt = 0.0
         else:
-            d_ba_bt = min(euclidean(s.blue, c) for c in self._bt_cells)
+            d_ba_bt = self._d_ba_bt.get(s.blue)
+            if d_ba_bt is None:
+                d_ba_bt = self._d_ba_bt[s.blue] = (
+                    0.0 if s.blue in self.grid.blue_territory
+                    else min(euclidean(s.blue, c) for c in self._bt_cells))
         return np.array([d_ra_bf, d_ba_rf, d_ba_ra, d_ba_bt])
 
 

@@ -372,12 +372,14 @@ def class_size(n: int) -> int:
                         for k in range(1, n))
 
 
-def enumerate_all(predicates, cap: int = 6) -> list[CanonicalExplanation]:
+def enumerate_all(predicates, cap: int = 6, keys: dict | None = None
+                  ) -> list[CanonicalExplanation]:
     """Every distinct canonical explanation over the predicate set.
 
     For each F/G split of the predicates and each negation pattern, takes
     the product of the two parts' shapes; distinct splits, negations or
-    shapes give distinct explanations.  Sorted by rendered key.
+    shapes give distinct explanations.  Sorted by rendered key; with
+    ``keys``, each explanation's key is also stored there under it.
     """
     n = len(predicates)
     if n > cap:
@@ -390,7 +392,11 @@ def enumerate_all(predicates, cap: int = 6) -> list[CanonicalExplanation]:
             f_shapes = _part_shapes([(i, neg[i]) for i in range(n) if not temporal[i]])
             g_shapes = _part_shapes([(i, neg[i]) for i in range(n) if temporal[i]])
             out.extend(CanonicalExplanation(f, g) for f in f_shapes for g in g_shapes)
-    return sorted(out, key=lambda canon: render(canon, predicates))
+    keyed = sorted(((render(canon, predicates), canon) for canon in out),
+                   key=lambda pair: pair[0])
+    if keys is not None:
+        keys.update((canon, key) for key, canon in keyed)
+    return [canon for _, canon in keyed]
 
 
 # ---------------------------------------------------------------------------

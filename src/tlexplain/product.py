@@ -111,7 +111,7 @@ def build_env_model(env, cap: int = 250_000) -> EnvModel:
     states = list(index)
     n_actions = env.n_actions
     rows, row_of = [], []
-    b_row, b_act, b_next, b_prob = [], [], [], []
+    b_next, b_prob = [], []
     offsets = [0]
     # the loop also visits the states it appends, so it ends when every
     # reached state has been visited
@@ -121,25 +121,24 @@ def build_env_model(env, cap: int = 250_000) -> EnvModel:
         if env.is_terminal(s):
             row_of.append(-1)
             continue
-        r = len(rows)
+        row_of.append(len(rows))
         rows.append(i)
-        row_of.append(r)
         for a in range(n_actions):
             for nxt, p in env.transitions(s, a):
                 j = index.get(nxt)
                 if j is None:
                     j = index[nxt] = len(states)
                     states.append(nxt)
-                b_row.append(r)
-                b_act.append(a)
                 b_next.append(j)
                 b_prob.append(p)
-            offsets.append(len(b_row))
+            offsets.append(len(b_next))
 
-    row_of = np.array(row_of)
+    row_of, offsets = np.array(row_of), np.array(offsets)
+    # cell k = row * n_actions + action holds branches offsets[k]:offsets[k + 1]
+    cell = np.repeat(np.arange(len(rows) * n_actions), np.diff(offsets))
     return EnvModel(env, states, np.array([env.features(s) for s in states]),
-                    np.array(rows), row_of, np.array(b_row), np.array(b_act),
-                    np.array(b_next), np.array(b_prob), np.array(offsets),
+                    np.array(rows), row_of, cell // n_actions, cell % n_actions,
+                    np.array(b_next), np.array(b_prob), offsets,
                     row_of[[index[s] for s, _ in starts]], np.array(probs))
 
 

@@ -130,6 +130,8 @@ class Evaluator:
         self.sample = sample
         self.cfg = cfg
         self.cache: dict[str, metrics.UtilityRecord] = {}
+        # rendered key of every explanation evaluated or enumerated here
+        self.keys: dict[fm.CanonicalExplanation, str] = {}
         # digest of (q_next, reward_next) -> one (q_next, reward_next, record)
         self._products: dict[bytes, tuple[np.ndarray, np.ndarray, metrics.UtilityRecord]] = {}
         self.n_unreachable = 0
@@ -166,7 +168,9 @@ class Evaluator:
         return replicates[best], records[best]
 
     def evaluate(self, canon: fm.CanonicalExplanation) -> metrics.UtilityRecord:
-        key = fm.render(canon, self.predicates)
+        key = self.keys.get(canon)
+        if key is None:
+            key = self.keys[canon] = fm.render(canon, self.predicates)
         if key not in self.cache:
             self.cache[key] = self._score(key, self.build_mdp(canon))
         return self.cache[key]
@@ -330,10 +334,12 @@ def brute_force_oracle(evaluator: Evaluator
 
     Returns (ranked unfiltered records, filtered records); the ranking is by
     utility descending with the rendered key as tiebreak.  The enumeration
-    obeys ``search.enumeration_cap``.
+    obeys ``search.enumeration_cap``, and its sort renders each key once for
+    ``Evaluator.evaluate`` to look up.
     """
     ranked, filtered = [], []
-    for canon in fm.enumerate_all(evaluator.predicates, cap=evaluator.params.enumeration_cap):
+    for canon in fm.enumerate_all(evaluator.predicates, cap=evaluator.params.enumeration_cap,
+                                  keys=evaluator.keys):
         record = evaluator.evaluate(canon)
         (filtered if record.filtered else ranked).append(record)
     ranked.sort(key=lambda r: (-r.utility, r.key))

@@ -1,6 +1,8 @@
 """Gridworld environments: maps, dynamics, combat, features, enumeration."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,13 @@ bb#rr
 bb#rr
 bbbrR
 """
+
+# random starts put blue and red next to each other on both sides of the border
+CTF_COMBAT = "Bbbrr\nbbbrr\nbbbrR\n"
+# the blue flag is on the border, so red can die standing on it
+CTF_FLAG_SIDE = "bBrrR\nbbrrr\n"
+
+ROOT = Path(__file__).resolve().parent.parent
 
 NAV_TEXT = """\
 S..G
@@ -271,6 +280,149 @@ class TestCtfEnumerate:
         assert env.initial_states()[0][0] in states
         with pytest.raises(envs.StateSpaceTooLargeError, match="more than 10 reachable"):
             build_env_model(env, cap=10)
+
+
+# ---------------------------------------------------------------------------
+# CtF reference semantics: the dynamics and features computed afresh on
+# every call, with no tables or memos, as the env first computed them
+# ---------------------------------------------------------------------------
+
+
+def _ref_move(grid, cell, action):
+    dr, dc = envs.ACTION_DELTAS[action]
+    nxt = (cell[0] + dr, cell[1] + dc)
+    return nxt if grid.passable(nxt) else cell
+
+
+def _ref_red_move(grid, blue, red):
+    border = grid.border_cells()
+    near_border = min(envs.chebyshev(blue, b) for b in border) <= 2
+    target_dist = ((lambda c: envs.euclidean(c, blue)) if near_border
+                   else (lambda c: min(envs.euclidean(c, b) for b in border)))
+    best, best_d = red, target_dist(red)
+    for a in range(4):
+        cand = _ref_move(grid, red, a)
+        d = target_dist(cand)
+        if d < best_d - 1e-12:
+            best, best_d = cand, d
+    return best
+
+
+def _ref_finish(grid, s):
+    if s.blue_alive and s.blue == grid.red_flag:
+        s = replace(s, blue_captured=True)
+    if s.red_alive and s.red == grid.blue_flag:
+        s = replace(s, red_captured=True)
+    return s
+
+
+def _ref_is_terminal(s):
+    return not s.blue_alive or s.blue_captured or s.red_captured
+
+
+def _ref_transitions(env, s, action):
+    grid = env.grid
+    if _ref_is_terminal(s):
+        raise envs.StepOnTerminalError(f"step on terminal state {s}")
+    blue = _ref_move(grid, s.blue, action)
+    red = _ref_red_move(grid, blue, s.red) if s.red_alive else s.red
+    moved = replace(s, blue=blue, red=red)
+    if s.red_alive and envs.chebyshev(blue, red) <= 1:
+        if blue in grid.blue_territory:
+            dead = replace(moved, red_alive=False)
+        else:
+            dead = replace(moved, blue_alive=False)
+        return [(_ref_finish(grid, dead), env.kill_prob),
+                (_ref_finish(grid, moved), 1.0 - env.kill_prob)]
+    return [(_ref_finish(grid, moved), 1.0)]
+
+
+def _ref_features(env, s):
+    grid = env.grid
+    d_max = grid.diagonal
+    d_ra_bf = envs.euclidean(s.red, grid.blue_flag) if s.red_alive else d_max
+    d_ba_rf = envs.euclidean(s.blue, grid.red_flag) if s.blue_alive else d_max
+    d_ba_ra = envs.euclidean(s.blue, s.red) if (s.blue_alive and s.red_alive) else d_max
+    if not s.blue_alive:
+        d_ba_bt = d_max
+    elif s.blue in grid.blue_territory:
+        d_ba_bt = 0.0
+    else:
+        d_ba_bt = min(envs.euclidean(s.blue, c) for c in sorted(grid.blue_territory))
+    return np.array([d_ra_bf, d_ba_rf, d_ba_ra, d_ba_bt])
+
+
+def _ref_reachable(env):
+    """Every state reachable under the reference dynamics, breadth-first."""
+    seen = dict.fromkeys(s for s, _ in env.initial_states())
+    states = list(seen)
+    for s in states:
+        if not _ref_is_terminal(s):
+            for a in range(env.n_actions):
+                for nxt, _ in _ref_transitions(env, s, a):
+                    if nxt not in seen:
+                        seen[nxt] = None
+                        states.append(nxt)
+    return states
+
+
+def _assert_matches_reference(env, states):
+    """``env``'s terminal test, branches (states, order, probability bits)
+    and feature bits equal the reference on every state and action."""
+    for s in states:
+        assert env.is_terminal(s) == _ref_is_terminal(s)
+        got, want = env.features(s), _ref_features(env, s)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), s
+        if env.is_terminal(s):
+            continue
+        for a in range(env.n_actions):
+            got, want = env.transitions(s, a), _ref_transitions(env, s, a)
+            assert repr(got) == repr(want), (s, a)
+            assert [p.hex() for _, p in got] == [p.hex() for _, p in want]
+
+
+def _ctf_map(name):
+    if name == "ctf5":
+        return envs.GridMap.parse((ROOT / "configs/maps/ctf5.txt").read_text())
+    if name == "ctf7":
+        return envs.GridMap.parse((ROOT / "perfbench/maps/ctf7.txt").read_text(),
+                                  random_starts=True)
+    text = {"combat": CTF_COMBAT, "flag-side": CTF_FLAG_SIDE}[name]
+    return envs.GridMap.parse(text, random_starts=True)
+
+
+class TestCtfAgainstReference:
+    @pytest.mark.parametrize("name", ["ctf5", "ctf7", "combat", "flag-side"])
+    def test_every_reachable_state_and_action(self, name):
+        env = envs.CtfEnv(_ctf_map(name))
+        states = _ref_reachable(env)
+        _assert_matches_reference(env, states)
+        # the model enumerates exactly the reference's states, in its order
+        assert build_env_model(envs.CtfEnv(_ctf_map(name))).states == states
+
+    def test_combat_map_fights_in_both_territories(self):
+        env = envs.CtfEnv(_ctf_map("combat"))
+        outcomes = [nxt for s in _ref_reachable(env) if not _ref_is_terminal(s)
+                    and s.red_alive for a in range(env.n_actions)
+                    for nxt, _ in _ref_transitions(env, s, a)]
+        assert any(not nxt.red_alive for nxt in outcomes)
+        assert any(not nxt.blue_alive for nxt in outcomes)
+
+    def test_memos_belong_to_one_env(self):
+        # the two maps share cells but not borders or territories, so a
+        # memo shared between envs would hand one map the other's moves
+        first, second = envs.CtfEnv(_ctf_map("ctf5")), envs.CtfEnv(
+            envs.GridMap.parse(CTF_WALLED))
+        model = build_env_model(first)
+        build_env_model(second)
+        _assert_matches_reference(second, _ref_reachable(second))
+        again = envs.CtfEnv(_ctf_map("ctf5"))
+        assert not again._red_moves and not again._d_ba_bt
+        rebuilt = build_env_model(again)
+        assert rebuilt.states == model.states
+        for name in ("features", "branch_next", "branch_prob", "cell_offsets"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(model, name)), name
+        _assert_matches_reference(again, rebuilt.states)
 
 
 # ---------------------------------------------------------------------------

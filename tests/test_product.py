@@ -218,6 +218,18 @@ class TestBuildEnvModel:
             build_env_model(env)
 
 
+class TestModelSizes:
+    @pytest.mark.parametrize("name, states, rows, branches, start_rows", [
+        ("ctf5", 502, 462, 2_617, 1),
+        ("ctf7", 1_954, 1_816, 10_337, 540),   # random starts
+        ("nav10", 100, 96, 480, 1),
+    ])
+    def test_counts(self, name, states, rows, branches, start_rows):
+        model = build_env_model(_map_env(name))
+        assert (len(model.states), model.n_rows, len(model.branch_prob),
+                len(model.start_rows)) == (states, rows, branches, start_rows)
+
+
 def _assert_start_draws_match_choice(mdp, seed, draws=300):
     """``initial_product_state`` picks as ``rng.choice(start_rows, p=start_probs)``
     and leaves the generator in the same state."""

@@ -235,6 +235,15 @@ class TestBruteForceOracle:
         with pytest.raises(fm.CapExceededError):
             brute_force_oracle(fresh_evaluator(reference_runtime, search=params))
 
+    def test_renders_each_key_once(self, reference_runtime, monkeypatch):
+        # the enumeration's sort renders the keys; evaluation reuses them
+        rendered = []
+        render = fm.render
+        monkeypatch.setattr(fm, "render",
+                            lambda canon, preds: rendered.append(canon) or render(canon, preds))
+        ranked, filtered = brute_force_oracle(fresh_evaluator(reference_runtime))
+        assert len(rendered) == len(set(rendered)) == len(ranked) + len(filtered) == 96
+
     def test_search_never_beats_oracle(self, oracle, reference_runtime):
         ranked, _ = oracle
         result = multi_start(fresh_evaluator(reference_runtime),
