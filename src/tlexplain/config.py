@@ -237,7 +237,7 @@ def _nav_shaped_target(cfg: RunConfig, model: EnvModel) -> rl.TabularPolicy:
     table = TransitionTable(model.n_rows, model.n_actions, model.branch_row,
                             model.branch_action, model.row_of[nxt], model.branch_prob,
                             reward)
-    return rl.soft_value_iteration(table, cfg.reward.gamma, cfg.trainer)
+    return rl.soft_value_iteration([table], cfg.reward.gamma, cfg.trainer)[0]
 
 
 def build_runtime(cfg: RunConfig) -> Runtime:

@@ -21,7 +21,12 @@ Q_LEARNING = "q-learning"
 
 
 class NoConvergenceError(RuntimeError):
-    pass
+    """``index`` is the position, in the trained batch, of the table that
+    did not converge."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class EmptySampleError(ValueError):
@@ -91,19 +96,20 @@ class TabularPolicy:
 
 
 def _action_softmax(q: np.ndarray, tau: float):
-    """Max-shifted softmax of ``q / tau`` over axis 0: ``(m, z, s)``.
+    """Max-shifted softmax of ``q / tau`` over axis -2: ``(m, z, s)``.
 
-    ``q`` is action-major, shape ``(n_actions, n_rows)``: with few actions,
-    numpy reduces over the leading axis several times faster than over a
-    short trailing one.  ``m`` is the max over actions,
+    ``q`` is action-major, shape ``(n_actions, n_rows)`` or, for a batch,
+    ``(K, n_actions, n_rows)``: with few actions, numpy reduces over an
+    outer axis several times faster than over a short trailing one.  ``m`` is the max over actions,
     ``z = exp((q - m) / tau)`` and ``s`` its sum, so the soft value is
-    ``m + tau * log(s)`` and the policy is ``(z / s).T``.
+    ``m + tau * log(s)`` and a table's policy is ``(z / s).T``.  ``z`` is
+    computed in place: ``q`` is overwritten.
     """
-    m = q.max(axis=0)
-    z = q - m
-    z /= tau
-    np.exp(z, out=z)
-    return m, z, z.sum(axis=0)
+    m = q.max(axis=-2)
+    q -= m[..., None, :]
+    q /= tau
+    np.exp(q, out=q)
+    return m, q, q.sum(axis=-2)
 
 
 def _policy_rows(z: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -111,38 +117,88 @@ def _policy_rows(z: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((z / s).T)
 
 
-def soft_value_iteration(table: TransitionTable, gamma: float,
-                         cfg: TrainerConfig) -> TabularPolicy:
-    """Iterate the soft Bellman backup to tolerance; seed-independent.
+def soft_value_iteration(tables: list[TransitionTable], gamma: float,
+                         cfg: TrainerConfig) -> list[TabularPolicy]:
+    """Iterate the soft Bellman backup to tolerance on each table; one
+    policy per table, seed-independent.
 
-    Everything that does not depend on ``v`` is computed once: the flat
-    action-major cell of each branch, the expected immediate reward per
-    cell, and the discounted weights of branches into non-terminal rows.
-    A sweep is then one ``bincount`` plus a log-sum-exp over actions.
+    The tables must share ``n_rows`` and ``n_actions`` and sweep together.
+    Everything that does not depend on ``v`` is computed once: the
+    action-major cell of each branch, offset by the table's slot in the
+    batch, the expected immediate reward per cell, and the discounted
+    weights of branches into non-terminal rows.  A sweep is then one
+    ``bincount`` plus one log-sum-exp over actions for the whole batch;
+    ``v`` is ``(K, n_rows)`` for ``K`` tables.  Each cell sums the same
+    terms in the same order as it would for its table alone, so each
+    policy is bit for bit what the table would get by itself.
+
+    Each table keeps its own residual and gets its policy on the sweep
+    where that residual first falls below tolerance; the batch then drops
+    it and sweeps on with the rest.  If tables are still unconverged after
+    ``max_iterations`` sweeps, the error names the first of them.
     """
-    n_rows, n_actions = table.n_rows, table.n_actions
-    n_cells = n_rows * n_actions
-    cells = table.branch_action * n_rows + table.branch_row
-    base = np.bincount(cells, weights=table.branch_prob * table.branch_reward,
-                       minlength=n_cells)
-    live = table.branch_next_row >= 0
-    live_cells = cells[live]
-    live_next = table.branch_next_row[live]
-    live_w = gamma * table.branch_prob[live]
-    tau = cfg.tau
-    v = np.zeros(n_rows)
+    if not tables:
+        return []
+    n_rows, n_actions = tables[0].n_rows, tables[0].n_actions
+    if any((t.n_rows, t.n_actions) != (n_rows, n_actions) for t in tables):
+        raise ValueError("tables trained together must share n_rows and n_actions")
+    block = n_rows * n_actions           # cells of one table
+    base, cells, nxt, weight, sizes = [], [], [], [], []
+    for k, t in enumerate(tables):
+        table_cells = t.branch_action * n_rows + t.branch_row
+        base.append(np.bincount(table_cells, weights=t.branch_prob * t.branch_reward,
+                                minlength=block))
+        live = t.branch_next_row >= 0
+        cells.append(table_cells[live] + k * block)
+        nxt.append(t.branch_next_row[live] + k * n_rows)
+        weight.append(gamma * t.branch_prob[live])
+        sizes.append(len(weight[-1]))        # live branches per slot
+    base, cells, nxt, weight = map(np.concatenate, (base, cells, nxt, weight))
+    tau, tolerance = cfg.tau, cfg.tolerance
+    alive = list(range(len(tables)))     # the table in each slot
+    policies: list[TabularPolicy | None] = [None] * len(tables)
+    v = np.zeros((len(tables), n_rows))
     for _ in range(cfg.max_iterations):
-        q = base + np.bincount(live_cells, weights=live_w * v[live_next],
-                               minlength=n_cells)
-        m, z, s = _action_softmax(q.reshape(n_actions, n_rows), tau)
-        v_new = m + tau * np.log(s)
-        delta = np.abs(v_new - v).max()
+        v_next = v.take(nxt)
+        v_next *= weight
+        # with no branch into a live row, bincount returns int64 zeros
+        q = (np.bincount(cells, weights=v_next, minlength=base.size)
+             if cells.size else np.zeros(base.size))
+        q += base
+        m, z, s = _action_softmax(q.reshape(len(alive), n_actions, n_rows), tau)
+        v_new = np.log(s)
+        v_new *= tau
+        v_new += m
+        diff = v_new - v
+        np.abs(diff, out=diff)
+        delta = diff.max(axis=1).tolist()
         v = v_new
-        if delta < cfg.tolerance:
-            return TabularPolicy(_policy_rows(z, s), tau, EXACT_SOFT_VI)
+        if min(delta) >= tolerance:       # False when some residual is NaN
+            continue
+        done = [d < tolerance for d in delta]
+        for k in (k for k, d in enumerate(done) if d):
+            policies[alive[k]] = TabularPolicy(_policy_rows(z[k], s[k]), tau, EXACT_SOFT_VI)
+        if all(done):
+            return policies
+        # drop the finished slots; each other slot moves down by the number
+        # of finished slots before it.  One array is replaced at a time, so
+        # that old and new copies of all of them never coexist.
+        keep = np.logical_not(done)
+        kept = np.repeat(keep, sizes)
+        sizes = [n for n, d in zip(sizes, done) if not d]
+        shift = np.repeat(np.cumsum(done)[keep], sizes) * n_rows
+        nxt = nxt[kept]
+        nxt -= shift
+        shift *= n_actions
+        cells = cells[kept]
+        cells -= shift
+        weight = weight[kept]
+        base, v = base.reshape(len(done), block)[keep].ravel(), v[keep]
+        alive = [i for i, d in zip(alive, done) if not d]
+        delta = [r for r, d in zip(delta, done) if not d]
     raise NoConvergenceError(
-        f"soft value iteration did not reach tolerance {cfg.tolerance} in "
-        f"{cfg.max_iterations} sweeps (final residual {delta:.3g})")
+        f"soft value iteration did not reach tolerance {tolerance} in "
+        f"{cfg.max_iterations} sweeps (final residual {delta[0]:.3g})", alive[0])
 
 
 _BLOCK_WORDS = 1024  # raw words fetched per numpy call; larger blocks cost memory
@@ -255,7 +311,7 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) ->
 def train(mdp: ProductMdp, cfg: TrainerConfig,
           rng: np.random.Generator | None = None) -> TabularPolicy:
     if cfg.mode == EXACT_SOFT_VI:
-        return soft_value_iteration(mdp.table, mdp.reward.gamma, cfg)
+        return soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)[0]
     if rng is None:
         raise ValueError("q-learning needs an rng")
     return q_learning(mdp, cfg, rng)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +22,16 @@ from . import formula as fm
 from . import metrics, rl
 from .fspa import build_fspa
 from .product import SPARSE, ProductMdp
+
+
+# Soft-VI candidates that need training wait until their tables hold this
+# many cells (rows x actions), then train as one ``rl.soft_value_iteration``
+# batch.  Sized for memory as well as time: a batch peaks at 45-90 bytes per
+# cell (traced on ctf5, ctf7 and nav10: the waiting transition tables, VI
+# arrays and sweep temporaries), so near 2 MB.  24,000 cells are 11 ctf5
+# candidates; 30,000 (13) trained the ctf5 oracle 4% faster but raised its
+# peak RSS by 2.6 MB, not 1.7 MB.
+VI_BATCH_CELLS = 24_000
 
 
 class EmptyBufferError(RuntimeError):
@@ -83,6 +93,21 @@ class _BufferEntry:
     enc: fm.ExplanationEncoding
 
 
+@dataclass
+class _Batch:
+    """Candidates of one ``Evaluator.evaluate_many`` call not yet in the
+    cache, in evaluation order.  ``queue`` maps each key to its record, or
+    to the key of the candidate in ``train`` whose record it copies;
+    ``products`` and the counters are committed with the records."""
+
+    queue: dict = field(default_factory=dict)
+    train: list = field(default_factory=list)     # (key, ProductMdp)
+    products: dict = field(default_factory=dict)
+    cells: int = 0
+    unreachable: int = 0
+    product_hits: int = 0
+
+
 def _key_stream(seed: int, key: str, purpose: int) -> np.random.Generator:
     """Deterministic rng keyed by (run seed, explanation, purpose)."""
     return np.random.default_rng(
@@ -117,9 +142,10 @@ class Evaluator:
       (``ProductMdp.acceptance_reachable``) is filtered untrained, since
       every reward its runs can earn is <= 0.
     - ``n_product_hits`` (soft VI only): a candidate whose ``q_next`` and
-      ``reward_next`` equal an earlier candidate's has the same transition
-      table, so the same policy, return and wKL; it gets a copy of that
-      record under its own key.
+      ``reward_next`` equal an earlier candidate's, even one still waiting
+      in the same training batch, has the same transition table, so the
+      same policy, return and wKL; it gets a copy of that record under its
+      own key.
     """
 
     def __init__(self, model, predicates, target: rl.TabularPolicy,
@@ -132,8 +158,9 @@ class Evaluator:
         self.cache: dict[str, metrics.UtilityRecord] = {}
         # rendered key of every explanation evaluated or enumerated here
         self.keys: dict[fm.CanonicalExplanation, str] = {}
-        # digest of (q_next, reward_next) -> one (q_next, reward_next, record)
-        self._products: dict[bytes, tuple[np.ndarray, np.ndarray, metrics.UtilityRecord]] = {}
+        # digest of (q_next, reward_next) -> one (q_next, reward_next, key of
+        # the candidate trained on it)
+        self._products: dict[bytes, tuple[np.ndarray, np.ndarray, str]] = {}
         self.n_unreachable = 0
         self.n_product_hits = 0
 
@@ -168,38 +195,89 @@ class Evaluator:
         return replicates[best], records[best]
 
     def evaluate(self, canon: fm.CanonicalExplanation) -> metrics.UtilityRecord:
-        key = self.keys.get(canon)
-        if key is None:
-            key = self.keys[canon] = fm.render(canon, self.predicates)
-        if key not in self.cache:
-            self.cache[key] = self._score(key, self.build_mdp(canon))
-        return self.cache[key]
+        return self.evaluate_many([canon])[0]
 
-    def _score(self, key: str, mdp: ProductMdp) -> metrics.UtilityRecord:
+    def evaluate_many(self, canons) -> list[metrics.UtilityRecord]:
+        """The records of ``canons``, in order: each is what ``evaluate``
+        on one canon after another would give, and the cache and both
+        counters end up as they would.
+
+        Under soft VI the candidates that need training are trained
+        together, in batches of at least ``VI_BATCH_CELLS`` cells (the last
+        may be smaller); a batch's records enter the cache, in evaluation
+        order, once it has trained.  A candidate whose product equals a
+        waiting one's copies its record when that is known.  A batch that
+        does not converge raises the error the first of its unconverged
+        candidates would raise alone, and enters nothing into the cache.
+        Under Q-learning each candidate trains in turn.
+        """
+        keys = []
+        batch = _Batch()
+        for canon in canons:
+            key = self.keys.get(canon)
+            if key is None:
+                key = self.keys[canon] = fm.render(canon, self.predicates)
+            keys.append(key)
+            if key in self.cache or key in batch.queue:
+                continue
+            self._enqueue(key, self.build_mdp(canon), batch)
+            if batch.cells >= VI_BATCH_CELLS:
+                self._commit(batch)
+                batch = _Batch()
+        self._commit(batch)
+        return [self.cache[key] for key in keys]
+
+    def _enqueue(self, key: str, mdp: ProductMdp, batch: _Batch) -> None:
         if (self.cfg.reward.mode == SPARSE and self.cfg.search.return_threshold >= 0
                 and not mdp.acceptance_reachable()):
-            self.n_unreachable += 1
-            return metrics.UtilityRecord(key=key, wkl=None, utility=None,
-                                         mean_return=0.0, filtered=True)
+            batch.unreachable += 1
+            batch.queue[key] = metrics.UtilityRecord(key=key, wkl=None, utility=None,
+                                                     mean_return=0.0, filtered=True)
+            return
         if self.cfg.trainer.mode != rl.EXACT_SOFT_VI:
             # Q-learning draws from a stream keyed by ``key``: equal products
             # train to different policies
-            return self._train_and_score(key, mdp)
+            batch.queue[key] = self._record(key, mdp, *self.train_policy(mdp, key))
+            return
         digest = hashlib.blake2b(mdp.q_next.tobytes() + mdp.reward_next.tobytes()).digest()
-        product = self._products.get(digest)
+        product = self._products.get(digest) or batch.products.get(digest)
         if (product is not None and np.array_equal(product[0], mdp.q_next)
                 and np.array_equal(product[1], mdp.reward_next)):
-            self.n_product_hits += 1
-            return replace(product[2], key=key)
-        record = self._train_and_score(key, mdp)
-        self._products.setdefault(digest, (mdp.q_next, mdp.reward_next, record))
-        return record
+            batch.product_hits += 1
+            batch.queue[key] = product[2]
+            return
+        if digest not in self._products:
+            batch.products.setdefault(digest, (mdp.q_next, mdp.reward_next, key))
+        batch.queue[key] = key
+        batch.train.append((key, mdp))
+        batch.cells += mdp.table.n_rows * mdp.table.n_actions
 
-    def _train_and_score(self, key: str, mdp: ProductMdp) -> metrics.UtilityRecord:
-        try:
-            policy, scored = self.train_policy(mdp, key)
-        except rl.NoConvergenceError as exc:
-            raise rl.NoConvergenceError(f"candidate {key}: {exc}") from exc
+    def _commit(self, batch: _Batch) -> None:
+        """Train the batch, then enter its records into the cache in order."""
+        trained = {}
+        if batch.train:
+            tables = [mdp.table for _, mdp in batch.train]
+            try:
+                policies = rl.soft_value_iteration(tables, self.cfg.reward.gamma,
+                                                   self.trainer_cfg)
+            except rl.NoConvergenceError as exc:
+                raise rl.NoConvergenceError(
+                    f"candidate {batch.train[exc.index][0]}: {exc}") from exc
+            trained = {key: self._record(key, mdp, policy, None)
+                       for (key, mdp), policy in zip(batch.train, policies)}
+        for key, entry in batch.queue.items():
+            if isinstance(entry, str):
+                source = trained.get(entry) or self.cache[entry]
+                entry = source if entry == key else replace(source, key=key)
+            self.cache[key] = entry
+        self._products.update(batch.products)
+        self.n_unreachable += batch.unreachable
+        self.n_product_hits += batch.product_hits
+
+    def _record(self, key: str, mdp: ProductMdp, policy: rl.TabularPolicy,
+                scored: metrics.UtilityRecord | None) -> metrics.UtilityRecord:
+        """Filter or score a trained policy; ``scored`` is its utility
+        record when replicate selection has already computed it."""
         mean_return = mdp.average_return(policy)
         if mean_return <= self.cfg.search.return_threshold:
             return metrics.UtilityRecord(key=key, wkl=None, utility=None,
@@ -237,30 +315,29 @@ def eval_neighbors(enc: fm.ExplanationEncoding, ctx: _SearchContext, step: int,
     the plain neighborhood fails to beat the center explanation.
     """
     ev, params = ctx.evaluator, ctx.params
-    center = ev.evaluate(fm.decode(enc))
+    nbh = fm.neighborhood(enc)
+    center, *records = ev.evaluate_many([fm.decode(e) for e in [enc, *nbh]])
     ctx.touched.add(center.key)
     entries: dict[str, _BufferEntry] = {}
     if not center.filtered:
         entries[center.key] = _BufferEntry(center.key, center.utility, enc)
     seen = {center.key}
 
-    def consider(cand_enc, move):
-        record = ev.evaluate(fm.decode(cand_enc))
-        ctx.touched.add(record.key)
-        if record.key not in seen:
-            seen.add(record.key)
-            ctx.record(record, step, center.key, move)
-            if not record.filtered:
-                entries[record.key] = _BufferEntry(record.key, record.utility, cand_enc)
+    def consider(cands, records, move):
+        for cand_enc, record in zip(cands, records):
+            ctx.touched.add(record.key)
+            if record.key not in seen:
+                seen.add(record.key)
+                ctx.record(record, step, center.key, move)
+                if not record.filtered:
+                    entries[record.key] = _BufferEntry(record.key, record.utility, cand_enc)
 
-    nbh = fm.neighborhood(enc)
-    for cand in nbh:
-        consider(cand, move_label)
+    consider(nbh, records, move_label)
     buffer = _sorted_buffer(entries)
     stalled = not buffer or buffer[0].key == center.key
     if stalled and params.expansion_enabled:
-        for cand in fm.expansion(nbh, enc):
-            consider(cand, "expansion")
+        expansion = fm.expansion(nbh, enc)
+        consider(expansion, ev.evaluate_many([fm.decode(e) for e in expansion]), "expansion")
         buffer = _sorted_buffer(entries)
     if not buffer:
         raise EmptyBufferError(f"all candidates around {center.key} were filtered")
@@ -335,12 +412,12 @@ def brute_force_oracle(evaluator: Evaluator
     Returns (ranked unfiltered records, filtered records); the ranking is by
     utility descending with the rendered key as tiebreak.  The enumeration
     obeys ``search.enumeration_cap``, and its sort renders each key once for
-    ``Evaluator.evaluate`` to look up.
+    ``Evaluator.evaluate_many`` to look up.
     """
     ranked, filtered = [], []
-    for canon in fm.enumerate_all(evaluator.predicates, cap=evaluator.params.enumeration_cap,
-                                  keys=evaluator.keys):
-        record = evaluator.evaluate(canon)
+    canons = fm.enumerate_all(evaluator.predicates, cap=evaluator.params.enumeration_cap,
+                              keys=evaluator.keys)
+    for record in evaluator.evaluate_many(canons):
         (filtered if record.filtered else ranked).append(record)
     ranked.sort(key=lambda r: (-r.utility, r.key))
     filtered.sort(key=lambda r: r.key)

@@ -166,6 +166,12 @@ def product_mdp_pairs(draw):
     return tuple(_draw_products(draw, 2))
 
 
+@st.composite
+def product_mdp_batches(draw):
+    """One to five random product MDPs that differ only in their explanation."""
+    return _draw_products(draw, draw(st.integers(1, 5)))
+
+
 def full_horizon_return(mdp, policy) -> float:
     """``ProductMdp.average_return`` without its early exit: backward
     induction over all ``horizon`` passes."""

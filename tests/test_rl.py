@@ -1,6 +1,7 @@
 """Trainers: soft value iteration, Q-learning, entropy, replicate selection."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
-from tlexplain import envs
+from tlexplain import config, envs
 from tlexplain import formula as fm
 from tlexplain import fspa as fa
 from tlexplain import rl
-from tlexplain.product import ProductMdp, TransitionTable, build_env_model
+from tlexplain.product import DENSE, SPARSE, ProductMdp, TransitionTable, build_env_model
 
-from conftest import PROPERTY, product_mdps
+from conftest import PROPERTY, product_mdp_batches, product_mdps
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _bandit(rewards=(1.0, 0.0)):
@@ -71,6 +74,90 @@ def _reference_soft_vi(branches, mdp, cfg):
         if delta < cfg.tolerance:
             return softmax(q / cfg.tau, axis=1), v, sweep
     raise AssertionError("reference soft VI did not converge")
+
+
+def _serial_soft_vi(table, gamma, cfg):
+    """Soft VI on one table, one table per loop, as it was before tables
+    were trained in batches: ``rl.soft_value_iteration`` must give each
+    table this policy, and this error, bit for bit."""
+    n_rows, n_actions = table.n_rows, table.n_actions
+    n_cells = n_rows * n_actions
+    cells = table.branch_action * n_rows + table.branch_row
+    base = np.bincount(cells, weights=table.branch_prob * table.branch_reward,
+                       minlength=n_cells)
+    live = table.branch_next_row >= 0
+    live_cells = cells[live]
+    live_next = table.branch_next_row[live]
+    live_w = gamma * table.branch_prob[live]
+    tau = cfg.tau
+    v = np.zeros(n_rows)
+    for _ in range(cfg.max_iterations):
+        q = base + np.bincount(live_cells, weights=live_w * v[live_next],
+                               minlength=n_cells)
+        m, z, s = rl._action_softmax(q.reshape(n_actions, n_rows), tau)
+        v_new = m + tau * np.log(s)
+        delta = np.abs(v_new - v).max()
+        v = v_new
+        if delta < cfg.tolerance:
+            return rl.TabularPolicy(rl._policy_rows(z, s), tau, rl.EXACT_SOFT_VI)
+    raise rl.NoConvergenceError(
+        f"soft value iteration did not reach tolerance {cfg.tolerance} in "
+        f"{cfg.max_iterations} sweeps (final residual {delta:.3g})")
+
+
+def _assert_batch_matches_serial(tables, gamma, cfg):
+    """Trained as one batch, every table gets its serial policy bit for bit;
+    if some table does not converge, the batch raises the serial error of
+    the first such table, with its index."""
+    expected = []
+    for table in tables:
+        try:
+            expected.append(_serial_soft_vi(table, gamma, cfg))
+        except rl.NoConvergenceError as exc:
+            expected.append(exc)
+    failed = [i for i, e in enumerate(expected) if isinstance(e, rl.NoConvergenceError)]
+    if failed:
+        with pytest.raises(rl.NoConvergenceError) as excinfo:
+            rl.soft_value_iteration(tables, gamma, cfg)
+        assert excinfo.value.index == failed[0]
+        assert str(excinfo.value) == str(expected[failed[0]])
+        return
+    policies = rl.soft_value_iteration(tables, gamma, cfg)
+    assert len(policies) == len(tables)
+    for policy, want in zip(policies, expected):
+        assert np.array_equal(policy.probs, want.probs)
+
+
+def _trainable_tables(cfg):
+    """The distinct transition tables the evaluator trains for ``cfg``'s
+    explanation class: one per product, without unreachable ones under
+    sparse rewards."""
+    env = config.build_env(cfg)
+    model, preds = build_env_model(env), config.build_predicates(cfg, env)
+    tables = {}
+    for canon in fm.enumerate_all(preds):
+        mdp = ProductMdp(model, fa.build_fspa(canon, preds), cfg.reward,
+                         cfg.environment.horizon)
+        if cfg.reward.mode == SPARSE and not mdp.acceptance_reachable():
+            continue
+        tables.setdefault(mdp.q_next.tobytes() + mdp.reward_next.tobytes(), mdp.table)
+    return list(tables.values())
+
+
+def _map_config(reference_config, name):
+    """The reference run config on the ctf5, ctf7 (random starts) or nav10
+    (dense reward, goal/hazard/vase predicates) map."""
+    if name == "ctf5":
+        return reference_config
+    text = (ROOT / "perfbench/maps" / f"{name}.txt").read_text()
+    if name == "ctf7":
+        env = replace(reference_config.environment, map_text=text, random_starts=True)
+        return replace(reference_config, environment=env)
+    preds = [{"name": f"psi_{f}", "feature": f"d_{f}", "threshold": 1.0}
+             for f in ("goal", "hazard", "vase")]
+    return replace(reference_config, predicates=preds,
+                   environment=envs.EnvConfig(text, type="nav", horizon=60),
+                   reward=replace(reference_config.reward, mode=DENSE))
 
 
 def _combat_mdp(start_probs=None):
@@ -186,19 +273,19 @@ class TestTabularPolicy:
 
 class TestSoftValueIteration:
     def test_closed_form_softmax(self):
-        policy = rl.soft_value_iteration(_bandit(), 0.9, rl.TrainerConfig(tau=1.0))
+        policy = rl.soft_value_iteration([_bandit()], 0.9, rl.TrainerConfig(tau=1.0))[0]
         assert policy.probs[0] == pytest.approx(softmax([1.0, 0.0]), abs=1e-9)
         assert policy.probs[0, 0] == pytest.approx(0.731, abs=1e-3)
 
     def test_small_tau_concentrates(self):
-        policy = rl.soft_value_iteration(_bandit(), 0.9, rl.TrainerConfig(tau=0.01))
+        policy = rl.soft_value_iteration([_bandit()], 0.9, rl.TrainerConfig(tau=0.01))[0]
         assert policy.probs[0, 0] > 0.99
 
     def test_bitwise_deterministic(self):
         mdp = _corridor_mdp()
         cfg = rl.TrainerConfig(tau=0.1)
-        p1 = rl.soft_value_iteration(mdp.table, mdp.reward.gamma, cfg)
-        p2 = rl.soft_value_iteration(mdp.table, mdp.reward.gamma, cfg)
+        p1 = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)[0]
+        p2 = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)[0]
         assert np.array_equal(p1.probs, p2.probs)
 
     def test_fixed_point_idempotent(self):
@@ -208,14 +295,14 @@ class TestSoftValueIteration:
         _, v, _ = _reference_soft_vi(branches, mdp, cfg)
         q, v_again = _reference_backup(branches, mdp, v, cfg.tau)
         assert np.abs(v_again - v).max() < cfg.tolerance
-        policy = rl.soft_value_iteration(mdp.table, mdp.reward.gamma, cfg)
+        policy = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)[0]
         assert np.abs(policy.probs - softmax(q / cfg.tau, axis=1)).max() < 1e-9
 
     def test_no_convergence_raises(self):
         mdp = _corridor_mdp()
         cfg = rl.TrainerConfig(tau=0.1, tolerance=1e-15, max_iterations=2)
         with pytest.raises(rl.NoConvergenceError, match="2 sweeps.*residual"):
-            rl.soft_value_iteration(mdp.table, mdp.reward.gamma, cfg)
+            rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)
 
     def test_greedy_matches_brute_force_on_two_state_mdp(self):
         """Enumerate all four deterministic policies of a 2-row chain."""
@@ -228,7 +315,7 @@ class TestSoftValueIteration:
             branch_reward=np.array([0.0, 0.2, 1.0, 0.0]),
         )
         # brute force: a0 then a0 earns 0 + 0.9*1 = 0.9 > 0.2
-        policy = rl.soft_value_iteration(table, 0.9, rl.TrainerConfig(tau=0.01))
+        policy = rl.soft_value_iteration([table], 0.9, rl.TrainerConfig(tau=0.01))[0]
         assert policy.probs.argmax(axis=1).tolist() == [0, 0]
 
 
@@ -238,12 +325,12 @@ class TestSoftValueIterationAgainstReference:
     def test_matches_reference_on_random_problems(self, mdp, tau):
         cfg = rl.TrainerConfig(tau=tau)
         expected, _, sweeps = _reference_soft_vi(_reference_branches(mdp), mdp, cfg)
-        policy = rl.soft_value_iteration(mdp.table, mdp.reward.gamma,
-                                         replace(cfg, max_iterations=sweeps))
+        policy = rl.soft_value_iteration([mdp.table], mdp.reward.gamma,
+                                         replace(cfg, max_iterations=sweeps))[0]
         assert np.abs(policy.probs - expected).max() <= 1e-12
         if sweeps > 1:  # converging in exactly `sweeps`, not fewer
             with pytest.raises(rl.NoConvergenceError):
-                rl.soft_value_iteration(mdp.table, mdp.reward.gamma,
+                rl.soft_value_iteration([mdp.table], mdp.reward.gamma,
                                         replace(cfg, max_iterations=sweeps - 1))
 
     def test_matches_reference_on_every_reference_candidate(self, reference_runtime):
@@ -254,8 +341,67 @@ class TestSoftValueIterationAgainstReference:
             mdp = ev.build_mdp(canon)
             expected, _, _ = _reference_soft_vi(_reference_branches(mdp), mdp,
                                                 ev.trainer_cfg)
-            policy = rl.soft_value_iteration(mdp.table, mdp.reward.gamma, ev.trainer_cfg)
+            policy = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, ev.trainer_cfg)[0]
             assert np.abs(policy.probs - expected).max() <= 1e-9, fm.render(canon, ev.predicates)
+
+
+class TestBatchedSoftValueIteration:
+    """Tables trained together against ``_serial_soft_vi``, one at a time."""
+
+    @PROPERTY
+    @given(product_mdp_batches(), st.sampled_from((0.05, 0.1, 0.3, 1.0)),
+           st.sampled_from((10_000, 12, 3)))
+    def test_matches_serial_on_random_batches(self, batch, tau, max_iterations):
+        cfg = rl.TrainerConfig(tau=tau, max_iterations=max_iterations)
+        _assert_batch_matches_serial([mdp.table for mdp in batch], batch[0].reward.gamma, cfg)
+
+    @pytest.mark.parametrize("name", ["ctf5", "ctf7", "nav10"])
+    def test_matches_serial_on_every_trainable_table(self, reference_config, name):
+        cfg = _map_config(reference_config, name)
+        tables = _trainable_tables(cfg)
+        assert len(tables) == {"ctf5": 39, "ctf7": 60, "nav10": 67}[name]
+        for i in range(0, len(tables), 8):
+            _assert_batch_matches_serial(tables[i:i + 8], cfg.reward.gamma, cfg.trainer)
+
+    def test_unconverged_tables_name_the_first(self, reference_runtime):
+        """In 17 sweeps about half the reference tables converge: a batch
+        that alternates them names its second table, and the residual the
+        serial loop ends with."""
+        tables = _trainable_tables(reference_runtime.evaluator.cfg)
+        cfg = replace(reference_runtime.evaluator.trainer_cfg, max_iterations=17)
+        converged, unconverged = [], []
+        for table in tables:
+            try:
+                _serial_soft_vi(table, 0.95, cfg)
+                converged.append(table)
+            except rl.NoConvergenceError:
+                unconverged.append(table)
+        batch = [t for pair in zip(converged[:3], unconverged[:3]) for t in pair]
+        assert len(batch) == 6
+        with pytest.raises(rl.NoConvergenceError) as excinfo:
+            rl.soft_value_iteration(batch, 0.95, cfg)
+        assert excinfo.value.index == 1
+        _assert_batch_matches_serial(batch, 0.95, cfg)
+
+    def test_tables_without_live_branches(self):
+        """Every branch ends the episode: no branch into a live row, alone,
+        together, and beside tables that have them."""
+        corridor = _corridor_mdp()
+        table = corridor.table
+        ends = replace(table, branch_next_row=np.full_like(table.branch_next_row, -1))
+        ends_later = replace(ends, branch_reward=table.branch_reward + 0.5)
+        cfg = rl.TrainerConfig(tau=0.1)
+        for batch in ([ends], [ends, ends_later], [table, ends], [ends, table, ends_later]):
+            _assert_batch_matches_serial(batch, corridor.reward.gamma, cfg)
+        _assert_batch_matches_serial([_bandit(), _bandit((0.0, 0.5))], 0.9, cfg)
+
+    def test_tables_must_share_their_shape(self):
+        with pytest.raises(ValueError, match="share n_rows and n_actions"):
+            rl.soft_value_iteration([_bandit(), _bandit((1.0, 0.0, 0.5))], 0.9,
+                                    rl.TrainerConfig())
+
+    def test_empty_batch(self):
+        assert rl.soft_value_iteration([], 0.9, rl.TrainerConfig()) == []
 
 
 class TestQLearning:
@@ -266,7 +412,7 @@ class TestQLearning:
     def test_greedy_matches_value_iteration(self):
         mdp = _corridor_mdp()
         ql = rl.q_learning(mdp, self._cfg(), np.random.default_rng(0))
-        vi = rl.soft_value_iteration(mdp.table, mdp.reward.gamma, rl.TrainerConfig(tau=0.01))
+        vi = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, rl.TrainerConfig(tau=0.01))[0]
         assert ql.probs.argmax(axis=1).tolist() == vi.probs.argmax(axis=1).tolist()
 
     def test_equal_seeds_identical(self):

@@ -57,18 +57,18 @@ class TestEvaluate:
         ev = fresh_evaluator(reference_runtime)
         canon = _target_canon(reference_runtime)
         calls = []
-        original = rl.train
+        original = rl.soft_value_iteration
 
-        def counting_train(*args, **kwargs):
+        def counting_vi(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(rl, "train", counting_train)
+        monkeypatch.setattr(rl, "soft_value_iteration", counting_vi)
         first = ev.evaluate(canon)
-        n_after_first = len(calls)
+        assert len(calls) == 1
         second = ev.evaluate(canon)
         assert second is first
-        assert len(calls) == n_after_first
+        assert len(calls) == 1
 
     def test_cache_soundness_across_evaluators(self, reference_runtime):
         canon = _target_canon(reference_runtime)
@@ -104,6 +104,100 @@ class TestEvaluate:
         ev = Evaluator(model, preds, uniform, sample, cfg)
         record = ev.evaluate(fm.parse_explanation("F(psi0) & G(!psi1)", preds))
         assert record.filtered and record.mean_return <= 0.05
+
+
+def _trained_batches(monkeypatch) -> list[int]:
+    """Record the number of tables of each ``rl.soft_value_iteration`` call."""
+    sizes = []
+    original = rl.soft_value_iteration
+
+    def recording_vi(tables, gamma, cfg):
+        sizes.append(len(tables))
+        return original(tables, gamma, cfg)
+
+    monkeypatch.setattr(rl, "soft_value_iteration", recording_vi)
+    return sizes
+
+
+def _product_groups(ev) -> list[list]:
+    """Reachable reference candidates grouped by equal product, in
+    enumeration order."""
+    groups = {}
+    for canon in fm.enumerate_all(ev.predicates):
+        mdp = ev.build_mdp(canon)
+        if mdp.acceptance_reachable():
+            groups.setdefault(mdp.q_next.tobytes() + mdp.reward_next.tobytes(), []).append(canon)
+    return list(groups.values())
+
+
+class TestEvaluateMany:
+    """Batched evaluation against one candidate at a time: ``evaluate`` on
+    each in turn, or a batch budget of one cell, which trains every
+    candidate alone."""
+
+    @staticmethod
+    def _assert_same_evaluators(a, b):
+        assert list(a.cache) == list(b.cache)
+        assert [repr(r) for r in a.cache.values()] == [repr(r) for r in b.cache.values()]
+        assert (a.n_unreachable, a.n_product_hits) == (b.n_unreachable, b.n_product_hits)
+
+    def test_oracle_matches_one_at_a_time(self, reference_runtime, monkeypatch):
+        sizes = _trained_batches(monkeypatch)
+        batched = fresh_evaluator(reference_runtime)
+        brute_force_oracle(batched)
+        assert len(sizes) < 39 == sum(sizes)
+        serial = fresh_evaluator(reference_runtime)
+        for canon in fm.enumerate_all(serial.predicates):
+            serial.evaluate(canon)
+        self._assert_same_evaluators(batched, serial)
+        assert (batched.n_unreachable, batched.n_product_hits) == (52, 5)
+
+    def test_search_matches_one_at_a_time(self, reference_runtime, monkeypatch):
+        params = reference_runtime.evaluator.params
+        batched = fresh_evaluator(reference_runtime)
+        result = multi_start(batched, params)
+        monkeypatch.setattr(search, "VI_BATCH_CELLS", 1)
+        serial = fresh_evaluator(reference_runtime)
+        expected = multi_start(serial, params)
+        assert repr(result) == repr(expected)
+        self._assert_same_evaluators(batched, serial)
+
+    def test_batches_flush_at_the_budget(self, reference_runtime, monkeypatch):
+        sizes = _trained_batches(monkeypatch)
+        brute_force_oracle(fresh_evaluator(reference_runtime))
+        full = -(-search.VI_BATCH_CELLS // (462 * 5))   # tables that reach the budget
+        assert sizes[:-1] == [full] * (len(sizes) - 1) and 1 <= sizes[-1] <= full
+
+    def test_equal_products_in_one_batch_train_once(self, reference_runtime, monkeypatch):
+        ev = fresh_evaluator(reference_runtime)
+        first, second = next(g for g in _product_groups(ev) if len(g) > 1)[:2]
+        sizes = _trained_batches(monkeypatch)
+        a, b = ev.evaluate_many([first, second])
+        assert sizes == [1] and ev.n_product_hits == 1
+        assert b == replace(a, key=fm.render(second, ev.predicates)) and a.key != b.key
+        assert list(ev.cache) == [a.key, b.key]
+
+    def test_repeated_canon_is_evaluated_once(self, reference_runtime, monkeypatch):
+        ev = fresh_evaluator(reference_runtime)
+        canon = _target_canon(reference_runtime)
+        sizes = _trained_batches(monkeypatch)
+        a, b = ev.evaluate_many([canon, canon])
+        assert a is b and sizes == [1] and ev.n_product_hits == 0
+
+    def test_no_convergence_names_the_first_candidate(self, reference_runtime):
+        """In 20 sweeps the first trained candidate converges and the second
+        does not: the batch holding both fails on the candidate, and with
+        the residual, that evaluation one at a time fails on."""
+        trainer = replace(reference_runtime.evaluator.trainer_cfg, max_iterations=20)
+        serial = fresh_evaluator(reference_runtime, trainer=trainer)
+        with pytest.raises(rl.NoConvergenceError) as expected:
+            for canon in fm.enumerate_all(serial.predicates):
+                serial.evaluate(canon)
+        assert serial.n_unreachable < len(serial.cache)   # one was trained first
+        with pytest.raises(rl.NoConvergenceError) as excinfo:
+            brute_force_oracle(fresh_evaluator(reference_runtime, trainer=trainer))
+        assert str(excinfo.value) == str(expected.value)
+        assert str(excinfo.value).startswith("candidate ")
 
 
 class TestEvalNeighbors:
