@@ -94,11 +94,13 @@ def _clamp(p: np.ndarray, eps: float) -> np.ndarray:
 
 
 def kl_rows(p: np.ndarray, q: np.ndarray, eps: float = KL_EPS) -> np.ndarray:
-    """Row-wise KL(p || q) over the last axis of epsilon-clamped, renormalized inputs."""
+    """Row-wise KL(p || q) over the last axis of epsilon-clamped, renormalized
+    inputs.  Clipped at 0, as KL is: rows that agree can sum to about -1e-16
+    in floating point."""
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     pc, qc = _clamp(p, eps), _clamp(q, eps)
-    return (pc * np.log(pc / qc)).sum(axis=-1)
+    return np.maximum((pc * np.log(pc / qc)).sum(axis=-1), 0.0)
 
 
 def kl(p, q, eps: float = KL_EPS) -> float:
@@ -118,8 +120,11 @@ def weights(target, sample_rows, enabled: bool = True):
     """Per-state utility weights from the target's normalized entropy.
 
     Returns ``(weights, degenerate)``.  With ``enabled=False`` (the ablation)
-    every weight is 1.  A target uniform on every sampled state zeroes the
-    normalizer; that degenerate case falls back to uniform weights.
+    every weight is 1.  The normalized entropy is clipped at 0, as it is
+    defined: for a uniform row it sums to about -1e-16 in floating point,
+    which would weigh disagreement there negatively.  A target uniform on
+    every sampled state zeroes the normalizer; that degenerate case falls
+    back to uniform weights.
     """
     rows = np.asarray(sample_rows, dtype=int)
     if rows.size == 0:
@@ -127,7 +132,7 @@ def weights(target, sample_rows, enabled: bool = True):
     if not enabled:
         return np.ones(rows.size), False
     p = target.probs[rows]
-    hbar = normalized_entropy(p, np.log(p.shape[1]))
+    hbar = np.maximum(normalized_entropy(p, np.log(p.shape[1])), 0.0)
     total = hbar.sum()
     if total <= 0:
         return np.full(rows.size, 1.0 / rows.size), True

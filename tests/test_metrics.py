@@ -82,6 +82,12 @@ class TestKl:
     def test_finite_for_zero_entries(self):
         assert np.isfinite(metrics.kl(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
 
+    @pytest.mark.parametrize("direction", [np.inf, -np.inf])
+    def test_rows_one_ulp_apart_are_nonnegative(self, rng, direction):
+        """Unclipped, about half of these rows sum to about -1e-16."""
+        p = rng.dirichlet(np.ones(5), size=2000)
+        assert (metrics.kl_rows(p, np.nextafter(p, direction)) >= 0.0).all()
+
 
 class TestNormalizedEntropy:
     def test_uniform_is_zero(self):
@@ -128,6 +134,14 @@ class TestWeights:
         w, _ = metrics.weights(target, [0, 1, 2])
         assert w[0] > w[2] > w[1]
         assert w[1] == pytest.approx(0.0)
+
+    def test_uniform_row_weighs_exactly_zero(self):
+        """The normalized entropy of a uniform 5-action row is -2.2e-16 in
+        floating point; clipped, the row weighs nothing."""
+        assert metrics.normalized_entropy(np.full(5, 0.2), np.log(5)) < 0
+        target = _policy([[1.0, 0, 0, 0, 0], np.full(5, 0.2), [0.6, 0.1, 0.1, 0.1, 0.1]])
+        w, degenerate = metrics.weights(target, [0, 1, 2])
+        assert w[1] == 0.0 and (w >= 0).all() and not degenerate
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -177,6 +191,16 @@ class TestUtility:
             improved_probs[r] = target.probs[r]
             improved = _policy(improved_probs)
             assert metrics.utility(improved, target, sample).utility >= base - 1e-12
+
+    def test_disagreement_on_zero_weight_rows_costs_nothing(self, rng):
+        """A candidate that differs from the target only where the target is
+        uniform scores wKL exactly 0, not below it."""
+        target = _policy([[0.9, 0.1, 0, 0, 0], np.full(5, 0.2), np.full(5, 0.2),
+                          [0, 0, 0.5, 0.5, 0]])
+        cand = target.probs.copy()
+        cand[1:3] = rng.dirichlet(np.ones(5), size=2)
+        record = metrics.utility(_policy(cand), target, self._sample(target, range(4)))
+        assert record.wkl == 0.0
 
     def test_coverage_gap_rejected(self, rng):
         target = _random_policy(8, 4, rng)
