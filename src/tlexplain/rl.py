@@ -100,10 +100,10 @@ def _action_softmax(q: np.ndarray, tau: float):
 
     ``q`` is action-major, shape ``(n_actions, n_rows)`` or, for a batch,
     ``(K, n_actions, n_rows)``: with few actions, numpy reduces over an
-    outer axis several times faster than over a short trailing one.  ``m`` is the max over actions,
-    ``z = exp((q - m) / tau)`` and ``s`` its sum, so the soft value is
-    ``m + tau * log(s)`` and a table's policy is ``(z / s).T``.  ``z`` is
-    computed in place: ``q`` is overwritten.
+    outer axis several times faster than over a short trailing one.  ``m``
+    is the max over actions, ``z = exp((q - m) / tau)`` and ``s`` its sum,
+    so the soft value is ``m + tau * log(s)`` and a table's policy is
+    ``(z / s).T``.  ``z`` is computed in place: ``q`` is overwritten.
     """
     m = q.max(axis=-2)
     q -= m[..., None, :]

@@ -195,6 +195,7 @@ class Evaluator:
         return replicates[best], records[best]
 
     def evaluate(self, canon: fm.CanonicalExplanation) -> metrics.UtilityRecord:
+        """The record of one explanation, cached: ``evaluate_many([canon])[0]``."""
         return self.evaluate_many([canon])[0]
 
     def evaluate_many(self, canons) -> list[metrics.UtilityRecord]:
