@@ -31,6 +31,9 @@ REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent
 # oracle.csv and results.csv of the reference config, as written before the
 # evaluator's exact shortcuts (acceptance pre-filter, product reuse) existed
 GOLDEN = Path(__file__).resolve().parent / "data" / "ctf_reference"
+# the reference run trained by Q-learning, with results.csv and trace.jsonl
+# as written when its draws still went through numpy's scalar calls
+QLEARN = Path(__file__).resolve().parent / "data" / "ctf_qlearn"
 
 
 def _write_config(tmp_path, cfg=None, name="run.yaml"):
@@ -263,6 +266,15 @@ class TestGoldenOutputs:
         assert cli.main(args) == cli.EXIT_OK
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
         assert capsys.readouterr().out.splitlines()[-1] == summary
+
+    def test_q_learning_search_is_byte_identical(self, tmp_path, capsys):
+        args = ["search", "--config", str(QLEARN / "config.yaml"), "--out", str(tmp_path)]
+        assert cli.main(args) == cli.EXIT_OK
+        for name in ("results.csv", "trace.jsonl"):
+            assert (tmp_path / name).read_bytes() == (QLEARN / name).read_bytes(), name
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "81 evaluations: 40 without training (acceptance unreachable), "
+            "0 reused a trained product")
 
 
 # one well-formed trace node, as the search command writes it
