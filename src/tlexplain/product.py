@@ -267,8 +267,9 @@ class ProductMdp:
         if q != Q0_I or actions is None:
             raise StepOnTerminalError(f"step on terminal product state {product_state}")
         cums, nexts = actions[action]
-        k = 0 if cums is None else min(bisect_right(cums, rng.random()), len(nexts) - 1)
-        return self.step_outcomes[nexts[k]]
+        if cums is None:
+            return self.step_outcomes[nexts[0]]
+        return self.step_outcomes[nexts[min(bisect_right(cums, rng.random()), len(nexts) - 1)]]
 
     def expand_transitions(self):
         """Explicit table {(product state, action): [(next, prob, reward)]}."""
@@ -304,8 +305,10 @@ class ProductMdp:
         src, nxt, w_live = t.branch_row[live], t.branch_next_row[live], w[live]
         v = np.zeros(t.n_rows)
         for _ in range(self.horizon):
-            v_prev = v
-            v = r_pi + np.bincount(src, weights=w_live * v[nxt], minlength=t.n_rows)
-            if np.array_equal(v, v_prev):
+            v_next = v.take(nxt)
+            v_next *= w_live
+            # out of place: with no live branch, bincount returns int64 zeros
+            v_prev, v = v, r_pi + np.bincount(src, weights=v_next, minlength=t.n_rows)
+            if (v == v_prev).all():
                 break
         return float(m.start_probs @ v[m.start_rows])

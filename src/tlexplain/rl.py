@@ -9,6 +9,7 @@ path that makes replicate selection meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil
 from pathlib import Path
 
 import numpy as np
@@ -256,10 +257,14 @@ class _Pcg64Draws:
         if n == 1:
             return 0               # numpy draws nothing for a one-value range
         m = self._next32() * n
-        if (m & _LOW32) < n:
-            threshold = (2 ** 32 - n) % n
-            while (m & _LOW32) < threshold:
-                m = self._next32() * n
+        return self._lemire_tail(m, n) if (m & _LOW32) < n else m >> 32
+
+    def _lemire_tail(self, m: int, n: int) -> int:
+        """The rest of Lemire's method when the first product ``m`` may be
+        rejected (its low half is below ``n``): draw again while it is."""
+        threshold = (2 ** 32 - n) % n
+        while (m & _LOW32) < threshold:
+            m = self._next32() * n
         return m >> 32
 
     def close(self):
@@ -268,6 +273,13 @@ class _Pcg64Draws:
         bg.state = self._start
         bg.advance(self._fetched - len(self._words))   # also empties the buffer
         bg.state = {**bg.state, "has_uint32": self._has32, "uinteger": self._uint32}
+
+
+def _explore_limit(eps: float) -> int:
+    """The raw words ``w`` below this are those whose ``random()`` value
+    ``(w >> 11) * 2**-53`` is below ``eps``: ``eps * 2**53`` is exact, and an
+    integer is below a real number iff it is below that number's ceiling."""
+    return ceil(eps * 2 ** 53) << 11
 
 
 def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) -> TabularPolicy:
@@ -280,29 +292,61 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) ->
     is drawn before ``product_step``'s own draw; that order fixes the random
     stream and therefore the policy.  Every draw comes from
     :class:`_Pcg64Draws`, so ``rng`` must be PCG64-backed.
+
+    The loop makes its own two draws on ``_Pcg64Draws``'s raw words, with
+    the same values: the epsilon test compares the word with
+    :func:`_explore_limit`, and an exploring step takes Lemire's accepting
+    path on a 32-bit half, keeping the other half buffered in locals.  They
+    are written back before a possible rejection, which
+    :meth:`_Pcg64Draws._lemire_tail` finishes, and before ``close()``.
+    ``product_step`` stays the one sampler of transitions.
     """
     m = mdp.model
     n_actions = m.n_actions
     q = [[0.0] * n_actions for _ in range(len(m.states))]
-    gamma, lr = mdp.reward.gamma, cfg.learning_rate
+    gamma, lr, horizon = mdp.reward.gamma, cfg.learning_rate, mdp.horizon
     draws = _Pcg64Draws(rng)
-    step, random, integers = mdp.product_step, draws.random, draws.integers
+    step, pop, refill = mdp.product_step, draws._pop, draws._refill
+    has32, uint32 = draws._has32, draws._uint32
     try:
         for ep in range(cfg.episodes):
             eps = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * ep / max(cfg.episodes - 1, 1)
+            # integers(1) draws nothing and gives 0, the greedy action too
+            limit = _explore_limit(eps) if n_actions > 1 else 0
             ps = mdp.initial_product_state(draws)
-            for _ in range(mdp.horizon):
-                q_s = q[ps[0]]
-                if random() < eps:
-                    a = integers(n_actions)
+            q_s = q[ps[0]]
+            for _ in range(horizon):
+                try:
+                    w = pop()
+                except IndexError:
+                    w = refill()
+                if w < limit:                          # random() < eps
+                    if has32:                          # integers(n_actions)
+                        has32, x = 0, uint32
+                    else:
+                        try:
+                            w = pop()
+                        except IndexError:
+                            w = refill()
+                        has32, uint32, x = 1, w >> 32, w & _LOW32
+                    x *= n_actions
+                    if (x & _LOW32) < n_actions:
+                        draws._has32, draws._uint32 = has32, uint32
+                        a = draws._lemire_tail(x, n_actions)
+                        has32, uint32 = draws._has32, draws._uint32
+                    else:
+                        a = x >> 32
                 else:
                     a = q_s.index(max(q_s))
                 ps, reward, terminal = step(ps, a, draws)
                 if terminal:
                     q_s[a] += lr * (reward - q_s[a])
                     break
-                q_s[a] += lr * (reward + gamma * max(q[ps[0]]) - q_s[a])
+                q_next = q[ps[0]]
+                q_s[a] += lr * (reward + gamma * max(q_next) - q_s[a])
+                q_s = q_next
     finally:
+        draws._has32, draws._uint32 = has32, uint32
         draws.close()
     _, z, s = _action_softmax(np.array(q)[m.rows].T, cfg.tau)
     return TabularPolicy(_policy_rows(z, s), cfg.tau, Q_LEARNING)

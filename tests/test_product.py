@@ -620,6 +620,15 @@ class TestReturnFixedPoint:
             policy = rl.train(mdp, rl.TrainerConfig(tau=0.01))
         assert _bits(mdp.average_return(policy)) == _bits(full_horizon_return(mdp, policy))
 
+    @pytest.mark.parametrize("horizon", [1, 2, 100])
+    def test_table_without_live_branches(self, horizon):
+        # psi0 holds in every state, so every branch enters acceptance
+        mdp = _mdp(_nav_model(), _nav_preds(goal_threshold=10.0), horizon=horizon)
+        assert (mdp.table.branch_next_row < 0).all()
+        policy = _random_policy(mdp.model, 0)
+        assert _bits(mdp.average_return(policy)) == _bits(full_horizon_return(mdp, policy))
+        assert mdp.average_return(policy) > 0
+
     def test_reference_candidates_at_long_horizon(self, reference_runtime):
         ev = reference_runtime.evaluator
         for canon in fm.enumerate_all(ev.predicates):

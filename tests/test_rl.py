@@ -569,6 +569,138 @@ class TestPcg64Draws:
             assert stand_in.bit_generator.state == rng.bit_generator.state
 
 
+class _FedDraws(rl._Pcg64Draws):
+    """``_Pcg64Draws`` that hands out ``words`` before the generator's own
+    and notes, on entry to each Lemire rejection, whether half a word is
+    buffered.  ``close()`` counts the fed words as drawn."""
+
+    def __init__(self, rng, words):
+        super().__init__(rng)
+        self._words.extend(reversed(words))
+        self._fetched += len(words)
+        self.buffered_on_rejection = []
+
+    def _lemire_tail(self, m, n):
+        self.buffered_on_rejection.append(self._has32)
+        return super()._lemire_tail(m, n)
+
+
+class _OneActionChain:
+    """States 0-4 on a line with one action, which stays or moves right,
+    half each; 4 is terminal.  Features: distance to 4, and a constant."""
+
+    n_actions = 1
+
+    def initial_states(self):
+        return [(0, 0.5), (1, 0.5)]
+
+    def is_terminal(self, s):
+        return s == 4
+
+    def transitions(self, s, action):
+        return [(s, 0.5), (s + 1, 0.5)]
+
+    def features(self, s):
+        return np.array([4.0 - s, 10.0])
+
+
+class TestInlineDraws:
+    """``q_learning`` makes its epsilon test and its exploring draw on the
+    raw words itself; they must be ``random() < eps`` and
+    ``integers(n_actions)`` on the same stream."""
+
+    EPS = (0.0, 2.0 ** -53, 0.05, 0.5, 1.0 - 2.0 ** -53, 1.0)
+
+    @staticmethod
+    def _assert_decision(eps, w):
+        if 0 <= w < 2 ** 64:
+            assert (w < rl._explore_limit(eps)) == ((w >> 11) * 2 ** -53 < eps), (eps, w)
+
+    @pytest.mark.parametrize("eps", EPS)
+    def test_explore_limit_at_its_edges(self, eps):
+        limit = rl._explore_limit(eps)
+        for w in (limit - 1, limit):
+            for near in (w - 2 ** 11, w, w + 2 ** 11):    # (w >> 11) - 1, + 0, + 1
+                self._assert_decision(eps, near)
+        for w in (0, 2 ** 11 - 1, 2 ** 11, 2 ** 64 - 1):
+            self._assert_decision(eps, w)
+
+    @PROPERTY
+    @given(st.floats(0.0, 1.0), st.integers(0, 2 ** 64 - 1))
+    def test_explore_limit_on_random_words(self, eps, w):
+        self._assert_decision(eps, w)
+        limit = rl._explore_limit(eps)
+        self._assert_decision(eps, limit - 1)
+        self._assert_decision(eps, limit)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lemire_rejections_match_the_reference(self, monkeypatch, seed):
+        # for n = 5 exactly a zero half rejects: the low half of a fresh word
+        # (a half stays buffered) or the buffered high half (none does)
+        gen = np.random.default_rng(seed)
+        halves = gen.integers(1, 2 ** 32, size=(3000, 2)).tolist()
+        zeros = (gen.random((3000, 2)) < 0.3).tolist()
+        words = [(0 if zh else hi) << 32 | (0 if zl else lo)
+                 for (hi, lo), (zh, zl) in zip(halves, zeros)]
+        made = []
+
+        def fed(rng):
+            made.append(_FedDraws(rng, words))
+            return made[-1]
+
+        mdp = _combat_mdp()
+        cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, tau=0.05, episodes=30,
+                               epsilon_start=1.0, epsilon_end=0.5)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:       # start with half a word buffered
+            assert rng.integers(5) == ref_rng.integers(5)
+        monkeypatch.setattr(rl, "_Pcg64Draws", fed)
+        policy = rl.q_learning(mdp, cfg, rng)
+        ref = _FedDraws(ref_rng, words)
+        want = _reference_q_learning(mdp, cfg, ref)
+        ref.close()
+        (draws,) = made
+        assert np.array_equal(policy.probs, want)
+        assert len(draws._words) < len(words)             # the run ends in fed words
+        assert draws.buffered_on_rejection == ref.buffered_on_rejection
+        assert set(ref.buffered_on_rejection) == {0, 1}
+        assert ((draws._has32, draws._uint32, len(draws._words))
+                == (ref._has32, ref._uint32, len(ref._words)))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_one_action_explores_without_a_draw(self):
+        # integers(1) draws nothing, so an exploring step uses no word
+        preds = (fm.AtomicPredicate(0, "psi0", 0, 1.0),
+                 fm.AtomicPredicate(1, "psi1", 1, 1.0))
+        canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
+        mdp = ProductMdp(build_env_model(_OneActionChain()), fa.build_fspa(canon, preds))
+        cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, tau=0.05, episodes=20,
+                               epsilon_start=1.0, epsilon_end=0.5)
+        for seed in range(3):
+            TestQLearningAgainstReference._assert_same_training(mdp, cfg, seed)
+
+    def test_one_product_step_per_step(self, monkeypatch):
+        calls = {"q_learning": 0, "reference": 0}
+        step, ref_step = ProductMdp.product_step, _reference_product_step
+
+        def counted(self, *args):
+            calls["q_learning"] += 1
+            return step(self, *args)
+
+        def ref_counted(*args):
+            calls["reference"] += 1
+            return ref_step(*args)
+
+        monkeypatch.setattr(ProductMdp, "product_step", counted)
+        monkeypatch.setitem(globals(), "_reference_product_step", ref_counted)
+        mdp = _combat_mdp()
+        cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, tau=0.05, episodes=40)
+        policy = rl.q_learning(mdp, cfg, np.random.default_rng(0))
+        assert np.array_equal(policy.probs,
+                              _reference_q_learning(mdp, cfg, np.random.default_rng(0)))
+        assert calls["q_learning"] == calls["reference"] > cfg.episodes
+
+
 class TestPolicyEntropy:
     def test_uniform_rows(self):
         probs = np.full((3, 4), 0.25)
