@@ -21,9 +21,9 @@ from . import formula as fm
 from . import metrics, rl
 from .envs import CtfEnv, EnvConfig, GridMap, MapFormatError, NavEnv, NavMap
 from .product import EnvModel, RewardConfig, TransitionTable, build_env_model
-from .search import Evaluator, SearchParams, build_mdp, train_replicates
+from .search import Evaluator, SearchParams, build_mdp, train_policy
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 SECTIONS = {"environment": EnvConfig, "reward": RewardConfig,
             "trainer": rl.TrainerConfig, "metric": metrics.MetricConfig,
             "search": SearchParams}
@@ -219,9 +219,8 @@ def _train_target(cfg: RunConfig, model: EnvModel, predicates) -> tuple[rl.Tabul
 
     canon = fm.parse_explanation(cfg.target["explanation"], predicates)
     key = fm.render(canon, predicates)
-    replicates = train_replicates(build_mdp(model, predicates, canon, cfg), cfg,
-                                  "target:" + key)
-    return rl.select_replicate(replicates, range(model.n_rows)), key
+    return train_policy(build_mdp(model, predicates, canon, cfg), cfg, "target:" + key,
+                        range(model.n_rows)), key
 
 
 def _nav_shaped_target(cfg: RunConfig, model: EnvModel) -> rl.TabularPolicy:

@@ -30,10 +30,6 @@ class CapExceededError(ValueError):
     """Raised when an enumeration request exceeds the configured predicate cap."""
 
 
-class EmptyTrajectoryError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AtomicPredicate:
     """Threshold predicate ``feature < threshold`` over an environment feature."""
@@ -132,18 +128,6 @@ def evaluate_bool(node, features) -> bool:
     if isinstance(node, Or):
         return any(evaluate_bool(c, features) for c in node.children)
     raise TypeError(f"not a formula node: {node!r}")
-
-
-def robustness_trajectory(op: str, values) -> float:
-    """Trajectory robustness: F is the max over states, G the min."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise EmptyTrajectoryError("trajectory robustness needs at least one state")
-    if op == "F":
-        return float(values.max())
-    if op == "G":
-        return float(values.min())
-    raise ValueError(f"unknown temporal operator {op!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,11 @@ class EnvModel:
         cdf /= cdf[-1]
         return cdf.tolist()
 
+    @cached_property
+    def start_states(self) -> list:
+        """The state index of each start row, as plain ints."""
+        return self.rows[self.start_rows].tolist()
+
 
 def build_env_model(env, cap: int = 250_000) -> EnvModel:
     """Enumerate ``env`` in one breadth-first pass from its start states.
@@ -239,12 +244,10 @@ class ProductMdp:
     def initial_product_state(self, rng):
         """A start state; with several start rows, one ``rng.random()`` picks
         the same row as ``rng.choice(start_rows, p=start_probs)``."""
-        m = self.model
-        if len(m.start_rows) == 1:
-            row = m.start_rows[0]
-        else:
-            row = m.start_rows[bisect_right(m.start_cdf, rng.random())]
-        return (int(m.rows[row]), Q0_I)
+        starts = self.model.start_states
+        if len(starts) == 1:
+            return (starts[0], Q0_I)
+        return (starts[bisect_right(self.model.start_cdf, rng.random())], Q0_I)
 
     @cached_property
     def step_outcomes(self) -> list:

@@ -13,8 +13,8 @@ from math import ceil
 from pathlib import Path
 
 import numpy as np
-from scipy.special import xlogy
 
+from .metrics import xlogx
 from .product import ProductMdp, TransitionTable
 
 EXACT_SOFT_VI = "exact-soft-vi"
@@ -352,22 +352,13 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) ->
     return TabularPolicy(_policy_rows(z, s), cfg.tau, Q_LEARNING)
 
 
-def train(mdp: ProductMdp, cfg: TrainerConfig,
-          rng: np.random.Generator | None = None) -> TabularPolicy:
-    if cfg.mode == EXACT_SOFT_VI:
-        return soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)[0]
-    if rng is None:
-        raise ValueError("q-learning needs an rng")
-    return q_learning(mdp, cfg, rng)
-
-
 def policy_entropy(policy: TabularPolicy, sample_rows) -> float:
     """Mean Shannon entropy (natural log) of action rows over a state sample."""
     rows = np.asarray(sample_rows, dtype=int)
     if rows.size == 0:
         raise EmptySampleError("entropy needs a nonempty state sample")
     p = policy.probs[rows]
-    return float(-xlogy(p, p).sum(axis=1).mean())
+    return float(-xlogx(p).sum(axis=1).mean())
 
 
 def select_replicate(policies, sample_rows) -> TabularPolicy:

@@ -120,14 +120,19 @@ def build_mdp(model, predicates, canon: fm.CanonicalExplanation, cfg) -> Product
                       cfg.environment.horizon)
 
 
-def train_replicates(mdp: ProductMdp, cfg, stream_key: str) -> list[rl.TabularPolicy]:
-    """One policy from the deterministic trainer, else ``search.n_rep``
-    replicates on the run's streams keyed by ``stream_key``."""
+def train_policy(mdp: ProductMdp, cfg, stream_key: str, rows) -> rl.TabularPolicy:
+    """The policy trained for one candidate under the run config ``cfg``.
+
+    Soft VI is deterministic, so it trains once.  Q-learning trains
+    ``search.n_rep`` replicates on the run's streams keyed by ``stream_key``,
+    and ``rl.select_replicate`` keeps the one of highest mean entropy over
+    the policy rows ``rows``.
+    """
     if cfg.trainer.mode == rl.EXACT_SOFT_VI:
-        # deterministic trainer: replicates would be identical
-        return [rl.train(mdp, cfg.trainer)]
-    return [rl.train(mdp, cfg.trainer, rng=_key_stream(cfg.seed, stream_key, rep))
-            for rep in range(cfg.search.n_rep)]
+        return rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg.trainer)[0]
+    replicates = [rl.q_learning(mdp, cfg.trainer, _key_stream(cfg.seed, stream_key, rep))
+                  for rep in range(cfg.search.n_rep)]
+    return rl.select_replicate(replicates, rows)
 
 
 class Evaluator:
@@ -175,25 +180,6 @@ class Evaluator:
     def build_mdp(self, canon: fm.CanonicalExplanation) -> ProductMdp:
         return build_mdp(self.model, self.predicates, canon, self.cfg)
 
-    def train_policy(self, mdp: ProductMdp, key: str
-                     ) -> tuple[rl.TabularPolicy, metrics.UtilityRecord | None]:
-        """The policy that scores ``key``, with its utility record when
-        by-utility replicate selection has already computed it.
-
-        By utility, each replicate is scored once and the first maximum wins,
-        as ``np.argmax`` picks; otherwise ``rl.select_replicate`` picks by
-        entropy.
-        """
-        replicates = train_replicates(mdp, self.cfg, key)
-        if len(replicates) == 1:
-            return replicates[0], None
-        if self.cfg.metric.replicate_mode != "by-utility":
-            return rl.select_replicate(replicates, self.sample.rows), None
-        records = [metrics.utility(p, self.target, self.sample, eps=self.cfg.metric.kl_eps)
-                   for p in replicates]
-        best = int(np.argmax([r.utility for r in records]))
-        return replicates[best], records[best]
-
     def evaluate(self, canon: fm.CanonicalExplanation) -> metrics.UtilityRecord:
         """The record of one explanation, cached: ``evaluate_many([canon])[0]``."""
         return self.evaluate_many([canon])[0]
@@ -238,7 +224,8 @@ class Evaluator:
         if self.cfg.trainer.mode != rl.EXACT_SOFT_VI:
             # Q-learning draws from a stream keyed by ``key``: equal products
             # train to different policies
-            batch.queue[key] = self._record(key, mdp, *self.train_policy(mdp, key))
+            batch.queue[key] = self._record(
+                key, mdp, train_policy(mdp, self.cfg, key, self.sample.rows))
             return
         digest = hashlib.blake2b(mdp.q_next.tobytes() + mdp.reward_next.tobytes()).digest()
         product = self._products.get(digest) or batch.products.get(digest)
@@ -264,7 +251,7 @@ class Evaluator:
             except rl.NoConvergenceError as exc:
                 raise rl.NoConvergenceError(
                     f"candidate {batch.train[exc.index][0]}: {exc}") from exc
-            trained = {key: self._record(key, mdp, policy, None)
+            trained = {key: self._record(key, mdp, policy)
                        for (key, mdp), policy in zip(batch.train, policies)}
         for key, entry in batch.queue.items():
             if isinstance(entry, str):
@@ -275,16 +262,13 @@ class Evaluator:
         self.n_unreachable += batch.unreachable
         self.n_product_hits += batch.product_hits
 
-    def _record(self, key: str, mdp: ProductMdp, policy: rl.TabularPolicy,
-                scored: metrics.UtilityRecord | None) -> metrics.UtilityRecord:
-        """Filter or score a trained policy; ``scored`` is its utility
-        record when replicate selection has already computed it."""
+    def _record(self, key: str, mdp: ProductMdp,
+                policy: rl.TabularPolicy) -> metrics.UtilityRecord:
+        """Filter or score a trained policy."""
         mean_return = mdp.average_return(policy)
         if mean_return <= self.cfg.search.return_threshold:
             return metrics.UtilityRecord(key=key, wkl=None, utility=None,
                                          mean_return=mean_return, filtered=True)
-        if scored is not None:
-            return replace(scored, key=key, mean_return=mean_return)
         return metrics.utility(policy, self.target, self.sample, key=key,
                                mean_return=mean_return, eps=self.cfg.metric.kl_eps)
 

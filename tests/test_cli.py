@@ -3,11 +3,15 @@
 import csv
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import tlexplain
 from tlexplain import cli, config, product
 from tlexplain.config import SCHEMA_VERSION
 
@@ -131,7 +135,7 @@ class TestSearchCommand:
         ("environment", {**NAV_CONFIG["environment"], "map": "maps/ghost_map.txt"},
          "'map' path or an inline 'map_text', not both"),
         ("metric", {"sample_size": 0}, "metric.sample_size must be >= 1"),
-        ("metric", {"replicate_mode": "bogus"}, "metric.replicate_mode must be"),
+        ("metric", {"replicate_mode": "bogus"}, "metric.replicate_mode is not a setting"),
         ("metric", {"sample_sise": 8}, "metric.sample_sise is not a setting"),
         ("search", {"return_threshold": "x"}, "search.return_threshold must be a finite float"),
         ("search", {"n_serach": 3}, "search.n_serach is not a setting"),
@@ -275,6 +279,34 @@ class TestGoldenOutputs:
         assert capsys.readouterr().out.splitlines()[-1] == (
             "81 evaluations: 40 without training (acceptance unreachable), "
             "0 reused a trained product")
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this tlexplain."""
+    src = str(Path(tlexplain.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestRuntimeWithoutScipy:
+    """scipy is a test dependency only: the package neither imports it nor
+    needs it to reproduce the reference search."""
+
+    def test_import_loads_no_scipy(self):
+        run = _python("import sys, tlexplain; "
+                      "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    def test_reference_search_without_scipy(self, tmp_path):
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "from tlexplain import cli\n"
+                "sys.exit(cli.main(['search', '--config', sys.argv[1], '--out', sys.argv[2]]))")
+        run = _python(code, REFERENCE_CONFIG, str(tmp_path))
+        assert run.returncode == cli.EXIT_OK, run.stderr
+        assert (tmp_path / "results.csv").read_bytes() == (GOLDEN / "results.csv").read_bytes()
 
 
 # one well-formed trace node, as the search command writes it

@@ -255,25 +255,6 @@ class TestRobustness:
                     assert (rho[i] > 0) == fm.evaluate_bool(tree, vectors[i])
 
 
-class TestTrajectoryRobustness:
-    def test_f_is_max(self):
-        assert fm.robustness_trajectory("F", (-1, 0.5, 0.2)) == pytest.approx(0.5)
-
-    def test_g_is_min(self):
-        assert fm.robustness_trajectory("G", (-1, 0.5, 0.2)) == pytest.approx(-1.0)
-
-    def test_single_element(self):
-        assert fm.robustness_trajectory("F", (0.0,)) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(fm.EmptyTrajectoryError):
-            fm.robustness_trajectory("G", ())
-
-    def test_unknown_operator(self):
-        with pytest.raises(ValueError):
-            fm.robustness_trajectory("X", (1.0,))
-
-
 # ---------------------------------------------------------------------------
 # Neighborhood and expansion
 # ---------------------------------------------------------------------------

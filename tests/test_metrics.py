@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.special import softmax
+from scipy.special import softmax, xlogy
 
 from tlexplain import envs
 from tlexplain import metrics
@@ -106,6 +106,45 @@ class TestNormalizedEntropy:
     def test_h_max_must_be_positive(self):
         with pytest.raises(ValueError):
             metrics.normalized_entropy(np.array([1.0]), 0.0)
+
+
+def _entropy_rows(kind, rng):
+    n = 5
+    if kind == "one-hot":
+        return np.eye(n)
+    if kind == "uniform":
+        return np.full((4, n), 1.0 / n)
+    p = rng.dirichlet(np.ones(n), size=500)
+    if kind == "with zeros":
+        p[rng.random(p.shape) < 0.4] = 0.0
+        p[:, 0] += p.sum(axis=1) == 0
+        p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+ENTROPY_ROWS = ("one-hot", "uniform", "with zeros", "dirichlet")
+
+
+class TestXlogx:
+    """The numpy ``p * log(p)`` against scipy's ``xlogy(p, p)`` as reference."""
+
+    def test_exactly_zero_where_p_is_zero(self, rng):
+        p = _entropy_rows("with zeros", rng)
+        out = metrics.xlogx(p)
+        assert (p == 0).any()
+        assert (out[p == 0] == 0.0).all()
+
+    @pytest.mark.parametrize("kind", ENTROPY_ROWS)
+    def test_no_floating_point_warning(self, rng, kind):
+        p = _entropy_rows(kind, rng)
+        with np.errstate(all="raise"):
+            metrics.xlogx(p)
+
+    @pytest.mark.parametrize("kind", ENTROPY_ROWS)
+    def test_row_sums_match_xlogy(self, rng, kind):
+        p = _entropy_rows(kind, rng)
+        diff = metrics.xlogx(p).sum(axis=-1) - xlogy(p, p).sum(axis=-1)
+        assert np.abs(diff).max() <= 1e-15
 
 
 class TestWeights:

@@ -549,6 +549,11 @@ def _random_policy(model, seed):
     return TabularPolicy(probs, tau=0.1, trainer="test")
 
 
+def _soft_vi(mdp, trainer_cfg):
+    """The soft-VI policy of ``mdp`` under its own discount."""
+    return rl.soft_value_iteration([mdp.table], mdp.reward.gamma, trainer_cfg)[0]
+
+
 def _with(mdp, reward=None, horizon=None):
     """``mdp`` rebuilt with another ``reward`` or ``horizon``."""
     return ProductMdp(mdp.model, mdp.fspa, reward or mdp.reward, horizon or mdp.horizon)
@@ -605,7 +610,7 @@ class TestAcceptanceReachable:
         mdp = _with(mdp, reward=replace(mdp.reward, mode=SPARSE))
         if mdp.acceptance_reachable():
             return
-        trained = rl.train(mdp, rl.TrainerConfig(tau=0.1))
+        trained = _soft_vi(mdp, rl.TrainerConfig(tau=0.1))
         assert full_horizon_return(mdp, trained) <= 0
         assert full_horizon_return(mdp, _random_policy(mdp.model, seed)) <= 0
 
@@ -617,7 +622,7 @@ class TestReturnFixedPoint:
         mdp, policy = problem
         mdp = _with(mdp, horizon=horizon)
         if trained:
-            policy = rl.train(mdp, rl.TrainerConfig(tau=0.01))
+            policy = _soft_vi(mdp, rl.TrainerConfig(tau=0.01))
         assert _bits(mdp.average_return(policy)) == _bits(full_horizon_return(mdp, policy))
 
     @pytest.mark.parametrize("horizon", [1, 2, 100])
@@ -633,7 +638,7 @@ class TestReturnFixedPoint:
         ev = reference_runtime.evaluator
         for canon in fm.enumerate_all(ev.predicates):
             mdp = _with(ev.build_mdp(canon), horizon=2_000)
-            policy = rl.train(mdp, ev.trainer_cfg)
+            policy = _soft_vi(mdp, ev.trainer_cfg)
             assert _bits(mdp.average_return(policy)) == _bits(full_horizon_return(mdp, policy))
 
 
@@ -644,7 +649,7 @@ def _same_product(a, b) -> bool:
 def _assert_same_training(a, b, trainer_cfg):
     for f in fields(TransitionTable):
         assert np.array_equal(getattr(a.table, f.name), getattr(b.table, f.name)), f.name
-    assert np.array_equal(rl.train(a, trainer_cfg).probs, rl.train(b, trainer_cfg).probs)
+    assert np.array_equal(_soft_vi(a, trainer_cfg).probs, _soft_vi(b, trainer_cfg).probs)
 
 
 class TestEqualProducts:

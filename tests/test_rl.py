@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.special import logsumexp, softmax
 from tlexplain import config, envs
 from tlexplain import formula as fm
 from tlexplain import fspa as fa
-from tlexplain import rl
+from tlexplain import rl, search
 from tlexplain.product import DENSE, SPARSE, ProductMdp, TransitionTable, build_env_model
 
 from conftest import PROPERTY, product_mdp_batches, product_mdps
@@ -428,11 +429,24 @@ class TestQLearning:
         assert not np.array_equal(p1.probs, p2.probs)
 
     def test_train_dispatch(self):
+        """``search.train_policy`` trains soft VI once; under Q-learning it
+        trains ``n_rep`` replicates on the streams keyed by the candidate
+        and keeps the one ``rl.select_replicate`` picks."""
         mdp = _corridor_mdp()
+        rows = range(mdp.model.n_rows)
+        run = SimpleNamespace(seed=0, trainer=rl.TrainerConfig(tau=0.1),
+                              search=search.SearchParams(n_rep=3))
+        vi = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, run.trainer)[0]
+        assert np.array_equal(search.train_policy(mdp, run, "k", rows).probs, vi.probs)
+        run.trainer = self._cfg(50)
+        replicates = [rl.q_learning(mdp, run.trainer, search._key_stream(0, "k", rep))
+                      for rep in range(3)]
+        assert len({p.probs.tobytes() for p in replicates}) == 3
+        expected = rl.select_replicate(replicates, rows)
+        assert expected is replicates[2]
+        assert np.array_equal(search.train_policy(mdp, run, "k", rows).probs, expected.probs)
         with pytest.raises(ValueError):
-            rl.train(mdp, rl.TrainerConfig(mode=rl.Q_LEARNING))  # rng required
-        with pytest.raises(ValueError):
-            rl.train(mdp, rl.TrainerConfig(mode="sarsa"))
+            rl.TrainerConfig(mode="sarsa")
 
 
 class TestQLearningAgainstReference:

@@ -22,7 +22,7 @@ from tlexplain.search import (
     eval_neighbors,
     greedy_search,
     multi_start,
-    train_replicates,
+    train_policy,
 )
 
 TARGET_KEY = "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)"
@@ -352,7 +352,7 @@ def _reference_record(ev, canon):
     full-horizon return, then filter or score."""
     key = fm.render(canon, ev.predicates)
     mdp = ev.build_mdp(canon)
-    policy = rl.select_replicate(train_replicates(mdp, ev.cfg, key), ev.sample.rows)
+    policy = train_policy(mdp, ev.cfg, key, ev.sample.rows)
     mean_return = full_horizon_return(mdp, policy)
     if mean_return <= ev.params.return_threshold:
         return metrics.UtilityRecord(key, None, None, mean_return, True)
@@ -394,53 +394,3 @@ class TestExactShortcuts:
         assert ev.n_product_hits == reused
         assert (reused > 0) == (trainer == rl.EXACT_SOFT_VI)
         assert len(ev.cache) == 96
-
-    def test_by_utility_scores_each_replicate_once(self, reference_runtime, monkeypatch):
-        base = reference_runtime.evaluator.cfg
-        ev = fresh_evaluator(
-            reference_runtime,
-            trainer=replace(base.trainer, mode=rl.Q_LEARNING, episodes=50),
-            search=replace(base.search, n_rep=2),
-            metric=replace(base.metric, replicate_mode="by-utility"))
-        canon = _target_canon(reference_runtime)
-        calls = []
-        original = metrics.utility
-
-        def counting_utility(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(metrics, "utility", counting_utility)
-        record = ev.evaluate(canon)
-        assert len(calls) == 2 and not record.filtered
-        monkeypatch.undo()
-        # the record scoring the chosen replicate afresh would give
-        mdp = ev.build_mdp(canon)
-        replicates = train_replicates(mdp, ev.cfg, TARGET_KEY)
-        eps = base.metric.kl_eps
-        scores = [metrics.utility(p, ev.target, ev.sample, eps=eps).utility
-                  for p in replicates]
-        chosen = replicates[int(np.argmax(scores))]
-        expected = metrics.utility(chosen, ev.target, ev.sample, key=TARGET_KEY,
-                                   mean_return=full_horizon_return(mdp, chosen), eps=eps)
-        assert repr(record) == repr(expected)
-
-    def test_by_utility_takes_first_best_replicate(self, reference_runtime, monkeypatch):
-        """By utility, the first replicate of highest utility wins, as
-        ``np.argmax`` picks, and comes back with its record."""
-        base = reference_runtime.evaluator.cfg
-        ev = fresh_evaluator(
-            reference_runtime,
-            trainer=replace(base.trainer, mode=rl.Q_LEARNING),
-            search=replace(base.search, n_rep=3),
-            metric=replace(base.metric, replicate_mode="by-utility"))
-        replicates, scores = [object(), object(), object()], [0.1, 0.3, 0.3]
-        monkeypatch.setattr(search, "train_replicates", lambda mdp, cfg, key: replicates)
-
-        def utility(policy, *args, **kwargs):
-            u = scores[replicates.index(policy)]
-            return metrics.UtilityRecord("", -u, u, 0.0, False)
-
-        monkeypatch.setattr(metrics, "utility", utility)
-        policy, record = ev.train_policy(None, "key")
-        assert policy is replicates[1] and record.utility == 0.3
