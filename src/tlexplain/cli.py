@@ -3,7 +3,7 @@
 Subcommands::
 
     tlexplain search    --config run.yaml [--out DIR] [--seed N]
-    tlexplain oracle    --config run.yaml [--out DIR] [--force]
+    tlexplain oracle    --config run.yaml [--out DIR]
     tlexplain enumerate --config run.yaml [--list]
     tlexplain eval      --config run.yaml "F(...) & G(...)"
     tlexplain trace-dot TRACE.jsonl [--out FILE]
@@ -46,10 +46,6 @@ TRACE_FIELDS = {
     "parent": ((str, type(None)), "a string or null"),
     "move": ((str,), "a string"),
 }
-
-
-class RefusedError(RuntimeError):
-    pass
 
 
 class MalformedTraceError(ValueError):
@@ -124,11 +120,6 @@ def cmd_search(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     runtime = build_runtime(cfg)
-    n_predicates = len(runtime.evaluator.predicates)
-    if n_predicates > 4 and not args.force:
-        raise RefusedError(
-            f"oracle over {n_predicates} predicates is expensive; "
-            "pass --force to run it anyway")
     ranked, filtered = brute_force_oracle(runtime.evaluator)
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="rank every explanation by brute force")
     common(p)
-    p.add_argument("--force", action="store_true",
-                   help="allow oracle runs with more than 4 predicates")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("enumerate", help="count canonical explanations")
@@ -280,7 +269,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RefusedError, fm.CapExceededError, StateSpaceTooLargeError) as exc:
+    except (fm.CapExceededError, StateSpaceTooLargeError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except (ConfigError, MalformedTraceError, fm.ExplanationParseError, OSError) as exc:

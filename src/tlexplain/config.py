@@ -58,6 +58,8 @@ class RunConfig:
 
 # field annotation -> type.  Numbers accept what int()/float() accept, so
 # ``1e-2``, which YAML reads as a string, is 0.01; floats must be finite.
+# A bool is never a number, and an int setting takes a float only if it is
+# integral: YAML reads ``1.0e+4`` as 10000.0, but int() would make 99.9 99.
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 
@@ -69,9 +71,11 @@ def _field(types: dict, key, value):
     if kind is None:
         return value
     try:
-        if kind in (int, float):
-            value = kind(value)
-        if isinstance(value, kind) and (kind is not float or math.isfinite(value)):
+        if kind in (int, float) and not isinstance(value, bool):
+            number = kind(value)
+            if isinstance(value, str) or number == value:
+                value = number
+        if type(value) is kind and (kind is not float or math.isfinite(value)):
             return value
     except (TypeError, ValueError, OverflowError):
         pass

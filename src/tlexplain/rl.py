@@ -207,15 +207,15 @@ _LOW32 = 0xFFFFFFFF
 
 
 class _Pcg64Draws:
-    """numpy ``Generator.random()`` and ``.integers(n)`` for ``1 <= n < 2**32``
-    from blocks of ``bit_generator.random_raw``: the values and the stream of
-    the scalar calls, without numpy's per-call cost.
+    """numpy ``Generator.random()`` from blocks of ``bit_generator.random_raw``:
+    the values and the stream of the scalar calls, without numpy's per-call
+    cost.  ``random()`` is one raw word ``w`` as ``(w >> 11) * 2**-53``.
 
-    ``random()`` is one raw word ``w`` as ``(w >> 11) * 2**-53``.
-    ``integers(n)`` is Lemire's method over 32-bit halves: a word gives its
-    low half and keeps its high half buffered (``has_uint32``/``uinteger``),
-    as PCG64's ``next_uint32`` does.  After :meth:`close` the generator's
-    state is what the scalar calls would have left.
+    ``_pop`` hands out the next raw word, or raises IndexError when the
+    block is used up and ``_refill`` fetches the next.  A caller that splits
+    words into 32-bit halves keeps PCG64's half-word buffer
+    (``has_uint32``/``uinteger``) itself and passes it to :meth:`close`,
+    which leaves the generator in the state the scalar calls would have left.
     """
 
     def __init__(self, rng: np.random.Generator, block: int = _BLOCK_WORDS):
@@ -223,7 +223,6 @@ class _Pcg64Draws:
         if type(bg) is not np.random.PCG64:
             raise ValueError(f"q-learning needs a PCG64 bit generator, got {type(bg).__name__}")
         self._bg, self._block, self._start = bg, block, bg.state
-        self._has32, self._uint32 = self._start["has_uint32"], self._start["uinteger"]
         self._fetched = 0
         self._words = []           # the current block, reversed: pop() is the next word
         self._pop = self._words.pop
@@ -242,37 +241,12 @@ class _Pcg64Draws:
             w = self._refill()
         return (w >> 11) * 2 ** -53
 
-    def _next32(self) -> int:
-        if self._has32:
-            self._has32 = 0
-            return self._uint32
-        try:
-            w = self._pop()
-        except IndexError:
-            w = self._refill()
-        self._has32, self._uint32 = 1, w >> 32
-        return w & _LOW32
-
-    def integers(self, n: int) -> int:
-        if n == 1:
-            return 0               # numpy draws nothing for a one-value range
-        m = self._next32() * n
-        return self._lemire_tail(m, n) if (m & _LOW32) < n else m >> 32
-
-    def _lemire_tail(self, m: int, n: int) -> int:
-        """The rest of Lemire's method when the first product ``m`` may be
-        rejected (its low half is below ``n``): draw again while it is."""
-        threshold = (2 ** 32 - n) % n
-        while (m & _LOW32) < threshold:
-            m = self._next32() * n
-        return m >> 32
-
-    def close(self):
-        """Advance the generator past the words used, keeping its buffer."""
+    def close(self, has32: int, uint32: int):
+        """Advance the generator past the words used and set its buffer."""
         bg = self._bg
         bg.state = self._start
         bg.advance(self._fetched - len(self._words))   # also empties the buffer
-        bg.state = {**bg.state, "has_uint32": self._has32, "uinteger": self._uint32}
+        bg.state = {**bg.state, "has_uint32": has32, "uinteger": uint32}
 
 
 def _explore_limit(eps: float) -> int:
@@ -294,12 +268,16 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) ->
     :class:`_Pcg64Draws`, so ``rng`` must be PCG64-backed.
 
     The loop makes its own two draws on ``_Pcg64Draws``'s raw words, with
-    the same values: the epsilon test compares the word with
-    :func:`_explore_limit`, and an exploring step takes Lemire's accepting
-    path on a 32-bit half, keeping the other half buffered in locals.  They
-    are written back before a possible rejection, which
-    :meth:`_Pcg64Draws._lemire_tail` finishes, and before ``close()``.
-    ``product_step`` stays the one sampler of transitions.
+    the same values.  The epsilon test compares the word with
+    :func:`_explore_limit`.  The exploring draw is numpy's buffered Lemire
+    method: take a 32-bit half (the buffered one, or the low half of a
+    fresh word, buffering the high half), multiply it by ``n_actions`` and
+    accept when the product's low 32 bits are at least ``threshold``.
+    numpy tests the threshold only when the low bits are below
+    ``n_actions``, but the threshold is below ``n_actions``, so the test is
+    the same.  The half-word buffer is read from the generator's state at
+    entry, kept in locals and handed to ``close()``.  ``product_step`` stays
+    the one sampler of transitions.
     """
     m = mdp.model
     n_actions = m.n_actions
@@ -307,7 +285,8 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) ->
     gamma, lr, horizon = mdp.reward.gamma, cfg.learning_rate, mdp.horizon
     draws = _Pcg64Draws(rng)
     step, pop, refill = mdp.product_step, draws._pop, draws._refill
-    has32, uint32 = draws._has32, draws._uint32
+    has32, uint32 = draws._start["has_uint32"], draws._start["uinteger"]
+    threshold = (2 ** 32 - n_actions) % n_actions
     try:
         for ep in range(cfg.episodes):
             eps = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * ep / max(cfg.episodes - 1, 1)
@@ -321,21 +300,19 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) ->
                 except IndexError:
                     w = refill()
                 if w < limit:                          # random() < eps
-                    if has32:                          # integers(n_actions)
-                        has32, x = 0, uint32
-                    else:
-                        try:
-                            w = pop()
-                        except IndexError:
-                            w = refill()
-                        has32, uint32, x = 1, w >> 32, w & _LOW32
-                    x *= n_actions
-                    if (x & _LOW32) < n_actions:
-                        draws._has32, draws._uint32 = has32, uint32
-                        a = draws._lemire_tail(x, n_actions)
-                        has32, uint32 = draws._has32, draws._uint32
-                    else:
-                        a = x >> 32
+                    while True:                        # integers(n_actions)
+                        if has32:
+                            has32, x = 0, uint32
+                        else:
+                            try:
+                                w = pop()
+                            except IndexError:
+                                w = refill()
+                            has32, uint32, x = 1, w >> 32, w & _LOW32
+                        x *= n_actions
+                        if x & _LOW32 >= threshold:
+                            break
+                    a = x >> 32
                 else:
                     a = q_s.index(max(q_s))
                 ps, reward, terminal = step(ps, a, draws)
@@ -346,8 +323,7 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) ->
                 q_s[a] += lr * (reward + gamma * max(q_next) - q_s[a])
                 q_s = q_next
     finally:
-        draws._has32, draws._uint32 = has32, uint32
-        draws.close()
+        draws.close(has32, uint32)
     _, z, s = _action_softmax(np.array(q)[m.rows].T, cfg.tau)
     return TabularPolicy(_policy_rows(z, s), cfg.tau, Q_LEARNING)
 

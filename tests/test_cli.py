@@ -161,6 +161,16 @@ class TestSearchCommand:
          "environment.horizon must be <= 10000, got 1000000000"),
         ("metric", {"sample_size": 10**12},
          "metric.sample_size must be <= 100000, got 1000000000000"),
+        # a bool is never a number, and int() would truncate a fraction
+        ("environment", {**NAV_CONFIG["environment"], "horizon": True},
+         "environment.horizon must be int, got True"),
+        ("environment", {**NAV_CONFIG["environment"], "horizon": 99.9},
+         "environment.horizon must be int, got 99.9"),
+        ("seed", False, "seed must be int, got False"),
+        ("search", {"n_search": 2.5}, "search.n_search must be int, got 2.5"),
+        ("trainer", {"tau": True}, "trainer.tau must be a finite float, got True"),
+        ("predicates", [PSI0, {**PSI1, "threshold": True}],
+         "predicates[1].threshold must be a finite float, got True"),
     ])
     def test_bad_input_is_config_error(self, tmp_path, capsys, section, value, message):
         (tmp_path / "malformed_policy.txt").write_text("not a policy\n")
@@ -190,17 +200,10 @@ class TestOracleCommand:
         filtered = int(lines[-1].split(":")[1])
         assert ranked + filtered == 8  # canonical count for two predicates
 
-    def test_refuses_many_predicates_without_force(self, tmp_path, capsys):
-        cfg = dict(NAV_CONFIG)
-        cfg["predicates"] = [
-            {"name": f"psi{i}", "feature": "d_goal", "threshold": 1.0 + i}
-            for i in range(5)
-        ]
-        cfg["target"] = {
-            "explanation": "F(psi0) & G(psi1 | psi2 | psi3 | psi4)"}
-        config = _write_config(tmp_path, cfg)
+    def test_cap_below_predicate_count_is_refused(self, tmp_path, capsys):
+        config = _write_config(tmp_path, {**NAV_CONFIG, "search": {"enumeration_cap": 1}})
         assert cli.main(["oracle", "--config", str(config)]) == cli.EXIT_REFUSED
-        assert "--force" in capsys.readouterr().err
+        assert "exceeds the enumeration cap 1" in capsys.readouterr().err
 
 
 class TestEnumerateCommand:

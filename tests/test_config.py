@@ -87,6 +87,16 @@ class TestLoadConfig:
             manifest = _write(tmp_path, cfg.to_dict(), "manifest.yaml")
             assert load_config(manifest).to_dict() == cfg.to_dict()
 
+    def test_integral_floats_and_numeric_strings_are_ints(self, tmp_path):
+        # an integral float (YAML reads 1.0e+4 as 10000.0) and numeric strings
+        path = _write(tmp_path, {**NAV_CONFIG, "seed": "5",
+                                 "trainer": {"max_iterations": 1.0e+4},
+                                 "environment": {**NAV_CONFIG["environment"], "horizon": "40"}})
+        cfg = load_config(path)
+        assert (cfg.seed, cfg.trainer.max_iterations, cfg.environment.horizon) == (5, 10_000, 40)
+        assert all(type(v) is int for v in (cfg.seed, cfg.trainer.max_iterations,
+                                            cfg.environment.horizon))
+
     def test_manifest_inlines_map(self, tmp_path):
         cfg = load_config(_write(tmp_path, NAV_CONFIG))
         manifest = cfg.to_dict()

@@ -534,9 +534,55 @@ class _NoScalarCalls:
     integers = choice = random
 
 
+class _NumpyDraws:
+    """numpy's ``Generator.random()`` and ``integers(n)`` for
+    ``1 <= n < 2**32``, written out over the raw words of ``draws``, an
+    ``rl._Pcg64Draws``: the reference for ``q_learning``'s exploring draw.
+
+    ``integers(n)`` is Lemire's method over 32-bit halves, as numpy's
+    ``buffered_bounded_lemire_uint32`` runs it: a word gives its low half
+    and keeps its high half buffered, as PCG64's ``next_uint32`` does, and
+    a product whose low half is below ``n`` is redrawn while it is below
+    ``(2**32 - n) % n``.  ``buffered_on_rejection`` notes, at each redraw,
+    whether half a word was buffered.  :meth:`close` hands the buffer to
+    ``draws.close``.
+    """
+
+    def __init__(self, draws):
+        self.draws, self.random = draws, draws.random
+        self.has32, self.uint32 = draws._start["has_uint32"], draws._start["uinteger"]
+        self.buffered_on_rejection = []
+
+    def _next32(self):
+        if self.has32:
+            self.has32 = 0
+            return self.uint32
+        try:
+            w = self.draws._pop()
+        except IndexError:
+            w = self.draws._refill()
+        self.has32, self.uint32 = 1, w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, n):
+        if n == 1:
+            return 0               # numpy draws nothing for a one-value range
+        m = self._next32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (2 ** 32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                self.buffered_on_rejection.append(self.has32)
+                m = self._next32() * n
+        return m >> 32
+
+    def close(self):
+        self.draws.close(self.has32, self.uint32)
+
+
 class TestPcg64Draws:
-    """``rl._Pcg64Draws`` copies numpy's algorithms; these tests pin it to the
-    installed numpy's stream."""
+    """``rl._Pcg64Draws.random()`` and the test's ``_NumpyDraws`` copy
+    numpy's algorithms; these tests pin them to the installed numpy's
+    stream."""
 
     NUMPY = f"numpy {np.__version__}: Generator's stream differs from rl._Pcg64Draws"
     # 2**31 + 1 rejects about half its draws; above 2**31 the threshold is 2**32 - n
@@ -554,7 +600,7 @@ class TestPcg64Draws:
         if seed % 2:       # start with half a word buffered
             assert rng.integers(5) == ref.integers(5)
             assert rng.bit_generator.state["has_uint32"] == 1
-        draws = rl._Pcg64Draws(rng, block=7)
+        draws = _NumpyDraws(rl._Pcg64Draws(rng, block=7))
         for op, k in zip(ops.integers(3, size=20_000), ops.integers(len(self.RANGES), size=20_000)):
             if op == 0:
                 assert draws.random() == ref.random(), self.NUMPY
@@ -564,6 +610,7 @@ class TestPcg64Draws:
             else:
                 row = ref.choice(m.start_rows, p=m.start_probs)
                 assert mdp.initial_product_state(draws) == (m.rows[row], fa.Q0_I), self.NUMPY
+        assert set(draws.buffered_on_rejection) == {0, 1}
         draws.close()
         assert rng.bit_generator.state == ref.bit_generator.state, self.NUMPY
 
@@ -585,25 +632,40 @@ class TestPcg64Draws:
 
 class _FedDraws(rl._Pcg64Draws):
     """``_Pcg64Draws`` that hands out ``words`` before the generator's own
-    and notes, on entry to each Lemire rejection, whether half a word is
-    buffered.  ``close()`` counts the fed words as drawn."""
+    and notes the buffer ``close()`` is given.  ``close()`` counts the fed
+    words as drawn."""
 
     def __init__(self, rng, words):
         super().__init__(rng)
         self._words.extend(reversed(words))
         self._fetched += len(words)
-        self.buffered_on_rejection = []
 
-    def _lemire_tail(self, m, n):
-        self.buffered_on_rejection.append(self._has32)
-        return super()._lemire_tail(m, n)
+    def close(self, has32, uint32):
+        self.closed_with = (has32, uint32)
+        super().close(has32, uint32)
 
 
-class _OneActionChain:
-    """States 0-4 on a line with one action, which stays or moves right,
-    half each; 4 is terminal.  Features: distance to 4, and a constant."""
+def _rejecting_words(n, seed, count=3000):
+    """Raw words for an ``n``-action problem (``n`` odd, so ``n`` has an
+    inverse mod 2**32) whose halves are random or, three times in ten, a
+    half ``x`` with ``x * n`` mod 2**32 below ``n``: those are rejected
+    below ``(2**32 - n) % n`` and accepted from it on."""
+    gen = np.random.default_rng(seed)
+    inverse = pow(n, -1, 2 ** 32)
+    halves = gen.integers(1, 2 ** 32, size=(count, 2))
+    low = gen.integers(n, size=(count, 2))
+    special = gen.random((count, 2)) < 0.3
+    halves[special] = low[special] * inverse % 2 ** 32
+    return [hi << 32 | lo for hi, lo in halves.tolist()]
 
-    n_actions = 1
+
+class _Chain:
+    """States 0-4 on a line; 4 is terminal.  Each of ``n_actions`` actions
+    stays or moves right, half each: an even action by one, an odd one by
+    two.  Features: distance to 4, and a constant."""
+
+    def __init__(self, n_actions):
+        self.n_actions = n_actions
 
     def initial_states(self):
         return [(0, 0.5), (1, 0.5)]
@@ -612,10 +674,17 @@ class _OneActionChain:
         return s == 4
 
     def transitions(self, s, action):
-        return [(s, 0.5), (s + 1, 0.5)]
+        return [(s, 0.5), (min(s + 1 + action % 2, 4), 0.5)]
 
     def features(self, s):
         return np.array([4.0 - s, 10.0])
+
+
+def _chain_mdp(n_actions):
+    preds = (fm.AtomicPredicate(0, "psi0", 0, 1.0),
+             fm.AtomicPredicate(1, "psi1", 1, 1.0))
+    canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
+    return ProductMdp(build_env_model(_Chain(n_actions)), fa.build_fspa(canon, preds))
 
 
 class TestInlineDraws:
@@ -647,47 +716,65 @@ class TestInlineDraws:
         self._assert_decision(eps, limit - 1)
         self._assert_decision(eps, limit)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_lemire_rejections_match_the_reference(self, monkeypatch, seed):
-        # for n = 5 exactly a zero half rejects: the low half of a fresh word
-        # (a half stays buffered) or the buffered high half (none does)
-        gen = np.random.default_rng(seed)
-        halves = gen.integers(1, 2 ** 32, size=(3000, 2)).tolist()
-        zeros = (gen.random((3000, 2)) < 0.3).tolist()
-        words = [(0 if zh else hi) << 32 | (0 if zl else lo)
-                 for (hi, lo), (zh, zl) in zip(halves, zeros)]
+    @staticmethod
+    def _assert_same_on_words(mdp, cfg, words, seed):
+        """``q_learning`` and the reference fed ``words`` before the
+        generator's own: the same policy, words left, buffer and final
+        generator state.  Returns the reference's rejections."""
         made = []
 
         def fed(rng):
             made.append(_FedDraws(rng, words))
             return made[-1]
 
-        mdp = _combat_mdp()
-        cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, tau=0.05, episodes=30,
-                               epsilon_start=1.0, epsilon_end=0.5)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         if seed % 2:       # start with half a word buffered
             assert rng.integers(5) == ref_rng.integers(5)
-        monkeypatch.setattr(rl, "_Pcg64Draws", fed)
-        policy = rl.q_learning(mdp, cfg, rng)
-        ref = _FedDraws(ref_rng, words)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rl, "_Pcg64Draws", fed)
+            policy = rl.q_learning(mdp, cfg, rng)
+        ref = _NumpyDraws(_FedDraws(ref_rng, words))
         want = _reference_q_learning(mdp, cfg, ref)
         ref.close()
         (draws,) = made
         assert np.array_equal(policy.probs, want)
-        assert len(draws._words) < len(words)             # the run ends in fed words
-        assert draws.buffered_on_rejection == ref.buffered_on_rejection
-        assert set(ref.buffered_on_rejection) == {0, 1}
-        assert ((draws._has32, draws._uint32, len(draws._words))
-                == (ref._has32, ref._uint32, len(ref._words)))
+        assert 0 < len(draws._words) < len(words)         # the run ends in fed words
+        assert len(draws._words) == len(ref.draws._words)
+        assert draws.closed_with == ref.draws.closed_with == (ref.has32, ref.uint32)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return ref.buffered_on_rejection
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lemire_rejections_match_the_reference(self, seed):
+        # for 5 actions the threshold is 1: exactly a zero half rejects, the
+        # low half of a fresh word (a half stays buffered) or the buffered
+        # high half (none does)
+        cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, tau=0.05, episodes=30,
+                               epsilon_start=1.0, epsilon_end=0.5)
+        rejections = self._assert_same_on_words(_combat_mdp(), cfg,
+                                                _rejecting_words(5, seed), seed)
+        assert set(rejections) == {0, 1}
+
+    @pytest.mark.parametrize("n_actions", [2, 3, 7])
+    def test_every_threshold_matches_numpy(self, n_actions):
+        # the thresholds (2**32 - n) % n are 0, 1 and 4
+        cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, tau=0.05, episodes=60,
+                               epsilon_start=1.0, epsilon_end=0.2)
+        mdp = _chain_mdp(n_actions)
+        for seed in range(4):
+            TestQLearningAgainstReference._assert_same_training(mdp, cfg, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seven_actions_on_rejecting_words(self, seed):
+        cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, tau=0.05, episodes=60,
+                               epsilon_start=1.0, epsilon_end=0.5)
+        rejections = self._assert_same_on_words(_chain_mdp(7), cfg,
+                                                _rejecting_words(7, seed), seed)
+        assert set(rejections) == {0, 1}
 
     def test_one_action_explores_without_a_draw(self):
         # integers(1) draws nothing, so an exploring step uses no word
-        preds = (fm.AtomicPredicate(0, "psi0", 0, 1.0),
-                 fm.AtomicPredicate(1, "psi1", 1, 1.0))
-        canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
-        mdp = ProductMdp(build_env_model(_OneActionChain()), fa.build_fspa(canon, preds))
+        mdp = _chain_mdp(1)
         cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, tau=0.05, episodes=20,
                                epsilon_start=1.0, epsilon_end=0.5)
         for seed in range(3):
