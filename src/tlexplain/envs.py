@@ -9,6 +9,9 @@ Two gridworlds are provided:
 * :class:`NavEnv` -- single-agent goal/hazard/vase navigation with
   deterministic 4-neighborhood dynamics.
 
+Both maps extend one grid, which parses the map text and holds the move
+table that both envs step through.
+
 Both expose the same four-call tabular interface, which
 ``product.build_env_model`` reads once to enumerate the reachable states:
 
@@ -22,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 Cell = tuple[int, int]
 
-# shared action set; nav ignores "stay" walls nothing special
+# the action set of both environments; a move into a wall or off the map stays put
 ACTION_NAMES = ("up", "down", "left", "right", "stay")
 ACTION_DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1), (0, 0))
 # the return filter makes one backward pass per step: ~11 us on ctf5 (2-vCPU Xeon)
@@ -66,10 +70,18 @@ class EnvConfig:
             raise ValueError(f"horizon must be <= {MAX_HORIZON}, got {self.horizon}")
         for name in ("blue_start", "red_start"):
             cell = getattr(self, name)
+            # a bool is an int to isinstance, but never a coordinate
             if cell is not None and not (isinstance(cell, (list, tuple)) and len(cell) == 2
-                                         and all(isinstance(x, int) for x in cell)):
+                                         and all(type(x) is int for x in cell)):
                 raise ValueError(f"{name} must be a [row, column] pair, got {cell!r}")
             setattr(self, name, cell and tuple(cell))
+        for name in ("random_starts", "blue_start", "red_start"):
+            if self.type == "nav" and getattr(self, name):
+                raise ValueError(f"{name} is a ctf setting; a nav map starts at its S cell")
+        for name in ("blue_start", "red_start"):
+            if self.random_starts and getattr(self, name):
+                raise ValueError(f"{name} cannot be set with random_starts: true, "
+                                 "which starts on every territory cell")
 
 
 def euclidean(a: Cell, b: Cell) -> float:
@@ -80,13 +92,71 @@ def chebyshev(a: Cell, b: Cell) -> int:
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
+def nearest(cell: Cell, cells, default: float) -> float:
+    """The euclidean distance from ``cell`` to the nearest of ``cells``;
+    ``default`` when there are none."""
+    return min((euclidean(cell, c) for c in cells), default=default)
+
+
+# ---------------------------------------------------------------------------
+# The grid beneath both maps
+# ---------------------------------------------------------------------------
+
+
+def _parse_cells(text: str, symbols: str) -> tuple[int, int, dict[str, list[Cell]]]:
+    """The height, width and row-major cells of each of ``symbols`` in a map
+    written one row per line; any other character is refused."""
+    rows = [line for line in text.splitlines() if line.strip()]
+    if not rows or len(set(map(len, rows))) != 1:
+        raise MapFormatError("map rows must be nonempty and equal length")
+    cells: dict[str, list[Cell]] = {ch: [] for ch in symbols}
+    for r, row in enumerate(rows):
+        for c, ch in enumerate(row):
+            if ch not in cells:
+                raise MapFormatError(f"unknown map character {ch!r}")
+            cells[ch].append((r, c))
+    return len(rows), len(rows[0]), cells
+
+
+def _one(cells: dict[str, list[Cell]], ch: str) -> Cell:
+    if len(cells[ch]) != 1:
+        raise MapFormatError(f"map needs exactly one {ch} cell, got {len(cells[ch])}")
+    return cells[ch][0]
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """A rectangle of cells, some of them walls."""
+
+    width: int
+    height: int
+    walls: frozenset[Cell]
+
+    @cached_property
+    def moves(self) -> dict[Cell, tuple[Cell, ...]]:
+        """Each passable cell's move under each action, in ``ACTION_DELTAS``
+        order; a wall or the map edge keeps the agent in place."""
+        cells = [(r, c) for r in range(self.height) for c in range(self.width)
+                 if (r, c) not in self.walls]
+        free = set(cells)
+        return {cell: tuple([n if (n := (cell[0] + dr, cell[1] + dc)) in free else cell
+                             for dr, dc in ACTION_DELTAS]) for cell in cells}
+
+    def passable(self, cell: Cell) -> bool:
+        return cell in self.moves
+
+    @property
+    def diagonal(self) -> float:
+        return math.hypot(self.height, self.width)
+
+
 # ---------------------------------------------------------------------------
 # Capture the flag
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class GridMap:
+class GridMap(_Grid):
     """CtF map: walls, a blue/red territory partition, and two flag cells.
 
     Text format, one row per line: ``#`` wall, ``b``/``r`` territory cells,
@@ -94,9 +164,6 @@ class GridMap:
     cell defaulting to red territory.
     """
 
-    width: int
-    height: int
-    walls: frozenset[Cell]
     blue_territory: frozenset[Cell]
     blue_flag: Cell
     red_flag: Cell
@@ -106,46 +173,19 @@ class GridMap:
     @classmethod
     def parse(cls, text: str, blue_start: Cell | None = None,
               red_start: Cell | None = None, random_starts: bool = False) -> "GridMap":
-        rows = [line for line in text.splitlines() if line.strip()]
-        if not rows or len(set(map(len, rows))) != 1:
-            raise MapFormatError("map rows must be nonempty and equal length")
-        height, width = len(rows), len(rows[0])
-        walls, blue_terr = set(), set()
-        blue_flag = red_flag = None
-        for r, row in enumerate(rows):
-            for c, ch in enumerate(row):
-                cell = (r, c)
-                if ch == "#":
-                    walls.add(cell)
-                elif ch in ("b", "B"):
-                    blue_terr.add(cell)
-                    if ch == "B":
-                        if blue_flag is not None:
-                            raise MapFormatError("multiple blue flags")
-                        blue_flag = cell
-                elif ch in ("r", "R", "."):
-                    if ch == "R":
-                        if red_flag is not None:
-                            raise MapFormatError("multiple red flags")
-                        red_flag = cell
-                else:
-                    raise MapFormatError(f"unknown map character {ch!r}")
-        if blue_flag is None or red_flag is None:
-            raise MapFormatError("map needs one B and one R flag cell")
-        free = [(r, c) for r in range(height) for c in range(width)
-                if (r, c) not in walls]
-        red_terr = [cell for cell in free if cell not in blue_terr]
+        height, width, cells = _parse_cells(text, "#bBrR.")
+        blue_flag, red_flag = _one(cells, "B"), _one(cells, "R")
         if random_starts:
-            blue_starts = tuple(sorted(c for c in blue_terr if c != blue_flag)) or (blue_flag,)
-            red_starts = tuple(sorted(c for c in red_terr if c != red_flag)) or (red_flag,)
+            blue_starts = tuple(sorted(cells["b"])) or (blue_flag,)
+            red_starts = tuple(sorted(cells["r"] + cells["."])) or (red_flag,)
         else:
             blue_starts = (blue_start or blue_flag,)
             red_starts = (red_start or red_flag,)
-        for cell in blue_starts + red_starts:
-            if cell in walls or not (0 <= cell[0] < height and 0 <= cell[1] < width):
-                raise MapFormatError(f"start cell {cell} is a wall or outside the map")
-        grid = cls(width, height, frozenset(walls), frozenset(blue_terr),
+        grid = cls(width, height, frozenset(cells["#"]), frozenset(cells["b"] + cells["B"]),
                    blue_flag, red_flag, blue_starts, red_starts)
+        for cell in blue_starts + red_starts:
+            if not grid.passable(cell):
+                raise MapFormatError(f"start cell {cell} is a wall or outside the map")
         # the red defender's heuristic steers by this border
         if not grid.border_cells():
             raise MapFormatError("blue territory has no passable neighbour outside it")
@@ -153,23 +193,9 @@ class GridMap:
 
     def border_cells(self) -> tuple[Cell, ...]:
         """Passable cells outside the blue territory next to one inside it."""
-        cells = set()
-        for cell in self.blue_territory:
-            for dr, dc in ACTION_DELTAS[:4]:
-                nb = (cell[0] + dr, cell[1] + dc)
-                if self.passable(nb) and nb not in self.blue_territory:
-                    cells.add(nb)
-        return tuple(sorted(cells))
-
-    def in_bounds(self, cell: Cell) -> bool:
-        return 0 <= cell[0] < self.height and 0 <= cell[1] < self.width
-
-    def passable(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and cell not in self.walls
-
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.height, self.width)
+        # a blocked move stays on its blue cell, which the difference drops
+        return tuple(sorted({nb for cell in self.blue_territory
+                             for nb in self.moves[cell][:4]} - self.blue_territory))
 
 
 @dataclass(frozen=True)
@@ -185,28 +211,20 @@ class CtfState:
 class CtfEnv:
     """Adversarial gridworld; the blue agent is the policy under study.
 
-    Enumeration asks for the same cells again and again, so the env keeps
-    three tables of its own: each passable cell's move under each action
-    (built here), the red defender's move per (blue cell, red cell) pair,
-    and ``d_ba_bt`` per blue cell (both filled on first use).  They belong
-    to this instance: a new env starts with empty memos.
+    Both agents step through the map's move table.  Enumeration asks for
+    the same cells again and again, so the env also memoizes the red
+    defender's move per (blue cell, red cell) pair and ``d_ba_bt`` per blue
+    cell, both filled on first use.  The memos belong to this instance: a
+    new env starts with empty ones.
     """
 
     n_actions = len(ACTION_NAMES)
-    action_names = ACTION_NAMES
     feature_names = ("d_ra_bf", "d_ba_rf", "d_ba_ra", "d_ba_bt")
     kill_prob = 0.75
 
     def __init__(self, grid: GridMap):
         self.grid = grid
         self._border = grid.border_cells()
-        self._bt_cells = sorted(grid.blue_territory)
-        self._moves: dict[Cell, tuple[Cell, ...]] = {}
-        for r in range(grid.height):
-            for c in range(grid.width):
-                if grid.passable((r, c)):
-                    nxt = [(r + dr, c + dc) for dr, dc in ACTION_DELTAS]
-                    self._moves[r, c] = tuple(n if grid.passable(n) else (r, c) for n in nxt)
         self._red_moves: dict[tuple[Cell, Cell], Cell] = {}
         self._d_ba_bt: dict[Cell, float] = {}
 
@@ -237,7 +255,7 @@ class CtfEnv:
         target_dist = ((lambda c: euclidean(c, blue)) if near_border
                        else (lambda c: min(euclidean(c, b) for b in self._border)))
         best, best_d = red, target_dist(red)
-        for cand in self._moves[red][:4]:
+        for cand in self.grid.moves[red][:4]:
             d = target_dist(cand)
             if d < best_d - 1e-12:
                 best, best_d = cand, d
@@ -253,7 +271,7 @@ class CtfEnv:
         if self.is_terminal(s):
             raise StepOnTerminalError(f"step on terminal state {s}")
         grid = self.grid
-        blue = self._moves[s.blue][action]
+        blue = grid.moves[s.blue][action]
         blue_captured = blue == grid.red_flag
         if not s.red_alive:
             return [(CtfState(blue, s.red, True, False, blue_captured), 1.0)]
@@ -281,9 +299,8 @@ class CtfEnv:
         else:
             d_ba_bt = self._d_ba_bt.get(s.blue)
             if d_ba_bt is None:
-                d_ba_bt = self._d_ba_bt[s.blue] = (
-                    0.0 if s.blue in self.grid.blue_territory
-                    else min(euclidean(s.blue, c) for c in self._bt_cells))
+                d_ba_bt = self._d_ba_bt[s.blue] = nearest(s.blue, self.grid.blue_territory,
+                                                          d_max)
         return np.array([d_ra_bf, d_ba_rf, d_ba_ra, d_ba_bt])
 
 
@@ -293,13 +310,10 @@ class CtfEnv:
 
 
 @dataclass(frozen=True)
-class NavMap:
+class NavMap(_Grid):
     """Nav map text format: ``#`` wall, ``.`` free, ``S`` start, ``G`` goal,
     ``H`` hazard, ``V`` vase."""
 
-    width: int
-    height: int
-    walls: frozenset[Cell]
     start: Cell
     goal: Cell
     hazards: frozenset[Cell]
@@ -307,39 +321,9 @@ class NavMap:
 
     @classmethod
     def parse(cls, text: str) -> "NavMap":
-        rows = [line for line in text.splitlines() if line.strip()]
-        if not rows or len(set(map(len, rows))) != 1:
-            raise MapFormatError("map rows must be nonempty and equal length")
-        height, width = len(rows), len(rows[0])
-        walls, hazards, vases = set(), set(), set()
-        start = goal = None
-        for r, row in enumerate(rows):
-            for c, ch in enumerate(row):
-                cell = (r, c)
-                if ch == "#":
-                    walls.add(cell)
-                elif ch == "S":
-                    start = cell
-                elif ch == "G":
-                    goal = cell
-                elif ch == "H":
-                    hazards.add(cell)
-                elif ch == "V":
-                    vases.add(cell)
-                elif ch != ".":
-                    raise MapFormatError(f"unknown map character {ch!r}")
-        if start is None or goal is None:
-            raise MapFormatError("nav map needs one S and one G cell")
-        return cls(width, height, frozenset(walls), start, goal,
-                   frozenset(hazards), frozenset(vases))
-
-    def passable(self, cell: Cell) -> bool:
-        return (0 <= cell[0] < self.height and 0 <= cell[1] < self.width
-                and cell not in self.walls)
-
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.height, self.width)
+        height, width, cells = _parse_cells(text, "#.SGHV")
+        return cls(width, height, frozenset(cells["#"]), _one(cells, "S"), _one(cells, "G"),
+                   frozenset(cells["H"]), frozenset(cells["V"]))
 
 
 @dataclass(frozen=True)
@@ -351,7 +335,6 @@ class NavEnv:
     """Deterministic navigation; goal and hazards end the episode, vases do not."""
 
     n_actions = len(ACTION_NAMES)
-    action_names = ACTION_NAMES
     feature_names = ("d_goal", "d_hazard", "d_vase")
 
     def __init__(self, nav_map: NavMap):
@@ -366,14 +349,12 @@ class NavEnv:
     def transitions(self, s: NavState, action: int) -> list[tuple[NavState, float]]:
         if self.is_terminal(s):
             raise StepOnTerminalError(f"step on terminal state {s}")
-        dr, dc = ACTION_DELTAS[action]
-        nxt = (s.pos[0] + dr, s.pos[1] + dc)
-        return [(NavState(nxt if self.map.passable(nxt) else s.pos), 1.0)]
+        return [(NavState(self.map.moves[s.pos][action]), 1.0)]
 
     def features(self, s: NavState) -> np.ndarray:
         d_max = self.map.diagonal
         d_goal = euclidean(s.pos, self.map.goal)
-        d_haz = min((euclidean(s.pos, c) for c in self.map.hazards), default=d_max)
-        d_vase = min((euclidean(s.pos, c) for c in self.map.vases), default=d_max)
+        d_haz = nearest(s.pos, self.map.hazards, d_max)
+        d_vase = nearest(s.pos, self.map.vases, d_max)
         return np.array([d_goal, d_haz, d_vase])
 

@@ -29,6 +29,7 @@ NAV_CONFIG = {
 }
 
 PSI0, PSI1 = NAV_CONFIG["predicates"]
+CTF_ENVIRONMENT = {"type": "ctf", "map_text": "Bbbrr\nbbbrR\n", "horizon": 40}
 
 REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent
                        / "configs" / "ctf_reference.yaml")
@@ -53,7 +54,8 @@ class TestSearchCommand:
         config = _write_config(tmp_path)
         assert cli.main(["search", "--config", str(config)]) == cli.EXIT_OK
         out_dir = tmp_path / "out"
-        rows = list(csv.reader((out_dir / "results.csv").open()))
+        with (out_dir / "results.csv").open() as results:
+            rows = list(csv.reader(results))
         assert tuple(rows[0]) == cli.RESULT_COLUMNS
         assert len(rows) > 1
         top = dict(zip(rows[0], rows[1]))
@@ -171,6 +173,19 @@ class TestSearchCommand:
         ("trainer", {"tau": True}, "trainer.tau must be a finite float, got True"),
         ("predicates", [PSI0, {**PSI1, "threshold": True}],
          "predicates[1].threshold must be a finite float, got True"),
+        # one start and one goal, and no start setting that would do nothing
+        ("environment", {**NAV_CONFIG["environment"], "map_text": "S.S\n...\n..G\n"},
+         "bad nav map: map needs exactly one S cell, got 2"),
+        ("environment", {**NAV_CONFIG["environment"], "random_starts": True},
+         "environment.random_starts is a ctf setting"),
+        ("environment", {**NAV_CONFIG["environment"], "blue_start": [0, 1]},
+         "environment.blue_start is a ctf setting"),
+        ("environment", {**NAV_CONFIG["environment"], "red_start": [0, 1]},
+         "environment.red_start is a ctf setting"),
+        ("environment", {**CTF_ENVIRONMENT, "random_starts": True, "blue_start": [0, 1]},
+         "environment.blue_start cannot be set with random_starts: true"),
+        ("environment", {**CTF_ENVIRONMENT, "blue_start": [True, False]},
+         "environment.blue_start must be a [row, column] pair, got [True, False]"),
     ])
     def test_bad_input_is_config_error(self, tmp_path, capsys, section, value, message):
         (tmp_path / "malformed_policy.txt").write_text("not a policy\n")

@@ -78,12 +78,15 @@ class TestLoadConfig:
             load_config(_write(tmp_path, cfg))
 
     def test_manifest_round_trip(self, tmp_path):
-        # YAML reads 1e-2 as a string; float() makes it 0.01
-        nav = load_config(_write(tmp_path, {
+        # YAML reads 1e-2 as a string; float() makes it 0.01.  A start cell
+        # is a ctf setting: a nav map starts at its S cell
+        ctf = load_config(_write(tmp_path, {
             **NAV_CONFIG, "trainer": {"tau": "1e-2"},
-            "environment": {**NAV_CONFIG["environment"], "blue_start": [0, 1]}}))
-        assert nav.trainer.tau == 0.01 and nav.environment.blue_start == (0, 1)
-        for cfg in (nav, load_config(REFERENCE_CONFIG)):
+            "environment": {"type": "ctf", "map_text": "Bbbrr\nbbbrR\n", "blue_start": [0, 1]}}))
+        assert ctf.trainer.tau == 0.01 and ctf.environment.blue_start == (0, 1)
+        # a nav manifest writes the ctf settings at their defaults, which load
+        nav = load_config(_write(tmp_path, NAV_CONFIG, "nav.yaml"))
+        for cfg in (ctf, nav, load_config(REFERENCE_CONFIG)):
             manifest = _write(tmp_path, cfg.to_dict(), "manifest.yaml")
             assert load_config(manifest).to_dict() == cfg.to_dict()
 

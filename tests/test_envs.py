@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import sampled_successors
+from conftest import PROPERTY, _ctf_text, _nav_text, sampled_successors
 from tlexplain import envs
 from tlexplain.product import build_env_model
 
@@ -111,6 +113,14 @@ class TestNavMap:
     def test_missing_goal_rejected(self):
         with pytest.raises(envs.MapFormatError):
             envs.NavMap.parse("S...\n....\n")
+
+    def test_two_starts_rejected(self):
+        with pytest.raises(envs.MapFormatError, match="exactly one S cell, got 2"):
+            envs.NavMap.parse("S.S\n...\n..G\n")
+
+    def test_two_goals_rejected(self):
+        with pytest.raises(envs.MapFormatError, match="exactly one G cell, got 2"):
+            envs.NavMap.parse("S.G\n...\n..G\n")
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +293,33 @@ class TestCtfEnumerate:
 
 
 # ---------------------------------------------------------------------------
-# CtF reference semantics: the dynamics and features computed afresh on
-# every call, with no tables or memos, as the env first computed them
+# Reference semantics: the dynamics and features computed afresh on every
+# call, with no tables or memos, as the envs first computed them
 # ---------------------------------------------------------------------------
 
 
 def _ref_move(grid, cell, action):
+    # bounds and walls checked here: the map's passable() reads its move table
     dr, dc = envs.ACTION_DELTAS[action]
     nxt = (cell[0] + dr, cell[1] + dc)
-    return nxt if grid.passable(nxt) else cell
+    inside = 0 <= nxt[0] < grid.height and 0 <= nxt[1] < grid.width
+    return nxt if inside and nxt not in grid.walls else cell
+
+
+class TestMovesAgainstReference:
+    @PROPERTY
+    @given(st.one_of(_nav_text().map(envs.NavMap.parse), _ctf_text().map(envs.GridMap.parse)))
+    def test_every_passable_cell_on_random_maps(self, grid):
+        free = [(r, c) for r in range(grid.height) for c in range(grid.width)
+                if (r, c) not in grid.walls]
+        assert list(grid.moves) == free
+        for cell in free:
+            assert grid.moves[cell] == tuple(_ref_move(grid, cell, a)
+                                             for a in range(len(envs.ACTION_DELTAS)))
+        # a wall or a cell off the map is not passable
+        for r in range(-1, grid.height + 1):
+            for c in range(-1, grid.width + 1):
+                assert grid.passable((r, c)) == ((r, c) in free)
 
 
 def _ref_red_move(grid, blue, red):
@@ -352,31 +380,56 @@ def _ref_features(env, s):
     return np.array([d_ra_bf, d_ba_rf, d_ba_ra, d_ba_bt])
 
 
-def _ref_reachable(env):
+def _ref_nav_is_terminal(env, s):
+    return s.pos == env.map.goal or s.pos in env.map.hazards
+
+
+def _ref_nav_transitions(env, s, action):
+    if _ref_nav_is_terminal(env, s):
+        raise envs.StepOnTerminalError(f"step on terminal state {s}")
+    return [(envs.NavState(_ref_move(env.map, s.pos, action)), 1.0)]
+
+
+def _ref_nav_features(env, s):
+    m = env.map
+    d_max = m.diagonal
+    return np.array([envs.euclidean(s.pos, m.goal),
+                     min((envs.euclidean(s.pos, c) for c in m.hazards), default=d_max),
+                     min((envs.euclidean(s.pos, c) for c in m.vases), default=d_max)])
+
+
+# (is_terminal, transitions, features) of each env type
+CTF_REF = (lambda env, s: _ref_is_terminal(s), _ref_transitions, _ref_features)
+NAV_REF = (_ref_nav_is_terminal, _ref_nav_transitions, _ref_nav_features)
+
+
+def _ref_reachable(env, ref=CTF_REF):
     """Every state reachable under the reference dynamics, breadth-first."""
+    is_terminal, transitions, _ = ref
     seen = dict.fromkeys(s for s, _ in env.initial_states())
     states = list(seen)
     for s in states:
-        if not _ref_is_terminal(s):
+        if not is_terminal(env, s):
             for a in range(env.n_actions):
-                for nxt, _ in _ref_transitions(env, s, a):
+                for nxt, _ in transitions(env, s, a):
                     if nxt not in seen:
                         seen[nxt] = None
                         states.append(nxt)
     return states
 
 
-def _assert_matches_reference(env, states):
+def _assert_matches_reference(env, states, ref=CTF_REF):
     """``env``'s terminal test, branches (states, order, probability bits)
     and feature bits equal the reference on every state and action."""
+    is_terminal, transitions, features = ref
     for s in states:
-        assert env.is_terminal(s) == _ref_is_terminal(s)
-        got, want = env.features(s), _ref_features(env, s)
+        assert env.is_terminal(s) == is_terminal(env, s)
+        got, want = env.features(s), features(env, s)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), s
         if env.is_terminal(s):
             continue
         for a in range(env.n_actions):
-            got, want = env.transitions(s, a), _ref_transitions(env, s, a)
+            got, want = env.transitions(s, a), transitions(env, s, a)
             assert repr(got) == repr(want), (s, a)
             assert [p.hex() for _, p in got] == [p.hex() for _, p in want]
 
@@ -473,3 +526,24 @@ class TestNavEnv:
         env = envs.NavEnv(envs.NavMap.parse("S..G\n....\n"))
         x = env.features(env.initial_states()[0][0])
         assert x[1] == env.map.diagonal and x[2] == env.map.diagonal
+
+
+NAV_MAPS = {"nav-text": NAV_TEXT, "no-hazards": "S..G\n....\n",
+            "nav10": (ROOT / "perfbench/maps/nav10.txt").read_text()}
+
+
+class TestNavAgainstReference:
+    @pytest.mark.parametrize("name", list(NAV_MAPS))
+    def test_every_reachable_state_and_action(self, name):
+        env = envs.NavEnv(envs.NavMap.parse(NAV_MAPS[name]))
+        states = _ref_reachable(env, NAV_REF)
+        _assert_matches_reference(env, states, NAV_REF)
+        assert build_env_model(env).states == states
+
+    @PROPERTY
+    @given(_nav_text())
+    def test_every_reachable_state_on_random_maps(self, text):
+        env = envs.NavEnv(envs.NavMap.parse(text))
+        states = _ref_reachable(env, NAV_REF)
+        _assert_matches_reference(env, states, NAV_REF)
+        assert build_env_model(env).states == states
