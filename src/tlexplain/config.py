@@ -130,7 +130,9 @@ def load_config(path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        # libyaml's scanner when pyyaml has it; the constructor, and so the
+        # objects built, are the same SafeConstructor either way
+        raw = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(raw, dict):

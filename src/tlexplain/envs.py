@@ -10,7 +10,8 @@ Two gridworlds are provided:
   deterministic 4-neighborhood dynamics.
 
 Both maps extend one grid, which parses the map text and holds the move
-table that both envs step through.
+table that both envs step through; the CtF map also tabulates, per cell,
+the distances its red defender steers by and the ``d_ba_bt`` feature.
 
 Both expose the same four-call tabular interface, which
 ``product.build_env_model`` reads once to enumerate the reachable states:
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +82,12 @@ class EnvConfig:
                 raise ValueError(f"{name} is a ctf setting; a nav map starts at its S cell")
         for name in ("blue_start", "red_start"):
             if self.random_starts and getattr(self, name):
-                raise ValueError(f"{name} cannot be set with random_starts: true, "
-                                 "which starts on every territory cell")
+                raise ValueError(_random_starts_clash(name))
+
+
+def _random_starts_clash(name: str) -> str:
+    return (f"{name} cannot be set with random_starts: true, "
+            "which starts on every territory cell")
 
 
 def euclidean(a: Cell, b: Cell) -> float:
@@ -175,6 +181,9 @@ class GridMap(_Grid):
               red_start: Cell | None = None, random_starts: bool = False) -> "GridMap":
         height, width, cells = _parse_cells(text, "#bBrR.")
         blue_flag, red_flag = _one(cells, "B"), _one(cells, "R")
+        for name, cell in (("blue_start", blue_start), ("red_start", red_start)):
+            if random_starts and cell:
+                raise MapFormatError(_random_starts_clash(name))
         if random_starts:
             blue_starts = tuple(sorted(cells["b"])) or (blue_flag,)
             red_starts = tuple(sorted(cells["r"] + cells["."])) or (red_flag,)
@@ -197,9 +206,30 @@ class GridMap(_Grid):
         return tuple(sorted({nb for cell in self.blue_territory
                              for nb in self.moves[cell][:4]} - self.blue_territory))
 
+    @cached_property
+    def near_border(self) -> frozenset[Cell]:
+        """Passable cells within Chebyshev distance 2 of a border cell: blue
+        standing on one is chased by the red defender, elsewhere red holds
+        the border."""
+        border = self.border_cells()
+        return frozenset(cell for cell in self.moves
+                         if min(chebyshev(cell, b) for b in border) <= 2)
 
-@dataclass(frozen=True)
-class CtfState:
+    @cached_property
+    def border_distance(self) -> dict[Cell, float]:
+        """Each passable cell's euclidean distance to the nearest border cell."""
+        border = self.border_cells()
+        return {cell: nearest(cell, border, self.diagonal) for cell in self.moves}
+
+    @cached_property
+    def territory_distance(self) -> dict[Cell, float]:
+        """Each passable cell's euclidean distance to the nearest blue
+        territory cell (0 inside it): the ``d_ba_bt`` feature."""
+        return {cell: nearest(cell, self.blue_territory, self.diagonal)
+                for cell in self.moves}
+
+
+class CtfState(NamedTuple):
     blue: Cell
     red: Cell
     blue_alive: bool = True
@@ -211,11 +241,11 @@ class CtfState:
 class CtfEnv:
     """Adversarial gridworld; the blue agent is the policy under study.
 
-    Both agents step through the map's move table.  Enumeration asks for
-    the same cells again and again, so the env also memoizes the red
-    defender's move per (blue cell, red cell) pair and ``d_ba_bt`` per blue
-    cell, both filled on first use.  The memos belong to this instance: a
-    new env starts with empty ones.
+    Both agents step through the map's move table, and the red defender
+    steers by the map's border distance tables.  Enumeration asks for the
+    same cells again and again, so the env also memoizes the red defender's
+    move per (blue cell, red cell) pair, filled on first use.  The memo
+    belongs to this instance: a new env starts with an empty one.
     """
 
     n_actions = len(ACTION_NAMES)
@@ -224,9 +254,7 @@ class CtfEnv:
 
     def __init__(self, grid: GridMap):
         self.grid = grid
-        self._border = grid.border_cells()
         self._red_moves: dict[tuple[Cell, Cell], Cell] = {}
-        self._d_ba_bt: dict[Cell, float] = {}
 
     # -- dynamics ----------------------------------------------------------
 
@@ -251,11 +279,11 @@ class CtfEnv:
         best = self._red_moves.get((blue, red))
         if best is not None:
             return best
-        near_border = min(chebyshev(blue, b) for b in self._border) <= 2
-        target_dist = ((lambda c: euclidean(c, blue)) if near_border
-                       else (lambda c: min(euclidean(c, b) for b in self._border)))
+        grid = self.grid
+        target_dist = ((lambda c: euclidean(c, blue)) if blue in grid.near_border
+                       else grid.border_distance.__getitem__)
         best, best_d = red, target_dist(red)
-        for cand in self.grid.moves[red][:4]:
+        for cand in grid.moves[red][:4]:
             d = target_dist(cand)
             if d < best_d - 1e-12:
                 best, best_d = cand, d
@@ -294,13 +322,7 @@ class CtfEnv:
         d_ra_bf = euclidean(s.red, self.grid.blue_flag) if s.red_alive else d_max
         d_ba_rf = euclidean(s.blue, self.grid.red_flag) if s.blue_alive else d_max
         d_ba_ra = euclidean(s.blue, s.red) if (s.blue_alive and s.red_alive) else d_max
-        if not s.blue_alive:
-            d_ba_bt = d_max
-        else:
-            d_ba_bt = self._d_ba_bt.get(s.blue)
-            if d_ba_bt is None:
-                d_ba_bt = self._d_ba_bt[s.blue] = nearest(s.blue, self.grid.blue_territory,
-                                                          d_max)
+        d_ba_bt = self.grid.territory_distance[s.blue] if s.blue_alive else d_max
         return np.array([d_ra_bf, d_ba_rf, d_ba_ra, d_ba_bt])
 
 
@@ -326,8 +348,7 @@ class NavMap(_Grid):
                    frozenset(cells["H"]), frozenset(cells["V"]))
 
 
-@dataclass(frozen=True)
-class NavState:
+class NavState(NamedTuple):
     pos: Cell
 
 

@@ -186,10 +186,16 @@ class TestSearchCommand:
          "environment.blue_start cannot be set with random_starts: true"),
         ("environment", {**CTF_ENVIRONMENT, "blue_start": [True, False]},
          "environment.blue_start must be a [row, column] pair, got [True, False]"),
+        # no section: the value is the whole config file, here not YAML at all
+        (None, "predicates: [unclosed", "cannot parse"),
     ])
     def test_bad_input_is_config_error(self, tmp_path, capsys, section, value, message):
         (tmp_path / "malformed_policy.txt").write_text("not a policy\n")
-        config = _write_config(tmp_path, {**NAV_CONFIG, section: value})
+        if section is None:
+            config = tmp_path / "run.yaml"
+            config.write_text(value)
+        else:
+            config = _write_config(tmp_path, {**NAV_CONFIG, section: value})
         assert cli.main(["search", "--config", str(config)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 import yaml
 
-from tlexplain import rl
+from tlexplain import cli, rl
 from tlexplain.config import ConfigError, SCHEMA_VERSION, build_runtime, load_config
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ctf_reference.yaml"
+QLEARN_CONFIG = Path(__file__).resolve().parent / "data" / "ctf_qlearn" / "config.yaml"
 NAV_CONFIG = {
     "seed": 3,
     "environment": {"type": "nav", "map_text": "S..G\n....\n.V..\n", "horizon": 40},
@@ -106,6 +107,39 @@ class TestLoadConfig:
         assert manifest["schema_version"] == SCHEMA_VERSION
         assert manifest["environment"]["map_text"].startswith("S..G")
         assert "map" not in manifest["environment"]
+
+
+class TestYamlLoaders:
+    """libyaml parses when pyyaml has it, the pure Python loader otherwise;
+    both build their objects with the same SafeConstructor."""
+
+    @pytest.fixture(params=["reference", "qlearn", "manifest"])
+    def config_path(self, request, tmp_path):
+        if request.param == "reference":
+            return REFERENCE_CONFIG
+        if request.param == "qlearn":
+            return QLEARN_CONFIG
+        config = str(_write(tmp_path, NAV_CONFIG))
+        out = str(tmp_path / "out")
+        assert cli.main(["search", "--config", config, "--out", out]) == cli.EXIT_OK
+        return tmp_path / "out" / "manifest.yaml"
+
+    def test_both_loaders_give_equal_configs(self, config_path, monkeypatch):
+        shipped = load_config(config_path)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert load_config(config_path) == shipped
+
+    def test_libyaml_loader_is_preferred(self, monkeypatch):
+        used = []
+
+        class Spy(yaml.SafeLoader):
+            def __init__(self, stream):
+                used.append(stream)
+                super().__init__(stream)
+
+        monkeypatch.setattr(yaml, "CSafeLoader", Spy, raising=False)
+        load_config(REFERENCE_CONFIG)
+        assert len(used) == 1
 
 
 class TestBuildRuntime:

@@ -1,7 +1,6 @@
 """Gridworld environments: maps, dynamics, combat, features, enumeration."""
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +94,14 @@ class TestGridMap:
         with pytest.raises(envs.MapFormatError):
             envs.GridMap.parse(CTF_WALLED, blue_start=(1, 2))
 
+    @pytest.mark.parametrize("name", ["blue_start", "red_start"])
+    def test_start_with_random_starts_rejected(self, name):
+        # random starts start on every territory cell, so one start cell
+        # would be dropped without a word
+        with pytest.raises(envs.MapFormatError,
+                           match=f"{name} cannot be set with random_starts: true"):
+            envs.GridMap.parse(CTF_TEXT, random_starts=True, **{name: (2, 2)})
+
     def test_dot_defaults_to_red_territory(self):
         grid = envs.GridMap.parse("Bb..\nbb.R\n")
         assert (0, 2) not in grid.blue_territory
@@ -126,6 +133,25 @@ class TestNavMap:
 # ---------------------------------------------------------------------------
 # CtF dynamics
 # ---------------------------------------------------------------------------
+
+
+class TestStates:
+    def test_ctf_state_is_an_immutable_value(self):
+        s = _state((0, 0), (4, 4))
+        assert repr(s) == ("CtfState(blue=(0, 0), red=(4, 4), blue_alive=True, "
+                           "red_alive=True, blue_captured=False, red_captured=False)")
+        same = envs.CtfState((0, 0), (4, 4), True, True, False, False)
+        assert same == s and hash(same) == hash(s) and same is not s
+        assert s._replace(red_alive=False) != s
+        with pytest.raises(AttributeError):
+            s.blue = (1, 1)
+
+    def test_nav_state_is_an_immutable_value(self):
+        s = envs.NavState((1, 2))
+        assert repr(s) == "NavState(pos=(1, 2))"
+        assert envs.NavState(pos=(1, 2)) == s and hash(envs.NavState((1, 2))) == hash(s)
+        with pytest.raises(AttributeError):
+            s.pos = (0, 0)
 
 
 class TestCtfReset:
@@ -336,11 +362,31 @@ def _ref_red_move(grid, blue, red):
     return best
 
 
+class TestDistanceTablesAgainstReference:
+    @PROPERTY
+    @given(_ctf_text())
+    def test_every_passable_cell_on_random_maps(self, text):
+        grid = envs.GridMap.parse(text)
+        border = grid.border_cells()
+        free = [(r, c) for r in range(grid.height) for c in range(grid.width)
+                if (r, c) not in grid.walls]
+        assert grid.near_border <= set(free)
+        assert list(grid.border_distance) == list(grid.territory_distance) == free
+        for cell in free:
+            # _ref_red_move's two formulas, bit for bit
+            near = min(envs.chebyshev(cell, b) for b in border) <= 2
+            assert (cell in grid.near_border) == near, cell
+            want = min(envs.euclidean(cell, b) for b in border)
+            assert grid.border_distance[cell].hex() == want.hex(), cell
+            want = envs.nearest(cell, grid.blue_territory, grid.diagonal)
+            assert grid.territory_distance[cell].hex() == want.hex(), cell
+
+
 def _ref_finish(grid, s):
     if s.blue_alive and s.blue == grid.red_flag:
-        s = replace(s, blue_captured=True)
+        s = s._replace(blue_captured=True)
     if s.red_alive and s.red == grid.blue_flag:
-        s = replace(s, red_captured=True)
+        s = s._replace(red_captured=True)
     return s
 
 
@@ -354,12 +400,12 @@ def _ref_transitions(env, s, action):
         raise envs.StepOnTerminalError(f"step on terminal state {s}")
     blue = _ref_move(grid, s.blue, action)
     red = _ref_red_move(grid, blue, s.red) if s.red_alive else s.red
-    moved = replace(s, blue=blue, red=red)
+    moved = s._replace(blue=blue, red=red)
     if s.red_alive and envs.chebyshev(blue, red) <= 1:
         if blue in grid.blue_territory:
-            dead = replace(moved, red_alive=False)
+            dead = moved._replace(red_alive=False)
         else:
-            dead = replace(moved, blue_alive=False)
+            dead = moved._replace(blue_alive=False)
         return [(_ref_finish(grid, dead), env.kill_prob),
                 (_ref_finish(grid, moved), 1.0 - env.kill_prob)]
     return [(_ref_finish(grid, moved), 1.0)]
@@ -470,7 +516,7 @@ class TestCtfAgainstReference:
         build_env_model(second)
         _assert_matches_reference(second, _ref_reachable(second))
         again = envs.CtfEnv(_ctf_map("ctf5"))
-        assert not again._red_moves and not again._d_ba_bt
+        assert not again._red_moves
         rebuilt = build_env_model(again)
         assert rebuilt.states == model.states
         for name in ("features", "branch_next", "branch_prob", "cell_offsets"):
