@@ -25,7 +25,8 @@ import yaml
 
 from . import formula as fm
 from . import rl
-from .config import SCHEMA_VERSION, ConfigError, RunConfig, build_runtime, load_config
+from .config import (SCHEMA_VERSION, ConfigError, RunConfig, build_env, build_predicates,
+                     build_runtime, load_config)
 from .envs import StateSpaceTooLargeError
 from .search import brute_force_oracle, multi_start
 
@@ -139,12 +140,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_enumerate(args) -> int:
     cfg = load_config(args.config)
-    from .config import build_env, build_predicates
     predicates = build_predicates(cfg, build_env(cfg))
-    explanations = fm.enumerate_all(predicates, cap=cfg.search.enumeration_cap)
-    print(len(explanations))
+    fm.check_cap(len(predicates), cfg.search.enumeration_cap)
+    print(fm.class_size(len(predicates)))
     if args.list:
-        for canon in explanations:
+        for canon in fm.enumerate_all(predicates, cap=cfg.search.enumeration_cap):
             print(fm.render(canon, predicates))
     return EXIT_OK
 

@@ -18,7 +18,8 @@ Both expose the same four-call tabular interface, which
 
 * ``initial_states()`` -- the start distribution, ``[(state, prob)]``;
 * ``transitions(s, a)`` -- the exact next-state distribution;
-* ``features(s)`` -- the distance features the predicates threshold;
+* ``features(s)`` -- the distance features the predicates threshold, as a
+  tuple of floats;
 * ``is_terminal(s)`` -- whether an episode ends in ``s``.
 """
 
@@ -28,8 +29,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 Cell = tuple[int, int]
 
@@ -317,13 +316,13 @@ class CtfEnv:
 
     # -- features ----------------------------------------------------------
 
-    def features(self, s: CtfState) -> np.ndarray:
+    def features(self, s: CtfState) -> tuple[float, ...]:
         d_max = self.grid.diagonal
         d_ra_bf = euclidean(s.red, self.grid.blue_flag) if s.red_alive else d_max
         d_ba_rf = euclidean(s.blue, self.grid.red_flag) if s.blue_alive else d_max
         d_ba_ra = euclidean(s.blue, s.red) if (s.blue_alive and s.red_alive) else d_max
         d_ba_bt = self.grid.territory_distance[s.blue] if s.blue_alive else d_max
-        return np.array([d_ra_bf, d_ba_rf, d_ba_ra, d_ba_bt])
+        return (d_ra_bf, d_ba_rf, d_ba_ra, d_ba_bt)
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +371,10 @@ class NavEnv:
             raise StepOnTerminalError(f"step on terminal state {s}")
         return [(NavState(self.map.moves[s.pos][action]), 1.0)]
 
-    def features(self, s: NavState) -> np.ndarray:
+    def features(self, s: NavState) -> tuple[float, ...]:
         d_max = self.map.diagonal
         d_goal = euclidean(s.pos, self.map.goal)
         d_haz = nearest(s.pos, self.map.hazards, d_max)
         d_vase = nearest(s.pos, self.map.vases, d_max)
-        return np.array([d_goal, d_haz, d_vase])
+        return (d_goal, d_haz, d_vase)
 

@@ -48,6 +48,10 @@ def validate_predicates(predicates: tuple[AtomicPredicate, ...]) -> None:
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate predicate names: {names}")
     for p in predicates:
+        # render and parse_explanation split on '!', '&', '|', parentheses
+        # and spaces: only an identifier round-trips as a name
+        if not p.name.isidentifier():
+            raise ValueError(f"predicates[{p.index}].name must be an identifier, got {p.name!r}")
         if not np.isfinite(p.threshold):
             raise ValueError(f"non-finite threshold for {p.name}")
 
@@ -78,14 +82,6 @@ class And:
 @dataclass(frozen=True)
 class Or:
     children: tuple
-
-
-@dataclass(frozen=True)
-class Top:
-    """True constant; only appears as an absorbing self-loop guard."""
-
-
-TOP = Top()
 
 
 def robustness_state(node, features):
@@ -356,6 +352,11 @@ def class_size(n: int) -> int:
                         for k in range(1, n))
 
 
+def check_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise CapExceededError(f"{n} predicates exceeds the enumeration cap {cap}")
+
+
 def enumerate_all(predicates, cap: int = 6, keys: dict | None = None
                   ) -> list[CanonicalExplanation]:
     """Every distinct canonical explanation over the predicate set.
@@ -366,8 +367,7 @@ def enumerate_all(predicates, cap: int = 6, keys: dict | None = None
     ``keys``, each explanation's key is also stored there under it.
     """
     n = len(predicates)
-    if n > cap:
-        raise CapExceededError(f"{n} predicates exceeds the enumeration cap {cap}")
+    check_cap(n, cap)
     out = []
     for temporal in itertools.product((0, 1), repeat=n):
         if 0 not in temporal or 1 not in temporal:

@@ -24,7 +24,7 @@ from math import fsum, isfinite, sqrt
 import numpy as np
 
 from .envs import StateSpaceTooLargeError, StepOnTerminalError
-from .fspa import Fspa, Q0_I, Q_ACC_I, Q_TRAP_I
+from .fspa import Fspa, Q0, Q_ACC, Q_TRAP
 
 SPARSE = "sparse"
 DENSE = "dense"
@@ -195,25 +195,22 @@ class ProductMdp:
         # post-transition environment state, entered from q0
         self.q_next = fspa.step_codes(rho_f, rho_g)
         r_next = np.where(
-            self.q_next == Q_TRAP_I, rho_g,
-            np.where(self.q_next == Q_ACC_I, np.minimum(rho_g, rho_f), 0.0))
+            self.q_next == Q_TRAP, rho_g,
+            np.where(self.q_next == Q_ACC, np.minimum(rho_g, rho_f), 0.0))
         if reward.mode == DENSE:
             stay_bonus = reward.beta * np.minimum(rho_g, np.maximum(rho_f, -rho_f))
-            r_next = np.where(self.q_next == Q0_I, stay_bonus, r_next)
+            r_next = np.where(self.q_next == Q0, stay_bonus, r_next)
         self.reward_next = r_next
-        self._table = None
 
-    @property
+    @cached_property
     def table(self) -> TransitionTable:
-        if self._table is None:
-            m = self.model
-            nxt = m.branch_next
-            keeps_going = (self.q_next[nxt] == Q0_I) & (m.row_of[nxt] >= 0)
-            next_row = np.where(keeps_going, m.row_of[nxt], -1)
-            self._table = TransitionTable(
-                m.n_rows, m.n_actions, m.branch_row, m.branch_action,
-                next_row, m.branch_prob, self.reward_next[nxt])
-        return self._table
+        m = self.model
+        nxt = m.branch_next
+        keeps_going = (self.q_next[nxt] == Q0) & (m.row_of[nxt] >= 0)
+        next_row = np.where(keeps_going, m.row_of[nxt], -1)
+        return TransitionTable(
+            m.n_rows, m.n_actions, m.branch_row, m.branch_action,
+            next_row, m.branch_prob, self.reward_next[nxt])
 
     def acceptance_reachable(self) -> bool:
         """Whether some branch into acceptance leaves a row reachable from a
@@ -224,7 +221,7 @@ class ProductMdp:
         horizon without accepting.
         """
         t = self.table
-        into_acc = self.q_next[self.model.branch_next] == Q_ACC_I
+        into_acc = self.q_next[self.model.branch_next] == Q_ACC
         live = t.branch_next_row >= 0
         reached = np.zeros(t.n_rows, dtype=bool)
         reached[self.model.start_rows] = True
@@ -246,14 +243,14 @@ class ProductMdp:
         the same row as ``rng.choice(start_rows, p=start_probs)``."""
         starts = self.model.start_states
         if len(starts) == 1:
-            return (starts[0], Q0_I)
-        return (starts[bisect_right(self.model.start_cdf, rng.random())], Q0_I)
+            return (starts[0], Q0)
+        return (starts[bisect_right(self.model.start_cdf, rng.random())], Q0)
 
     @cached_property
     def step_outcomes(self) -> list:
         """Per post-transition state ``s'``: ``((s', q'), reward, terminal)``,
         the outcome of every branch into ``s'``; built on the first step."""
-        return [((s, q), r, q != Q0_I or row < 0) for s, (q, r, row) in enumerate(
+        return [((s, q), r, q != Q0 or row < 0) for s, (q, r, row) in enumerate(
             zip(self.q_next.tolist(), self.reward_next.tolist(),
                 self.model.row_of.tolist()))]
 
@@ -267,7 +264,7 @@ class ProductMdp:
         """
         idx, q = product_state
         actions = self.model.step_cells[idx]
-        if q != Q0_I or actions is None:
+        if q != Q0 or actions is None:
             raise StepOnTerminalError(f"step on terminal product state {product_state}")
         cums, nexts = actions[action]
         if cums is None:
@@ -280,7 +277,7 @@ class ProductMdp:
         out = {}
         for k in range(len(t.branch_row)):
             row, a = int(t.branch_row[k]), int(t.branch_action[k])
-            ps = (int(self.model.rows[row]), Q0_I)
+            ps = (int(self.model.rows[row]), Q0)
             nxt_state = int(self.model.branch_next[k])
             nxt = (nxt_state, int(self.q_next[nxt_state]))
             out.setdefault((ps, a), []).append(

@@ -171,10 +171,12 @@ class Evaluator:
 
     @property
     def params(self) -> SearchParams:
+        """``cfg.search``, kept for ``perfbench/check.py`` and the tests."""
         return self.cfg.search
 
     @property
     def trainer_cfg(self) -> rl.TrainerConfig:
+        """``cfg.trainer``, kept for ``perfbench/check.py`` and the tests."""
         return self.cfg.trainer
 
     def build_mdp(self, canon: fm.CanonicalExplanation) -> ProductMdp:
@@ -247,7 +249,7 @@ class Evaluator:
             tables = [mdp.table for _, mdp in batch.train]
             try:
                 policies = rl.soft_value_iteration(tables, self.cfg.reward.gamma,
-                                                   self.trainer_cfg)
+                                                   self.cfg.trainer)
             except rl.NoConvergenceError as exc:
                 raise rl.NoConvergenceError(
                     f"candidate {batch.train[exc.index][0]}: {exc}") from exc
@@ -400,7 +402,7 @@ def brute_force_oracle(evaluator: Evaluator
     ``Evaluator.evaluate_many`` to look up.
     """
     ranked, filtered = [], []
-    canons = fm.enumerate_all(evaluator.predicates, cap=evaluator.params.enumeration_cap,
+    canons = fm.enumerate_all(evaluator.predicates, cap=evaluator.cfg.search.enumeration_cap,
                               keys=evaluator.keys)
     for record in evaluator.evaluate_many(canons):
         (filtered if record.filtered else ranked).append(record)

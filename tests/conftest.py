@@ -80,7 +80,7 @@ def sampled_successors(env, state, action: int, n: int, rng) -> list:
     preds = generic_predicates(2)
     canon = fm.parse_explanation("F(psi0) & G(psi1)", preds)
     mdp = ProductMdp(model, fa.build_fspa(canon, preds))
-    ps = (model.states.index(state), fa.Q0_I)
+    ps = (model.states.index(state), fa.Q0)
     return [model.states[mdp.product_step(ps, action, rng)[0][0]] for _ in range(n)]
 
 

@@ -178,20 +178,20 @@ def test_criterion_09_reward_cases():
     mdp = mdp_for("F(psi0) & G(!psi1)")
     start = mdp.initial_product_state(rng0)
     (nxt, _, r_loop) = mdp.expand_transitions()[(start, right)][0]
-    ok = nxt[1] == fa.Q0_I and r_loop == 0.0
+    ok = nxt[1] == fa.Q0 and r_loop == 0.0
 
     trap_mdp = mdp_for("F(psi0) & G(psi1)")
     (nxt, _, r_trap) = trap_mdp.expand_transitions()[(start, right)][0]
     x = trap_mdp.model.features[nxt[0]]
-    ok &= (nxt[1] == fa.Q_TRAP_I
+    ok &= (nxt[1] == fa.Q_TRAP
            and r_trap == pytest.approx(
                -trap_mdp.fspa.guard_robustness(fa.Q0, fa.Q_TRAP, x)))
 
     pre = next(s for s in model.states if s.pos == (0, 2))
-    ps = (model.states.index(pre), fa.Q0_I)
+    ps = (model.states.index(pre), fa.Q0)
     [(nxt, _, r_acc)] = mdp.expand_transitions()[(ps, right)]
     x = model.features[nxt[0]]
-    ok &= (nxt[1] == fa.Q_ACC_I
+    ok &= (nxt[1] == fa.Q_ACC
            and r_acc == pytest.approx(
                mdp.fspa.guard_robustness(fa.Q0, fa.Q_ACC, x))
            and r_acc > 0)
@@ -203,7 +203,7 @@ def test_criterion_09_reward_cases():
     [(nxt, _, r_dense)] = dense.expand_transitions()[(start, right)]
     x = model.features[nxt[0]]
     q_star = dense.fspa.best_nontrap_neighbor(fa.Q0, x)
-    ok &= (nxt[1] == fa.Q0_I
+    ok &= (nxt[1] == fa.Q0
            and r_dense == pytest.approx(
                0.1 * dense.fspa.guard_robustness(fa.Q0, q_star, x))
            and r_dense == pytest.approx(0.05))

@@ -188,6 +188,13 @@ class TestSearchCommand:
          "environment.blue_start must be a [row, column] pair, got [True, False]"),
         # no section: the value is the whole config file, here not YAML at all
         (None, "predicates: [unclosed", "cannot parse"),
+        # a name must survive render and parse_explanation
+        ("predicates", [PSI0, {**PSI1, "name": "!psi"}],
+         "predicates[1].name must be an identifier, got '!psi'"),
+        ("predicates", [PSI0, {**PSI1, "name": "a&b"}],
+         "predicates[1].name must be an identifier, got 'a&b'"),
+        ("predicates", [PSI0, {**PSI1, "name": ""}],
+         "predicates[1].name must be an identifier, got ''"),
     ])
     def test_bad_input_is_config_error(self, tmp_path, capsys, section, value, message):
         (tmp_path / "malformed_policy.txt").write_text("not a policy\n")
@@ -242,6 +249,24 @@ class TestEnumerateCommand:
         assert cli.main(["enumerate", "--config", str(config), "--list"]) == cli.EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "8" and len(lines) == 9
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closed_form_count_matches_list(self, tmp_path, capsys, n):
+        # the count comes from the closed form, the list from the enumeration
+        features = ("d_ra_bf", "d_ba_rf", "d_ba_ra", "d_ba_bt")
+        preds = [{"name": f"p{i}", "feature": features[i], "threshold": 1.0}
+                 for i in range(n)]
+        cfg = {**NAV_CONFIG, "environment": CTF_ENVIRONMENT, "predicates": preds}
+        config = _write_config(tmp_path, cfg)
+        assert cli.main(["enumerate", "--config", str(config)]) == cli.EXIT_OK
+        count = int(capsys.readouterr().out)
+        assert cli.main(["enumerate", "--config", str(config), "--list"]) == cli.EXIT_OK
+        listed = capsys.readouterr().out.splitlines()[1:]
+        assert count == len(listed) == len(set(listed))
+        config = _write_config(tmp_path, {**cfg, "search": {"enumeration_cap": n - 1}})
+        for extra in ([], ["--list"]):
+            assert cli.main(["enumerate", "--config", str(config), *extra]) == cli.EXIT_REFUSED
+            assert f"exceeds the enumeration cap {n - 1}" in capsys.readouterr().err
 
 
 class TestEvalCommand:

@@ -470,7 +470,7 @@ def _assert_matches_reference(env, states, ref=CTF_REF):
     is_terminal, transitions, features = ref
     for s in states:
         assert env.is_terminal(s) == is_terminal(env, s)
-        got, want = env.features(s), features(env, s)
+        got, want = np.array(env.features(s)), features(env, s)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), s
         if env.is_terminal(s):
             continue

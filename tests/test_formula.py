@@ -10,10 +10,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tlexplain import formula as fm
 
-from conftest import generic_predicates, iter_valid_encodings
+from conftest import PROPERTY, generic_predicates, iter_valid_encodings
 
 
 def _assignment_features(assignment):
@@ -402,3 +404,22 @@ class TestPredicateValidation:
                  fm.AtomicPredicate(1, "b", 1, 1.0))
         with pytest.raises(ValueError):
             fm.validate_predicates(preds)
+
+    @pytest.mark.parametrize("name", ["!a", "x&y", "a|b", "a b", "(a)", "", "0a"])
+    def test_non_identifier_name(self, name):
+        # '!a' beside 'a' renders keys that collide; 'x&y' does not parse back
+        preds = (fm.AtomicPredicate(0, "a", 0, 1.0), fm.AtomicPredicate(1, name, 1, 1.0))
+        with pytest.raises(ValueError, match=r"predicates\[1\]\.name must be an identifier"):
+            fm.validate_predicates(preds)
+
+    @PROPERTY
+    @given(st.lists(st.from_regex(r"[^\W\d]\w{0,4}", fullmatch=True).filter(str.isidentifier),
+                    min_size=2, max_size=4, unique=True))
+    def test_identifier_names_round_trip(self, names):
+        preds = tuple(fm.AtomicPredicate(i, name, i, 1.0) for i, name in enumerate(names))
+        fm.validate_predicates(preds)
+        keys = {}
+        canons = fm.enumerate_all(preds, keys=keys)
+        assert len(set(keys.values())) == len(canons) == fm.class_size(len(names))
+        for canon in canons:
+            assert fm.parse_explanation(keys[canon], preds) == canon

@@ -5,8 +5,6 @@ feature sequence is accepted iff some prefix keeps the G-part strictly
 satisfied through a step where the F-part is strictly satisfied.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -16,11 +14,11 @@ from tlexplain import fspa as fa
 from conftest import generic_predicates
 
 
-def _simple_fspa(n=2, rho_max=1000.0, text=None, preds=None):
+def _simple_fspa(n=2, text=None, preds=None):
     preds = preds or generic_predicates(n)
     text = text or "F(psi0) & G(psi1)"
     canon = fm.parse_explanation(text, preds)
-    return replace(fa.build_fspa(canon, preds), rho_max=rho_max), preds
+    return fa.build_fspa(canon, preds), preds
 
 
 def _run(fspa, feature_seq):
@@ -44,12 +42,20 @@ def _run_oracle(fspa, feature_seq):
 
 
 class TestGuards:
-    def test_template_edges(self):
+    def test_only_q0_edges_have_guards(self):
         fspa, _ = _simple_fspa()
-        assert set(fspa.guards) == {
-            (fa.Q0, fa.Q0), (fa.Q0, fa.Q_ACC), (fa.Q0, fa.Q_TRAP),
-            (fa.Q_ACC, fa.Q_ACC), (fa.Q_TRAP, fa.Q_TRAP),
-        }
+        x = np.array([0.2, 1.7])
+        states = (fa.Q0, fa.Q_ACC, fa.Q_TRAP)
+        answered = set()
+        for q in states:
+            for q2 in states:
+                try:
+                    rho = fspa.guard_robustness(q, q2, x)
+                except fa.NoSuchEdgeError:
+                    continue
+                assert isinstance(rho, float)
+                answered.add((q, q2))
+        assert answered == {(fa.Q0, fa.Q0), (fa.Q0, fa.Q_ACC), (fa.Q0, fa.Q_TRAP)}
 
     def test_guard_values_f_psi0_g_not_psi1(self):
         # F(psi0) & G(!psi1): accept guard = !psi1 & psi0, trap guard = psi1
@@ -73,12 +79,6 @@ class TestGuards:
         x = np.array([0.4, 2.0])
         # staying guard = psi0 & !psi1, G-robustness 1 - 0.4 = 0.6 dominates min
         assert fspa.guard_robustness(fa.Q0, fa.Q0, x) == pytest.approx(0.6)
-
-    def test_top_guard_is_rho_max(self):
-        fspa, _ = _simple_fspa(rho_max=123.0)
-        x = np.zeros(2)
-        assert fspa.guard_robustness(fa.Q_ACC, fa.Q_ACC, x) == 123.0
-        assert fspa.guard_robustness(fa.Q_TRAP, fa.Q_TRAP, x) == 123.0
 
     def test_accept_guard_is_min_of_parts(self):
         fspa, _ = _simple_fspa()
@@ -116,6 +116,11 @@ class TestStep:
         fspa, _ = _simple_fspa()
         assert fspa.step(fa.Q0, np.array([1.5, 0.5])) == fa.Q0
 
+    def test_unknown_state_rejected(self):
+        fspa, _ = _simple_fspa()
+        with pytest.raises(ValueError, match="unknown automaton state 3"):
+            fspa.step(3, np.zeros(2))
+
     def test_exclusivity_of_q0_guards(self, rng):
         """At most one strict q0-guard fires, for random formulas and states."""
         preds = generic_predicates(4)
@@ -137,9 +142,8 @@ class TestStep:
             xs = rng.uniform(0, 2, size=(200, 3))
             rho_f, rho_g = fspa.part_robustness(xs)
             codes = fspa.step_codes(rho_f, rho_g)
-            names = {fa.Q0_I: fa.Q0, fa.Q_ACC_I: fa.Q_ACC, fa.Q_TRAP_I: fa.Q_TRAP}
             for i, x in enumerate(xs):
-                assert names[int(codes[i])] == fspa.step(fa.Q0, x)
+                assert codes[i] == fspa.step(fa.Q0, x)
 
 
 class TestRun:

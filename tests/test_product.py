@@ -237,7 +237,7 @@ def _assert_start_draws_match_choice(mdp, seed, draws=300):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(draws):
         row = ref.choice(m.start_rows, p=m.start_probs)
-        assert mdp.initial_product_state(rng) == (m.rows[row], fa.Q0_I)
+        assert mdp.initial_product_state(rng) == (m.rows[row], fa.Q0)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -281,7 +281,7 @@ class TestRewardCases:
         start = mdp.initial_product_state(np.random.default_rng(0))
         (nxt, p, r) = mdp.expand_transitions()[
             (start, envs.ACTION_NAMES.index("right"))][0]
-        assert nxt[1] == fa.Q0_I and r == 0.0
+        assert nxt[1] == fa.Q0 and r == 0.0
 
     def test_sparse_trap_reward_is_negative_guard_robustness(self):
         model = _nav_model()
@@ -292,7 +292,7 @@ class TestRewardCases:
         start = mdp.initial_product_state(np.random.default_rng(0))
         (nxt, _, r) = mdp.expand_transitions()[
             (start, envs.ACTION_NAMES.index("right"))][0]
-        assert nxt[1] == fa.Q_TRAP_I
+        assert nxt[1] == fa.Q_TRAP
         assert r == pytest.approx(1.0 - d_max)
         fspa = mdp.fspa
         x = model.features[nxt[0]]
@@ -304,9 +304,9 @@ class TestRewardCases:
         table = mdp.expand_transitions()
         # stepping right from the cell next to the goal enters q_acc
         pre = next(s for s in model.states if s.pos == (0, 2))
-        ps = (model.states.index(pre), fa.Q0_I)
+        ps = (model.states.index(pre), fa.Q0)
         [(nxt, _, r)] = table[(ps, envs.ACTION_NAMES.index("right"))]
-        assert nxt[1] == fa.Q_ACC_I
+        assert nxt[1] == fa.Q_ACC
         x = model.features[nxt[0]]
         assert r == pytest.approx(mdp.fspa.guard_robustness(fa.Q0, fa.Q_ACC, x))
         assert r == pytest.approx(1.0)  # min(rho_g, rho_f) = rho_f = 1 - 0
@@ -319,7 +319,7 @@ class TestRewardCases:
         start = mdp.initial_product_state(np.random.default_rng(0))
         # moving right lands on (0,1): d_goal = 2, |rho_f| = 0.5, rho_g large
         [(nxt, _, r)] = table[(start, envs.ACTION_NAMES.index("right"))]
-        assert nxt[1] == fa.Q0_I
+        assert nxt[1] == fa.Q0
         assert r == pytest.approx(0.05)
         x = model.features[nxt[0]]
         q_star = mdp.fspa.best_nontrap_neighbor(fa.Q0, x)
@@ -329,7 +329,7 @@ class TestRewardCases:
         model = _nav_model()
         sparse = _mdp(model, _nav_preds(), mode=SPARSE)
         dense = _mdp(model, _nav_preds(), mode=DENSE)
-        acc_or_trap = sparse.q_next != fa.Q0_I
+        acc_or_trap = sparse.q_next != fa.Q0
         assert np.array_equal(sparse.reward_next[acc_or_trap],
                               dense.reward_next[acc_or_trap])
 
@@ -338,9 +338,9 @@ class TestRewardCases:
         preds = (fm.AtomicPredicate(0, "psi0", 1, 1.0),
                  fm.AtomicPredicate(1, "psi1", 2, 1.5))
         mdp = _mdp(model, preds, text="F(psi0) & G(!psi1)")
-        assert (mdp.reward_next[mdp.q_next == fa.Q_ACC_I] > 0).all()
-        assert (mdp.reward_next[mdp.q_next == fa.Q_TRAP_I] < 0).all()
-        assert (mdp.reward_next[mdp.q_next == fa.Q0_I] == 0).all()
+        assert (mdp.reward_next[mdp.q_next == fa.Q_ACC] > 0).all()
+        assert (mdp.reward_next[mdp.q_next == fa.Q_TRAP] < 0).all()
+        assert (mdp.reward_next[mdp.q_next == fa.Q0] == 0).all()
 
 
 class TestExpandTransitions:
@@ -365,7 +365,7 @@ class TestExpandTransitions:
         mdp = _mdp(model, preds)
         combat = envs.CtfState(blue=(2, 2), red=(2, 3))
         assert combat in model.states
-        ps = (model.states.index(combat), fa.Q0_I)
+        ps = (model.states.index(combat), fa.Q0)
         entries = mdp.expand_transitions()[(ps, envs.ACTION_NAMES.index("stay"))]
         assert sorted(p for _, p, _ in entries) == [0.25, 0.75]
 
@@ -375,7 +375,7 @@ class TestExpandTransitions:
                  fm.AtomicPredicate(1, "psi1", 2, 1.5))
         mdp = _mdp(model, preds)
         combat = envs.CtfState(blue=(2, 2), red=(2, 3))
-        ps = (model.states.index(combat), fa.Q0_I)
+        ps = (model.states.index(combat), fa.Q0)
         a = envs.ACTION_NAMES.index("stay")
         entries = mdp.expand_transitions()[(ps, a)]
         rng = np.random.default_rng(11)
@@ -422,7 +422,7 @@ class TestRollout:
         mdp = _mdp(model, _nav_preds())
         goal = next(i for i, s in enumerate(model.states) if s.pos == (0, 3))
         with pytest.raises(envs.StepOnTerminalError):
-            mdp.product_step((goal, fa.Q_ACC_I), 0, np.random.default_rng(0))
+            mdp.product_step((goal, fa.Q_ACC), 0, np.random.default_rng(0))
 
     def test_horizon_bounds_episode_length(self):
         model = _nav_model()
@@ -493,7 +493,7 @@ def _reference_moments(mdp, policy):
                 n1[ps] = n1.get(ps, 0.0) + pa * p * (r + g1)
                 n2[ps] = n2.get(ps, 0.0) + pa * p * (r * r + 2 * r * g1 + g2)
         m1, m2 = n1, n2
-    starts = [((mdp.model.states.index(s), fa.Q0_I), p)
+    starts = [((mdp.model.states.index(s), fa.Q0), p)
               for s, p in mdp.model.env.initial_states()]
     return (sum(p * m1.get(ps, 0.0) for ps, p in starts),
             sum(p * m2.get(ps, 0.0) for ps, p in starts))
@@ -565,13 +565,13 @@ def _reference_acceptance_reachable(mdp):
     terminal and leads nowhere."""
     table = mdp.expand_transitions()
     n_actions = mdp.model.n_actions
-    todo = [(mdp.model.states.index(s), fa.Q0_I) for s, _ in mdp.model.env.initial_states()]
+    todo = [(mdp.model.states.index(s), fa.Q0) for s, _ in mdp.model.env.initial_states()]
     seen = set(todo)
     while todo:
         ps = todo.pop()
         for a in range(n_actions):
             for nxt, _, _ in table[(ps, a)]:
-                if nxt[1] == fa.Q_ACC_I:
+                if nxt[1] == fa.Q_ACC:
                     return True
                 if (nxt, 0) in table and nxt not in seen:
                     seen.add(nxt)

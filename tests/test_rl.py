@@ -51,7 +51,7 @@ def _reference_branches(mdp):
     flat = []
     for (ps, a), entries in mdp.expand_transitions().items():
         for (state, q), p, r in entries:
-            live = q == fa.Q0_I and row_of[state] >= 0
+            live = q == fa.Q0 and row_of[state] >= 0
             flat.append((row_of[ps[0]], a, row_of[state] if live else -1, p, r))
     return tuple(map(np.array, zip(*flat)))
 
@@ -179,7 +179,7 @@ def _reference_product_step(mdp, product_state, action, rng):
     draw is compared against ``np.cumsum`` of the cell's probabilities."""
     idx, q = product_state
     row = mdp.model.row_of[idx]
-    if q != fa.Q0_I or row < 0:
+    if q != fa.Q0 or row < 0:
         raise envs.StepOnTerminalError(f"step on terminal product state {product_state}")
     t = mdp.table
     cell = row * t.n_actions + action
@@ -609,7 +609,7 @@ class TestPcg64Draws:
                 assert draws.integers(n) == ref.integers(n), self.NUMPY
             else:
                 row = ref.choice(m.start_rows, p=m.start_probs)
-                assert mdp.initial_product_state(draws) == (m.rows[row], fa.Q0_I), self.NUMPY
+                assert mdp.initial_product_state(draws) == (m.rows[row], fa.Q0), self.NUMPY
         assert set(draws.buffered_on_rejection) == {0, 1}
         draws.close()
         assert rng.bit_generator.state == ref.bit_generator.state, self.NUMPY
