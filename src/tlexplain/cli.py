@@ -3,9 +3,9 @@
 Subcommands::
 
     tlexplain search    --config run.yaml [--out DIR] [--seed N]
-    tlexplain oracle    --config run.yaml [--out DIR]
+    tlexplain oracle    --config run.yaml [--out DIR] [--seed N]
     tlexplain enumerate --config run.yaml [--list]
-    tlexplain eval      --config run.yaml "F(...) & G(...)"
+    tlexplain eval      --config run.yaml [--seed N] "F(...) & G(...)"
     tlexplain trace-dot TRACE.jsonl [--out FILE]
 
 Exit statuses: 0 ok, 2 config/IO error, 3 guarded operation refused,
@@ -234,18 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="run configuration YAML")
-        p.add_argument("--out", help="output directory override")
+    def common(p):
+        p.add_argument("--config", required=True, help="run configuration YAML")
         p.add_argument("--seed", type=_seed, help="global seed override")
 
     p = sub.add_parser("search", help="run the multi-start greedy search")
     common(p)
+    p.add_argument("--out", help="output directory override")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("oracle", help="rank every explanation by brute force")
     common(p)
+    p.add_argument("--out", help="output directory override")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("enumerate", help="count canonical explanations")

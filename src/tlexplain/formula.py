@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,8 @@ def validate_predicates(predicates: tuple[AtomicPredicate, ...]) -> None:
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate predicate names: {names}")
     for p in predicates:
-        # render and parse_explanation split on '!', '&', '|', parentheses
-        # and spaces: only an identifier round-trips as a name
+        # parse_explanation's tokens are "F(", "G(", '!', '&', '|', '(' and ')',
+        # split by spaces; only an identifier round-trips as a name
         if not p.name.isidentifier():
             raise ValueError(f"predicates[{p.index}].name must be an identifier, got {p.name!r}")
         if not np.isfinite(p.threshold):
@@ -392,91 +393,88 @@ class ExplanationParseError(ValueError):
     pass
 
 
-def _parse_clause(text: str, name_to_pred) -> tuple[list[Literal], str | None]:
-    ops = {o for o in (AND, OR) if o in text}
-    if len(ops) > 1:
-        raise ExplanationParseError(f"mixed connectives inside clause {text!r}")
-    op = ops.pop() if ops else None
-    lits = []
-    for chunk in text.split(op) if op else [text]:
-        chunk = chunk.strip()
-        negated = chunk.startswith("!")
-        name = chunk[1:].strip() if negated else chunk
-        if name not in name_to_pred:
-            raise ExplanationParseError(f"unknown predicate {name!r}")
-        lits.append((name_to_pred[name].index, negated))
-    return lits, op
-
-
-def _parse_part(body: str, name_to_pred) -> CanonicalPart:
-    body = body.strip()
-    if body.startswith("("):
-        # two parenthesized clauses joined by an outer connective
-        depth, split_at, outer = 0, None, None
-        for pos, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif depth == 0 and ch in (AND, OR):
-                split_at, outer = pos, ch
-                break
-        if split_at is None:
-            raise ExplanationParseError(f"cannot split clauses in {body!r}")
-        left, right = body[:split_at].strip(), body[split_at + 1:].strip()
-        clauses = []
-        inner = None
-        for side in (left, right):
-            if not (side.startswith("(") and side.endswith(")")):
-                raise ExplanationParseError(f"expected parenthesized clause in {body!r}")
-            lits, op = _parse_clause(side[1:-1], name_to_pred)
-            clauses.append(lits)
-            if op is not None:
-                if inner is not None and inner != op:
-                    raise ExplanationParseError(f"mixed inner connectives in {body!r}")
-                inner = op
-        dnf = outer == OR
-        expected_inner = AND if dnf else OR
-        if inner is not None and inner != expected_inner:
-            raise ExplanationParseError(
-                f"clause structure in {body!r} is neither CNF nor DNF"
-            )
-        return _canonical_part(clauses[0], clauses[1], dnf)
-    lits, op = _parse_clause(body, name_to_pred)
-    # a single conjunction clause is a DNF part, a disjunction a CNF part
-    return _canonical_part(lits, [], dnf=(op == AND))
+# "F(" and "G(" are single tokens, so "F (" is refused; a name is any other
+# run of non-space characters (an identifier with a combining mark is not \w)
+_TOKEN = re.compile(r"[FG]\(|[!&|()]|[^\s!&|()]+")
+_PUNCTUATION = {"F(", "G(", "!", AND, OR, "(", ")"}
 
 
 def parse_explanation(text: str, predicates) -> CanonicalExplanation:
     """Inverse of :func:`render` (up to canonicalization).
 
+    Reads, with any spacing between tokens::
+
+        explanation := "F(" part ")" "&" "G(" part ")"
+        part        := clause | "(" clause ")" op "(" clause ")"
+        clause      := literal (op literal)*     one op throughout
+        literal     := ["!"] predicate-name
+        op          := "&" | "|"
+
+    Two clauses need the inner op opposite the outer one (CNF or DNF).
     Every predicate of the set must appear exactly once and both temporal
     parts must be nonempty, mirroring the encoding invariants.
     """
-    stripped = text.strip()
-    if not stripped.startswith("F("):
-        raise ExplanationParseError(f"explanation must start with 'F(': {text!r}")
-    depth = 0
-    f_end = None
-    for pos, ch in enumerate(stripped):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                f_end = pos
-                break
-    if f_end is None:
-        raise ExplanationParseError(f"unbalanced parentheses in {text!r}")
-    rest = stripped[f_end + 1:].strip()
-    if not rest.startswith(AND):
-        raise ExplanationParseError(f"expected '&' between F(...) and G(...): {text!r}")
-    rest = rest[1:].strip()
-    if not (rest.startswith("G(") and rest.endswith(")")):
-        raise ExplanationParseError(f"expected trailing G(...): {text!r}")
-    name_to_pred = {p.name: p for p in predicates}
-    f_part = _parse_part(stripped[2:f_end], name_to_pred)
-    g_part = _parse_part(rest[2:-1], name_to_pred)
+    tokens = _TOKEN.findall(text)
+    index = {p.name: p.index for p in predicates}
+    pos = 0
+
+    def peek() -> str | None:
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take(*expected: str) -> str:
+        """The next token, one of ``expected`` or, with none given, a name."""
+        nonlocal pos
+        tok = peek()
+        if tok is None or (tok not in expected if expected else tok in _PUNCTUATION):
+            want = " or ".join(map(repr, expected)) if expected else "a predicate"
+            raise ExplanationParseError(
+                f"expected {want}, got {tok or 'end of text'!r} in {text!r}")
+        pos += 1
+        return tok
+
+    def literal() -> Literal:
+        negated = peek() == "!"
+        if negated:
+            take("!")
+        name = take()
+        if name not in index:
+            raise ExplanationParseError(f"unknown predicate {name!r} in {text!r}")
+        return index[name], negated
+
+    def clause() -> tuple[list[Literal], str | None]:
+        lits, ops = [literal()], set()
+        while peek() in (AND, OR):
+            ops.add(take(AND, OR))
+            lits.append(literal())
+        if len(ops) > 1:
+            raise ExplanationParseError(f"mixed connectives inside a clause of {text!r}")
+        return lits, (ops.pop() if ops else None)
+
+    def part() -> CanonicalPart:
+        if peek() != "(":
+            lits, op = clause()
+            # a single conjunction clause is a DNF part, a disjunction a CNF part
+            return _canonical_part(lits, [], dnf=(op == AND))
+        take("(")
+        first, op1 = clause()
+        take(")")
+        dnf = take(AND, OR) == OR
+        take("(")
+        second, op2 = clause()
+        take(")")
+        if {op1, op2} - {None, AND if dnf else OR}:
+            raise ExplanationParseError(f"clause structure in {text!r} is neither CNF nor DNF")
+        return _canonical_part(first, second, dnf)
+
+    take("F(")
+    f_part = part()
+    take(")")
+    take(AND)
+    take("G(")
+    g_part = part()
+    take(")")
+    if pos < len(tokens):
+        raise ExplanationParseError(f"unexpected {tokens[pos]!r} after G(...) in {text!r}")
     used = sorted(i for i, _ in f_part.literals() + g_part.literals())
     if used != list(range(len(predicates))):
         raise ExplanationParseError(

@@ -13,6 +13,7 @@ import yaml
 
 import tlexplain
 from tlexplain import cli, config, product
+from tlexplain import formula as fm
 from tlexplain.config import SCHEMA_VERSION
 
 NAV_CONFIG = {
@@ -31,8 +32,10 @@ NAV_CONFIG = {
 PSI0, PSI1 = NAV_CONFIG["predicates"]
 CTF_ENVIRONMENT = {"type": "ctf", "map_text": "Bbbrr\nbbbrR\n", "horizon": 40}
 
-REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent
-                       / "configs" / "ctf_reference.yaml")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REFERENCE_CONFIG = str(CONFIGS / "ctf_reference.yaml")
+# the reference run with a fourth and a fifth predicate, and its class size
+LARGER_CONFIGS = [("ctf_n4.yaml", 1408), ("ctf_n5.yaml", 15360)]
 # oracle.csv and results.csv of the reference config, as written before the
 # evaluator's exact shortcuts (acceptance pre-filter, product reuse) existed
 GOLDEN = Path(__file__).resolve().parent / "data" / "ctf_reference"
@@ -268,6 +271,11 @@ class TestEnumerateCommand:
             assert cli.main(["enumerate", "--config", str(config), *extra]) == cli.EXIT_REFUSED
             assert f"exceeds the enumeration cap {n - 1}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, count", LARGER_CONFIGS)
+    def test_larger_config_count(self, capsys, name, count):
+        assert cli.main(["enumerate", "--config", str(CONFIGS / name)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.strip() == str(count)
+
 
 class TestEvalCommand:
     def test_scores_target_explanation(self, tmp_path, capsys):
@@ -287,12 +295,60 @@ class TestEvalCommand:
         config = _write_config(tmp_path)
         assert cli.main(["eval", "--config", str(config), "F(psi0)"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("explanation, message", [
+        ("F (a & b) & G(c | d | !e)", r"expected 'F\('"),
+        ("F(a & b) & G (c | d | !e)", r"expected 'G\('"),
+        ("G(a & b) & F(c | d | !e)", r"expected 'F\('"),
+        ("F(a & b) & G(c | d | !e))", r"unexpected '\)' after G"),
+        ("F(a & b) & G(c | d | !e) & a", r"unexpected '&' after G"),
+        ("F(a & b) G(c | d | !e)", r"expected '&', got 'G\('"),
+        ("F(a & b) & G(c | d | !e", r"expected '\)', got 'end of text'"),
+        ("F(a & b) & G((c) | (d) | (!e))", r"expected '\)', got '\|'"),
+        ("F(a & b) & G(((c)) | (d | !e))", r"expected a predicate, got '\('"),
+        ("F(a & b) & G((c | d | !e))", r"expected '&' or '\|', got '\)'"),
+        ("F((a & b) & (c)) & G(d | !e)", "neither CNF nor DNF"),
+        ("F(e) & G((a | b) | (c & d))", "neither CNF nor DNF"),
+        ("F(a & b | c) & G(d | !e)", "mixed connectives"),
+        ("F(!!a & b) & G(c | d | !e)", r"expected a predicate, got '!'"),
+        ("F(a & b & c & d & e) & G()", r"expected a predicate, got '\)'"),
+        ("F(a & b) & G(c | d | !f)", "unknown predicate 'f'"),
+        ("F(a & b) & G(c | d)", "every predicate exactly once"),
+        ("F(a & b) & G(c | d | !e | a)", "every predicate exactly once"),
+    ])
+    def test_malformed_explanation_is_config_error(self, tmp_path, capsys, explanation,
+                                                   message):
+        names = "abcde"
+        with pytest.raises(fm.ExplanationParseError, match=message):
+            fm.parse_explanation(explanation, [fm.AtomicPredicate(i, name, 0, 1.0)
+                                               for i, name in enumerate(names)])
+        preds = [{"name": name, "feature": "d_goal", "threshold": i + 1.0}
+                 for i, name in enumerate(names)]
+        cfg = {**NAV_CONFIG, "predicates": preds,
+               "target": {"explanation": "F(a & b) & G(c | d | !e)"}}
+        args = ["eval", "--config", str(_write_config(tmp_path, cfg)), explanation]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_is_usage_error(self, tmp_path, capsys):
+        # eval writes no file, so it takes no output directory
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--config", REFERENCE_CONFIG, "--out", str(tmp_path),
+                      "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [name for name, _ in LARGER_CONFIGS])
+    def test_larger_config_scores_its_target(self, capsys, name):
+        target = yaml.safe_load((CONFIGS / name).read_text())["target"]["explanation"]
+        assert cli.main(["eval", "--config", str(CONFIGS / name), target]) == cli.EXIT_OK
+        assert "wKL:          0\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("explanation, reason", [
         ("F(!psi_ba_bt) & G(psi_ba_rf & psi_ba_ra)", "acceptance unreachable"),
         ("F(psi_ba_rf) & G(psi_ba_ra | psi_ba_bt)", "failed the return filter"),
     ])
     def test_names_why_filtered(self, tmp_path, capsys, explanation, reason):
-        args = ["eval", "--config", REFERENCE_CONFIG, "--out", str(tmp_path), explanation]
+        args = ["eval", "--config", REFERENCE_CONFIG, explanation]
         assert cli.main(args) == cli.EXIT_OK
         assert f"filtered:     true ({reason})" in capsys.readouterr().out
 
@@ -300,8 +356,7 @@ class TestEvalCommand:
     def test_state_space_over_cap_is_refused(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(config, "build_env_model",
                             functools.partial(product.build_env_model, cap=50))
-        args = ["eval", "--config", REFERENCE_CONFIG, "--out", str(tmp_path),
-                "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)"]
+        args = ["eval", "--config", REFERENCE_CONFIG, "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)"]
         assert cli.main(args) == cli.EXIT_REFUSED
         assert capsys.readouterr().err == "refused: more than 50 reachable states\n"
 

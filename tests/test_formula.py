@@ -7,6 +7,7 @@ were frozen from that oracle.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -386,6 +387,18 @@ class TestParse:
     def test_mixed_connectives_rejected(self, preds3):
         with pytest.raises(fm.ExplanationParseError):
             fm.parse_explanation("F(psi0 & psi1 | psi2) & G(psi1)", preds3)
+
+    @PROPERTY
+    @given(st.integers(2, 4),
+           st.lists(st.sampled_from(["", " ", "  ", "\t", "\n", "\u00a0", "\u2003"]),
+                    min_size=1, max_size=8))
+    def test_any_spacing_between_tokens(self, n, spaces):
+        # "F(" and "G(" are one token each; every other token may be spaced
+        preds = generic_predicates(n)
+        for k, canon in enumerate(fm.enumerate_all(preds)):
+            tokens = re.findall(r"[FG]\(|[!&|()]|\w+", fm.render(canon, preds))
+            text = "".join(spaces[(k + i) % len(spaces)] + tok for i, tok in enumerate(tokens))
+            assert fm.parse_explanation(text + spaces[k % len(spaces)], preds) == canon
 
 
 class TestPredicateValidation:
