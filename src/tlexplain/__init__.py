@@ -13,8 +13,8 @@ from .formula import (
     expansion,
     neighborhood,
     parse_explanation,
+    part_robustness,
     render,
-    robustness_state,
 )
 from .fspa import Fspa, build_fspa
 from .envs import CtfEnv, GridMap, NavEnv, NavMap

@@ -151,8 +151,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
+    # parse before build_runtime, which trains the target: bad text fails fast
+    canon = fm.parse_explanation(args.explanation, build_predicates(cfg, build_env(cfg)))
     evaluator = build_runtime(cfg).evaluator
-    rec = evaluator.evaluate(fm.parse_explanation(args.explanation, evaluator.predicates))
+    rec = evaluator.evaluate(canon)
     print(f"explanation:  {rec.key}")
     print(f"mean return:  {_fmt(rec.mean_return)}")
     if rec.filtered:

@@ -1,5 +1,5 @@
 """Explanation class: predicates, bit-vector encodings, canonical forms,
-quantitative robustness, and search neighborhoods.
+robustness and truth of the canonical parts, and search neighborhoods.
 
 An explanation has the fixed shape ``F(phi_F) & G(phi_G)`` where each part is
 a CNF or DNF formula with at most two clauses over a shared predicate set.
@@ -7,7 +7,9 @@ Explanations are encoded as a truth-value vector of length ``3*N + 2``:
 negation bits, temporal-assignment bits (F vs G), clause-assignment bits, and
 one CNF/DNF form bit per part.  Distinct encodings can denote the same
 formula; :func:`decode` maps encodings to a canonical representative so that
-logically identical encodings compare equal.
+logically identical encodings compare equal.  A :class:`CanonicalPart` is the
+one representation of a part: :func:`part_robustness` scores it and
+:func:`part_holds` decides its truth directly on its clauses of literals.
 """
 
 from __future__ import annotations
@@ -55,76 +57,6 @@ def validate_predicates(predicates: tuple[AtomicPredicate, ...]) -> None:
             raise ValueError(f"predicates[{p.index}].name must be an identifier, got {p.name!r}")
         if not np.isfinite(p.threshold):
             raise ValueError(f"non-finite threshold for {p.name}")
-
-
-# ---------------------------------------------------------------------------
-# Formula trees and robustness
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Lit:
-    feature_index: int
-    threshold: float
-    negated: bool
-    name: str
-
-
-@dataclass(frozen=True)
-class Not:
-    child: object
-
-
-@dataclass(frozen=True)
-class And:
-    children: tuple
-
-
-@dataclass(frozen=True)
-class Or:
-    children: tuple
-
-
-def robustness_state(node, features):
-    """Quantitative satisfaction of a formula tree at one or many states.
-
-    ``features`` is an array whose last axis indexes environment features;
-    the result drops that axis.  A literal scores ``threshold - feature``,
-    negation flips sign, conjunction takes the min, disjunction the max.
-    The formula is (strictly) satisfied iff the result is > 0.
-    """
-    features = np.asarray(features, dtype=float)
-    rho = _robustness(node, features)
-    if np.ndim(rho) == 0:
-        return float(rho)
-    return rho
-
-
-def _robustness(node, features):
-    if isinstance(node, Lit):
-        rho = node.threshold - features[..., node.feature_index]
-        return -rho if node.negated else rho
-    if isinstance(node, Not):
-        return -_robustness(node.child, features)
-    if isinstance(node, And):
-        return np.minimum.reduce([_robustness(c, features) for c in node.children])
-    if isinstance(node, Or):
-        return np.maximum.reduce([_robustness(c, features) for c in node.children])
-    raise TypeError(f"not a formula node: {node!r}")
-
-
-def evaluate_bool(node, features) -> bool:
-    """Boolean satisfaction with strict thresholds; reference semantics."""
-    if isinstance(node, Lit):
-        sat = features[node.feature_index] < node.threshold
-        return (not sat) if node.negated else bool(sat)
-    if isinstance(node, Not):
-        return not evaluate_bool(node.child, features)
-    if isinstance(node, And):
-        return all(evaluate_bool(c, features) for c in node.children)
-    if isinstance(node, Or):
-        return any(evaluate_bool(c, features) for c in node.children)
-    raise TypeError(f"not a formula node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +236,48 @@ def render(canon: CanonicalExplanation, predicates) -> str:
     return f"F({f_body}) & G({g_body})"
 
 
-def part_formula(part: CanonicalPart, predicates):
-    """Formula tree of one temporal part, for robustness evaluation."""
+def part_robustness(part: CanonicalPart, predicates, features):
+    """Quantitative satisfaction of one temporal part at one or many states.
 
-    def lit_node(lit: Literal) -> Lit:
-        i, neg = lit
+    ``features`` is an array whose last axis indexes environment features;
+    the result drops that axis (a float for one state).  A literal scores
+    ``threshold - feature``, negated if the literal is; ``&`` takes the min
+    and ``|`` the max, within each clause and then over the clauses.  The
+    part is (strictly) satisfied iff the result is > 0.
+    """
+    features = np.asarray(features, dtype=float)
+
+    def literal(lit: Literal):
+        i, negated = lit
         p = predicates[i]
-        return Lit(p.feature_index, p.threshold, neg, p.name)
+        rho = p.threshold - features[..., p.feature_index]
+        return -rho if negated else rho
 
-    def clause_node(clause):
-        nodes = tuple(lit_node(l) for l in clause)
-        if len(nodes) == 1:
-            return nodes[0]
-        return And(nodes) if part.inner == AND else Or(nodes)
+    def join(values: list, op: str | None):
+        if len(values) == 1:
+            return values[0]
+        return (np.minimum if op == AND else np.maximum).reduce(values)
 
-    clause_nodes = tuple(clause_node(c) for c in part.clauses)
-    if len(clause_nodes) == 1:
-        return clause_nodes[0]
-    return And(clause_nodes) if part.outer == AND else Or(clause_nodes)
+    rho = join([join([literal(lit) for lit in clause], part.inner)
+                for clause in part.clauses], part.outer)
+    return float(rho) if np.ndim(rho) == 0 else rho
+
+
+def part_holds(part: CanonicalPart, predicates, x) -> bool:
+    """Boolean satisfaction of one part at one state, with strict
+    thresholds; the reference semantics :func:`part_robustness` is checked
+    against."""
+
+    def literal(lit: Literal) -> bool:
+        i, negated = lit
+        p = predicates[i]
+        return bool(x[p.feature_index] < p.threshold) != negated
+
+    def join(values, op: str | None) -> bool:
+        return all(values) if op == AND else any(values)
+
+    return join((join((literal(lit) for lit in clause), part.inner)
+                 for clause in part.clauses), part.outer)
 
 
 def _part_shapes(lits: list[Literal]) -> list[CanonicalPart]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formula import And, CanonicalExplanation, Not, part_formula, robustness_state
+from .formula import CanonicalExplanation, CanonicalPart, part_robustness
 
 Q0, Q_ACC, Q_TRAP = 0, 1, 2
 
@@ -27,20 +27,20 @@ class NoSuchEdgeError(KeyError):
 class Fspa:
     """Three-state automaton instantiated from one explanation's two parts."""
 
-    f_formula: object
-    g_formula: object
+    f_part: CanonicalPart
+    g_part: CanonicalPart
+    predicates: tuple
 
     def guard_robustness(self, q: int, q2: int, features) -> float:
         """Robustness of the guard on a q0 edge; reference semantics only."""
         if q != Q0 or q2 not in (Q0, Q_ACC, Q_TRAP):
             raise NoSuchEdgeError(f"no guarded edge {q} -> {q2}")
+        rho_f, rho_g = self.part_robustness(features)
         if q2 == Q_TRAP:
-            guard = Not(self.g_formula)
-        elif q2 == Q_ACC:
-            guard = And((self.g_formula, self.f_formula))
-        else:
-            guard = And((self.g_formula, Not(self.f_formula)))
-        return robustness_state(guard, features)
+            return -rho_g
+        if q2 == Q_ACC:
+            return np.minimum(rho_g, rho_f)
+        return np.minimum(rho_g, -rho_f)
 
     def step(self, q: int, features) -> int:
         """Successor state under the strict-satisfaction tie rule."""
@@ -48,9 +48,9 @@ class Fspa:
             return q
         if q != Q0:
             raise ValueError(f"unknown automaton state {q!r}")
-        if robustness_state(self.g_formula, features) <= 0:
+        if part_robustness(self.g_part, self.predicates, features) <= 0:
             return Q_TRAP
-        if robustness_state(self.f_formula, features) > 0:
+        if part_robustness(self.f_part, self.predicates, features) > 0:
             return Q_ACC
         return Q0
 
@@ -64,12 +64,12 @@ class Fspa:
         rho_acc = self.guard_robustness(Q0, Q_ACC, features)
         return Q_ACC if rho_acc > rho_stay else Q0
 
-    # vectorized forms used by the product MDP over a feature matrix
+    # forms used by the product MDP over a feature matrix
 
-    def part_robustness(self, features_matrix) -> tuple[np.ndarray, np.ndarray]:
-        rho_f = np.atleast_1d(robustness_state(self.f_formula, features_matrix))
-        rho_g = np.atleast_1d(robustness_state(self.g_formula, features_matrix))
-        return rho_f, rho_g
+    def part_robustness(self, features) -> tuple:
+        """F- and G-part robustness: floats at one state, arrays over a matrix."""
+        return (part_robustness(self.f_part, self.predicates, features),
+                part_robustness(self.g_part, self.predicates, features))
 
     def step_codes(self, rho_f: np.ndarray, rho_g: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`step` from q0, on precomputed part robustness."""
@@ -78,7 +78,4 @@ class Fspa:
 
 def build_fspa(canon: CanonicalExplanation, predicates) -> Fspa:
     """Instantiate the template automaton for one canonical explanation."""
-    return Fspa(
-        f_formula=part_formula(canon.f_part, predicates),
-        g_formula=part_formula(canon.g_part, predicates),
-    )
+    return Fspa(canon.f_part, canon.g_part, tuple(predicates))

@@ -25,6 +25,14 @@ def generic_predicates(n: int) -> tuple[fm.AtomicPredicate, ...]:
     return tuple(fm.AtomicPredicate(i, f"psi{i}", i, 1.0) for i in range(n))
 
 
+def dual_part(part: fm.CanonicalPart) -> fm.CanonicalPart:
+    """De Morgan dual of a part: every literal negated, ``&`` and ``|``
+    swapped; its robustness is the negation of the part's."""
+    swap = {fm.AND: fm.OR, fm.OR: fm.AND, None: None}
+    clauses = tuple(tuple((i, not neg) for i, neg in clause) for clause in part.clauses)
+    return fm.CanonicalPart(clauses, swap[part.inner], swap[part.outer])
+
+
 def iter_valid_encodings(n: int):
     """Every valid raw encoding over ``n`` predicates."""
     bit_tuples = list(itertools.product((0, 1), repeat=n))

@@ -315,8 +315,8 @@ class TestEvalCommand:
         ("F(a & b) & G(c | d)", "every predicate exactly once"),
         ("F(a & b) & G(c | d | !e | a)", "every predicate exactly once"),
     ])
-    def test_malformed_explanation_is_config_error(self, tmp_path, capsys, explanation,
-                                                   message):
+    def test_malformed_explanation_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                   explanation, message):
         names = "abcde"
         with pytest.raises(fm.ExplanationParseError, match=message):
             fm.parse_explanation(explanation, [fm.AtomicPredicate(i, name, 0, 1.0)
@@ -326,6 +326,12 @@ class TestEvalCommand:
         cfg = {**NAV_CONFIG, "predicates": preds,
                "target": {"explanation": "F(a & b) & G(c | d | !e)"}}
         args = ["eval", "--config", str(_write_config(tmp_path, cfg)), explanation]
+
+        def build_runtime(cfg):
+            raise AssertionError("set-up ran before the explanation was parsed")
+
+        # the text is refused before the set-up, which trains the target
+        monkeypatch.setattr(cli, "build_runtime", build_runtime)
         assert cli.main(args) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from tlexplain import formula as fm
 
-from conftest import PROPERTY, generic_predicates, iter_valid_encodings
+from conftest import PROPERTY, dual_part, generic_predicates, iter_valid_encodings
 
 
 def _assignment_features(assignment):
@@ -25,18 +25,12 @@ def _assignment_features(assignment):
 
 
 def _signature(canon, n):
-    """Independent boolean truth tables of both parts, from evaluate_bool."""
+    """Independent boolean truth tables of both parts, from part_holds."""
     preds = generic_predicates(n)
-    f_tree = fm.part_formula(canon.f_part, preds)
-    g_tree = fm.part_formula(canon.g_part, preds)
-    tables = []
-    for tree in (f_tree, g_tree):
-        table = tuple(
-            fm.evaluate_bool(tree, _assignment_features(a))
-            for a in itertools.product((False, True), repeat=n)
-        )
-        tables.append(table)
-    return tuple(tables)
+    return tuple(
+        tuple(fm.part_holds(part, preds, _assignment_features(a))
+              for a in itertools.product((False, True), repeat=n))
+        for part in (canon.f_part, canon.g_part))
 
 
 # ---------------------------------------------------------------------------
@@ -201,44 +195,58 @@ class TestEnumerateAll:
 
 class TestRobustness:
     def test_literal(self):
-        lit = fm.Lit(0, 1.0, False, "psi0")
-        assert fm.robustness_state(lit, np.array([0.3])) == pytest.approx(0.7)
+        part = fm.CanonicalPart((((0, False),),), None, None)
+        preds = generic_predicates(1)
+        assert fm.part_robustness(part, preds, np.array([0.3])) == pytest.approx(0.7)
 
     def test_negated_literal(self):
-        lit = fm.Lit(0, 1.0, True, "psi0")
-        assert fm.robustness_state(lit, np.array([0.3])) == pytest.approx(-0.7)
+        part = fm.CanonicalPart((((0, True),),), None, None)
+        preds = generic_predicates(1)
+        assert fm.part_robustness(part, preds, np.array([0.3])) == pytest.approx(-0.7)
 
     def test_conjunction_is_min(self):
-        a = fm.Lit(0, 1.0, False, "a")   # rho = 0.2
-        b = fm.Lit(1, 1.0, False, "b")   # rho = -0.3
-        tree = fm.And((a, b))
-        assert fm.robustness_state(tree, np.array([0.8, 1.3])) == pytest.approx(-0.3)
+        preds = generic_predicates(4)
+        x = np.array([0.8, 1.3, 0.5, 1.1])  # rho = 0.2, -0.3, 0.5, -0.1
+        clause = fm.CanonicalPart((((0, False), (1, False)),), fm.AND, None)
+        assert fm.part_robustness(clause, preds, x) == pytest.approx(-0.3)
+        # (psi0 | psi1) & (psi2 | psi3): the min over the clauses' maxima
+        cnf = fm.CanonicalPart((((0, False), (1, False)), ((2, False), (3, False))),
+                               fm.OR, fm.AND)
+        assert fm.part_robustness(cnf, preds, x) == pytest.approx(0.2)
 
     def test_disjunction_is_max(self):
-        a = fm.Lit(0, 1.0, False, "a")
-        b = fm.Lit(1, 1.0, False, "b")
-        tree = fm.Or((a, b))
-        assert fm.robustness_state(tree, np.array([0.8, 1.3])) == pytest.approx(0.2)
+        preds = generic_predicates(4)
+        x = np.array([0.8, 1.3, 0.5, 1.1])  # rho = 0.2, -0.3, 0.5, -0.1
+        clause = fm.CanonicalPart((((0, False), (1, False)),), fm.OR, None)
+        assert fm.part_robustness(clause, preds, x) == pytest.approx(0.2)
+        # (psi0 & psi1) | (psi2 & psi3): the max over the clauses' minima
+        dnf = fm.CanonicalPart((((0, False), (1, False)), ((2, False), (3, False))),
+                               fm.AND, fm.OR)
+        assert fm.part_robustness(dnf, preds, x) == pytest.approx(-0.1)
 
     def test_vectorized_matches_scalar(self, rng):
-        tree = fm.Or((fm.And((fm.Lit(0, 1.0, False, "a"), fm.Lit(1, 2.0, True, "b"))),
-                      fm.Lit(2, 0.5, False, "c")))
+        # (a & !b) | c
+        preds = (fm.AtomicPredicate(0, "a", 0, 1.0), fm.AtomicPredicate(1, "b", 1, 2.0),
+                 fm.AtomicPredicate(2, "c", 2, 0.5))
+        part = fm.CanonicalPart((((0, False), (1, True)), ((2, False),)), fm.AND, fm.OR)
         x = rng.normal(size=(40, 3))
-        batch = fm.robustness_state(tree, x)
+        batch = fm.part_robustness(part, preds, x)
+        assert batch.shape == (40,)
         for i in range(40):
-            assert batch[i] == pytest.approx(fm.robustness_state(tree, x[i]))
+            scalar = fm.part_robustness(part, preds, x[i])
+            assert isinstance(scalar, float)
+            assert batch[i] == scalar
 
     def test_de_morgan_exact(self, rng):
-        a = fm.Lit(0, 1.0, False, "a")
-        b = fm.Lit(1, 2.0, True, "b")
-        lhs = fm.Not(fm.And((a, b)))
-        rhs = fm.Or((fm.Not(a), fm.Not(b)))
-        lhs2 = fm.Not(fm.Or((a, b)))
-        rhs2 = fm.And((fm.Not(a), fm.Not(b)))
-        for _ in range(200):
-            x = rng.normal(size=2)
-            assert fm.robustness_state(lhs, x) == fm.robustness_state(rhs, x)
-            assert fm.robustness_state(lhs2, x) == fm.robustness_state(rhs2, x)
+        """The dual part (literals negated, connectives swapped) scores
+        exactly the negated robustness, on every part of the class."""
+        for n in (2, 3, 4):
+            preds = generic_predicates(n)
+            vectors = rng.uniform(0, 2, size=(300, n))
+            for canon in fm.enumerate_all(preds):
+                for part in (canon.f_part, canon.g_part):
+                    rho = fm.part_robustness(part, preds, vectors)
+                    assert (fm.part_robustness(dual_part(part), preds, vectors) == -rho).all()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_soundness_against_boolean_oracle(self, n, rng):
@@ -252,10 +260,9 @@ class TestRobustness:
         vectors[np.abs(vectors - 1.0) < 1e-6] += 0.01
         for canon in fm.enumerate_all(preds):
             for part in (canon.f_part, canon.g_part):
-                tree = fm.part_formula(part, preds)
-                rho = fm.robustness_state(tree, vectors)
+                rho = fm.part_robustness(part, preds, vectors)
                 for i in range(len(vectors)):
-                    assert (rho[i] > 0) == fm.evaluate_bool(tree, vectors[i])
+                    assert (rho[i] > 0) == fm.part_holds(part, preds, vectors[i])
 
 
 # ---------------------------------------------------------------------------

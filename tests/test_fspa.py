@@ -31,12 +31,10 @@ def _run(fspa, feature_seq):
 
 def _run_oracle(fspa, feature_seq):
     """Independent acceptance check by explicit prefix scanning."""
-    for t, x in enumerate(feature_seq):
-        g = fm.robustness_state(fspa.g_formula, x)
-        f = fm.robustness_state(fspa.f_formula, x)
-        if g <= 0:
+    for x in feature_seq:
+        if not fm.part_holds(fspa.g_part, fspa.predicates, x):
             return fa.Q_TRAP
-        if f > 0:
+        if fm.part_holds(fspa.f_part, fspa.predicates, x):
             return fa.Q_ACC
     return fa.Q0
 
@@ -82,9 +80,9 @@ class TestGuards:
 
     def test_accept_guard_is_min_of_parts(self):
         fspa, _ = _simple_fspa()
-        x = np.array([0.8, 2.1])  # rho_f = 0.2, rho_g = -1.1... use parts directly
-        rho_f = fm.robustness_state(fspa.f_formula, x)
-        rho_g = fm.robustness_state(fspa.g_formula, x)
+        x = np.array([0.8, 2.1])  # rho_f = 0.2, rho_g = -1.1
+        rho_f = fm.part_robustness(fspa.f_part, fspa.predicates, x)
+        rho_g = fm.part_robustness(fspa.g_part, fspa.predicates, x)
         assert fspa.guard_robustness(fa.Q0, fa.Q_ACC, x) == pytest.approx(min(rho_f, rho_g))
 
     def test_missing_edge(self):

@@ -325,6 +325,26 @@ class TestRewardCases:
         q_star = mdp.fspa.best_nontrap_neighbor(fa.Q0, x)
         assert r == pytest.approx(0.1 * mdp.fspa.guard_robustness(fa.Q0, q_star, x))
 
+    @PROPERTY
+    @given(product_mdps())
+    def test_every_state_matches_reference_semantics(self, mdp):
+        """``q_next`` and ``reward_next`` on every environment state equal
+        the automaton's step and guard robustness from q0 at that state."""
+        fspa = mdp.fspa
+        for s, x in enumerate(mdp.model.features):
+            q = fspa.step(fa.Q0, x)
+            assert mdp.q_next[s] == q
+            if q == fa.Q_TRAP:
+                expected = -fspa.guard_robustness(fa.Q0, fa.Q_TRAP, x)
+            elif q == fa.Q_ACC:
+                expected = fspa.guard_robustness(fa.Q0, fa.Q_ACC, x)
+            elif mdp.reward.mode == DENSE:
+                best = fspa.best_nontrap_neighbor(fa.Q0, x)
+                expected = mdp.reward.beta * fspa.guard_robustness(fa.Q0, best, x)
+            else:
+                expected = 0.0
+            assert mdp.reward_next[s] == expected
+
     def test_dense_terminal_cases_match_sparse(self):
         model = _nav_model()
         sparse = _mdp(model, _nav_preds(), mode=SPARSE)
