@@ -26,7 +26,7 @@ import yaml
 from . import formula as fm
 from . import rl
 from .config import (SCHEMA_VERSION, ConfigError, RunConfig, build_env, build_predicates,
-                     build_runtime, load_config)
+                     build_runtime, load_config, read_utf8)
 from .envs import StateSpaceTooLargeError
 from .search import brute_force_oracle, multi_start
 
@@ -99,7 +99,7 @@ def cmd_search(args) -> int:
             writer.writerow([
                 rank, res.key or "", _fmt(rec.wkl if rec else None),
                 _fmt(res.utility), _fmt(rec.mean_return if rec else None),
-                _fmt(bool(rec.filtered) if rec else True),
+                _fmt(rec is None),
                 _fmt(100.0 * res.searched_frac), res.restart, cfg.seed,
             ])
 
@@ -113,7 +113,8 @@ def cmd_search(args) -> int:
     print(f"{'rank':>4}  {'wKL':>12}  {'searched%':>9}  explanation")
     for rank, res in enumerate(result.results, start=1):
         wkl = res.record.wkl if res.record else None
-        print(f"{rank:>4}  {_fmt(wkl):>12}  {100.0 * res.searched_frac:>9.2f}  {res.key}")
+        key = res.key or "(no unfiltered explanation)"
+        print(f"{rank:>4}  {_fmt(wkl):>12}  {100.0 * res.searched_frac:>9.2f}  {key}")
     print(_shortcut_summary(runtime.evaluator))
     return EXIT_OK
 
@@ -190,7 +191,7 @@ def cmd_trace_dot(args) -> int:
     if not trace_path.exists():
         raise ConfigError(f"trace file not found: {trace_path}")
     nodes = []
-    for lineno, line in enumerate(trace_path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(trace_path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -94,6 +94,14 @@ def _build(cls, values: dict, where: str, types: dict | None = None):
         raise ConfigError(f"{where}{exc}") from exc
 
 
+def read_utf8(path: Path) -> str:
+    """The text of the file ``path``; a ConfigError naming it if it is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8: {exc}") from exc
+
+
 def _inline_map(env: dict, base: Path) -> dict:
     """The environment section with a ``map`` file read into ``map_text``."""
     if "map" not in env:
@@ -106,7 +114,7 @@ def _inline_map(env: dict, base: Path) -> dict:
     map_path = (base / str(env.pop("map"))).resolve()
     if not map_path.is_file():
         raise ConfigError(f"map file not found: {map_path}")
-    env["map_text"] = map_path.read_text()
+    env["map_text"] = read_utf8(map_path)
     return env
 
 
@@ -132,7 +140,7 @@ def load_config(path) -> RunConfig:
     try:
         # libyaml's scanner when pyyaml has it; the constructor, and so the
         # objects built, are the same SafeConstructor either way
-        raw = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        raw = yaml.load(read_utf8(path), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -60,10 +60,17 @@ class UtilityRecord:
     an upper bound on every policy's return there."""
 
     key: str
-    wkl: float | None
-    utility: float | None
+    wkl: float | None    # None when the candidate is filtered
     mean_return: float
-    filtered: bool
+
+    @property
+    def filtered(self) -> bool:
+        return self.wkl is None
+
+    @property
+    def utility(self) -> float | None:
+        """``-wkl``, or None when filtered."""
+        return None if self.wkl is None else -self.wkl
 
 
 def sample_nontrap(model, n: int, rng: np.random.Generator) -> list[int]:
@@ -156,5 +163,4 @@ def utility(candidate, target, sample: StateSample, key: str = "",
         raise CoverageGapError("sampled states not covered by both policies")
     divs = kl_rows(candidate.probs[rows], target.probs[rows], eps=eps)
     wkl = float(np.dot(sample.weights, divs))
-    return UtilityRecord(key=key, wkl=wkl, utility=-wkl, mean_return=mean_return,
-                         filtered=False)
+    return UtilityRecord(key=key, wkl=wkl, mean_return=mean_return)

@@ -34,10 +34,6 @@ from .product import SPARSE, ProductMdp
 VI_BATCH_CELLS = 24_000
 
 
-class EmptyBufferError(RuntimeError):
-    """Every candidate in a neighborhood failed the return filter."""
-
-
 @dataclass
 class SearchParams:
     n_search: int = 10
@@ -84,13 +80,6 @@ class MultiStartResult:
     overall_searched_frac: float
     denominator: int
     traces: list[TraceNode]
-
-
-@dataclass
-class _BufferEntry:
-    key: str
-    utility: float
-    enc: fm.ExplanationEncoding
 
 
 @dataclass
@@ -220,8 +209,7 @@ class Evaluator:
         if (self.cfg.reward.mode == SPARSE and self.cfg.search.return_threshold >= 0
                 and not mdp.acceptance_reachable()):
             batch.unreachable += 1
-            batch.queue[key] = metrics.UtilityRecord(key=key, wkl=None, utility=None,
-                                                     mean_return=0.0, filtered=True)
+            batch.queue[key] = metrics.UtilityRecord(key=key, wkl=None, mean_return=0.0)
             return
         if self.cfg.trainer.mode != rl.EXACT_SOFT_VI:
             # Q-learning draws from a stream keyed by ``key``: equal products
@@ -269,8 +257,7 @@ class Evaluator:
         """Filter or score a trained policy."""
         mean_return = mdp.average_return(policy)
         if mean_return <= self.cfg.search.return_threshold:
-            return metrics.UtilityRecord(key=key, wkl=None, utility=None,
-                                         mean_return=mean_return, filtered=True)
+            return metrics.UtilityRecord(key=key, wkl=None, mean_return=mean_return)
         return metrics.utility(policy, self.target, self.sample, key=key,
                                mean_return=mean_return, eps=self.cfg.metric.kl_eps)
 
@@ -290,13 +277,12 @@ class _SearchContext:
             parent=parent, move=move))
 
 
-def _sorted_buffer(entries: dict[str, _BufferEntry]) -> list[_BufferEntry]:
-    return sorted(entries.values(), key=lambda e: (-e.utility, e.key))
-
-
 def eval_neighbors(enc: fm.ExplanationEncoding, ctx: _SearchContext, step: int,
-                   move_label: str = "flip") -> list[_BufferEntry]:
-    """Evaluate an explanation and its neighborhood; sorted best-first.
+                   move_label: str = "flip"
+                   ) -> list[tuple[metrics.UtilityRecord, fm.ExplanationEncoding]]:
+    """Evaluate an explanation and its neighborhood: the unfiltered
+    ``(record, encoding)`` pairs, best first by ``(wkl, key)``, or ``[]``
+    when every one is filtered.
 
     Follows the stall rule: the form-bit expansion set is only evaluated when
     the plain neighborhood fails to beat the center explanation.
@@ -305,67 +291,57 @@ def eval_neighbors(enc: fm.ExplanationEncoding, ctx: _SearchContext, step: int,
     nbh = fm.neighborhood(enc)
     center, *records = ev.evaluate_many([fm.decode(e) for e in [enc, *nbh]])
     ctx.touched.add(center.key)
-    entries: dict[str, _BufferEntry] = {}
-    if not center.filtered:
-        entries[center.key] = _BufferEntry(center.key, center.utility, enc)
-    seen = {center.key}
+    # key -> (record, encoding) of every candidate met, the center first
+    found = {center.key: (center, enc)}
 
     def consider(cands, records, move):
         for cand_enc, record in zip(cands, records):
             ctx.touched.add(record.key)
-            if record.key not in seen:
-                seen.add(record.key)
+            if record.key not in found:
+                found[record.key] = (record, cand_enc)
                 ctx.record(record, step, center.key, move)
-                if not record.filtered:
-                    entries[record.key] = _BufferEntry(record.key, record.utility, cand_enc)
+
+    def ranked():
+        return sorted((pair for pair in found.values() if not pair[0].filtered),
+                      key=lambda pair: (pair[0].wkl, pair[0].key))
 
     consider(nbh, records, move_label)
-    buffer = _sorted_buffer(entries)
-    stalled = not buffer or buffer[0].key == center.key
+    buffer = ranked()
+    stalled = not buffer or buffer[0][0].key == center.key
     if stalled and params.expansion_enabled:
         expansion = fm.expansion(nbh, enc)
         consider(expansion, ev.evaluate_many([fm.decode(e) for e in expansion]), "expansion")
-        buffer = _sorted_buffer(entries)
-    if not buffer:
-        raise EmptyBufferError(f"all candidates around {center.key} were filtered")
+        buffer = ranked()
     return buffer
 
 
 def greedy_search(start: fm.ExplanationEncoding, ctx: _SearchContext
-                  ) -> tuple[str | None, float | None]:
-    """One local search from a start encoding; returns (best key, utility)."""
+                  ) -> metrics.UtilityRecord | None:
+    """One local search from a start encoding: the unfiltered record it
+    settles on, or None if every candidate around its start is filtered."""
     params = ctx.params
     enc = start
-    start_record = ctx.evaluator.evaluate(fm.decode(enc))
-    current_key = start_record.key
-    ctx.touched.add(current_key)
-    ctx.record(start_record, 0, None, "init")
-    current_utility = None if start_record.filtered else start_record.utility
+    head = ctx.evaluator.evaluate(fm.decode(enc))
+    ctx.touched.add(head.key)
+    ctx.record(head, 0, None, "init")
 
     for step in range(1, params.n_max + 1):
-        try:
-            buffer = eval_neighbors(enc, ctx, step)
-        except EmptyBufferError:
+        buffer = eval_neighbors(enc, ctx, step)
+        if not buffer:
             break
-        head = buffer[0]
-        if head.key != current_key:
-            enc, current_key, current_utility = head.enc, head.key, head.utility
+        if buffer[0][0].key != head.key:
+            head, enc = buffer[0]
             continue
-        # stalled on the current explanation: probe the next-best candidates
-        jumped = False
-        for entry in buffer[1:params.n_ext + 1]:
-            try:
-                probe = eval_neighbors(entry.enc, ctx, step, move_label="extension")
-            except EmptyBufferError:
-                continue
-            if probe[0].utility > head.utility:
-                enc, current_key, current_utility = (
-                    probe[0].enc, probe[0].key, probe[0].utility)
-                jumped = True
+        # stalled on the current explanation: probe the next-best candidates.
+        # A probe's center is unfiltered, so a probe is never empty.
+        for _, probe_enc in buffer[1:params.n_ext + 1]:
+            probe = eval_neighbors(probe_enc, ctx, step, move_label="extension")
+            if probe[0][0].wkl < head.wkl:
+                head, enc = probe[0]
                 break
-        if not jumped:
+        else:
             break
-    return (current_key, current_utility) if current_utility is not None else (None, None)
+    return None if head.filtered else head
 
 
 def multi_start(evaluator: Evaluator, params: SearchParams) -> MultiStartResult:
@@ -380,12 +356,12 @@ def multi_start(evaluator: Evaluator, params: SearchParams) -> MultiStartResult:
             np.random.SeedSequence([evaluator.cfg.seed, 7919, i]))
         start = fm.random_encoding(n, rng)
         touched: set[str] = set()
-        best_key, best_utility = greedy_search(
+        record = greedy_search(
             start, _SearchContext(evaluator, params, trace, touched, restart=i))
         all_touched |= touched
-        record = evaluator.cache.get(best_key) if best_key else None
-        results.append(RestartResult(i, best_key, best_utility,
-                                     len(touched) / denominator, record))
+        frac = len(touched) / denominator
+        results.append(RestartResult(i, record.key, record.utility, frac, record) if record
+                       else RestartResult(i, None, None, frac, None))
     results.sort(key=lambda r: (-(r.utility if r.utility is not None else -np.inf),
                                 r.key or "~"))
     return MultiStartResult(results[:params.top_k],
@@ -397,7 +373,8 @@ def brute_force_oracle(evaluator: Evaluator
     """Evaluate every canonical explanation with the shared pipeline.
 
     Returns (ranked unfiltered records, filtered records); the ranking is by
-    utility descending with the rendered key as tiebreak.  The enumeration
+    utility descending with the rendered key as tiebreak, and the filtered
+    records keep the enumeration's order, which is by key.  The enumeration
     obeys ``search.enumeration_cap``, and its sort renders each key once for
     ``Evaluator.evaluate_many`` to look up.
     """
@@ -407,5 +384,4 @@ def brute_force_oracle(evaluator: Evaluator
     for record in evaluator.evaluate_many(canons):
         (filtered if record.filtered else ranked).append(record)
     ranked.sort(key=lambda r: (-r.utility, r.key))
-    filtered.sort(key=lambda r: r.key)
     return ranked, filtered

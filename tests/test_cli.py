@@ -116,6 +116,23 @@ class TestSearchCommand:
         assert cli.main(["search", "--config", str(config)]) == cli.EXIT_CONFIG
         assert "ghost_map.txt" in capsys.readouterr().err
 
+    def test_non_utf8_config_names_path(self, tmp_path, capsys):
+        config = _write_config(tmp_path)
+        config.write_bytes(b"\xff" + config.read_bytes())
+        assert cli.main(["eval", "--config", str(config), "F(psi0) & G(psi1)"]) \
+            == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {config} is not UTF-8: ")
+
+    def test_non_utf8_map_names_path(self, tmp_path, capsys):
+        map_path = tmp_path / "map.txt"
+        map_path.write_bytes(b"\xff" + NAV_CONFIG["environment"]["map_text"].encode())
+        cfg = dict(NAV_CONFIG)
+        cfg["environment"] = {"type": "nav", "map": "map.txt"}
+        config = _write_config(tmp_path, cfg)
+        assert cli.main(["search", "--config", str(config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {map_path.resolve()} is not UTF-8: ")
+
     @pytest.mark.parametrize("section, value, message", [
         ("environment", {"type": "ctf", "map_text": "BXR\n"}, "unknown map character 'X'"),
         ("environment", {"type": "ctf", "map_text": "B#R\n"}, "no passable neighbour"),
@@ -217,6 +234,29 @@ class TestSearchCommand:
         err = capsys.readouterr().err
         assert "target policy" in err and "final residual" in err
         assert "trainer.tau" in err and "trainer.max_iterations" in err
+
+
+    def test_restarts_that_find_nothing_are_marked(self, tmp_path, capsys):
+        # no policy on the reference map returns more than 10: every restart
+        # ends with no explanation
+        cfg = yaml.safe_load(Path(REFERENCE_CONFIG).read_text())
+        cfg["environment"]["map"] = str(CONFIGS / cfg["environment"]["map"])
+        cfg["search"]["return_threshold"] = 10.0
+        del cfg["output"]
+        config = _write_config(tmp_path, cfg)
+        assert cli.main(["search", "--config", str(config)]) == cli.EXIT_OK
+        table = capsys.readouterr().out.splitlines()[2:-1]
+        assert len(table) == cfg["search"]["top_k"]
+        for line in table:
+            assert line.endswith("  (no unfiltered explanation)") and "None" not in line
+        with (tmp_path / "out" / "results.csv").open() as results:
+            rows = list(csv.DictReader(results))
+        assert len(rows) == cfg["search"]["top_k"]
+        for row in rows:
+            assert row["explanation"] == row["wkl"] == row["utility"] == ""
+            assert row["mean_return"] == "" and row["filtered"] == "true"
+        trace = (tmp_path / "out" / "trace.jsonl").read_text().splitlines()
+        assert trace and all(json.loads(line)["filtered"] for line in trace)
 
 
 class TestOracleCommand:
@@ -461,6 +501,13 @@ class TestTraceDotCommand:
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"node_id": 0}\n')
         assert cli.main(["trace-dot", str(bad)]) == cli.EXIT_CONFIG
+
+    def test_non_utf8_trace_names_path(self, tmp_path, capsys):
+        trace = self._trace_from_search(tmp_path)
+        trace.write_bytes(b"\xff" + trace.read_bytes())
+        capsys.readouterr()
+        assert cli.main(["trace-dot", str(trace)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {trace} is not UTF-8: ")
 
     @pytest.mark.parametrize("line, message", [
         ("1", "a trace node must be a JSON object, got 1"),

@@ -5,15 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fresh_evaluator, full_horizon_return, iter_valid_encodings
+from conftest import CONFIG_DIR, fresh_evaluator, full_horizon_return, iter_valid_encodings
 from tlexplain import envs
 from tlexplain import formula as fm
 from tlexplain import metrics
 from tlexplain import rl, search
-from tlexplain.config import RunConfig
+from tlexplain.config import RunConfig, build_runtime, load_config
 from tlexplain.product import DENSE, SPARSE, RewardConfig, build_env_model
 from tlexplain.search import (
-    EmptyBufferError,
     Evaluator,
     SearchParams,
     _key_stream,
@@ -26,6 +25,20 @@ from tlexplain.search import (
 )
 
 TARGET_KEY = "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)"
+# no explanation's policy on the reference map returns more than this, so
+# every candidate is filtered
+UNREACHABLE_RETURN = 10.0
+
+
+def _all_filtered(runtime):
+    return replace(runtime.evaluator.params, return_threshold=UNREACHABLE_RETURN)
+
+
+def _target_encoding(runtime):
+    for enc in iter_valid_encodings(3):
+        if fm.render(fm.decode(enc), runtime.evaluator.predicates) == TARGET_KEY:
+            return enc
+    raise AssertionError("target encoding not found")
 
 
 def _target_canon(runtime):
@@ -205,32 +218,26 @@ class TestEvalNeighbors:
         ev = fresh_evaluator(runtime, search=params or runtime.evaluator.params)
         return _SearchContext(ev, params or ev.params, trace=[], touched=set())
 
-    def _encode_target(self, runtime):
-        for enc in iter_valid_encodings(3):
-            if fm.render(fm.decode(enc), runtime.evaluator.predicates) == TARGET_KEY:
-                return enc
-        raise AssertionError("target encoding not found")
-
     def test_buffer_sorted_and_unique(self, reference_runtime):
         ctx = self._ctx(reference_runtime)
-        enc = self._encode_target(reference_runtime)
+        enc = _target_encoding(reference_runtime)
         buffer = eval_neighbors(enc, ctx, step=1)
-        utils = [e.utility for e in buffer]
-        assert utils == sorted(utils, reverse=True)
-        keys = [e.key for e in buffer]
+        wkls = [record.wkl for record, _ in buffer]
+        assert wkls == sorted(wkls)
+        keys = [record.key for record, _ in buffer]
         assert len(set(keys)) == len(keys)
 
     def test_stalled_center_triggers_expansion(self, reference_runtime):
         ctx = self._ctx(reference_runtime)
-        enc = self._encode_target(reference_runtime)
+        enc = _target_encoding(reference_runtime)
         buffer = eval_neighbors(enc, ctx, step=1)
-        assert buffer[0].key == TARGET_KEY  # global optimum stalls
+        assert buffer[0][0].key == TARGET_KEY  # global optimum stalls
         assert any(node.move == "expansion" for node in ctx.trace)
 
     def test_improving_center_skips_expansion(self, reference_runtime):
         # start from a neighbor of the optimum: the head strictly improves
         ctx = self._ctx(reference_runtime)
-        enc = self._encode_target(reference_runtime)
+        enc = _target_encoding(reference_runtime)
         preds = reference_runtime.evaluator.predicates
         neighbor = next(
             nb for nb in fm.neighborhood(enc)
@@ -239,15 +246,24 @@ class TestEvalNeighbors:
                                for nb2 in fm.neighborhood(nb)})
         buffer = eval_neighbors(neighbor, ctx, step=1)
         center_key = fm.render(fm.decode(neighbor), preds)
-        if buffer[0].key != center_key:
+        if buffer[0][0].key != center_key:
             assert not any(node.move == "expansion" for node in ctx.trace)
 
     def test_expansion_disabled_is_respected(self, reference_runtime):
         params = replace(reference_runtime.evaluator.params, expansion_enabled=False)
         ctx = self._ctx(reference_runtime, params)
-        buffer = eval_neighbors(self._encode_target(reference_runtime), ctx, step=1)
+        buffer = eval_neighbors(_target_encoding(reference_runtime), ctx, step=1)
         assert buffer
         assert not any(node.move == "expansion" for node in ctx.trace)
+
+    @pytest.mark.parametrize("expansion_enabled", [True, False])
+    def test_all_filtered_is_empty(self, reference_runtime, expansion_enabled):
+        params = replace(_all_filtered(reference_runtime), expansion_enabled=expansion_enabled)
+        ctx = self._ctx(reference_runtime, params)
+        assert eval_neighbors(_target_encoding(reference_runtime), ctx, step=1) == []
+        assert ctx.trace and all(node.filtered for node in ctx.trace)
+        # an empty neighbourhood is a stall: the expansion set is evaluated
+        assert any(node.move == "expansion" for node in ctx.trace) == expansion_enabled
 
 
 class TestGreedySearch:
@@ -256,8 +272,16 @@ class TestGreedySearch:
         ctx = _SearchContext(ev, ev.params, trace=[], touched=set())
         enc = next(e for e in iter_valid_encodings(3)
                    if fm.render(fm.decode(e), ev.predicates) == TARGET_KEY)
-        best_key, best_utility = greedy_search(enc, ctx)
-        assert best_key == TARGET_KEY and best_utility == 0.0
+        record = greedy_search(enc, ctx)
+        assert record.key == TARGET_KEY and record.wkl == 0.0
+
+    def test_all_filtered_finds_nothing(self, reference_runtime):
+        params = _all_filtered(reference_runtime)
+        ctx = _SearchContext(fresh_evaluator(reference_runtime, search=params), params,
+                             trace=[], touched=set())
+        assert greedy_search(_target_encoding(reference_runtime), ctx) is None
+        assert ctx.trace[0].move == "init"
+        assert all(node.filtered for node in ctx.trace)
 
     def test_zero_n_ext_probes_nothing(self, reference_runtime):
         def moves(n_ext):
@@ -297,6 +321,27 @@ class TestMultiStart:
         params = replace(reference_runtime.evaluator.params, n_search=1)
         result = multi_start(fresh_evaluator(reference_runtime), params)
         assert len(result.results) == 1
+
+    def test_all_filtered_restarts_are_empty(self, reference_runtime):
+        params = _all_filtered(reference_runtime)
+        result = multi_start(fresh_evaluator(reference_runtime, search=params), params)
+        assert len(result.results) == params.top_k
+        for res in result.results:
+            assert res.key is None and res.utility is None and res.record is None
+            assert 0.0 < res.searched_frac <= 1.0
+        assert all(node.filtered for node in result.traces)
+
+    def test_empty_restarts_sort_after_found_ones(self):
+        # n=4, seed 5: restarts 6 and 8 start where every candidate is filtered
+        cfg = load_config(CONFIG_DIR / "ctf_n4.yaml")
+        cfg.seed = 5
+        result = multi_start(build_runtime(cfg).evaluator, cfg.search)
+        assert [res.restart for res in result.results if res.record is None] == [6, 8]
+        found = [res.record is not None for res in result.results]
+        assert found == sorted(found, reverse=True)
+        for res in result.results:
+            assert (res.key, res.utility) == ((res.record.key, res.record.utility)
+                                              if res.record else (None, None))
 
     def test_denominator_is_canonical_count(self, reference_runtime):
         result = multi_start(fresh_evaluator(reference_runtime),
@@ -355,7 +400,7 @@ def _reference_record(ev, canon):
     policy = train_policy(mdp, ev.cfg, key, ev.sample.rows)
     mean_return = full_horizon_return(mdp, policy)
     if mean_return <= ev.params.return_threshold:
-        return metrics.UtilityRecord(key, None, None, mean_return, True)
+        return metrics.UtilityRecord(key, None, mean_return)
     return metrics.utility(policy, ev.target, ev.sample, key=key,
                            mean_return=mean_return, eps=ev.cfg.metric.kl_eps)
 
