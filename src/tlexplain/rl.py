@@ -261,8 +261,14 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) ->
 
     The Q-table is a list of lists indexed by environment state while
     training (terminal states' entries stay zero and unused), so a step is
-    plain Python: the greedy action is the first maximum, as ``np.argmax``
-    picks.  Per step ``random()`` then, if exploring, ``integers(n_actions)``
+    plain Python.  The greedy action is the first maximum of the row, as
+    ``np.argmax`` picks, and is kept per state in ``best`` rather than
+    found by scanning the row each step: the greedy step takes ``best[s]``
+    and the bootstrap reads ``q_next[best[s2]]``, the float ``max(q_next)``
+    returns.  A write to ``q_s[a]`` updates ``best[s]``: the row is scanned
+    again only when the greedy value falls, and another action takes over
+    when it exceeds the greedy value or ties it from a lower index.
+    Per step ``random()`` then, if exploring, ``integers(n_actions)``
     is drawn before ``product_step``'s own draw; that order fixes the random
     stream and therefore the policy.  Every draw comes from
     :class:`_Pcg64Draws`, so ``rng`` must be PCG64-backed.
@@ -282,6 +288,7 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) ->
     m = mdp.model
     n_actions = m.n_actions
     q = [[0.0] * n_actions for _ in range(len(m.states))]
+    best = [0] * len(m.states)     # per state, the first index of its row's maximum
     gamma, lr, horizon = mdp.reward.gamma, cfg.learning_rate, mdp.horizon
     draws = _Pcg64Draws(rng)
     step, pop, refill = mdp.product_step, draws._pop, draws._refill
@@ -293,7 +300,8 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) ->
             # integers(1) draws nothing and gives 0, the greedy action too
             limit = _explore_limit(eps) if n_actions > 1 else 0
             ps = mdp.initial_product_state(draws)
-            q_s = q[ps[0]]
+            s = ps[0]
+            q_s = q[s]
             for _ in range(horizon):
                 try:
                     w = pop()
@@ -314,14 +322,25 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) ->
                             break
                     a = x >> 32
                 else:
-                    a = q_s.index(max(q_s))
+                    a = best[s]
                 ps, reward, terminal = step(ps, a, draws)
+                old = q_s[a]
                 if terminal:
-                    q_s[a] += lr * (reward - q_s[a])
+                    q_s[a] = new = old + lr * (reward - old)
+                else:
+                    s2 = ps[0]
+                    q_next = q[s2]
+                    # read before the write: a self-loop bootstraps on the old row
+                    q_s[a] = new = old + lr * (reward + gamma * q_next[best[s2]] - old)
+                b = best[s]
+                if a == b:
+                    if new < old:
+                        best[s] = q_s.index(max(q_s))
+                elif new > q_s[b] or (new == q_s[b] and a < b):
+                    best[s] = a
+                if terminal:
                     break
-                q_next = q[ps[0]]
-                q_s[a] += lr * (reward + gamma * max(q_next) - q_s[a])
-                q_s = q_next
+                s, q_s = s2, q_next
     finally:
         draws.close(has32, uint32)
     _, z, s = _action_softmax(np.array(q)[m.rows].T, cfg.tau)

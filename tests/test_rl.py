@@ -14,7 +14,8 @@ from tlexplain import config, envs
 from tlexplain import formula as fm
 from tlexplain import fspa as fa
 from tlexplain import rl, search
-from tlexplain.product import DENSE, SPARSE, ProductMdp, TransitionTable, build_env_model
+from tlexplain.product import (DENSE, SPARSE, ProductMdp, RewardConfig, TransitionTable,
+                               build_env_model)
 
 from conftest import PROPERTY, product_mdp_batches, product_mdps
 
@@ -220,6 +221,51 @@ def _reference_q_learning(mdp, cfg, rng):
                 break
     _, z, s = rl._action_softmax(q.T, cfg.tau)
     return rl._policy_rows(z, s)
+
+
+class _Walk:
+    """States ``0..n`` on a line; ``n`` is terminal and the start is 0.
+    ``moves[s][a]`` lists the steps right that action ``a`` may take from
+    ``s``, equally likely; a step of 0 is a self-loop.  The features keep
+    the explanation below in ``q0``, so only ``n`` ends an episode."""
+
+    def __init__(self, moves):
+        self.moves, self.n, self.n_actions = moves, len(moves), len(moves[0])
+
+    def initial_states(self):
+        return [(0, 1.0)]
+
+    def is_terminal(self, s):
+        return s == self.n
+
+    def transitions(self, s, action):
+        steps = self.moves[s][action]
+        return [(min(s + d, self.n), 1.0 / len(steps)) for d in steps]
+
+    def features(self, s):
+        return np.array([10.0, 10.0])
+
+
+@st.composite
+def tie_mdps(draw):
+    """A chain with self-loops whose transition rewards are drawn from
+    {-1, -0.5, 0, 0.5, 1} and whose discount is dyadic: with learning rate
+    1, every Q value is then exact and equal values are common."""
+    n_actions = draw(st.integers(2, 4))
+    moves = draw(st.lists(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=2),
+                                   min_size=n_actions, max_size=n_actions),
+                          min_size=1, max_size=4))
+    preds = (fm.AtomicPredicate(0, "psi0", 0, 1.0),
+             fm.AtomicPredicate(1, "psi1", 1, 1.0))
+    canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
+    gamma = draw(st.sampled_from((0.25, 0.5, 0.75, 0.875)))
+    mdp = ProductMdp(build_env_model(_Walk(moves)), fa.build_fspa(canon, preds),
+                     RewardConfig(gamma=gamma), horizon=draw(st.integers(1, 20)))
+    assert (mdp.q_next == fa.Q0).all()
+    mdp.reward_next = np.array(draw(st.lists(
+        st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)),
+        min_size=len(mdp.model.states), max_size=len(mdp.model.states))))
+    return mdp
 
 
 class TestTrainerConfig:
@@ -502,6 +548,18 @@ class TestQLearningAgainstReference:
                                                   eps_start, eps_end, tau):
         cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, tau=tau, episodes=episodes,
                                learning_rate=lr, epsilon_start=eps_start,
+                               epsilon_end=eps_end)
+        self._assert_same_training(mdp, cfg, seed)
+
+    @PROPERTY
+    @given(tie_mdps(), st.integers(0, 2**32), st.integers(1, 30),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_matches_reference_on_exact_ties(self, mdp, seed, episodes, eps_start, eps_end):
+        """Equal Q values within a row: the greedy action is the first
+        maximum after every kind of write, including one that lowers the
+        greedy value and one that ties it from a lower index."""
+        cfg = rl.TrainerConfig(mode=rl.Q_LEARNING, tau=0.1, episodes=episodes,
+                               learning_rate=1.0, epsilon_start=eps_start,
                                epsilon_end=eps_end)
         self._assert_same_training(mdp, cfg, seed)
 
