@@ -16,7 +16,7 @@ from .formula import (
     part_robustness,
     render,
 )
-from .fspa import Fspa, build_fspa
+from .fspa import build_fspa
 from .envs import CtfEnv, GridMap, NavEnv, NavMap
 from .product import EnvModel, ProductMdp, build_env_model
 from .rl import TabularPolicy, TrainerConfig, policy_entropy, select_replicate

@@ -195,8 +195,10 @@ def cmd_trace_dot(args) -> int:
         if not line.strip():
             continue
         try:
+            # json.JSONDecodeError is a ValueError; RecursionError is json's
+            # answer to arrays or objects nested too deep to decode
             nodes.append(_trace_node(line))
-        except ValueError as exc:  # json.JSONDecodeError is one too
+        except (ValueError, RecursionError) as exc:
             raise MalformedTraceError(f"{trace_path}:{lineno}: {exc}") from exc
 
     # extension edges are dashed, expansion edges dotted

@@ -29,6 +29,9 @@ SECTIONS = {"environment": EnvConfig, "reward": RewardConfig,
             "search": SearchParams}
 TARGET_KINDS = ("explanation", "policy_path", "builtin")
 PREDICATE_FIELDS = {"name": "str", "feature": "str", "threshold": "float"}
+# deepest nesting of YAML collections a config may have; the reference
+# configs and the manifests nest 3 deep
+MAX_DEPTH = 32
 
 
 class ConfigError(ValueError):
@@ -138,9 +141,21 @@ def load_config(path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
+        text = read_utf8(path)
+        # the loaders compose nested collections by recursion, and libyaml's
+        # overflows the C stack; the parser, which every loader shares, yields
+        # its events without recursion, so the depth is checked on those
+        depth = 0
+        for event in yaml.parse(text, Loader=getattr(yaml, "CBaseLoader", yaml.BaseLoader)):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise ConfigError(f"{path} nests collections deeper than {MAX_DEPTH}")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
         # libyaml's scanner when pyyaml has it; the constructor, and so the
         # objects built, are the same SafeConstructor either way
-        raw = yaml.load(read_utf8(path), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(raw, dict):

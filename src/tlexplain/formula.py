@@ -8,8 +8,8 @@ negation bits, temporal-assignment bits (F vs G), clause-assignment bits, and
 one CNF/DNF form bit per part.  Distinct encodings can denote the same
 formula; :func:`decode` maps encodings to a canonical representative so that
 logically identical encodings compare equal.  A :class:`CanonicalPart` is the
-one representation of a part: :func:`part_robustness` scores it and
-:func:`part_holds` decides its truth directly on its clauses of literals.
+one representation of a part, and :func:`part_robustness` scores it directly
+on its clauses of literals.
 """
 
 from __future__ import annotations
@@ -261,23 +261,6 @@ def part_robustness(part: CanonicalPart, predicates, features):
     rho = join([join([literal(lit) for lit in clause], part.inner)
                 for clause in part.clauses], part.outer)
     return float(rho) if np.ndim(rho) == 0 else rho
-
-
-def part_holds(part: CanonicalPart, predicates, x) -> bool:
-    """Boolean satisfaction of one part at one state, with strict
-    thresholds; the reference semantics :func:`part_robustness` is checked
-    against."""
-
-    def literal(lit: Literal) -> bool:
-        i, negated = lit
-        p = predicates[i]
-        return bool(x[p.feature_index] < p.threshold) != negated
-
-    def join(values, op: str | None) -> bool:
-        return all(values) if op == AND else any(values)
-
-    return join((join((literal(lit) for lit in clause), part.inner)
-                 for clause in part.clauses), part.outer)
 
 
 def _part_shapes(lits: list[Literal]) -> list[CanonicalPart]:

@@ -24,7 +24,7 @@ from math import fsum, isfinite, sqrt
 import numpy as np
 
 from .envs import StateSpaceTooLargeError, StepOnTerminalError
-from .fspa import Fspa, Q0, Q_ACC, Q_TRAP
+from .fspa import Q0, Q_ACC, Q_TRAP
 
 SPARSE = "sparse"
 DENSE = "dense"
@@ -183,17 +183,15 @@ class RewardConfig:
 class ProductMdp:
     """FSPA-augmented MDP with sparse or dense guard-robustness rewards."""
 
-    def __init__(self, model: EnvModel, fspa: Fspa, reward: RewardConfig = RewardConfig(),
-                 horizon: int = 100):
+    def __init__(self, model: EnvModel, automaton: tuple,
+                 reward: RewardConfig = RewardConfig(), horizon: int = 100):
         self.model = model
-        self.fspa = fspa
         self.reward = reward
         self.horizon = horizon
 
-        rho_f, rho_g = fspa.part_robustness(model.features)
-        # automaton successor and transition reward as a function of the
-        # post-transition environment state, entered from q0
-        self.q_next = fspa.step_codes(rho_f, rho_g)
+        # build_fspa's automaton successor from q0 and part robustness, and
+        # the transition reward, per post-transition environment state
+        self.q_next, rho_f, rho_g = automaton
         r_next = np.where(
             self.q_next == Q_TRAP, rho_g,
             np.where(self.q_next == Q_ACC, np.minimum(rho_g, rho_f), 0.0))
@@ -270,19 +268,6 @@ class ProductMdp:
         if cums is None:
             return self.step_outcomes[nexts[0]]
         return self.step_outcomes[nexts[min(bisect_right(cums, rng.random()), len(nexts) - 1)]]
-
-    def expand_transitions(self):
-        """Explicit table {(product state, action): [(next, prob, reward)]}."""
-        t = self.table
-        out = {}
-        for k in range(len(t.branch_row)):
-            row, a = int(t.branch_row[k]), int(t.branch_action[k])
-            ps = (int(self.model.rows[row]), Q0)
-            nxt_state = int(self.model.branch_next[k])
-            nxt = (nxt_state, int(self.q_next[nxt_state]))
-            out.setdefault((ps, a), []).append(
-                (nxt, float(t.branch_prob[k]), float(t.branch_reward[k])))
-        return out
 
     # -- returns -----------------------------------------------------------
 

@@ -105,7 +105,7 @@ def _key_stream(seed: int, key: str, purpose: int) -> np.random.Generator:
 
 def build_mdp(model, predicates, canon: fm.CanonicalExplanation, cfg) -> ProductMdp:
     """The product MDP of one explanation under the run's reward and horizon."""
-    return ProductMdp(model, build_fspa(canon, predicates), cfg.reward,
+    return ProductMdp(model, build_fspa(canon, predicates, model.features), cfg.reward,
                       cfg.environment.horizon)
 
 

@@ -72,6 +72,12 @@ def fresh_evaluator(runtime, sample=None, **sections):
                      replace(ev.cfg, **sections))
 
 
+def build_product(model, canon, preds, reward=RewardConfig(), horizon: int = 100):
+    """The product MDP of ``canon`` on ``model``, built as ``search.build_mdp``
+    builds it."""
+    return ProductMdp(model, fa.build_fspa(canon, preds, model.features), reward, horizon)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
@@ -87,7 +93,7 @@ def sampled_successors(env, state, action: int, n: int, rng) -> list:
     model = build_env_model(env)
     preds = generic_predicates(2)
     canon = fm.parse_explanation("F(psi0) & G(psi1)", preds)
-    mdp = ProductMdp(model, fa.build_fspa(canon, preds))
+    mdp = build_product(model, canon, preds)
     ps = (model.states.index(state), fa.Q0)
     return [model.states[mdp.product_step(ps, action, rng)[0][0]] for _ in range(n)]
 
@@ -133,9 +139,9 @@ def _ctf_text(draw):
 
 
 def _draw_products(draw, count: int) -> list:
-    """``count`` product MDPs on one random small nav or CtF map, sharing
-    its predicates, reward and horizon, for independently drawn
-    explanations."""
+    """``count`` ``(product MDP, explanation, predicates)`` triples on one
+    random small nav or CtF map, sharing its predicates, reward and horizon,
+    for independently drawn explanations."""
     if draw(st.booleans()):
         env = envs.NavEnv(envs.NavMap.parse(draw(_nav_text())))
     else:
@@ -158,26 +164,33 @@ def _draw_products(draw, count: int) -> list:
     reward = RewardConfig(mode=draw(st.sampled_from((SPARSE, DENSE))),
                           beta=draw(st.floats(0.0, 0.5)))
     horizon = draw(st.integers(1, 12))
-    return [ProductMdp(model, fa.build_fspa(fm.decode(enc), preds), reward, horizon)
-            for enc in encs]
+    return [(build_product(model, canon, preds, reward, horizon), canon, preds)
+            for canon in map(fm.decode, encs)]
+
+
+@st.composite
+def explained_products(draw):
+    """A random product MDP on a small nav or CtF map, with the explanation
+    and the predicates it was built from."""
+    return _draw_products(draw, 1)[0]
 
 
 @st.composite
 def product_mdps(draw):
     """A random product MDP on a small nav or CtF map and explanation."""
-    return _draw_products(draw, 1)[0]
+    return _draw_products(draw, 1)[0][0]
 
 
 @st.composite
 def product_mdp_pairs(draw):
     """Two random product MDPs that differ only in their explanation."""
-    return tuple(_draw_products(draw, 2))
+    return tuple(mdp for mdp, _, _ in _draw_products(draw, 2))
 
 
 @st.composite
 def product_mdp_batches(draw):
     """One to five random product MDPs that differ only in their explanation."""
-    return _draw_products(draw, draw(st.integers(1, 5)))
+    return [mdp for mdp, _, _ in _draw_products(draw, draw(st.integers(1, 5)))]
 
 
 def full_horizon_return(mdp, policy) -> float:

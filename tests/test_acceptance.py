@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dual_part, fresh_evaluator, generic_predicates, sampled_successors
+import reference as ref
+from conftest import (build_product, dual_part, fresh_evaluator, generic_predicates,
+                      sampled_successors)
 from tlexplain import cli, envs, metrics
 from tlexplain import formula as fm
 from tlexplain import fspa as fa
-from tlexplain.product import DENSE, ProductMdp, RewardConfig, build_env_model
+from tlexplain.product import DENSE, RewardConfig, build_env_model
 from tlexplain.rl import TabularPolicy
 from tlexplain.search import brute_force_oracle, multi_start
 
@@ -148,7 +150,7 @@ def test_criterion_08_robustness_soundness(rng):
                 rho = fm.part_robustness(part, preds, vectors)
                 strict = rho > 0
                 for i in range(len(vectors)):
-                    ok &= strict[i] == fm.part_holds(part, preds, vectors[i])
+                    ok &= strict[i] == ref.part_holds(part, preds, vectors[i])
                 # De Morgan: the dual part scores exactly the negation
                 ok &= bool((fm.part_robustness(dual_part(part), preds, vectors)
                             == -rho).all())
@@ -162,44 +164,41 @@ def test_criterion_09_reward_cases():
     preds = (fm.AtomicPredicate(0, "psi0", 0, 1.0),
              fm.AtomicPredicate(1, "psi1", 1, 1.0))
 
-    def mdp_for(text, **kw):
-        canon = fm.parse_explanation(text, preds)
-        return ProductMdp(model, fa.build_fspa(canon, preds), **kw)
-
     right = envs.ACTION_NAMES.index("right")
     rng0 = np.random.default_rng(0)
 
-    mdp = mdp_for("F(psi0) & G(!psi1)")
+    canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
+    mdp = build_product(model, canon, preds)
     start = mdp.initial_product_state(rng0)
-    (nxt, _, r_loop) = mdp.expand_transitions()[(start, right)][0]
+    (nxt, _, r_loop) = ref.expand_transitions(mdp)[(start, right)][0]
     ok = nxt[1] == fa.Q0 and r_loop == 0.0
 
-    trap_mdp = mdp_for("F(psi0) & G(psi1)")
-    (nxt, _, r_trap) = trap_mdp.expand_transitions()[(start, right)][0]
+    trap_canon = fm.parse_explanation("F(psi0) & G(psi1)", preds)
+    trap_mdp = build_product(model, trap_canon, preds)
+    (nxt, _, r_trap) = ref.expand_transitions(trap_mdp)[(start, right)][0]
     x = trap_mdp.model.features[nxt[0]]
     ok &= (nxt[1] == fa.Q_TRAP
            and r_trap == pytest.approx(
-               -trap_mdp.fspa.guard_robustness(fa.Q0, fa.Q_TRAP, x)))
+               -ref.guard_robustness(trap_canon, preds, fa.Q_TRAP, x)))
 
     pre = next(s for s in model.states if s.pos == (0, 2))
     ps = (model.states.index(pre), fa.Q0)
-    [(nxt, _, r_acc)] = mdp.expand_transitions()[(ps, right)]
+    [(nxt, _, r_acc)] = ref.expand_transitions(mdp)[(ps, right)]
     x = model.features[nxt[0]]
     ok &= (nxt[1] == fa.Q_ACC
-           and r_acc == pytest.approx(
-               mdp.fspa.guard_robustness(fa.Q0, fa.Q_ACC, x))
+           and r_acc == pytest.approx(ref.guard_robustness(canon, preds, fa.Q_ACC, x))
            and r_acc > 0)
 
     dense_preds = (fm.AtomicPredicate(0, "psi0", 0, 1.5), preds[1])
-    canon = fm.parse_explanation("F(psi0) & G(!psi1)", dense_preds)
-    dense = ProductMdp(model, fa.build_fspa(canon, dense_preds),
-                       RewardConfig(mode=DENSE, beta=0.1))
-    [(nxt, _, r_dense)] = dense.expand_transitions()[(start, right)]
+    dense_canon = fm.parse_explanation("F(psi0) & G(!psi1)", dense_preds)
+    dense = build_product(model, dense_canon, dense_preds,
+                          RewardConfig(mode=DENSE, beta=0.1))
+    [(nxt, _, r_dense)] = ref.expand_transitions(dense)[(start, right)]
     x = model.features[nxt[0]]
-    q_star = dense.fspa.best_nontrap_neighbor(fa.Q0, x)
+    q_star = ref.best_nontrap_neighbor(dense_canon, dense_preds, fa.Q0, x)
     ok &= (nxt[1] == fa.Q0
            and r_dense == pytest.approx(
-               0.1 * dense.fspa.guard_robustness(fa.Q0, q_star, x))
+               0.1 * ref.guard_robustness(dense_canon, dense_preds, q_star, x))
            and r_dense == pytest.approx(0.05))
     _report(9, "sparse rewards are (0, -rho_trap, +rho_accept) and the dense "
                "self-loop pays beta * rho(best non-trap guard)",

@@ -459,6 +459,45 @@ class TestRuntimeWithoutScipy:
         assert (tmp_path / "results.csv").read_bytes() == (GOLDEN / "results.csv").read_bytes()
 
 
+# libyaml's composer recursed on each of these until the C stack overflowed
+DEEP_CONFIGS = {"flow": "[" * 25_000, "block": "predicates:\n" + "- " * 30_000 + "x\n"}
+
+
+class TestDeepConfig:
+    """A config nested deeper than ``config.MAX_DEPTH`` is refused with exit
+    status 2, under either YAML loader."""
+
+    @pytest.mark.parametrize("shape", DEEP_CONFIGS)
+    def test_libyaml_loader_refuses(self, tmp_path, shape):
+        # in a child process, so that a crash fails this test, not the suite
+        deep = tmp_path / "deep.yaml"
+        deep.write_text(DEEP_CONFIGS[shape])
+        run = _python("import sys; from tlexplain import cli; "
+                      "sys.exit(cli.main(['enumerate', '--config', sys.argv[1]]))", str(deep))
+        assert run.returncode == cli.EXIT_CONFIG, run.stderr
+        assert run.stderr == f"error: {deep} nests collections deeper than {config.MAX_DEPTH}\n"
+
+    @pytest.mark.parametrize("shape", DEEP_CONFIGS)
+    def test_pure_python_loader_refuses(self, tmp_path, capsys, monkeypatch, shape):
+        # pyyaml without libyaml: no C loader for the depth scan or the load
+        monkeypatch.delattr(yaml, "CBaseLoader", raising=False)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        deep = tmp_path / "deep.yaml"
+        deep.write_text(DEEP_CONFIGS[shape])
+        assert cli.main(["enumerate", "--config", str(deep)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: {deep} nests collections deeper than {config.MAX_DEPTH}\n"
+
+    def test_limit_is_inclusive(self, tmp_path, capsys):
+        at_limit, over = tmp_path / "at_limit.yaml", tmp_path / "over.yaml"
+        at_limit.write_text("[" * config.MAX_DEPTH + "]" * config.MAX_DEPTH)
+        over.write_text("[" * (config.MAX_DEPTH + 1) + "]" * (config.MAX_DEPTH + 1))
+        assert cli.main(["enumerate", "--config", str(at_limit)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config {at_limit} must be a YAML mapping\n"
+        assert cli.main(["enumerate", "--config", str(over)]) == cli.EXIT_CONFIG
+        assert "nests collections deeper" in capsys.readouterr().err
+
+
 # one well-formed trace node, as the search command writes it
 NODE = {"filtered": False, "key": "F(psi0) & G(!psi1)", "move": "init", "node_id": 0,
         "parent": None, "restart": 0, "schema_version": SCHEMA_VERSION, "step": 0,
@@ -501,6 +540,13 @@ class TestTraceDotCommand:
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"node_id": 0}\n')
         assert cli.main(["trace-dot", str(bad)]) == cli.EXIT_CONFIG
+
+    def test_deeply_nested_trace_is_config_error(self, tmp_path, capsys):
+        # json decodes this line by recursion, and gives up with RecursionError
+        bad = tmp_path / "deep.jsonl"
+        bad.write_text(json.dumps(NODE) + "\n" + "[" * 2_000 + "\n")
+        assert cli.main(["trace-dot", str(bad)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {bad}:2: maximum recursion depth")
 
     def test_non_utf8_trace_names_path(self, tmp_path, capsys):
         trace = self._trace_from_search(tmp_path)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from tlexplain import formula as fm
 
+import reference as ref
 from conftest import PROPERTY, dual_part, generic_predicates, iter_valid_encodings
 
 
@@ -28,7 +29,7 @@ def _signature(canon, n):
     """Independent boolean truth tables of both parts, from part_holds."""
     preds = generic_predicates(n)
     return tuple(
-        tuple(fm.part_holds(part, preds, _assignment_features(a))
+        tuple(ref.part_holds(part, preds, _assignment_features(a))
               for a in itertools.product((False, True), repeat=n))
         for part in (canon.f_part, canon.g_part))
 
@@ -262,7 +263,7 @@ class TestRobustness:
             for part in (canon.f_part, canon.g_part):
                 rho = fm.part_robustness(part, preds, vectors)
                 for i in range(len(vectors)):
-                    assert (rho[i] > 0) == fm.part_holds(part, preds, vectors[i])
+                    assert (rho[i] > 0) == ref.part_holds(part, preds, vectors[i])
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,15 @@ from tlexplain.product import (
     DENSE,
     SPARSE,
     EnvModel,
-    ProductMdp,
     RewardConfig,
     TransitionTable,
     build_env_model,
 )
 from tlexplain.rl import TabularPolicy
 
-from conftest import PROPERTY, full_horizon_return, product_mdp_pairs, product_mdps
+import reference as ref
+from conftest import (PROPERTY, build_product, explained_products, full_horizon_return,
+                      product_mdp_pairs, product_mdps)
 
 CORRIDOR = "S..G\n"
 WALLED = """\
@@ -55,7 +56,7 @@ def _nav_preds(goal_threshold=1.0):
 
 def _mdp(model, preds, text="F(psi0) & G(!psi1)", horizon=100, **reward):
     canon = fm.parse_explanation(text, preds)
-    return ProductMdp(model, fa.build_fspa(canon, preds), RewardConfig(**reward), horizon)
+    return build_product(model, canon, preds, RewardConfig(**reward), horizon)
 
 
 def _rollout(mdp, policy, rng):
@@ -279,7 +280,7 @@ class TestRewardCases:
         model = _nav_model()
         mdp = _mdp(model, _nav_preds())
         start = mdp.initial_product_state(np.random.default_rng(0))
-        (nxt, p, r) = mdp.expand_transitions()[
+        (nxt, p, r) = ref.expand_transitions(mdp)[
             (start, envs.ACTION_NAMES.index("right"))][0]
         assert nxt[1] == fa.Q0 and r == 0.0
 
@@ -287,60 +288,63 @@ class TestRewardCases:
         model = _nav_model()
         # G(psi1) is violated everywhere: immediate trap with reward
         # -rho(trap guard) = rho_g = 1 - d_max
-        mdp = _mdp(model, _nav_preds(), text="F(psi0) & G(psi1)")
+        preds = _nav_preds()
+        canon = fm.parse_explanation("F(psi0) & G(psi1)", preds)
+        mdp = build_product(model, canon, preds)
         d_max = model.env.map.diagonal
         start = mdp.initial_product_state(np.random.default_rng(0))
-        (nxt, _, r) = mdp.expand_transitions()[
+        (nxt, _, r) = ref.expand_transitions(mdp)[
             (start, envs.ACTION_NAMES.index("right"))][0]
         assert nxt[1] == fa.Q_TRAP
         assert r == pytest.approx(1.0 - d_max)
-        fspa = mdp.fspa
         x = model.features[nxt[0]]
-        assert r == pytest.approx(-fspa.guard_robustness(fa.Q0, fa.Q_TRAP, x))
+        assert r == pytest.approx(-ref.guard_robustness(canon, preds, fa.Q_TRAP, x))
 
     def test_sparse_accept_reward_is_accept_guard_robustness(self):
         model = _nav_model()
-        mdp = _mdp(model, _nav_preds())
-        table = mdp.expand_transitions()
+        preds = _nav_preds()
+        canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
+        table = ref.expand_transitions(build_product(model, canon, preds))
         # stepping right from the cell next to the goal enters q_acc
         pre = next(s for s in model.states if s.pos == (0, 2))
         ps = (model.states.index(pre), fa.Q0)
         [(nxt, _, r)] = table[(ps, envs.ACTION_NAMES.index("right"))]
         assert nxt[1] == fa.Q_ACC
         x = model.features[nxt[0]]
-        assert r == pytest.approx(mdp.fspa.guard_robustness(fa.Q0, fa.Q_ACC, x))
+        assert r == pytest.approx(ref.guard_robustness(canon, preds, fa.Q_ACC, x))
         assert r == pytest.approx(1.0)  # min(rho_g, rho_f) = rho_f = 1 - 0
 
     def test_dense_self_loop_pays_beta_times_best_neighbor_guard(self):
         model = _nav_model()
         preds = _nav_preds(goal_threshold=1.5)
-        mdp = _mdp(model, preds, mode=DENSE, beta=0.1)
-        table = mdp.expand_transitions()
+        canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
+        mdp = build_product(model, canon, preds, RewardConfig(mode=DENSE, beta=0.1))
+        table = ref.expand_transitions(mdp)
         start = mdp.initial_product_state(np.random.default_rng(0))
         # moving right lands on (0,1): d_goal = 2, |rho_f| = 0.5, rho_g large
         [(nxt, _, r)] = table[(start, envs.ACTION_NAMES.index("right"))]
         assert nxt[1] == fa.Q0
         assert r == pytest.approx(0.05)
         x = model.features[nxt[0]]
-        q_star = mdp.fspa.best_nontrap_neighbor(fa.Q0, x)
-        assert r == pytest.approx(0.1 * mdp.fspa.guard_robustness(fa.Q0, q_star, x))
+        q_star = ref.best_nontrap_neighbor(canon, preds, fa.Q0, x)
+        assert r == pytest.approx(0.1 * ref.guard_robustness(canon, preds, q_star, x))
 
     @PROPERTY
-    @given(product_mdps())
-    def test_every_state_matches_reference_semantics(self, mdp):
+    @given(explained_products())
+    def test_every_state_matches_reference_semantics(self, drawn):
         """``q_next`` and ``reward_next`` on every environment state equal
         the automaton's step and guard robustness from q0 at that state."""
-        fspa = mdp.fspa
+        mdp, canon, preds = drawn
         for s, x in enumerate(mdp.model.features):
-            q = fspa.step(fa.Q0, x)
+            q = ref.step(canon, preds, fa.Q0, x)
             assert mdp.q_next[s] == q
             if q == fa.Q_TRAP:
-                expected = -fspa.guard_robustness(fa.Q0, fa.Q_TRAP, x)
+                expected = -ref.guard_robustness(canon, preds, fa.Q_TRAP, x)
             elif q == fa.Q_ACC:
-                expected = fspa.guard_robustness(fa.Q0, fa.Q_ACC, x)
+                expected = ref.guard_robustness(canon, preds, fa.Q_ACC, x)
             elif mdp.reward.mode == DENSE:
-                best = fspa.best_nontrap_neighbor(fa.Q0, x)
-                expected = mdp.reward.beta * fspa.guard_robustness(fa.Q0, best, x)
+                best = ref.best_nontrap_neighbor(canon, preds, fa.Q0, x)
+                expected = mdp.reward.beta * ref.guard_robustness(canon, preds, best, x)
             else:
                 expected = 0.0
             assert mdp.reward_next[s] == expected
@@ -367,7 +371,7 @@ class TestExpandTransitions:
     def test_deterministic_env_single_entries(self):
         model = _nav_model()
         mdp = _mdp(model, _nav_preds())
-        for entries in mdp.expand_transitions().values():
+        for entries in ref.expand_transitions(mdp).values():
             assert len(entries) == 1 and entries[0][1] == 1.0
 
     def test_row_probabilities_sum_to_one(self):
@@ -375,7 +379,7 @@ class TestExpandTransitions:
         preds = (fm.AtomicPredicate(0, "psi0", 1, 1.0),
                  fm.AtomicPredicate(1, "psi1", 2, 1.5))
         mdp = _mdp(model, preds)
-        for entries in mdp.expand_transitions().values():
+        for entries in ref.expand_transitions(mdp).values():
             assert sum(p for _, p, _ in entries) == pytest.approx(1.0, abs=1e-12)
 
     def test_combat_cell_has_kill_branches(self):
@@ -386,7 +390,7 @@ class TestExpandTransitions:
         combat = envs.CtfState(blue=(2, 2), red=(2, 3))
         assert combat in model.states
         ps = (model.states.index(combat), fa.Q0)
-        entries = mdp.expand_transitions()[(ps, envs.ACTION_NAMES.index("stay"))]
+        entries = ref.expand_transitions(mdp)[(ps, envs.ACTION_NAMES.index("stay"))]
         assert sorted(p for _, p, _ in entries) == [0.25, 0.75]
 
     def test_product_step_matches_table_frequencies(self):
@@ -397,7 +401,7 @@ class TestExpandTransitions:
         combat = envs.CtfState(blue=(2, 2), red=(2, 3))
         ps = (model.states.index(combat), fa.Q0)
         a = envs.ACTION_NAMES.index("stay")
-        entries = mdp.expand_transitions()[(ps, a)]
+        entries = ref.expand_transitions(mdp)[(ps, a)]
         rng = np.random.default_rng(11)
         n = 20_000
         counts = {nxt: 0 for nxt, _, _ in entries}
@@ -498,10 +502,10 @@ class TestAverageReturn:
 def _reference_moments(mdp, policy):
     """First and second moments of the return, by plain dict recursion.
 
-    Walks :meth:`ProductMdp.expand_transitions` only: a product state that
+    Walks :func:`reference.expand_transitions` only: a product state that
     is not a key of the expanded table is terminal and earns nothing more.
     """
-    table = mdp.expand_transitions()
+    table = ref.expand_transitions(mdp)
     row_of = mdp.model.row_of
     m1, m2 = {}, {}
     for _ in range(mdp.horizon):
@@ -521,9 +525,10 @@ def _reference_moments(mdp, policy):
 
 @st.composite
 def _problems(draw):
-    """A random product MDP on a small nav or CtF map, plus a policy."""
-    mdp = draw(product_mdps())
-    model = mdp.model
+    """A random ``(product MDP, explanation, predicates)`` triple on a small
+    nav or CtF map, plus a policy."""
+    drawn = draw(explained_products())
+    model = drawn[0].model
     # row-stochastic, with every action at least 0.1/n_actions likely
     seed = draw(st.integers(0, 2**32 - 1))
     raw = np.random.default_rng(seed).dirichlet(np.ones(model.n_actions),
@@ -531,21 +536,21 @@ def _problems(draw):
     probs = 0.9 * raw + 0.1 / model.n_actions
     policy = TabularPolicy(probs / probs.sum(axis=1, keepdims=True),
                            tau=0.1, trainer="test")
-    return mdp, policy
+    return drawn, policy
 
 
 class TestExactReturnProperties:
     @PROPERTY
     @given(_problems())
     def test_equals_dict_recursion_over_expanded_table(self, problem):
-        mdp, policy = problem
+        (mdp, _, _), policy = problem
         mean, _ = _reference_moments(mdp, policy)
         assert mdp.average_return(policy) == pytest.approx(mean, rel=1e-12, abs=1e-12)
 
     @PROPERTY
     @given(_problems())
     def test_agrees_with_rollout_mean(self, problem):
-        mdp, policy = problem
+        (mdp, _, _), policy = problem
         exact = mdp.average_return(policy)
         mean, second = _reference_moments(mdp, policy)
         n = 200
@@ -574,16 +579,18 @@ def _soft_vi(mdp, trainer_cfg):
     return rl.soft_value_iteration([mdp.table], mdp.reward.gamma, trainer_cfg)[0]
 
 
-def _with(mdp, reward=None, horizon=None):
-    """``mdp`` rebuilt with another ``reward`` or ``horizon``."""
-    return ProductMdp(mdp.model, mdp.fspa, reward or mdp.reward, horizon or mdp.horizon)
+def _with(mdp, canon, preds, reward=None, horizon=None):
+    """``mdp``, the product of ``canon``, rebuilt with another ``reward`` or
+    ``horizon``."""
+    return build_product(mdp.model, canon, preds, reward or mdp.reward,
+                         horizon or mdp.horizon)
 
 
 def _reference_acceptance_reachable(mdp):
-    """Depth-first over :meth:`ProductMdp.expand_transitions` from the start
+    """Depth-first over :func:`reference.expand_transitions` from the start
     states: a product state that is not a key of the expanded table is
     terminal and leads nowhere."""
-    table = mdp.expand_transitions()
+    table = ref.expand_transitions(mdp)
     n_actions = mdp.model.n_actions
     todo = [(mdp.model.states.index(s), fa.Q0) for s, _ in mdp.model.env.initial_states()]
     seen = set(todo)
@@ -625,9 +632,10 @@ class TestAcceptanceReachable:
         assert mdp.acceptance_reachable() == _reference_acceptance_reachable(mdp)
 
     @PROPERTY
-    @given(product_mdps(), st.integers(0, 2**32 - 1))
-    def test_unreachable_bounds_every_sparse_return_by_zero(self, mdp, seed):
-        mdp = _with(mdp, reward=replace(mdp.reward, mode=SPARSE))
+    @given(explained_products(), st.integers(0, 2**32 - 1))
+    def test_unreachable_bounds_every_sparse_return_by_zero(self, drawn, seed):
+        mdp, canon, preds = drawn
+        mdp = _with(mdp, canon, preds, reward=replace(mdp.reward, mode=SPARSE))
         if mdp.acceptance_reachable():
             return
         trained = _soft_vi(mdp, rl.TrainerConfig(tau=0.1))
@@ -639,8 +647,8 @@ class TestReturnFixedPoint:
     @PROPERTY
     @given(_problems(), st.integers(1, 500), st.booleans())
     def test_equals_full_horizon_bit_for_bit(self, problem, horizon, trained):
-        mdp, policy = problem
-        mdp = _with(mdp, horizon=horizon)
+        (mdp, canon, preds), policy = problem
+        mdp = _with(mdp, canon, preds, horizon=horizon)
         if trained:
             policy = _soft_vi(mdp, rl.TrainerConfig(tau=0.01))
         assert _bits(mdp.average_return(policy)) == _bits(full_horizon_return(mdp, policy))
@@ -657,7 +665,7 @@ class TestReturnFixedPoint:
     def test_reference_candidates_at_long_horizon(self, reference_runtime):
         ev = reference_runtime.evaluator
         for canon in fm.enumerate_all(ev.predicates):
-            mdp = _with(ev.build_mdp(canon), horizon=2_000)
+            mdp = _with(ev.build_mdp(canon), canon, ev.predicates, horizon=2_000)
             policy = _soft_vi(mdp, ev.trainer_cfg)
             assert _bits(mdp.average_return(policy)) == _bits(full_horizon_return(mdp, policy))
 

@@ -17,7 +17,8 @@ from tlexplain import rl, search
 from tlexplain.product import (DENSE, SPARSE, ProductMdp, RewardConfig, TransitionTable,
                                build_env_model)
 
-from conftest import PROPERTY, product_mdp_batches, product_mdps
+from conftest import PROPERTY, build_product, product_mdp_batches, product_mdps
+from reference import expand_transitions
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,16 +42,16 @@ def _corridor_mdp():
     preds = (fm.AtomicPredicate(0, "psi0", 0, 1.0),
              fm.AtomicPredicate(1, "psi1", 1, 1.0))
     canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
-    return ProductMdp(model, fa.build_fspa(canon, preds))
+    return build_product(model, canon, preds)
 
 
 def _reference_branches(mdp):
     """Flat (row, action, next row, prob, reward) arrays, built by a loop over
-    :meth:`ProductMdp.expand_transitions`; next row -1 marks a terminal
+    :func:`reference.expand_transitions`; next row -1 marks a terminal
     product state, whose value is zero."""
     row_of = mdp.model.row_of
     flat = []
-    for (ps, a), entries in mdp.expand_transitions().items():
+    for (ps, a), entries in expand_transitions(mdp).items():
         for (state, q), p, r in entries:
             live = q == fa.Q0 and row_of[state] >= 0
             flat.append((row_of[ps[0]], a, row_of[state] if live else -1, p, r))
@@ -138,8 +139,7 @@ def _trainable_tables(cfg):
     model, preds = build_env_model(env), config.build_predicates(cfg, env)
     tables = {}
     for canon in fm.enumerate_all(preds):
-        mdp = ProductMdp(model, fa.build_fspa(canon, preds), cfg.reward,
-                         cfg.environment.horizon)
+        mdp = build_product(model, canon, preds, cfg.reward, cfg.environment.horizon)
         if cfg.reward.mode == SPARSE and not mdp.acceptance_reachable():
             continue
         tables.setdefault(mdp.q_next.tobytes() + mdp.reward_next.tobytes(), mdp.table)
@@ -172,7 +172,7 @@ def _combat_mdp(start_probs=None):
     preds = (fm.AtomicPredicate(0, "psi0", 1, 1.0),
              fm.AtomicPredicate(1, "psi1", 2, 1.5))
     canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
-    return ProductMdp(build_env_model(env), fa.build_fspa(canon, preds))
+    return build_product(build_env_model(env), canon, preds)
 
 
 def _reference_product_step(mdp, product_state, action, rng):
@@ -259,8 +259,8 @@ def tie_mdps(draw):
              fm.AtomicPredicate(1, "psi1", 1, 1.0))
     canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
     gamma = draw(st.sampled_from((0.25, 0.5, 0.75, 0.875)))
-    mdp = ProductMdp(build_env_model(_Walk(moves)), fa.build_fspa(canon, preds),
-                     RewardConfig(gamma=gamma), horizon=draw(st.integers(1, 20)))
+    mdp = build_product(build_env_model(_Walk(moves)), canon, preds,
+                        RewardConfig(gamma=gamma), horizon=draw(st.integers(1, 20)))
     assert (mdp.q_next == fa.Q0).all()
     mdp.reward_next = np.array(draw(st.lists(
         st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)),
@@ -509,7 +509,7 @@ class TestQLearningAgainstReference:
     @PROPERTY
     @given(product_mdps(), st.integers(0, 2**32))
     def test_product_step_matches_reference(self, mdp, seed):
-        expanded = mdp.expand_transitions()
+        expanded = expand_transitions(mdp)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for (ps, a), entries in expanded.items():
             for _ in range(3):
@@ -529,12 +529,12 @@ class TestQLearningAgainstReference:
         preds = (fm.AtomicPredicate(0, "psi0", 1, 1.0),
                  fm.AtomicPredicate(1, "psi1", 2, 1.5))
         canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
-        mdp = ProductMdp(model, fa.build_fspa(canon, preds))
-        combat = [key for key, entries in mdp.expand_transitions().items()
+        mdp = build_product(model, canon, preds)
+        combat = [key for key, entries in expand_transitions(mdp).items()
                   if len(entries) > 1]
         assert combat
         for ps, a in combat:
-            last = mdp.expand_transitions()[(ps, a)][-1]
+            last = expand_transitions(mdp)[(ps, a)][-1]
             nxt, reward, _ = mdp.product_step(ps, a, _AtOne())
             assert (nxt, reward) == (last[0], last[2])
             ref = _reference_product_step(mdp, ps, a, _AtOne())
@@ -742,7 +742,7 @@ def _chain_mdp(n_actions):
     preds = (fm.AtomicPredicate(0, "psi0", 0, 1.0),
              fm.AtomicPredicate(1, "psi1", 1, 1.0))
     canon = fm.parse_explanation("F(psi0) & G(!psi1)", preds)
-    return ProductMdp(build_env_model(_Chain(n_actions)), fa.build_fspa(canon, preds))
+    return build_product(build_env_model(_Chain(n_actions)), canon, preds)
 
 
 class TestInlineDraws:
