@@ -153,6 +153,10 @@ def load_config(path) -> RunConfig:
                     raise ConfigError(f"{path} nests collections deeper than {MAX_DEPTH}")
             elif isinstance(event, yaml.CollectionEndEvent):
                 depth -= 1
+            elif isinstance(event, yaml.AliasEvent):
+                # an alias adds size without adding events: 25 doubling
+                # anchors stand for 2^25 elements
+                raise ConfigError(f"{path} uses a YAML alias; write the value out in full")
         # libyaml's scanner when pyyaml has it; the constructor, and so the
         # objects built, are the same SafeConstructor either way
         raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))

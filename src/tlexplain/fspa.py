@@ -19,7 +19,11 @@ Q0, Q_ACC, Q_TRAP = 0, 1, 2
 
 def build_fspa(canon: CanonicalExplanation, predicates, features) -> tuple:
     """``(q_next, rho_f, rho_g)`` on the rows of ``features``: the state
-    entered from q0 under the strict tie rule, and the two parts' robustness."""
+    entered from q0 under the strict tie rule, as int8, and the two parts'
+    robustness."""
     rho_f = part_robustness(canon.f_part, predicates, features)
     rho_g = part_robustness(canon.g_part, predicates, features)
-    return np.where(rho_g <= 0, Q_TRAP, np.where(rho_f > 0, Q_ACC, Q0)), rho_f, rho_g
+    q_next = np.full(rho_f.shape, Q0, dtype=np.int8)
+    q_next[rho_f > 0] = Q_ACC
+    q_next[rho_g <= 0] = Q_TRAP
+    return q_next, rho_f, rho_g

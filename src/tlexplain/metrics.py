@@ -10,6 +10,7 @@ count more.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,11 @@ class StateSample:
 
     rows: tuple[int, ...]
     weights: np.ndarray
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """``rows`` as an index array."""
+        return np.asarray(self.rows, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,10 @@ def kl_rows(p: np.ndarray, q: np.ndarray, eps: float = KL_EPS) -> np.ndarray:
     in floating point."""
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    pc, qc = _clamp(p, eps), _clamp(q, eps)
+    return _kl_clamped(_clamp(p, eps), _clamp(q, eps))
+
+
+def _kl_clamped(pc: np.ndarray, qc: np.ndarray) -> np.ndarray:
     return np.maximum((pc * np.log(pc / qc)).sum(axis=-1), 0.0)
 
 
@@ -155,12 +164,25 @@ def build_sample(model, target, n: int, rng: np.random.Generator,
     return StateSample(tuple(rows), w)
 
 
-def utility(candidate, target, sample: StateSample, key: str = "",
-            mean_return: float = float("nan"), eps: float = KL_EPS) -> UtilityRecord:
-    """Weighted-KL utility of a candidate policy against the target."""
-    rows = np.asarray(sample.rows, dtype=int)
-    if rows.max(initial=-1) >= candidate.probs.shape[0] or rows.max(initial=-1) >= target.probs.shape[0]:
+def clamped_rows(policy, sample: StateSample, eps: float = KL_EPS) -> np.ndarray:
+    """``policy``'s action distributions on the sampled rows, clamped and
+    renormalized as :func:`kl_rows` does."""
+    rows = sample.index
+    if rows.max(initial=-1) >= policy.probs.shape[0]:
         raise CoverageGapError("sampled states not covered by both policies")
-    divs = kl_rows(candidate.probs[rows], target.probs[rows], eps=eps)
+    return _clamp(policy.probs[rows], eps)
+
+
+def utility(candidate, target, sample: StateSample, key: str = "",
+            mean_return: float = float("nan"), eps: float = KL_EPS,
+            target_rows: np.ndarray | None = None) -> UtilityRecord:
+    """Weighted-KL utility of a candidate policy against the target.
+
+    ``target_rows`` is ``clamped_rows(target, sample, eps)``, which a caller
+    scoring many candidates against one target computes once.
+    """
+    if target_rows is None:
+        target_rows = clamped_rows(target, sample, eps)
+    divs = _kl_clamped(clamped_rows(candidate, sample, eps), target_rows)
     wkl = float(np.dot(sample.weights, divs))
     return UtilityRecord(key=key, wkl=wkl, mean_return=mean_return)

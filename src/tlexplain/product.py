@@ -80,6 +80,17 @@ class EnvModel:
         return cells
 
     @cached_property
+    def successors(self) -> list:
+        """Per state, the successor state of each of its branches, all
+        actions together, as a plain list, or None for a terminal state;
+        built on the first ``acceptance_reachable``."""
+        nxt, offsets = self.branch_next.tolist(), self.cell_offsets[::self.n_actions].tolist()
+        succ = [None] * len(self.states)
+        for s, lo, hi in zip(self.rows.tolist(), offsets, offsets[1:]):
+            succ[s] = nxt[lo:hi]
+        return succ
+
+    @cached_property
     def start_cdf(self) -> list:
         """Start probabilities summed and scaled to end at 1.0, as numpy's
         ``Generator.choice`` builds its CDF."""
@@ -147,6 +158,29 @@ def build_env_model(env, cap: int = 250_000) -> EnvModel:
                     row_of[[index[s] for s, _ in starts]], np.array(probs))
 
 
+def acceptance_reachable(model: EnvModel, q_next: np.ndarray) -> bool:
+    """Whether some branch into acceptance leaves a state reachable from a
+    start state while the run stays in q0.
+
+    Depth first over ``model.successors``: a successor in q0 that is not
+    terminal is entered, and the first one in ``Q_ACC`` answers True.  The
+    answer reads ``q_next`` only, so no product is built for it.  When it
+    is False, every run ends in the trap, a terminal environment state or
+    the horizon without accepting.
+    """
+    q, succ = q_next.tolist(), model.successors
+    seen = set(model.start_states)
+    todo = list(seen)
+    while todo:
+        for j in succ[todo.pop()]:
+            if q[j] == Q_ACC:
+                return True
+            if q[j] == Q0 and j not in seen and succ[j] is not None:
+                seen.add(j)
+                todo.append(j)
+    return False
+
+
 @dataclass
 class TransitionTable:
     """Exact product transition model for one candidate explanation.
@@ -209,30 +243,6 @@ class ProductMdp:
         return TransitionTable(
             m.n_rows, m.n_actions, m.branch_row, m.branch_action,
             next_row, m.branch_prob, self.reward_next[nxt])
-
-    def acceptance_reachable(self) -> bool:
-        """Whether some branch into acceptance leaves a row reachable from a
-        start row through live branches (``branch_next_row >= 0``).
-
-        Breadth-first, one frontier of rows per pass.  When this is False,
-        every run ends in the trap, a terminal environment state or the
-        horizon without accepting.
-        """
-        t = self.table
-        into_acc = self.q_next[self.model.branch_next] == Q_ACC
-        live = t.branch_next_row >= 0
-        reached = np.zeros(t.n_rows, dtype=bool)
-        reached[self.model.start_rows] = True
-        frontier = reached
-        while frontier.any():
-            out = frontier[t.branch_row]
-            if into_acc[out].any():
-                return True
-            frontier = np.zeros(t.n_rows, dtype=bool)
-            frontier[t.branch_next_row[out & live]] = True
-            frontier &= ~reached
-            reached |= frontier
-        return False
 
     # -- stepping ----------------------------------------------------------
 

@@ -74,8 +74,10 @@ class TabularPolicy:
     trainer: str
 
     def __post_init__(self):
+        # np.allclose(rowsums, 1.0, atol=1e-9) decides every row the same
+        # way, NaN and inf included, at twice the cost
         rowsums = self.probs.sum(axis=1)
-        if (self.probs < 0).any() or not np.allclose(rowsums, 1.0, atol=1e-9):
+        if (self.probs < 0).any() or not (np.abs(rowsums - 1.0) <= 1e-9 + 1e-5 * 1.0).all():
             raise ValueError("policy rows must be probability simplexes")
 
     def save(self, path):

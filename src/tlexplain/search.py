@@ -15,13 +15,14 @@ from __future__ import annotations
 import hashlib
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import formula as fm
 from . import metrics, rl
 from .fspa import build_fspa
-from .product import SPARSE, ProductMdp
+from .product import SPARSE, ProductMdp, acceptance_reachable
 
 
 # Soft-VI candidates that need training wait until their tables hold this
@@ -132,9 +133,10 @@ class Evaluator:
     counters say how often each fired:
 
     - ``n_unreachable``: with sparse rewards and ``return_threshold >= 0``,
-      a candidate whose product has no reachable acceptance branch
-      (``ProductMdp.acceptance_reachable``) is filtered untrained, since
-      every reward its runs can earn is <= 0.
+      a candidate whose automaton successors ``q_next`` admit no reachable
+      acceptance branch (``product.acceptance_reachable``) is filtered
+      untrained, and no product is built for it, since every reward its
+      runs can earn is <= 0.  Each distinct ``q_next`` is searched once.
     - ``n_product_hits`` (soft VI only): a candidate whose ``q_next`` and
       ``reward_next`` equal an earlier candidate's, even one still waiting
       in the same training batch, has the same transition table, so the
@@ -155,6 +157,8 @@ class Evaluator:
         # digest of (q_next, reward_next) -> one (q_next, reward_next, key of
         # the candidate trained on it)
         self._products: dict[bytes, tuple[np.ndarray, np.ndarray, str]] = {}
+        # q_next bytes -> whether acceptance is reachable under them
+        self._reachable: dict[bytes, bool] = {}
         self.n_unreachable = 0
         self.n_product_hits = 0
 
@@ -198,19 +202,26 @@ class Evaluator:
             keys.append(key)
             if key in self.cache or key in batch.queue:
                 continue
-            self._enqueue(key, self.build_mdp(canon), batch)
+            self._enqueue(key, canon, batch)
             if batch.cells >= VI_BATCH_CELLS:
                 self._commit(batch)
                 batch = _Batch()
         self._commit(batch)
         return [self.cache[key] for key in keys]
 
-    def _enqueue(self, key: str, mdp: ProductMdp, batch: _Batch) -> None:
-        if (self.cfg.reward.mode == SPARSE and self.cfg.search.return_threshold >= 0
-                and not mdp.acceptance_reachable()):
-            batch.unreachable += 1
-            batch.queue[key] = metrics.UtilityRecord(key=key, wkl=None, mean_return=0.0)
-            return
+    def _enqueue(self, key: str, canon: fm.CanonicalExplanation, batch: _Batch) -> None:
+        automaton = build_fspa(canon, self.predicates, self.model.features)
+        if self.cfg.reward.mode == SPARSE and self.cfg.search.return_threshold >= 0:
+            memo_key = automaton[0].tobytes()
+            reachable = self._reachable.get(memo_key)
+            if reachable is None:
+                reachable = self._reachable[memo_key] = acceptance_reachable(
+                    self.model, automaton[0])
+            if not reachable:
+                batch.unreachable += 1
+                batch.queue[key] = metrics.UtilityRecord(key=key, wkl=None, mean_return=0.0)
+                return
+        mdp = ProductMdp(self.model, automaton, self.cfg.reward, self.cfg.environment.horizon)
         if self.cfg.trainer.mode != rl.EXACT_SOFT_VI:
             # Q-learning draws from a stream keyed by ``key``: equal products
             # train to different policies
@@ -259,7 +270,13 @@ class Evaluator:
         if mean_return <= self.cfg.search.return_threshold:
             return metrics.UtilityRecord(key=key, wkl=None, mean_return=mean_return)
         return metrics.utility(policy, self.target, self.sample, key=key,
-                               mean_return=mean_return, eps=self.cfg.metric.kl_eps)
+                               mean_return=mean_return, eps=self.cfg.metric.kl_eps,
+                               target_rows=self._target_rows)
+
+    @cached_property
+    def _target_rows(self) -> np.ndarray:
+        """The target's side of every wKL: ``metrics.clamped_rows``."""
+        return metrics.clamped_rows(self.target, self.sample, self.cfg.metric.kl_eps)
 
 
 @dataclass

@@ -138,11 +138,33 @@ def _ctf_text(draw):
     return "\n".join("".join(row) for row in cells) + "\n"
 
 
-def _draw_products(draw, count: int) -> list:
+@st.composite
+def _multi_start_ctf_text(draw):
+    """As ``_ctf_text``, with at least three red columns and two open red
+    cells past the crossing that the red flag is not drawn onto: with
+    ``random_starts``, red starts on at least two cells."""
+    height, width = draw(st.integers(1, 3)), draw(st.integers(4, 5))
+    k = draw(st.integers(1, width - 3))
+    cells = [row[:k] + rest for row, rest in zip(
+        _cells(draw, height, k, "b#"), _cells(draw, height, width - k, "r.#"))]
+    gate = draw(st.integers(0, height - 1))
+    cells[gate][k - 1], cells[gate][k], cells[gate][k + 1] = "b", "r", "r"
+    br, bc = _spot(draw, height, range(k))
+    rr, rc = draw(st.sampled_from([(r, c) for r in range(height) for c in range(k, width)
+                                   if (r, c) not in ((gate, k), (gate, k + 1))]))
+    cells[br][bc], cells[rr][rc] = "B", "R"
+    return "\n".join("".join(row) for row in cells) + "\n"
+
+
+def _draw_products(draw, count: int, multi_start: bool = False) -> list:
     """``count`` ``(product MDP, explanation, predicates)`` triples on one
     random small nav or CtF map, sharing its predicates, reward and horizon,
-    for independently drawn explanations."""
-    if draw(st.booleans()):
+    for independently drawn explanations.  With ``multi_start`` the map is
+    a CtF map with random starts and at least two start states."""
+    if multi_start:
+        env = envs.CtfEnv(envs.GridMap.parse(draw(_multi_start_ctf_text()),
+                                             random_starts=True))
+    elif draw(st.booleans()):
         env = envs.NavEnv(envs.NavMap.parse(draw(_nav_text())))
     else:
         grid = envs.GridMap.parse(draw(_ctf_text()),
@@ -179,6 +201,12 @@ def explained_products(draw):
 def product_mdps(draw):
     """A random product MDP on a small nav or CtF map and explanation."""
     return _draw_products(draw, 1)[0][0]
+
+
+@st.composite
+def multi_start_product_mdps(draw):
+    """A random product MDP on a small CtF map with several start states."""
+    return _draw_products(draw, 1, multi_start=True)[0][0]
 
 
 @st.composite

@@ -498,6 +498,53 @@ class TestDeepConfig:
         assert "nests collections deeper" in capsys.readouterr().err
 
 
+# ``output`` values that load into few objects and expand when formatted:
+# 1,200 chained anchors exhausted the recursion limit in repr (status 4), and
+# 25 doubling anchors stand for 2^25 elements
+ALIAS_OUTPUTS = {
+    "chained": "[&a0 [x], " + ", ".join(f"&a{i} [*a{i - 1}]" for i in range(1, 1200)) + "]",
+    "doubling": "[&b0 [x], " + ", ".join(f"&b{i} [*b{i - 1}, *b{i - 1}]"
+                                         for i in range(1, 26)) + "]",
+}
+
+
+class TestAliasConfig:
+    """A config that uses a YAML alias is refused with exit status 2 by the
+    event scan, before anything is loaded."""
+
+    @staticmethod
+    def _config(tmp_path, output: str) -> Path:
+        """The reference config, its map path made absolute, with ``output``
+        set to ``output``."""
+        text = Path(REFERENCE_CONFIG).read_text()
+        text = text.replace("map: maps/", f"map: {CONFIGS}/maps/")
+        path = tmp_path / "alias.yaml"
+        path.write_text(text.replace("output: runs/ctf_reference", f"output: {output}"))
+        return path
+
+    @pytest.fixture()
+    def no_load(self, monkeypatch):
+        def load(*args, **kwargs):
+            raise AssertionError("the config was loaded")
+        monkeypatch.setattr(yaml, "load", load)
+
+    @pytest.mark.parametrize("pure_python", [False, True])
+    @pytest.mark.parametrize("shape", ALIAS_OUTPUTS)
+    def test_refused_by_the_scan(self, tmp_path, capsys, monkeypatch, no_load, shape,
+                                 pure_python):
+        if pure_python:
+            monkeypatch.delattr(yaml, "CBaseLoader", raising=False)
+        path = self._config(tmp_path, ALIAS_OUTPUTS[shape])
+        assert cli.main(["enumerate", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: {path} uses a YAML alias; write the value out in full\n"
+
+    def test_anchor_without_alias_loads(self, tmp_path, capsys):
+        path = self._config(tmp_path, "&out runs/alias")
+        assert cli.main(["enumerate", "--config", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "96\n"
+
+
 # one well-formed trace node, as the search command writes it
 NODE = {"filtered": False, "key": "F(psi0) & G(!psi1)", "move": "init", "node_id": 0,
         "parent": None, "restart": 0, "schema_version": SCHEMA_VERSION, "step": 0,

@@ -127,6 +127,11 @@ class TestStep:
                 assert codes[i] == ref.step(canon, preds, fa.Q0, x)
         assert ties_f > 0 and ties_g > 0
 
+    def test_step_codes_are_int8(self):
+        canon, preds = _simple_canon()
+        codes, _, _ = fa.build_fspa(canon, preds, np.array([[0.5, 0.5], [1.5, 0.5]]))
+        assert codes.dtype == np.int8 and codes.tolist() == [fa.Q_ACC, fa.Q0]
+
 
 class TestRun:
     def test_matches_prefix_oracle_on_enumerated_sequences(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from tlexplain import envs
@@ -20,13 +20,14 @@ from tlexplain.product import (
     EnvModel,
     RewardConfig,
     TransitionTable,
+    acceptance_reachable,
     build_env_model,
 )
 from tlexplain.rl import TabularPolicy
 
 import reference as ref
 from conftest import (PROPERTY, build_product, explained_products, full_horizon_return,
-                      product_mdp_pairs, product_mdps)
+                      multi_start_product_mdps, product_mdp_pairs, product_mdps)
 
 CORRIDOR = "S..G\n"
 WALLED = """\
@@ -252,9 +253,9 @@ class TestInitialProductState:
             _assert_start_draws_match_choice(mdp, seed, draws=2000)
 
     @PROPERTY
-    @given(product_mdps(), st.integers(0, 2**32))
+    @given(multi_start_product_mdps(), st.integers(0, 2**32))
     def test_matches_choice_on_random_multi_start_maps(self, mdp, seed):
-        assume(len(mdp.model.start_rows) > 1)
+        assert len(mdp.model.start_rows) > 1
         _assert_start_draws_match_choice(mdp, seed)
 
 
@@ -606,14 +607,18 @@ def _reference_acceptance_reachable(mdp):
     return False
 
 
+def _reachable(mdp) -> bool:
+    return acceptance_reachable(mdp.model, mdp.q_next)
+
+
 def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
 
 
 class TestAcceptanceReachable:
     def test_walled_goal_is_unreachable(self):
-        assert not _mdp(_nav_model(WALLED), _nav_preds()).acceptance_reachable()
-        assert _mdp(_nav_model(), _nav_preds()).acceptance_reachable()
+        assert not _reachable(_mdp(_nav_model(WALLED), _nav_preds()))
+        assert _reachable(_mdp(_nav_model(), _nav_preds()))
 
     def test_every_start_row_counts(self):
         """Blue's start cell (0, 0) is walled in, so from it alone the red
@@ -622,21 +627,29 @@ class TestAcceptanceReachable:
         preds = (fm.AtomicPredicate(0, "psi0", 1, 1.0),    # d_ba_rf
                  fm.AtomicPredicate(1, "psi1", 3, 0.5))    # d_ba_bt
         walled = envs.GridMap.parse(text, blue_start=(0, 0), red_start=(0, 4))
-        assert not _mdp(build_env_model(envs.CtfEnv(walled)), preds).acceptance_reachable()
+        assert not _reachable(_mdp(build_env_model(envs.CtfEnv(walled)), preds))
         anywhere = envs.GridMap.parse(text, random_starts=True)
-        assert _mdp(build_env_model(envs.CtfEnv(anywhere)), preds).acceptance_reachable()
+        assert _reachable(_mdp(build_env_model(envs.CtfEnv(anywhere)), preds))
+
+    def test_search_stops_at_the_trap(self):
+        """The vase cell fails G(!psi1): the run is trapped there, even
+        though the environment goes on to the goal behind it."""
+        preds = (fm.AtomicPredicate(0, "psi0", 0, 1.0),    # d_goal
+                 fm.AtomicPredicate(1, "psi1", 2, 0.5))    # d_vase
+        assert not _reachable(_mdp(_nav_model("SVG\n"), preds))
+        assert _reachable(_mdp(_nav_model("SVG\n...\n"), preds))   # a way around
 
     @PROPERTY
     @given(product_mdps())
     def test_matches_search_over_expanded_table(self, mdp):
-        assert mdp.acceptance_reachable() == _reference_acceptance_reachable(mdp)
+        assert _reachable(mdp) == _reference_acceptance_reachable(mdp)
 
     @PROPERTY
     @given(explained_products(), st.integers(0, 2**32 - 1))
     def test_unreachable_bounds_every_sparse_return_by_zero(self, drawn, seed):
         mdp, canon, preds = drawn
         mdp = _with(mdp, canon, preds, reward=replace(mdp.reward, mode=SPARSE))
-        if mdp.acceptance_reachable():
+        if _reachable(mdp):
             return
         trained = _soft_vi(mdp, rl.TrainerConfig(tau=0.1))
         assert full_horizon_return(mdp, trained) <= 0

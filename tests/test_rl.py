@@ -15,7 +15,7 @@ from tlexplain import formula as fm
 from tlexplain import fspa as fa
 from tlexplain import rl, search
 from tlexplain.product import (DENSE, SPARSE, ProductMdp, RewardConfig, TransitionTable,
-                               build_env_model)
+                               acceptance_reachable, build_env_model)
 
 from conftest import PROPERTY, build_product, product_mdp_batches, product_mdps
 from reference import expand_transitions
@@ -140,7 +140,7 @@ def _trainable_tables(cfg):
     tables = {}
     for canon in fm.enumerate_all(preds):
         mdp = build_product(model, canon, preds, cfg.reward, cfg.environment.horizon)
-        if cfg.reward.mode == SPARSE and not mdp.acceptance_reachable():
+        if cfg.reward.mode == SPARSE and not acceptance_reachable(model, mdp.q_next):
             continue
         tables.setdefault(mdp.q_next.tobytes() + mdp.reward_next.tobytes(), mdp.table)
     return list(tables.values())
@@ -301,6 +301,28 @@ class TestTabularPolicy:
             rl.TabularPolicy(np.array([[0.5, 0.6]]), tau=0.1, trainer="t")
         with pytest.raises(ValueError):
             rl.TabularPolicy(np.array([[-0.1, 1.1]]), tau=0.1, trainer="t")
+
+    @pytest.mark.parametrize("row, accepted", [
+        ([0.5, 0.5 + 1.0001e-5], False),
+        ([0.5, 0.5 - 1.0001e-5], True),     # 1 - 1.0001e-5 rounds inside
+        ([0.5, 0.5 + 1.00009e-5], True),
+        ([0.5, 0.5 - 1.00009e-5], True),
+        ([0.5, np.nan], False),
+        ([0.5, np.inf], False),
+        ([-0.25, 1.25], False),
+    ])
+    def test_row_check_decides_as_allclose(self, row, accepted):
+        """At the edge of the row-sum tolerance, on NaN, inf and a negative
+        entry, a row is accepted exactly when it has no negative entry and
+        ``np.allclose(rowsum, 1.0, atol=1e-9)`` holds."""
+        probs = np.array([row])
+        assert accepted == (not (probs < 0).any()
+                            and np.allclose(probs.sum(axis=1), 1.0, atol=1e-9))
+        if accepted:
+            rl.TabularPolicy(probs, tau=0.1, trainer="t")
+        else:
+            with pytest.raises(ValueError, match="probability simplexes"):
+                rl.TabularPolicy(probs, tau=0.1, trainer="t")
 
     def test_save_load_roundtrip(self, tmp_path):
         probs = softmax(np.random.default_rng(0).normal(size=(4, 5)), axis=1)

@@ -11,7 +11,7 @@ from tlexplain import formula as fm
 from tlexplain import metrics
 from tlexplain import rl, search
 from tlexplain.config import RunConfig, build_runtime, load_config
-from tlexplain.product import DENSE, SPARSE, RewardConfig, build_env_model
+from tlexplain.product import DENSE, SPARSE, RewardConfig, acceptance_reachable, build_env_model
 from tlexplain.search import (
     Evaluator,
     SearchParams,
@@ -138,7 +138,7 @@ def _product_groups(ev) -> list[list]:
     groups = {}
     for canon in fm.enumerate_all(ev.predicates):
         mdp = ev.build_mdp(canon)
-        if mdp.acceptance_reachable():
+        if acceptance_reachable(mdp.model, mdp.q_next):
             groups.setdefault(mdp.q_next.tobytes() + mdp.reward_next.tobytes(), []).append(canon)
     return list(groups.values())
 
@@ -426,7 +426,7 @@ class TestExactShortcuts:
         for canon in fm.enumerate_all(ev.predicates):
             record, ref = ev.cache[fm.render(canon, ev.predicates)], _reference_record(ev, canon)
             mdp = ev.build_mdp(canon)
-            if prefilter and not mdp.acceptance_reachable():
+            if prefilter and not acceptance_reachable(mdp.model, mdp.q_next):
                 unreachable += 1
                 assert record.filtered and record.mean_return == 0.0 and ref.mean_return <= 0
                 record = replace(record, mean_return=ref.mean_return)
@@ -439,3 +439,39 @@ class TestExactShortcuts:
         assert ev.n_product_hits == reused
         assert (reused > 0) == (trainer == rl.EXACT_SOFT_VI)
         assert len(ev.cache) == 96
+
+    @staticmethod
+    def _count_calls(monkeypatch, owner, name) -> list:
+        """Record the arguments of every call of ``owner.name`` from now on."""
+        calls, original = [], getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_unreachable_candidate_builds_no_product(self, reference_runtime, monkeypatch):
+        ev = fresh_evaluator(reference_runtime)
+        built = self._count_calls(monkeypatch, search.ProductMdp, "__init__")
+        preds = ev.predicates
+        unreachable = fm.parse_explanation("F(!psi_ba_bt) & G(psi_ba_rf & psi_ba_ra)", preds)
+        assert ev.evaluate(unreachable).filtered and ev.n_unreachable == 1
+        assert built == []
+        assert not ev.evaluate(_target_canon(reference_runtime)).filtered
+        assert len(built) == 1
+        brute_force_oracle(ev)
+        assert (ev.n_unreachable, ev.n_product_hits) == (52, 5)
+        assert len(built) == 96 - 52
+
+    def test_each_distinct_q_next_is_searched_once(self, monkeypatch):
+        """The n=4 oracle: 1,408 candidates, 336 distinct ``q_next``."""
+        ev = build_runtime(load_config(CONFIG_DIR / "ctf_n4.yaml")).evaluator
+        searched = self._count_calls(monkeypatch, search, "acceptance_reachable")
+        ranked, filtered = brute_force_oracle(ev)
+        assert (len(ranked), len(filtered)) == (568, 840)
+        assert (ev.n_unreachable, ev.n_product_hits) == (820, 291)
+        distinct = {q_next.tobytes() for _, q_next in searched}
+        assert len(searched) == len(distinct) == 336
+        assert all(q_next.dtype == np.int8 for _, q_next in searched)
