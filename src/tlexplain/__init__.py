@@ -20,7 +20,7 @@ from .fspa import build_fspa
 from .envs import CtfEnv, GridMap, NavEnv, NavMap
 from .product import EnvModel, ProductMdp, build_env_model
 from .rl import TabularPolicy, TrainerConfig, policy_entropy, select_replicate
-from .metrics import StateSample, UtilityRecord, build_sample, kl, normalized_entropy, utility, weights
+from .metrics import StateSample, UtilityRecord, build_sample, normalized_entropy, utility, weights
 from .search import (Evaluator, SearchParams, brute_force_oracle, greedy_search,
                      multi_start, train_policy)
 from .config import RunConfig, Runtime, build_runtime, load_config

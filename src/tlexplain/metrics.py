@@ -113,11 +113,6 @@ def _kl_clamped(pc: np.ndarray, qc: np.ndarray) -> np.ndarray:
     return np.maximum((pc * np.log(pc / qc)).sum(axis=-1), 0.0)
 
 
-def kl(p, q, eps: float = KL_EPS) -> float:
-    """Discrete KL(p || q) of two distributions, clamped as :func:`kl_rows`."""
-    return float(kl_rows(np.asarray(p, dtype=float), np.asarray(q, dtype=float), eps))
-
-
 def xlogx(p: np.ndarray) -> np.ndarray:
     """``p * log(p)`` elementwise, exactly 0 where ``p`` is 0."""
     out = np.zeros_like(p)
@@ -137,31 +132,29 @@ def normalized_entropy(p, h_max: float):
 def weights(target, sample_rows, enabled: bool = True):
     """Per-state utility weights from the target's normalized entropy.
 
-    Returns ``(weights, degenerate)``.  With ``enabled=False`` (the ablation)
-    every weight is 1.  The normalized entropy is clipped at 0, as it is
-    defined: for a uniform row it sums to about -1e-16 in floating point,
-    which would weigh disagreement there negatively.  A target uniform on
-    every sampled state zeroes the normalizer; that degenerate case falls
-    back to uniform weights.
+    With ``enabled=False`` (the ablation) every weight is 1.  The normalized
+    entropy is clipped at 0, as it is defined: for a uniform row it sums to
+    about -1e-16 in floating point, which would weigh disagreement there
+    negatively.  A target uniform on every sampled state zeroes the
+    normalizer; that degenerate case falls back to uniform weights.
     """
     rows = np.asarray(sample_rows, dtype=int)
     if rows.size == 0:
         raise ValueError("empty state sample")
     if not enabled:
-        return np.ones(rows.size), False
+        return np.ones(rows.size)
     p = target.probs[rows]
     hbar = np.maximum(normalized_entropy(p, np.log(p.shape[1])), 0.0)
     total = hbar.sum()
     if total <= 0:
-        return np.full(rows.size, 1.0 / rows.size), True
-    return hbar / total, False
+        return np.full(rows.size, 1.0 / rows.size)
+    return hbar / total
 
 
 def build_sample(model, target, n: int, rng: np.random.Generator,
                  weights_enabled: bool = True) -> StateSample:
     rows = sample_nontrap(model, n, rng)
-    w, _ = weights(target, rows, enabled=weights_enabled)
-    return StateSample(tuple(rows), w)
+    return StateSample(tuple(rows), weights(target, rows, enabled=weights_enabled))
 
 
 def clamped_rows(policy, sample: StateSample, eps: float = KL_EPS) -> np.ndarray:

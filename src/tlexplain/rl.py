@@ -70,8 +70,6 @@ class TabularPolicy:
     """Per-row action distribution over non-terminal product states."""
 
     probs: np.ndarray
-    tau: float
-    trainer: str
 
     def __post_init__(self):
         # np.allclose(rowsums, 1.0, atol=1e-9) decides every row the same
@@ -82,20 +80,21 @@ class TabularPolicy:
 
     def save(self, path):
         """Plain-text tabular format: a header line then one row per state."""
-        lines = [f"tlexplain-policy states={self.probs.shape[0]} "
-                 f"actions={self.probs.shape[1]} tau={self.tau!r} trainer={self.trainer}"]
+        lines = [f"tlexplain-policy states={self.probs.shape[0]} actions={self.probs.shape[1]}"]
         for row in self.probs:
             lines.append(" ".join(repr(float(p)) for p in row))
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "TabularPolicy":
+        """Read what :meth:`save` writes.  The header's other ``key=value``
+        fields are ignored: older files also name ``tau`` and ``trainer``."""
         lines = Path(path).read_text().splitlines()
         header = dict(kv.split("=", 1) for kv in lines[0].split()[1:])
         probs = np.array([[float(x) for x in line.split()] for line in lines[1:]])
         if probs.shape != (int(header["states"]), int(header["actions"])):
             raise ValueError(f"policy file shape {probs.shape} does not match header")
-        return cls(probs, float(header["tau"]), header["trainer"])
+        return cls(probs)
 
 
 def _action_softmax(q: np.ndarray, tau: float):
@@ -176,11 +175,11 @@ def soft_value_iteration(tables: list[TransitionTable], gamma: float,
         np.abs(diff, out=diff)
         delta = diff.max(axis=1).tolist()
         v = v_new
-        if min(delta) >= tolerance:       # False when some residual is NaN
+        done = [d < tolerance for d in delta]   # a NaN residual never converges
+        if not any(done):
             continue
-        done = [d < tolerance for d in delta]
         for k in (k for k, d in enumerate(done) if d):
-            policies[alive[k]] = TabularPolicy(_policy_rows(z[k], s[k]), tau, EXACT_SOFT_VI)
+            policies[alive[k]] = TabularPolicy(_policy_rows(z[k], s[k]))
         if all(done):
             return policies
         # drop the finished slots; each other slot moves down by the number
@@ -346,7 +345,7 @@ def q_learning(mdp: ProductMdp, cfg: TrainerConfig, rng: np.random.Generator) ->
     finally:
         draws.close(has32, uint32)
     _, z, s = _action_softmax(np.array(q)[m.rows].T, cfg.tau)
-    return TabularPolicy(_policy_rows(z, s), cfg.tau, Q_LEARNING)
+    return TabularPolicy(_policy_rows(z, s))
 
 
 def policy_entropy(policy: TabularPolicy, sample_rows) -> float:

@@ -12,7 +12,6 @@ and next-best extension escapes, restarted from random encodings.
 
 from __future__ import annotations
 
-import hashlib
 import zlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -77,7 +76,7 @@ class RestartResult:
 
 @dataclass
 class MultiStartResult:
-    results: list[RestartResult]       # sorted by utility, best first
+    results: list[RestartResult]       # sorted by rank, best first, empty ones last
     overall_searched_frac: float
     denominator: int
     traces: list[TraceNode]
@@ -88,7 +87,8 @@ class _Batch:
     """Candidates of one ``Evaluator.evaluate_many`` call not yet in the
     cache, in evaluation order.  ``queue`` maps each key to its record, or
     to the key of the candidate in ``train`` whose record it copies;
-    ``products`` and the counters are committed with the records."""
+    ``products`` (product bytes -> key, as ``Evaluator._products``) and the
+    counters are committed with the records."""
 
     queue: dict = field(default_factory=dict)
     train: list = field(default_factory=list)     # (key, ProductMdp)
@@ -138,10 +138,10 @@ class Evaluator:
       untrained, and no product is built for it, since every reward its
       runs can earn is <= 0.  Each distinct ``q_next`` is searched once.
     - ``n_product_hits`` (soft VI only): a candidate whose ``q_next`` and
-      ``reward_next`` equal an earlier candidate's, even one still waiting
-      in the same training batch, has the same transition table, so the
-      same policy, return and wKL; it gets a copy of that record under its
-      own key.
+      ``reward_next`` have the same bytes as an earlier candidate's, even
+      one still waiting in the same training batch, has the same transition
+      table, so the same policy, return and wKL; it gets a copy of that
+      record under its own key.
     """
 
     def __init__(self, model, predicates, target: rl.TabularPolicy,
@@ -154,9 +154,8 @@ class Evaluator:
         self.cache: dict[str, metrics.UtilityRecord] = {}
         # rendered key of every explanation evaluated or enumerated here
         self.keys: dict[fm.CanonicalExplanation, str] = {}
-        # digest of (q_next, reward_next) -> one (q_next, reward_next, key of
-        # the candidate trained on it)
-        self._products: dict[bytes, tuple[np.ndarray, np.ndarray, str]] = {}
+        # q_next bytes + reward_next bytes -> key of the candidate trained on them
+        self._products: dict[bytes, str] = {}
         # q_next bytes -> whether acceptance is reachable under them
         self._reachable: dict[bytes, bool] = {}
         self.n_unreachable = 0
@@ -228,15 +227,13 @@ class Evaluator:
             batch.queue[key] = self._record(
                 key, mdp, train_policy(mdp, self.cfg, key, self.sample.rows))
             return
-        digest = hashlib.blake2b(mdp.q_next.tobytes() + mdp.reward_next.tobytes()).digest()
-        product = self._products.get(digest) or batch.products.get(digest)
-        if (product is not None and np.array_equal(product[0], mdp.q_next)
-                and np.array_equal(product[1], mdp.reward_next)):
+        product = mdp.q_next.tobytes() + mdp.reward_next.tobytes()
+        source = self._products.get(product) or batch.products.get(product)
+        if source is not None:
             batch.product_hits += 1
-            batch.queue[key] = product[2]
+            batch.queue[key] = source
             return
-        if digest not in self._products:
-            batch.products.setdefault(digest, (mdp.q_next, mdp.reward_next, key))
+        batch.products[product] = key
         batch.queue[key] = key
         batch.train.append((key, mdp))
         batch.cells += mdp.table.n_rows * mdp.table.n_actions
@@ -294,11 +291,17 @@ class _SearchContext:
             parent=parent, move=move))
 
 
+def rank(record: metrics.UtilityRecord) -> tuple[float, str]:
+    """The sort key of an unfiltered record, best first: its wKL, then its
+    rendered key."""
+    return record.wkl, record.key
+
+
 def eval_neighbors(enc: fm.ExplanationEncoding, ctx: _SearchContext, step: int,
                    move_label: str = "flip"
                    ) -> list[tuple[metrics.UtilityRecord, fm.ExplanationEncoding]]:
     """Evaluate an explanation and its neighborhood: the unfiltered
-    ``(record, encoding)`` pairs, best first by ``(wkl, key)``, or ``[]``
+    ``(record, encoding)`` pairs, best first by :func:`rank`, or ``[]``
     when every one is filtered.
 
     Follows the stall rule: the form-bit expansion set is only evaluated when
@@ -320,7 +323,7 @@ def eval_neighbors(enc: fm.ExplanationEncoding, ctx: _SearchContext, step: int,
 
     def ranked():
         return sorted((pair for pair in found.values() if not pair[0].filtered),
-                      key=lambda pair: (pair[0].wkl, pair[0].key))
+                      key=lambda pair: rank(pair[0]))
 
     consider(nbh, records, move_label)
     buffer = ranked()
@@ -379,8 +382,8 @@ def multi_start(evaluator: Evaluator, params: SearchParams) -> MultiStartResult:
         frac = len(touched) / denominator
         results.append(RestartResult(i, record.key, record.utility, frac, record) if record
                        else RestartResult(i, None, None, frac, None))
-    results.sort(key=lambda r: (-(r.utility if r.utility is not None else -np.inf),
-                                r.key or "~"))
+    # empty restarts go last, in restart order
+    results.sort(key=lambda r: (r.record is None, r.record and rank(r.record)))
     return MultiStartResult(results[:params.top_k],
                             len(all_touched) / denominator, denominator, trace)
 
@@ -389,16 +392,16 @@ def brute_force_oracle(evaluator: Evaluator
                        ) -> tuple[list[metrics.UtilityRecord], list[metrics.UtilityRecord]]:
     """Evaluate every canonical explanation with the shared pipeline.
 
-    Returns (ranked unfiltered records, filtered records); the ranking is by
-    utility descending with the rendered key as tiebreak, and the filtered
-    records keep the enumeration's order, which is by key.  The enumeration
-    obeys ``search.enumeration_cap``, and its sort renders each key once for
-    ``Evaluator.evaluate_many`` to look up.
+    Returns (ranked unfiltered records, filtered records); the ranking is
+    :func:`rank`'s, by wKL with the rendered key as tiebreak, and the
+    filtered records keep the enumeration's order, which is by key.  The
+    enumeration obeys ``search.enumeration_cap``, and its sort renders each
+    key once for ``Evaluator.evaluate_many`` to look up.
     """
     ranked, filtered = [], []
     canons = fm.enumerate_all(evaluator.predicates, cap=evaluator.cfg.search.enumeration_cap,
                               keys=evaluator.keys)
     for record in evaluator.evaluate_many(canons):
         (filtered if record.filtered else ranked).append(record)
-    ranked.sort(key=lambda r: (-r.utility, r.key))
+    ranked.sort(key=rank)
     return ranked, filtered

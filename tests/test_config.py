@@ -166,7 +166,7 @@ class TestBuildRuntime:
 
     def test_policy_shape_mismatch_rejected(self, tmp_path):
         bad = tmp_path / "bad_policy.txt"
-        policy = rl.TabularPolicy(np.full((2, 5), 0.2), tau=0.1, trainer="t")
+        policy = rl.TabularPolicy(np.full((2, 5), 0.2))
         policy.save(bad)
         cfg = dict(NAV_CONFIG)
         cfg["target"] = {"policy_path": "bad_policy.txt"}

@@ -11,7 +11,7 @@ from tlexplain.rl import TabularPolicy
 
 
 def _policy(rows):
-    return TabularPolicy(np.asarray(rows, dtype=float), tau=0.1, trainer="t")
+    return TabularPolicy(np.asarray(rows, dtype=float))
 
 
 def _random_policy(n_rows, n_actions, rng, sharpness=1.0):
@@ -56,31 +56,31 @@ class TestSampleNontrap:
 class TestKl:
     def test_identity_is_zero(self):
         p = np.array([0.2, 0.3, 0.5])
-        assert metrics.kl(p, p) == 0.0
+        assert metrics.kl_rows(p, p) == 0.0
 
     def test_closed_form(self):
-        val = metrics.kl(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+        val = metrics.kl_rows(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
         assert val == pytest.approx(np.log(2), abs=1e-6)
 
     def test_nonnegative_on_random_pairs(self, rng):
         for _ in range(10_000):
             p = rng.dirichlet(np.ones(4))
             q = rng.dirichlet(np.ones(4))
-            assert metrics.kl(p, q) >= 0.0
+            assert metrics.kl_rows(p, q) >= 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            metrics.kl(np.ones(2) / 2, np.ones(3) / 3)
+            metrics.kl_rows(np.ones(2) / 2, np.ones(3) / 3)
 
     def test_rows_match_scalar(self, rng):
         p = rng.dirichlet(np.ones(5), size=20)
         q = rng.dirichlet(np.ones(5), size=20)
         rows = metrics.kl_rows(p, q)
         for i in range(20):
-            assert rows[i] == pytest.approx(metrics.kl(p[i], q[i]))
+            assert rows[i] == pytest.approx(metrics.kl_rows(p[i], q[i]))
 
     def test_finite_for_zero_entries(self):
-        assert np.isfinite(metrics.kl(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+        assert np.isfinite(metrics.kl_rows(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
 
     @pytest.mark.parametrize("direction", [np.inf, -np.inf])
     def test_rows_one_ulp_apart_are_nonnegative(self, rng, direction):
@@ -150,27 +150,27 @@ class TestXlogx:
 class TestWeights:
     def test_deterministic_target_uniform_weights(self):
         target = _policy(np.eye(4))
-        w, degenerate = metrics.weights(target, [0, 1, 2, 3])
-        assert np.allclose(w, 0.25) and not degenerate
+        w = metrics.weights(target, [0, 1, 2, 3])
+        assert np.allclose(w, 0.25)
 
     def test_sum_to_one(self, rng):
         target = _random_policy(10, 4, rng)
-        w, _ = metrics.weights(target, list(range(10)))
+        w = metrics.weights(target, list(range(10)))
         assert w.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_ablation_sets_unit_weights(self):
         target = _policy(np.eye(3))
-        w, degenerate = metrics.weights(target, [0, 1, 2], enabled=False)
-        assert np.array_equal(w, np.ones(3)) and not degenerate
+        w = metrics.weights(target, [0, 1, 2], enabled=False)
+        assert np.array_equal(w, np.ones(3))
 
     def test_uniform_target_degenerate_fallback(self):
         target = _policy(np.full((3, 4), 0.25))
-        w, degenerate = metrics.weights(target, [0, 1, 2])
-        assert degenerate and np.allclose(w, 1 / 3)
+        w = metrics.weights(target, [0, 1, 2])
+        assert np.allclose(w, 1 / 3)
 
     def test_concentrates_on_decisive_states(self):
         target = _policy([[1.0, 0.0], [0.5, 0.5], [0.9, 0.1]])
-        w, _ = metrics.weights(target, [0, 1, 2])
+        w = metrics.weights(target, [0, 1, 2])
         assert w[0] > w[2] > w[1]
         assert w[1] == pytest.approx(0.0)
 
@@ -179,8 +179,8 @@ class TestWeights:
         floating point; clipped, the row weighs nothing."""
         assert metrics.normalized_entropy(np.full(5, 0.2), np.log(5)) < 0
         target = _policy([[1.0, 0, 0, 0, 0], np.full(5, 0.2), [0.6, 0.1, 0.1, 0.1, 0.1]])
-        w, degenerate = metrics.weights(target, [0, 1, 2])
-        assert w[1] == 0.0 and (w >= 0).all() and not degenerate
+        w = metrics.weights(target, [0, 1, 2])
+        assert w[1] == 0.0 and (w >= 0).all()
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -189,7 +189,7 @@ class TestWeights:
 
 class TestUtility:
     def _sample(self, target, rows, enabled=True):
-        w, _ = metrics.weights(target, rows, enabled=enabled)
+        w = metrics.weights(target, rows, enabled=enabled)
         return metrics.StateSample(tuple(rows), w)
 
     def test_self_match_is_zero(self, rng):
@@ -217,7 +217,7 @@ class TestUtility:
         cand = _random_policy(6, 3, rng)
         rows = list(range(6))
         record = metrics.utility(cand, target, self._sample(target, rows, enabled=False))
-        manual = sum(metrics.kl(cand.probs[r], target.probs[r]) for r in rows)
+        manual = sum(metrics.kl_rows(cand.probs[r], target.probs[r]) for r in rows)
         assert record.wkl == pytest.approx(manual, rel=1e-12)
 
     def test_matching_target_row_never_decreases_utility(self, rng):

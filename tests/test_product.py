@@ -80,7 +80,7 @@ def _rollout(mdp, policy, rng):
 def _right_policy(model):
     probs = np.zeros((model.n_rows, model.n_actions))
     probs[:, envs.ACTION_NAMES.index("right")] = 1.0
-    return TabularPolicy(probs, tau=0.1, trainer="test")
+    return TabularPolicy(probs)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +426,7 @@ class TestRollout:
         mdp = _mdp(model, _nav_preds())
         rng = np.random.default_rng(3)
         probs = np.full((model.n_rows, model.n_actions), 1.0 / model.n_actions)
-        policy = TabularPolicy(probs, tau=0.1, trainer="test")
+        policy = TabularPolicy(probs)
         for _ in range(50):
             _, total = _rollout(mdp, policy, rng)
             assert total <= 0.0
@@ -437,7 +437,7 @@ class TestRollout:
                  fm.AtomicPredicate(1, "psi1", 2, 1.5))
         mdp = _mdp(model, preds)
         probs = np.full((model.n_rows, model.n_actions), 1.0 / model.n_actions)
-        policy = TabularPolicy(probs, tau=0.1, trainer="test")
+        policy = TabularPolicy(probs)
         t1, r1 = _rollout(mdp, policy, np.random.default_rng(5))
         t2, r2 = _rollout(mdp, policy, np.random.default_rng(5))
         assert t1 == t2 and r1 == r2
@@ -454,7 +454,7 @@ class TestRollout:
         mdp = _mdp(model, _nav_preds(), horizon=4)
         probs = np.zeros((model.n_rows, model.n_actions))
         probs[:, envs.ACTION_NAMES.index("stay")] = 1.0
-        policy = TabularPolicy(probs, tau=0.1, trainer="test")
+        policy = TabularPolicy(probs)
         traj, _ = _rollout(mdp, policy, np.random.default_rng(0))
         assert len(traj) == 5  # start + horizon steps
 
@@ -487,7 +487,7 @@ class TestAverageReturn:
                  fm.AtomicPredicate(1, "psi1", 2, 1.5))
         mdp = _mdp(model, preds)
         probs = np.full((model.n_rows, model.n_actions), 1.0 / model.n_actions)
-        policy = TabularPolicy(probs, tau=0.1, trainer="test")
+        policy = TabularPolicy(probs)
         exact = mdp.average_return(policy)
         rng = np.random.default_rng(10)
         returns = np.array([_rollout(mdp, policy, rng)[1] for _ in range(400)])
@@ -535,8 +535,7 @@ def _problems(draw):
     raw = np.random.default_rng(seed).dirichlet(np.ones(model.n_actions),
                                                 size=model.n_rows)
     probs = 0.9 * raw + 0.1 / model.n_actions
-    policy = TabularPolicy(probs / probs.sum(axis=1, keepdims=True),
-                           tau=0.1, trainer="test")
+    policy = TabularPolicy(probs / probs.sum(axis=1, keepdims=True))
     return drawn, policy
 
 
@@ -572,7 +571,7 @@ class TestExactReturnProperties:
 def _random_policy(model, seed):
     probs = np.random.default_rng(seed).dirichlet(np.ones(model.n_actions),
                                                   size=model.n_rows)
-    return TabularPolicy(probs, tau=0.1, trainer="test")
+    return TabularPolicy(probs)
 
 
 def _soft_vi(mdp, trainer_cfg):

@@ -102,7 +102,7 @@ def _serial_soft_vi(table, gamma, cfg):
         delta = np.abs(v_new - v).max()
         v = v_new
         if delta < cfg.tolerance:
-            return rl.TabularPolicy(rl._policy_rows(z, s), tau, rl.EXACT_SOFT_VI)
+            return rl.TabularPolicy(rl._policy_rows(z, s))
     raise rl.NoConvergenceError(
         f"soft value iteration did not reach tolerance {cfg.tolerance} in "
         f"{cfg.max_iterations} sweeps (final residual {delta:.3g})")
@@ -298,9 +298,9 @@ class TestTrainerConfig:
 class TestTabularPolicy:
     def test_rows_must_be_simplex(self):
         with pytest.raises(ValueError):
-            rl.TabularPolicy(np.array([[0.5, 0.6]]), tau=0.1, trainer="t")
+            rl.TabularPolicy(np.array([[0.5, 0.6]]))
         with pytest.raises(ValueError):
-            rl.TabularPolicy(np.array([[-0.1, 1.1]]), tau=0.1, trainer="t")
+            rl.TabularPolicy(np.array([[-0.1, 1.1]]))
 
     @pytest.mark.parametrize("row, accepted", [
         ([0.5, 0.5 + 1.0001e-5], False),
@@ -319,19 +319,27 @@ class TestTabularPolicy:
         assert accepted == (not (probs < 0).any()
                             and np.allclose(probs.sum(axis=1), 1.0, atol=1e-9))
         if accepted:
-            rl.TabularPolicy(probs, tau=0.1, trainer="t")
+            rl.TabularPolicy(probs)
         else:
             with pytest.raises(ValueError, match="probability simplexes"):
-                rl.TabularPolicy(probs, tau=0.1, trainer="t")
+                rl.TabularPolicy(probs)
 
     def test_save_load_roundtrip(self, tmp_path):
         probs = softmax(np.random.default_rng(0).normal(size=(4, 5)), axis=1)
-        policy = rl.TabularPolicy(probs, tau=0.25, trainer="exact-soft-vi")
+        policy = rl.TabularPolicy(probs)
         path = tmp_path / "policy.txt"
         policy.save(path)
+        assert path.read_text().startswith("tlexplain-policy states=4 actions=5\n")
         loaded = rl.TabularPolicy.load(path)
         assert np.array_equal(loaded.probs, probs)
-        assert loaded.tau == 0.25 and loaded.trainer == "exact-soft-vi"
+
+    def test_load_reads_header_with_tau_and_trainer(self, tmp_path):
+        """Files whose header also names ``tau`` and ``trainer`` still load."""
+        path = tmp_path / "old.txt"
+        path.write_text("tlexplain-policy states=2 actions=2 tau=0.1 trainer=t\n"
+                        "1.0 0.0\n0.25 0.75\n")
+        loaded = rl.TabularPolicy.load(path)
+        assert np.array_equal(loaded.probs, [[1.0, 0.0], [0.25, 0.75]])
 
     def test_load_rejects_shape_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -885,30 +893,30 @@ class TestInlineDraws:
 class TestPolicyEntropy:
     def test_uniform_rows(self):
         probs = np.full((3, 4), 0.25)
-        policy = rl.TabularPolicy(probs, tau=0.1, trainer="t")
+        policy = rl.TabularPolicy(probs)
         assert rl.policy_entropy(policy, [0, 1, 2]) == pytest.approx(np.log(4))
 
     def test_deterministic_rows(self):
         probs = np.eye(3)
-        policy = rl.TabularPolicy(probs, tau=0.1, trainer="t")
+        policy = rl.TabularPolicy(probs)
         assert rl.policy_entropy(policy, [0, 1, 2]) == 0.0
 
     def test_mixed_rows_mean(self):
         rows = np.array([[0.5, 0.5], [0.9, 0.1]])
-        policy = rl.TabularPolicy(rows, tau=0.1, trainer="t")
+        policy = rl.TabularPolicy(rows)
         expected = np.mean([-(0.5 * np.log(0.5)) * 2,
                             -(0.9 * np.log(0.9) + 0.1 * np.log(0.1))])
         assert rl.policy_entropy(policy, [0, 1]) == pytest.approx(expected)
 
     def test_empty_sample_rejected(self):
-        policy = rl.TabularPolicy(np.eye(2), tau=0.1, trainer="t")
+        policy = rl.TabularPolicy(np.eye(2))
         with pytest.raises(rl.EmptySampleError):
             rl.policy_entropy(policy, [])
 
     def test_bounds(self, rng):
         for _ in range(100):
             probs = softmax(rng.normal(size=(4, 5)), axis=1)
-            policy = rl.TabularPolicy(probs, tau=0.1, trainer="t")
+            policy = rl.TabularPolicy(probs)
             h = rl.policy_entropy(policy, [0, 1, 2, 3])
             assert 0.0 <= h <= np.log(5) + 1e-12
 
@@ -917,14 +925,14 @@ class TestPolicyEntropy:
             q = rng.normal(size=(3, 4))
             entropies = []
             for tau in (0.05, 0.1, 0.5, 1.0, 5.0):
-                policy = rl.TabularPolicy(softmax(q / tau, axis=1), tau=tau, trainer="t")
+                policy = rl.TabularPolicy(softmax(q / tau, axis=1))
                 entropies.append(rl.policy_entropy(policy, [0, 1, 2]))
             assert all(a <= b + 1e-12 for a, b in zip(entropies, entropies[1:]))
 
 
 class TestSelectReplicate:
     def _policy(self, rows):
-        return rl.TabularPolicy(np.asarray(rows, dtype=float), tau=0.1, trainer="t")
+        return rl.TabularPolicy(np.asarray(rows, dtype=float))
 
     def test_single_returned_unchanged(self):
         p = self._policy([[0.5, 0.5]])

@@ -108,8 +108,7 @@ class TestEvaluate:
         preds = (fm.AtomicPredicate(0, "psi0", 0, 1.0),
                  fm.AtomicPredicate(1, "psi1", 1, 1.0))
         uniform = rl.TabularPolicy(
-            np.full((model.n_rows, model.n_actions), 1.0 / model.n_actions),
-            tau=0.1, trainer="t")
+            np.full((model.n_rows, model.n_actions), 1.0 / model.n_actions))
         sample = metrics.build_sample(model, uniform, 8, np.random.default_rng(0))
         cfg = RunConfig(envs.EnvConfig("S.#G\n..##\n....\n", type="nav"), [],
                         RewardConfig(), rl.TrainerConfig(tau=0.01),
