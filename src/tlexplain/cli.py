@@ -186,6 +186,12 @@ def _trace_node(line: str) -> tuple:
     return tuple(node[field] for field in TRACE_FIELDS)
 
 
+def _dot_escape(text: str) -> str:
+    """``text`` inside a DOT quoted string: each backslash, then each
+    double quote, escaped with a backslash."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def cmd_trace_dot(args) -> int:
     trace_path = Path(args.trace)
     if not trace_path.exists():
@@ -206,13 +212,12 @@ def cmd_trace_dot(args) -> int:
     lines = ["digraph search_trace {", "  node [shape=box, fontsize=10];"]
     last_node_for = {}
     for node_id, restart, key, utility, filtered, parent, move in nodes:
-        label = key.replace('"', r"\"")
         score = "filtered" if filtered else f"wKL {-utility:.3g}"
-        lines.append(f'  n{node_id} [label="{label}\\n{score}"];')
+        lines.append(f'  n{node_id} [label="{_dot_escape(key)}\\n{score}"];')
         if parent is not None and (restart, parent) in last_node_for:
             style = styles.get(move, "solid")
             lines.append(f"  n{last_node_for[(restart, parent)]} -> n{node_id} "
-                         f'[style={style}, label="{move}"];')
+                         f'[style={style}, label="{_dot_escape(move)}"];')
         last_node_for[(restart, key)] = node_id
     lines.append("}")
     dot = "\n".join(lines) + "\n"

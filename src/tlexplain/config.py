@@ -18,10 +18,10 @@ import numpy as np
 import yaml
 
 from . import formula as fm
-from . import metrics, rl
+from . import fspa, metrics, rl
 from .envs import CtfEnv, EnvConfig, GridMap, MapFormatError, NavEnv, NavMap
-from .product import EnvModel, RewardConfig, TransitionTable, build_env_model
-from .search import Evaluator, SearchParams, build_mdp, train_policy
+from .product import EnvModel, ProductMdp, RewardConfig, TransitionTable, build_env_model
+from .search import Evaluator, SearchParams, train_policy
 
 SCHEMA_VERSION = 5
 SECTIONS = {"environment": EnvConfig, "reward": RewardConfig,
@@ -252,8 +252,9 @@ def _train_target(cfg: RunConfig, model: EnvModel, predicates) -> tuple[rl.Tabul
 
     canon = fm.parse_explanation(cfg.target["explanation"], predicates)
     key = fm.render(canon, predicates)
-    return train_policy(build_mdp(model, predicates, canon, cfg), cfg, "target:" + key,
-                        range(model.n_rows)), key
+    mdp = ProductMdp(model, fspa.build_fspa(canon, predicates, model.features), cfg.reward,
+                     cfg.environment.horizon)
+    return train_policy(mdp, cfg, "target:" + key, range(model.n_rows)), key
 
 
 def _nav_shaped_target(cfg: RunConfig, model: EnvModel) -> rl.TabularPolicy:

@@ -297,14 +297,12 @@ def check_cap(n: int, cap: int) -> None:
         raise CapExceededError(f"{n} predicates exceeds the enumeration cap {cap}")
 
 
-def enumerate_all(predicates, cap: int = 6, keys: dict | None = None
-                  ) -> list[CanonicalExplanation]:
+def enumerate_all(predicates, cap: int = 6) -> list[CanonicalExplanation]:
     """Every distinct canonical explanation over the predicate set.
 
     For each F/G split of the predicates and each negation pattern, takes
     the product of the two parts' shapes; distinct splits, negations or
-    shapes give distinct explanations.  Sorted by rendered key; with
-    ``keys``, each explanation's key is also stored there under it.
+    shapes give distinct explanations.  Sorted by rendered key.
     """
     n = len(predicates)
     check_cap(n, cap)
@@ -316,11 +314,7 @@ def enumerate_all(predicates, cap: int = 6, keys: dict | None = None
             f_shapes = _part_shapes([(i, neg[i]) for i in range(n) if not temporal[i]])
             g_shapes = _part_shapes([(i, neg[i]) for i in range(n) if temporal[i]])
             out.extend(CanonicalExplanation(f, g) for f in f_shapes for g in g_shapes)
-    keyed = sorted(((render(canon, predicates), canon) for canon in out),
-                   key=lambda pair: pair[0])
-    if keys is not None:
-        keys.update((canon, key) for key, canon in keyed)
-    return [canon for _, canon in keyed]
+    return sorted(out, key=lambda canon: render(canon, predicates))
 
 
 # ---------------------------------------------------------------------------

@@ -87,10 +87,14 @@ class TabularPolicy:
 
     @classmethod
     def load(cls, path) -> "TabularPolicy":
-        """Read what :meth:`save` writes.  The header's other ``key=value``
+        """Read what :meth:`save` writes; ValueError unless the header's
+        first word is ``tlexplain-policy``.  The header's other ``key=value``
         fields are ignored: older files also name ``tau`` and ``trainer``."""
         lines = Path(path).read_text().splitlines()
-        header = dict(kv.split("=", 1) for kv in lines[0].split()[1:])
+        words = lines[0].split()
+        if words[:1] != ["tlexplain-policy"]:
+            raise ValueError(f"header {lines[0]!r} does not start with tlexplain-policy")
+        header = dict(kv.split("=", 1) for kv in words[1:])
         probs = np.array([[float(x) for x in line.split()] for line in lines[1:]])
         if probs.shape != (int(header["states"]), int(header["actions"])):
             raise ValueError(f"policy file shape {probs.shape} does not match header")

@@ -93,7 +93,6 @@ class _Batch:
     queue: dict = field(default_factory=dict)
     train: list = field(default_factory=list)     # (key, ProductMdp)
     products: dict = field(default_factory=dict)
-    cells: int = 0
     unreachable: int = 0
     product_hits: int = 0
 
@@ -102,12 +101,6 @@ def _key_stream(seed: int, key: str, purpose: int) -> np.random.Generator:
     """Deterministic rng keyed by (run seed, explanation, purpose)."""
     return np.random.default_rng(
         np.random.SeedSequence([seed, zlib.crc32(key.encode()), purpose]))
-
-
-def build_mdp(model, predicates, canon: fm.CanonicalExplanation, cfg) -> ProductMdp:
-    """The product MDP of one explanation under the run's reward and horizon."""
-    return ProductMdp(model, build_fspa(canon, predicates, model.features), cfg.reward,
-                      cfg.environment.horizon)
 
 
 def train_policy(mdp: ProductMdp, cfg, stream_key: str, rows) -> rl.TabularPolicy:
@@ -152,8 +145,6 @@ class Evaluator:
         self.sample = sample
         self.cfg = cfg
         self.cache: dict[str, metrics.UtilityRecord] = {}
-        # rendered key of every explanation evaluated or enumerated here
-        self.keys: dict[fm.CanonicalExplanation, str] = {}
         # q_next bytes + reward_next bytes -> key of the candidate trained on them
         self._products: dict[bytes, str] = {}
         # q_next bytes -> whether acceptance is reachable under them
@@ -170,9 +161,6 @@ class Evaluator:
     def trainer_cfg(self) -> rl.TrainerConfig:
         """``cfg.trainer``, kept for ``perfbench/check.py`` and the tests."""
         return self.cfg.trainer
-
-    def build_mdp(self, canon: fm.CanonicalExplanation) -> ProductMdp:
-        return build_mdp(self.model, self.predicates, canon, self.cfg)
 
     def evaluate(self, canon: fm.CanonicalExplanation) -> metrics.UtilityRecord:
         """The record of one explanation, cached: ``evaluate_many([canon])[0]``."""
@@ -194,15 +182,14 @@ class Evaluator:
         """
         keys = []
         batch = _Batch()
+        cells = self.model.n_rows * self.model.n_actions   # of every table trained here
         for canon in canons:
-            key = self.keys.get(canon)
-            if key is None:
-                key = self.keys[canon] = fm.render(canon, self.predicates)
+            key = fm.render(canon, self.predicates)
             keys.append(key)
             if key in self.cache or key in batch.queue:
                 continue
             self._enqueue(key, canon, batch)
-            if batch.cells >= VI_BATCH_CELLS:
+            if len(batch.train) * cells >= VI_BATCH_CELLS:
                 self._commit(batch)
                 batch = _Batch()
         self._commit(batch)
@@ -236,7 +223,6 @@ class Evaluator:
         batch.products[product] = key
         batch.queue[key] = key
         batch.train.append((key, mdp))
-        batch.cells += mdp.table.n_rows * mdp.table.n_actions
 
     def _commit(self, batch: _Batch) -> None:
         """Train the batch, then enter its records into the cache in order."""
@@ -395,12 +381,10 @@ def brute_force_oracle(evaluator: Evaluator
     Returns (ranked unfiltered records, filtered records); the ranking is
     :func:`rank`'s, by wKL with the rendered key as tiebreak, and the
     filtered records keep the enumeration's order, which is by key.  The
-    enumeration obeys ``search.enumeration_cap``, and its sort renders each
-    key once for ``Evaluator.evaluate_many`` to look up.
+    enumeration obeys ``search.enumeration_cap``.
     """
     ranked, filtered = [], []
-    canons = fm.enumerate_all(evaluator.predicates, cap=evaluator.cfg.search.enumeration_cap,
-                              keys=evaluator.keys)
+    canons = fm.enumerate_all(evaluator.predicates, cap=evaluator.cfg.search.enumeration_cap)
     for record in evaluator.evaluate_many(canons):
         (filtered if record.filtered else ranked).append(record)
     ranked.sort(key=rank)

@@ -73,9 +73,16 @@ def fresh_evaluator(runtime, sample=None, **sections):
 
 
 def build_product(model, canon, preds, reward=RewardConfig(), horizon: int = 100):
-    """The product MDP of ``canon`` on ``model``, built as ``search.build_mdp``
+    """The product MDP of ``canon`` on ``model``, built as ``Evaluator``
     builds it."""
     return ProductMdp(model, fa.build_fspa(canon, preds, model.features), reward, horizon)
+
+
+def evaluator_product(ev, canon):
+    """The product MDP ``ev`` trains ``canon`` on: its model, predicates,
+    reward and horizon."""
+    return build_product(ev.model, canon, ev.predicates, ev.cfg.reward,
+                         ev.cfg.environment.horizon)
 
 
 @pytest.fixture()

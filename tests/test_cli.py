@@ -4,6 +4,7 @@ import csv
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -383,6 +384,21 @@ class TestEvalCommand:
         assert exc.value.code == cli.EXIT_CONFIG
         assert "unrecognized arguments: --out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("word, status", [("tlexplain-policy", cli.EXIT_OK),
+                                              ("not-a-policy", cli.EXIT_CONFIG)])
+    def test_target_policy_file_needs_its_header_word(self, tmp_path, capsys, word, status):
+        # a uniform table of the reference model's shape, 462 rows x 5 actions
+        policy = tmp_path / "policy.txt"
+        policy.write_text(f"{word} states=462 actions=5\n" + "0.2 0.2 0.2 0.2 0.2\n" * 462)
+        cfg = yaml.safe_load(Path(REFERENCE_CONFIG).read_text())
+        cfg["environment"]["map"] = str(CONFIGS / cfg["environment"]["map"])
+        cfg["target"] = {"policy_path": str(policy)}
+        args = ["eval", "--config", str(_write_config(tmp_path, cfg)),
+                "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)"]
+        assert cli.main(args) == status
+        if status == cli.EXIT_CONFIG:
+            assert "does not start with tlexplain-policy" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", [name for name, _ in LARGER_CONFIGS])
     def test_larger_config_scores_its_target(self, capsys, name):
         target = yaml.safe_load((CONFIGS / name).read_text())["target"]["explanation"]
@@ -582,6 +598,23 @@ class TestTraceDotCommand:
         target = tmp_path / "trace.dot"
         assert cli.main(["trace-dot", str(trace), "--out", str(target)]) == cli.EXIT_OK
         assert target.read_text().startswith("digraph")
+
+    def test_labels_read_back_as_written(self, tmp_path, capsys):
+        """Under DOT's two escapes, ``\\"`` and ``\\\\``, every label reads back
+        as its key or move, so a key cannot end its label early."""
+        keys = ['a\\"] ; evil [x="', "b\\", 'c"\\"']
+        nodes = [{**NODE, "node_id": i, "key": key, "parent": keys[i - 1] if i else None,
+                  "move": "init" if i == 0 else 'flip\\"'}
+                 for i, key in enumerate(keys)]
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(json.dumps(node) + "\n" for node in nodes))
+        assert cli.main(["trace-dot", str(trace)]) == cli.EXIT_OK
+        dot = capsys.readouterr().out
+        labels = [re.sub(r'\\(["\\])', r"\1", label)
+                  for label in re.findall(r'label="((?:[^"\\]|\\.)*)"', dot)]
+        # each node's label, then the edge into the next node
+        assert labels == [f"{keys[0]}\\nwKL 0.5", f"{keys[1]}\\nwKL 0.5", 'flip\\"',
+                          f"{keys[2]}\\nwKL 0.5", 'flip\\"']
 
     def test_malformed_trace_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

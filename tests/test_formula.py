@@ -439,8 +439,8 @@ class TestPredicateValidation:
     def test_identifier_names_round_trip(self, names):
         preds = tuple(fm.AtomicPredicate(i, name, i, 1.0) for i, name in enumerate(names))
         fm.validate_predicates(preds)
-        keys = {}
-        canons = fm.enumerate_all(preds, keys=keys)
+        canons = fm.enumerate_all(preds)
+        keys = {canon: fm.render(canon, preds) for canon in canons}
         assert len(set(keys.values())) == len(canons) == fm.class_size(len(names))
         for canon in canons:
             assert fm.parse_explanation(keys[canon], preds) == canon

@@ -26,8 +26,9 @@ from tlexplain.product import (
 from tlexplain.rl import TabularPolicy
 
 import reference as ref
-from conftest import (PROPERTY, build_product, explained_products, full_horizon_return,
-                      multi_start_product_mdps, product_mdp_pairs, product_mdps)
+from conftest import (PROPERTY, build_product, evaluator_product, explained_products,
+                      full_horizon_return, multi_start_product_mdps, product_mdp_pairs,
+                      product_mdps)
 
 CORRIDOR = "S..G\n"
 WALLED = """\
@@ -677,7 +678,7 @@ class TestReturnFixedPoint:
     def test_reference_candidates_at_long_horizon(self, reference_runtime):
         ev = reference_runtime.evaluator
         for canon in fm.enumerate_all(ev.predicates):
-            mdp = _with(ev.build_mdp(canon), canon, ev.predicates, horizon=2_000)
+            mdp = _with(evaluator_product(ev, canon), canon, ev.predicates, horizon=2_000)
             policy = _soft_vi(mdp, ev.trainer_cfg)
             assert _bits(mdp.average_return(policy)) == _bits(full_horizon_return(mdp, policy))
 
@@ -702,7 +703,7 @@ class TestEqualProducts:
 
     def test_reference_candidates(self, reference_runtime):
         ev = reference_runtime.evaluator
-        mdps = [ev.build_mdp(canon) for canon in fm.enumerate_all(ev.predicates)]
+        mdps = [evaluator_product(ev, canon) for canon in fm.enumerate_all(ev.predicates)]
         first_of = {}
         repeats = 0
         for mdp in mdps:

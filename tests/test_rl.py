@@ -17,7 +17,8 @@ from tlexplain import rl, search
 from tlexplain.product import (DENSE, SPARSE, ProductMdp, RewardConfig, TransitionTable,
                                acceptance_reachable, build_env_model)
 
-from conftest import PROPERTY, build_product, product_mdp_batches, product_mdps
+from conftest import (PROPERTY, build_product, evaluator_product, product_mdp_batches,
+                      product_mdps)
 from reference import expand_transitions
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -341,6 +342,16 @@ class TestTabularPolicy:
         loaded = rl.TabularPolicy.load(path)
         assert np.array_equal(loaded.probs, [[1.0, 0.0], [0.25, 0.75]])
 
+    @pytest.mark.parametrize("header", ["not-a-policy states=2 actions=2",
+                                        "states=2 actions=2", ""])
+    def test_load_rejects_other_header_word(self, tmp_path, header):
+        """The header must start with ``tlexplain-policy``, even when the
+        rows match its ``states`` and ``actions``."""
+        path = tmp_path / "other.txt"
+        path.write_text(f"{header}\n1.0 0.0\n0.25 0.75\n")
+        with pytest.raises(ValueError, match="does not start with tlexplain-policy"):
+            rl.TabularPolicy.load(path)
+
     def test_load_rejects_shape_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("tlexplain-policy states=2 actions=2 tau=0.1 trainer=t\n1.0 0.0\n")
@@ -415,7 +426,7 @@ class TestSoftValueIterationAgainstReference:
         candidates = fm.enumerate_all(ev.predicates)
         assert len(candidates) == 96
         for canon in candidates:
-            mdp = ev.build_mdp(canon)
+            mdp = evaluator_product(ev, canon)
             expected, _, _ = _reference_soft_vi(_reference_branches(mdp), mdp,
                                                 ev.trainer_cfg)
             policy = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, ev.trainer_cfg)[0]
@@ -607,7 +618,7 @@ class TestQLearningAgainstReference:
         candidates = fm.enumerate_all(ev.predicates)
         assert len(candidates) == 96
         for seed, canon in enumerate(candidates):
-            self._assert_same_training(ev.build_mdp(canon), cfg, seed)
+            self._assert_same_training(evaluator_product(ev, canon), cfg, seed)
 
 
 class _NoScalarCalls:

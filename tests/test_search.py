@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, fresh_evaluator, full_horizon_return, iter_valid_encodings
+from conftest import (CONFIG_DIR, evaluator_product, fresh_evaluator, full_horizon_return,
+                      iter_valid_encodings)
 from tlexplain import envs
 from tlexplain import formula as fm
 from tlexplain import metrics
@@ -136,7 +137,7 @@ def _product_groups(ev) -> list[list]:
     enumeration order."""
     groups = {}
     for canon in fm.enumerate_all(ev.predicates):
-        mdp = ev.build_mdp(canon)
+        mdp = evaluator_product(ev, canon)
         if acceptance_reachable(mdp.model, mdp.q_next):
             groups.setdefault(mdp.q_next.tobytes() + mdp.reward_next.tobytes(), []).append(canon)
     return list(groups.values())
@@ -373,15 +374,6 @@ class TestBruteForceOracle:
         with pytest.raises(fm.CapExceededError):
             brute_force_oracle(fresh_evaluator(reference_runtime, search=params))
 
-    def test_renders_each_key_once(self, reference_runtime, monkeypatch):
-        # the enumeration's sort renders the keys; evaluation reuses them
-        rendered = []
-        render = fm.render
-        monkeypatch.setattr(fm, "render",
-                            lambda canon, preds: rendered.append(canon) or render(canon, preds))
-        ranked, filtered = brute_force_oracle(fresh_evaluator(reference_runtime))
-        assert len(rendered) == len(set(rendered)) == len(ranked) + len(filtered) == 96
-
     def test_search_never_beats_oracle(self, oracle, reference_runtime):
         ranked, _ = oracle
         result = multi_start(fresh_evaluator(reference_runtime),
@@ -395,7 +387,7 @@ def _reference_record(ev, canon):
     """The evaluation without shortcuts: train, select a replicate, take the
     full-horizon return, then filter or score."""
     key = fm.render(canon, ev.predicates)
-    mdp = ev.build_mdp(canon)
+    mdp = evaluator_product(ev, canon)
     policy = train_policy(mdp, ev.cfg, key, ev.sample.rows)
     mean_return = full_horizon_return(mdp, policy)
     if mean_return <= ev.params.return_threshold:
@@ -424,7 +416,7 @@ class TestExactShortcuts:
         unreachable, trained = 0, set()
         for canon in fm.enumerate_all(ev.predicates):
             record, ref = ev.cache[fm.render(canon, ev.predicates)], _reference_record(ev, canon)
-            mdp = ev.build_mdp(canon)
+            mdp = evaluator_product(ev, canon)
             if prefilter and not acceptance_reachable(mdp.model, mdp.q_next):
                 unreachable += 1
                 assert record.filtered and record.mean_return == 0.0 and ref.mean_return <= 0
