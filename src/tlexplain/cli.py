@@ -83,6 +83,13 @@ def _shortcut_summary(evaluator) -> str:
             "a trained product")
 
 
+def _print_row_classes(evaluator) -> None:
+    """Under soft VI, how many row classes it trained on, of how many rows."""
+    if evaluator.cfg.trainer.mode == rl.EXACT_SOFT_VI:
+        model = evaluator.model
+        print(f"soft VI on {model.row_classes.n_rows} row classes of {model.n_rows} rows")
+
+
 def cmd_search(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     runtime = build_runtime(cfg)
@@ -115,6 +122,7 @@ def cmd_search(args) -> int:
         wkl = res.record.wkl if res.record else None
         key = res.key or "(no unfiltered explanation)"
         print(f"{rank:>4}  {_fmt(wkl):>12}  {100.0 * res.searched_frac:>9.2f}  {key}")
+    _print_row_classes(runtime.evaluator)
     print(_shortcut_summary(runtime.evaluator))
     return EXIT_OK
 
@@ -135,6 +143,7 @@ def cmd_oracle(args) -> int:
     for rank, rec in enumerate(ranked[:10], start=1):
         print(f"{rank:>4}  {_fmt(rec.wkl):>12}  {rec.key}")
     print(f"({len(ranked)} ranked, {len(filtered)} filtered)")
+    _print_row_classes(runtime.evaluator)
     print(_shortcut_summary(runtime.evaluator))
     return EXIT_OK
 
@@ -156,6 +165,7 @@ def cmd_eval(args) -> int:
     canon = fm.parse_explanation(args.explanation, build_predicates(cfg, build_env(cfg)))
     evaluator = build_runtime(cfg).evaluator
     rec = evaluator.evaluate(canon)
+    _print_row_classes(evaluator)
     print(f"explanation:  {rec.key}")
     print(f"mean return:  {_fmt(rec.mean_return)}")
     if rec.filtered:

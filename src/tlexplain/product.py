@@ -103,6 +103,96 @@ class EnvModel:
         """The state index of each start row, as plain ints."""
         return self.rows[self.start_rows].tolist()
 
+    @cached_property
+    def row_classes(self) -> RowClasses:
+        """The rows merged by ``row_partition``, numbered in the order of
+        their first rows, with the branches of each class's first row in
+        branch order; built on the first soft-VI training."""
+        # the states' classes are numbered in order of first occurrence, so
+        # the sorted classes of the rows are in the order of their first rows
+        _, first, of_row = np.unique(row_partition(self)[self.rows],
+                                     return_index=True, return_inverse=True)
+        row_of = np.full(len(self.states), -1)
+        row_of[self.rows] = of_row
+        lo = self.cell_offsets[first * self.n_actions]
+        sizes = self.cell_offsets[(first + 1) * self.n_actions] - lo
+        take = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        return RowClasses(len(first), of_row, row_of,
+                          np.repeat(np.arange(len(first)), sizes), self.branch_action[take],
+                          self.branch_next[take], self.branch_prob[take],
+                          of_row[self.start_rows])
+
+
+@dataclass
+class RowClasses:
+    """An ``EnvModel``'s rows merged into classes: what ``ProductMdp``
+    reads from the model to build a transition table, over classes.
+
+    Members of a class sum the same terms in the same order in every soft
+    Bellman backup and every return pass, so a table over classes gives
+    each member its class's values bit for bit (see ``row_partition``).
+    """
+
+    n_rows: int                # classes
+    of_row: np.ndarray         # model row -> class
+    row_of: np.ndarray         # state index -> class, -1 for terminal
+    branch_row: np.ndarray     # class of each branch of a class's first row
+    branch_action: np.ndarray
+    branch_next: np.ndarray
+    branch_prob: np.ndarray
+    start_rows: np.ndarray     # class of each start row
+
+
+def _classes(signature: np.ndarray) -> tuple[int, np.ndarray]:
+    """The number of distinct rows of the int64 matrix ``signature`` and
+    each row's class, numbered in order of first occurrence.  The rows'
+    bytes key a dict: faster than ``np.unique`` over them, and far faster
+    than ``np.unique(axis=0)``."""
+    keys = signature.view(np.dtype((np.void, 8 * signature.shape[1]))).ravel().tolist()
+    index = {}
+    labels = [index.setdefault(key, len(index)) for key in keys]
+    return len(index), np.array(labels, dtype=np.int64)
+
+
+def row_partition(model: EnvModel) -> np.ndarray:
+    """Each state's class in the coarsest partition of ``model``'s states
+    that nothing an explanation reads tells apart, numbered in order of
+    first occurrence.
+
+    Two states share a class when their features and terminal flags are
+    byte-equal and, for each action, they have the same number of
+    branches, with the same probabilities into the same classes, in
+    branch order.  Starting from the classes of features and terminal
+    flags, each round labels every state by its class and its branches'
+    (class, probability) sequence, until no class splits (Givan, Dean &
+    Greig 2003, exact MDP minimization).  An explanation's ``q_next`` and
+    ``reward_next`` are functions of the features, so soft VI and the
+    return, started from zero, give every member of a class the values of
+    its class's first row, bit for bit.
+    """
+    n_actions, rows = model.n_actions, model.rows
+    features = np.ascontiguousarray(model.features, dtype=np.float64).view(np.int64)
+    n, labels = _classes(np.column_stack([features, model.row_of < 0]))
+    if n == len(labels):
+        return labels               # a class of one state cannot split
+    row_start = model.cell_offsets[::n_actions]
+    per_row = np.diff(row_start)
+    width = int(per_row.max())
+    # per state: its class, its per-action branch counts, its branches'
+    # successor classes and their probabilities' bits, zero-padded
+    signature = np.zeros((len(model.states), 1 + n_actions + 2 * width), dtype=np.int64)
+    signature[rows, 1:1 + n_actions] = np.diff(model.cell_offsets).reshape(-1, n_actions)
+    source = rows[model.branch_row]
+    slot = 1 + n_actions + np.arange(len(source)) - np.repeat(row_start[:-1], per_row)
+    signature[source, slot + width] = model.branch_prob.view(np.int64)
+    while True:
+        signature[:, 0] = labels
+        signature[source, slot] = labels[model.branch_next]
+        n_refined, labels = _classes(signature)
+        if n_refined == n:
+            return labels
+        n = n_refined
+
 
 def build_env_model(env, cap: int = 250_000) -> EnvModel:
     """Enumerate ``env`` in one breadth-first pass from its start states.
@@ -236,13 +326,24 @@ class ProductMdp:
 
     @cached_property
     def table(self) -> TransitionTable:
-        m = self.model
-        nxt = m.branch_next
-        keeps_going = (self.q_next[nxt] == Q0) & (m.row_of[nxt] >= 0)
-        next_row = np.where(keeps_going, m.row_of[nxt], -1)
+        """The transition table over the model's rows."""
+        return self._table(self.model)
+
+    @cached_property
+    def class_table(self) -> TransitionTable:
+        """The transition table over the model's row classes, which soft VI
+        trains on; ``table`` itself when every class is one row."""
+        classes = self.model.row_classes
+        return self.table if classes.n_rows == self.model.n_rows else self._table(classes)
+
+    def _table(self, rows) -> TransitionTable:
+        """The table over ``rows``, an ``EnvModel`` or its ``RowClasses``."""
+        nxt = rows.branch_next
+        keeps_going = (self.q_next[nxt] == Q0) & (rows.row_of[nxt] >= 0)
+        next_row = np.where(keeps_going, rows.row_of[nxt], -1)
         return TransitionTable(
-            m.n_rows, m.n_actions, m.branch_row, m.branch_action,
-            next_row, m.branch_prob, self.reward_next[nxt])
+            rows.n_rows, self.model.n_actions, rows.branch_row, rows.branch_action,
+            next_row, rows.branch_prob, self.reward_next[nxt])
 
     # -- stepping ----------------------------------------------------------
 
@@ -290,9 +391,17 @@ class ProductMdp:
         pass is a fixed map of ``v``, so once it returns a vector equal to
         its input every later pass returns that vector too, and the loop
         stops there with the full-horizon result.
+
+        A policy with a row per model row (Q-learning's) runs on ``table``;
+        one with fewer rows has a row per row class, as soft VI trains it,
+        and runs on ``class_table``, which gives every row its class's
+        value bit for bit.
         """
-        t = self.table
         m = self.model
+        if len(policy.probs) == m.n_rows:
+            t, start_rows = self.table, m.start_rows
+        else:
+            t, start_rows = self.class_table, m.row_classes.start_rows
         w = policy.probs[t.branch_row, t.branch_action] * t.branch_prob
         r_pi = np.bincount(t.branch_row, weights=w * t.branch_reward,
                            minlength=t.n_rows)
@@ -306,4 +415,4 @@ class ProductMdp:
             v_prev, v = v, r_pi + np.bincount(src, weights=v_next, minlength=t.n_rows)
             if (v == v_prev).all():
                 break
-        return float(m.start_probs @ v[m.start_rows])
+        return float(m.start_probs @ v[start_rows])

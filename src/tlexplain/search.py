@@ -24,13 +24,14 @@ from .fspa import build_fspa
 from .product import SPARSE, ProductMdp, acceptance_reachable
 
 
-# Soft-VI candidates that need training wait until their tables hold this
-# many cells (rows x actions), then train as one ``rl.soft_value_iteration``
-# batch.  Sized for memory as well as time: a batch peaks at 45-90 bytes per
-# cell (traced on ctf5, ctf7 and nav10: the waiting transition tables, VI
-# arrays and sweep temporaries), so near 2 MB.  24,000 cells are 11 ctf5
-# candidates; 30,000 (13) trained the ctf5 oracle 4% faster but raised its
-# peak RSS by 2.6 MB, not 1.7 MB.
+# Soft-VI candidates that need training wait until they count this many
+# cells (the model's rows x actions), then train as one
+# ``rl.soft_value_iteration`` batch on their row-class tables.  Sized for
+# memory as well as time: a batch peaks at 60-90 bytes per trained cell
+# (traced on ctf5, ctf7 and nav10: the waiting transition tables, VI arrays
+# and sweep temporaries).  24,000 cells are 11 ctf5 candidates, whose 630
+# class cells each peak at 0.6 MB.  Counting class cells (38 candidates)
+# trained the ctf5 oracle 17% faster but raised its peak RSS by 1.8 MB.
 VI_BATCH_CELLS = 24_000
 
 
@@ -106,16 +107,26 @@ def _key_stream(seed: int, key: str, purpose: int) -> np.random.Generator:
 def train_policy(mdp: ProductMdp, cfg, stream_key: str, rows) -> rl.TabularPolicy:
     """The policy trained for one candidate under the run config ``cfg``.
 
-    Soft VI is deterministic, so it trains once.  Q-learning trains
-    ``search.n_rep`` replicates on the run's streams keyed by ``stream_key``,
-    and ``rl.select_replicate`` keeps the one of highest mean entropy over
-    the policy rows ``rows``.
+    Soft VI is deterministic, so it trains once, on the product's row
+    classes, and each row takes its class's action distribution.
+    Q-learning trains ``search.n_rep`` replicates on the run's streams
+    keyed by ``stream_key``, and ``rl.select_replicate`` keeps the one of
+    highest mean entropy over the policy rows ``rows``.
     """
     if cfg.trainer.mode == rl.EXACT_SOFT_VI:
-        return rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg.trainer)[0]
+        policy = rl.soft_value_iteration([mdp.class_table], mdp.reward.gamma, cfg.trainer)[0]
+        return _rows_policy(policy, mdp.model)
     replicates = [rl.q_learning(mdp, cfg.trainer, _key_stream(cfg.seed, stream_key, rep))
                   for rep in range(cfg.search.n_rep)]
     return rl.select_replicate(replicates, rows)
+
+
+def _rows_policy(policy: rl.TabularPolicy, model) -> rl.TabularPolicy:
+    """``policy`` with a row per model row: a soft-VI policy, which has a
+    row per row class, gives each row its class's; any other is returned."""
+    if len(policy.probs) == model.n_rows:
+        return policy
+    return rl.TabularPolicy(policy.probs[model.row_classes.of_row])
 
 
 class Evaluator:
@@ -228,7 +239,7 @@ class Evaluator:
         """Train the batch, then enter its records into the cache in order."""
         trained = {}
         if batch.train:
-            tables = [mdp.table for _, mdp in batch.train]
+            tables = [mdp.class_table for _, mdp in batch.train]
             try:
                 policies = rl.soft_value_iteration(tables, self.cfg.reward.gamma,
                                                    self.cfg.trainer)
@@ -248,12 +259,13 @@ class Evaluator:
 
     def _record(self, key: str, mdp: ProductMdp,
                 policy: rl.TabularPolicy) -> metrics.UtilityRecord:
-        """Filter or score a trained policy."""
+        """Filter or score a trained policy, which has a row per model row
+        or, from soft VI, per row class."""
         mean_return = mdp.average_return(policy)
         if mean_return <= self.cfg.search.return_threshold:
             return metrics.UtilityRecord(key=key, wkl=None, mean_return=mean_return)
-        return metrics.utility(policy, self.target, self.sample, key=key,
-                               mean_return=mean_return, eps=self.cfg.metric.kl_eps,
+        return metrics.utility(_rows_policy(policy, self.model), self.target, self.sample,
+                               key=key, mean_return=mean_return, eps=self.cfg.metric.kl_eps,
                                target_rows=self._target_rows)
 
     @cached_property

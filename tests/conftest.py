@@ -163,15 +163,16 @@ def _multi_start_ctf_text(draw):
     return "\n".join("".join(row) for row in cells) + "\n"
 
 
-def _draw_products(draw, count: int, multi_start: bool = False) -> list:
+def _draw_products(draw, count: int, multi_start: bool = False, ctf: bool = False) -> list:
     """``count`` ``(product MDP, explanation, predicates)`` triples on one
     random small nav or CtF map, sharing its predicates, reward and horizon,
     for independently drawn explanations.  With ``multi_start`` the map is
-    a CtF map with random starts and at least two start states."""
+    a CtF map with random starts and at least two start states; with
+    ``ctf`` it is a CtF map, with or without random starts."""
     if multi_start:
         env = envs.CtfEnv(envs.GridMap.parse(draw(_multi_start_ctf_text()),
                                              random_starts=True))
-    elif draw(st.booleans()):
+    elif not ctf and draw(st.booleans()):
         env = envs.NavEnv(envs.NavMap.parse(draw(_nav_text())))
     else:
         grid = envs.GridMap.parse(draw(_ctf_text()),
@@ -208,6 +209,13 @@ def explained_products(draw):
 def product_mdps(draw):
     """A random product MDP on a small nav or CtF map and explanation."""
     return _draw_products(draw, 1)[0][0]
+
+
+@st.composite
+def ctf_product_mdps(draw):
+    """A random product MDP on a small CtF map, with or without random
+    starts, and a sparse or dense reward."""
+    return _draw_products(draw, 1, ctf=True)[0][0]
 
 
 @st.composite

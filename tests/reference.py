@@ -3,7 +3,8 @@ computes over whole arrays, kept as the property tests' oracles.
 
 The automaton functions take one canonical explanation, the predicates and
 one feature vector.  Only q0 has guarded edges: acceptance and trap are
-absorbing.
+absorbing.  :func:`row_partition` refines an environment model's states
+one state at a time.
 """
 
 import numpy as np
@@ -76,3 +77,38 @@ def expand_transitions(mdp) -> dict:
         out.setdefault((ps, a), []).append(
             (nxt, float(t.branch_prob[k]), float(t.branch_reward[k])))
     return out
+
+
+def row_partition(model) -> list[int]:
+    """Each state's class in the coarsest partition of ``model``'s states
+    in which members have byte-equal features and terminal flags and, for
+    each action, the same branch probabilities into the same classes, in
+    branch order; numbered in order of first occurrence.
+
+    Refined from the feature classes one state at a time, with tuples as
+    keys, until a round splits no class: what
+    :func:`product.row_partition` is checked against.
+    """
+    n = len(model.states)
+    offsets = model.cell_offsets.tolist()
+    cells = []               # per state, per action, its (successor, probability bytes)
+    for i in range(n):
+        row = int(model.row_of[i])
+        cells.append(() if row < 0 else tuple(
+            tuple((int(model.branch_next[b]), model.branch_prob[b].tobytes())
+                  for b in range(offsets[k], offsets[k + 1]))
+            for k in range(row * model.n_actions, (row + 1) * model.n_actions)))
+
+    def number(keys):
+        index = {}
+        return [index.setdefault(key, len(index)) for key in keys]
+
+    labels = number((model.features[i].tobytes(), bool(model.row_of[i] < 0))
+                    for i in range(n))
+    while True:
+        refined = number((labels[i], tuple(tuple((labels[j], p) for j, p in cell)
+                                           for cell in cells[i]))
+                         for i in range(n))
+        if max(refined) == max(labels):
+            return refined
+        labels = refined

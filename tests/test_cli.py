@@ -246,7 +246,11 @@ class TestSearchCommand:
         del cfg["output"]
         config = _write_config(tmp_path, cfg)
         assert cli.main(["search", "--config", str(config)]) == cli.EXIT_OK
-        table = capsys.readouterr().out.splitlines()[2:-1]
+        # the rank table sits between two header lines and the row-class
+        # and summary lines
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2] == "soft VI on 126 row classes of 462 rows"
+        table = lines[2:-2]
         assert len(table) == cfg["search"]["top_k"]
         for line in table:
             assert line.endswith("  (no unfiltered explanation)") and "None" not in line
@@ -436,6 +440,20 @@ class TestGoldenOutputs:
         assert cli.main(args) == cli.EXIT_OK
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
         assert capsys.readouterr().out.splitlines()[-1] == summary
+
+    def test_soft_vi_reports_its_row_classes(self, tmp_path, capsys):
+        """Before the summary line, and first in ``eval``; the written files
+        do not change (above), and Q-learning, which trains on every row,
+        prints no such line."""
+        line = "soft VI on 126 row classes of 462 rows"
+        assert cli.main(["oracle", "--config", REFERENCE_CONFIG,
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-2] == line
+        target = "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)"
+        assert cli.main(["eval", "--config", REFERENCE_CONFIG, target]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == line
+        assert cli.main(["eval", "--config", str(QLEARN / "config.yaml"), target]) == cli.EXIT_OK
+        assert "row classes" not in capsys.readouterr().out
 
     def test_q_learning_search_is_byte_identical(self, tmp_path, capsys):
         args = ["search", "--config", str(QLEARN / "config.yaml"), "--out", str(tmp_path)]

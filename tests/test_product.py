@@ -22,13 +22,14 @@ from tlexplain.product import (
     TransitionTable,
     acceptance_reachable,
     build_env_model,
+    row_partition,
 )
 from tlexplain.rl import TabularPolicy
 
 import reference as ref
-from conftest import (PROPERTY, build_product, evaluator_product, explained_products,
-                      full_horizon_return, multi_start_product_mdps, product_mdp_pairs,
-                      product_mdps)
+from conftest import (PROPERTY, build_product, ctf_product_mdps, evaluator_product,
+                      explained_products, full_horizon_return, multi_start_product_mdps,
+                      product_mdp_pairs, product_mdps)
 
 CORRIDOR = "S..G\n"
 WALLED = """\
@@ -231,6 +232,45 @@ class TestModelSizes:
         model = build_env_model(_map_env(name))
         assert (len(model.states), model.n_rows, len(model.branch_prob),
                 len(model.start_rows)) == (states, rows, branches, start_rows)
+
+
+    @pytest.mark.parametrize("name, classes, rows", [
+        ("ctf5", 126, 462),       # 375 states with red dead fall into 25 classes
+        ("ctf7", 856, 1_816),     # random starts
+        ("nav10", 96, 96),        # every class is one row
+    ])
+    def test_row_classes(self, name, classes, rows):
+        model = build_env_model(_map_env(name))
+        assert (model.row_classes.n_rows, model.n_rows) == (classes, rows)
+
+
+class TestRowPartition:
+    """``row_partition`` against the reference refinement, and the row
+    classes built from it."""
+
+    @pytest.mark.parametrize("name", ["ctf5", "ctf7", "nav10"])
+    def test_matches_reference(self, name):
+        model = build_env_model(_map_env(name))
+        assert row_partition(model).tolist() == ref.row_partition(model)
+
+    @PROPERTY
+    @given(st.one_of(product_mdps(), ctf_product_mdps(), multi_start_product_mdps()))
+    def test_matches_reference_on_random_maps(self, mdp):
+        assert row_partition(mdp.model).tolist() == ref.row_partition(mdp.model)
+
+    @pytest.mark.parametrize("name", ["ctf5", "ctf7", "nav10"])
+    def test_classes_hold_their_first_rows_branches(self, name):
+        model = build_env_model(_map_env(name))
+        c = model.row_classes
+        first = [int(np.flatnonzero(c.of_row == k)[0]) for k in range(c.n_rows)]
+        assert first == sorted(first)      # numbered in the order of their first rows
+        keep = np.isin(model.branch_row, first)
+        assert np.array_equal(c.branch_row, c.of_row[model.branch_row[keep]])
+        for attr in ("branch_action", "branch_next", "branch_prob"):
+            assert np.array_equal(getattr(c, attr), getattr(model, attr)[keep])
+        assert np.array_equal(c.row_of[model.rows], c.of_row)
+        assert (c.row_of[model.row_of < 0] == -1).all()
+        assert np.array_equal(c.start_rows, c.of_row[model.start_rows])
 
 
 def _assert_start_draws_match_choice(mdp, seed, draws=300):

@@ -17,8 +17,8 @@ from tlexplain import rl, search
 from tlexplain.product import (DENSE, SPARSE, ProductMdp, RewardConfig, TransitionTable,
                                acceptance_reachable, build_env_model)
 
-from conftest import (PROPERTY, build_product, evaluator_product, product_mdp_batches,
-                      product_mdps)
+from conftest import (PROPERTY, build_product, ctf_product_mdps, evaluator_product,
+                      full_horizon_return, product_mdp_batches, product_mdps)
 from reference import expand_transitions
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -132,19 +132,24 @@ def _assert_batch_matches_serial(tables, gamma, cfg):
         assert np.array_equal(policy.probs, want.probs)
 
 
-def _trainable_tables(cfg):
-    """The distinct transition tables the evaluator trains for ``cfg``'s
-    explanation class: one per product, without unreachable ones under
-    sparse rewards."""
+def _trainable_products(cfg):
+    """The distinct products the evaluator trains for ``cfg``'s explanation
+    class: one per product, without unreachable ones under sparse
+    rewards."""
     env = config.build_env(cfg)
     model, preds = build_env_model(env), config.build_predicates(cfg, env)
-    tables = {}
+    products = {}
     for canon in fm.enumerate_all(preds):
         mdp = build_product(model, canon, preds, cfg.reward, cfg.environment.horizon)
         if cfg.reward.mode == SPARSE and not acceptance_reachable(model, mdp.q_next):
             continue
-        tables.setdefault(mdp.q_next.tobytes() + mdp.reward_next.tobytes(), mdp.table)
-    return list(tables.values())
+        products.setdefault(mdp.q_next.tobytes() + mdp.reward_next.tobytes(), mdp)
+    return list(products.values())
+
+
+def _trainable_tables(cfg):
+    """The full transition tables of ``_trainable_products``."""
+    return [mdp.table for mdp in _trainable_products(cfg)]
 
 
 def _map_config(reference_config, name):
@@ -490,6 +495,55 @@ class TestBatchedSoftValueIteration:
 
     def test_empty_batch(self):
         assert rl.soft_value_iteration([], 0.9, rl.TrainerConfig()) == []
+
+
+class TestRowClassTraining:
+    """Soft VI and the exact return on ``class_table`` against the full
+    table: every row gets its class's policy and return bit for bit."""
+
+    @staticmethod
+    def _assert_matches_full_table(mdp, cfg):
+        gamma = mdp.reward.gamma
+        try:
+            expected = _serial_soft_vi(mdp.table, gamma, cfg)
+        except rl.NoConvergenceError as exc:
+            with pytest.raises(rl.NoConvergenceError) as excinfo:
+                rl.soft_value_iteration([mdp.class_table], gamma, cfg)
+            assert str(excinfo.value) == str(exc)
+            return
+        policy = rl.soft_value_iteration([mdp.class_table], gamma, cfg)[0]
+        expanded = policy.probs[mdp.model.row_classes.of_row]
+        assert expanded.tobytes() == expected.probs.tobytes()
+        # the return's bits, -0.0 included
+        got, want = mdp.average_return(policy), full_horizon_return(mdp, expected)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @PROPERTY
+    @given(ctf_product_mdps(), st.sampled_from((0.05, 0.1, 1.0)),
+           st.sampled_from((10_000, 20)))
+    def test_matches_full_table_on_random_ctf_maps(self, mdp, tau, max_iterations):
+        self._assert_matches_full_table(
+            mdp, rl.TrainerConfig(tau=tau, max_iterations=max_iterations))
+
+    @pytest.mark.parametrize("name", ["ctf5", "ctf7"])
+    @pytest.mark.parametrize("max_iterations", [10_000, 20])
+    def test_matches_full_table_on_every_trainable_product(self, reference_config, name,
+                                                           max_iterations):
+        """In 20 sweeps 13 products on each map do not converge: each
+        error names the full table's residual."""
+        cfg = _map_config(reference_config, name)
+        for mdp in _trainable_products(cfg):
+            self._assert_matches_full_table(
+                mdp, replace(cfg.trainer, max_iterations=max_iterations))
+
+    def test_train_policy_expands_the_class_policy(self, reference_runtime):
+        ev = reference_runtime.evaluator
+        mdp = evaluator_product(ev, fm.parse_explanation(
+            "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)", ev.predicates))
+        assert mdp.class_table.n_rows == 126
+        policy = search.train_policy(mdp, ev.cfg, "k", range(mdp.model.n_rows))
+        expected = _serial_soft_vi(mdp.table, mdp.reward.gamma, ev.trainer_cfg)
+        assert policy.probs.tobytes() == expected.probs.tobytes()
 
 
 class TestQLearning:

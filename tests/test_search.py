@@ -10,7 +10,7 @@ from conftest import (CONFIG_DIR, evaluator_product, fresh_evaluator, full_horiz
 from tlexplain import envs
 from tlexplain import formula as fm
 from tlexplain import metrics
-from tlexplain import rl, search
+from tlexplain import product, rl, search
 from tlexplain.config import RunConfig, build_runtime, load_config
 from tlexplain.product import DENSE, SPARSE, RewardConfig, acceptance_reachable, build_env_model
 from tlexplain.search import (
@@ -196,6 +196,23 @@ class TestEvaluateMany:
         sizes = _trained_batches(monkeypatch)
         a, b = ev.evaluate_many([canon, canon])
         assert a is b and sizes == [1] and ev.n_product_hits == 0
+
+    def test_row_classes_change_no_record(self, monkeypatch):
+        """The n=4 oracle trained on row classes, and again with every row
+        its own class, which trains on the full tables: the same records,
+        field for field and bit for bit."""
+        cfg = load_config(CONFIG_DIR / "ctf_n4.yaml")
+        classes = build_runtime(cfg).evaluator
+        ranked, filtered = brute_force_oracle(classes)
+        assert classes.model.row_classes.n_rows == 126
+        monkeypatch.setattr(product, "row_partition", lambda model: np.arange(len(model.states)))
+        rows = build_runtime(cfg).evaluator
+        assert rows.model.row_classes.n_rows == 462
+        ranked_rows, filtered_rows = brute_force_oracle(rows)
+        assert len(ranked + filtered) == 1408
+        assert ([repr(r) for r in ranked_rows + filtered_rows]
+                == [repr(r) for r in ranked + filtered])
+        self._assert_same_evaluators(classes, rows)
 
     def test_no_convergence_names_the_first_candidate(self, reference_runtime):
         """In 20 sweeps the first trained candidate converges and the second
