@@ -86,8 +86,8 @@ def _shortcut_summary(evaluator) -> str:
 def _print_row_classes(evaluator) -> None:
     """Under soft VI, how many row classes it trained on, of how many rows."""
     if evaluator.cfg.trainer.mode == rl.EXACT_SOFT_VI:
-        model = evaluator.model
-        print(f"soft VI on {model.row_classes.n_rows} row classes of {model.n_rows} rows")
+        print(f"soft VI on {evaluator.product_model.n_rows} row classes of "
+              f"{evaluator.model.n_rows} rows")
 
 
 def cmd_search(args) -> int:

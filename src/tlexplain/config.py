@@ -21,7 +21,7 @@ from . import formula as fm
 from . import fspa, metrics, rl
 from .envs import CtfEnv, EnvConfig, GridMap, MapFormatError, NavEnv, NavMap
 from .product import EnvModel, ProductMdp, RewardConfig, TransitionTable, build_env_model
-from .search import Evaluator, SearchParams, train_policy
+from .search import Evaluator, SearchParams, product_model, train_policy
 
 SCHEMA_VERSION = 5
 SECTIONS = {"environment": EnvConfig, "reward": RewardConfig,
@@ -252,9 +252,11 @@ def _train_target(cfg: RunConfig, model: EnvModel, predicates) -> tuple[rl.Tabul
 
     canon = fm.parse_explanation(cfg.target["explanation"], predicates)
     key = fm.render(canon, predicates)
-    mdp = ProductMdp(model, fspa.build_fspa(canon, predicates, model.features), cfg.reward,
-                     cfg.environment.horizon)
-    return train_policy(mdp, cfg, "target:" + key, range(model.n_rows)), key
+    trained_on, of_row = product_model(model, cfg)
+    mdp = ProductMdp(trained_on, fspa.build_fspa(canon, predicates, trained_on.features),
+                     cfg.reward, cfg.environment.horizon)
+    policy = train_policy(mdp, cfg, "target:" + key, range(model.n_rows))
+    return (policy if of_row is None else rl.TabularPolicy(policy.probs[of_row])), key
 
 
 def _nav_shaped_target(cfg: RunConfig, model: EnvModel) -> rl.TabularPolicy:

@@ -3,7 +3,9 @@
 With the three-state template automaton, acceptance and trap are absorbing
 and terminal, so the only product states that need actions are ``(s, q0)``
 for non-terminal environment states ``s``.  Policies are therefore indexed by
-rows of non-terminal environment states; the automaton component shows up in
+the rows of the model the product is built on, one per non-terminal state:
+the environment's states, or, under soft VI, the classes of states that
+``EnvModel.quotient`` merges.  The automaton component shows up in
 transition targets and rewards only.
 
 The automaton consumes the post-transition environment state: after the
@@ -104,43 +106,33 @@ class EnvModel:
         return self.rows[self.start_rows].tolist()
 
     @cached_property
-    def row_classes(self) -> RowClasses:
-        """The rows merged by ``row_partition``, numbered in the order of
-        their first rows, with the branches of each class's first row in
-        branch order; built on the first soft-VI training."""
-        # the states' classes are numbered in order of first occurrence, so
-        # the sorted classes of the rows are in the order of their first rows
-        _, first, of_row = np.unique(row_partition(self)[self.rows],
-                                     return_index=True, return_inverse=True)
-        row_of = np.full(len(self.states), -1)
-        row_of[self.rows] = of_row
-        lo = self.cell_offsets[first * self.n_actions]
-        sizes = self.cell_offsets[(first + 1) * self.n_actions] - lo
-        take = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        return RowClasses(len(first), of_row, row_of,
-                          np.repeat(np.arange(len(first)), sizes), self.branch_action[take],
-                          self.branch_next[take], self.branch_prob[take],
-                          of_row[self.start_rows])
+    def quotient(self) -> tuple[EnvModel, np.ndarray]:
+        """This model with each class of ``row_partition`` merged into one
+        state, and the row in it of each of this model's rows; built on the
+        first soft-VI training.
 
-
-@dataclass
-class RowClasses:
-    """An ``EnvModel``'s rows merged into classes: what ``ProductMdp``
-    reads from the model to build a transition table, over classes.
-
-    Members of a class sum the same terms in the same order in every soft
-    Bellman backup and every return pass, so a table over classes gives
-    each member its class's values bit for bit (see ``row_partition``).
-    """
-
-    n_rows: int                # classes
-    of_row: np.ndarray         # model row -> class
-    row_of: np.ndarray         # state index -> class, -1 for terminal
-    branch_row: np.ndarray     # class of each branch of a class's first row
-    branch_action: np.ndarray
-    branch_next: np.ndarray
-    branch_prob: np.ndarray
-    start_rows: np.ndarray     # class of each start row
+        The states are the classes, in order of first occurrence, so the
+        rows are the classes of rows in the order of their first rows.  A
+        class takes its first state's features and its first row's
+        branches, with every successor renamed to its class.  With a class
+        of one state per state, the quotient is the model itself.
+        """
+        labels = row_partition(self)
+        _, first = np.unique(labels, return_index=True)
+        if len(first) == len(self.states):
+            return self, np.arange(self.n_rows)
+        rows = np.flatnonzero(self.row_of[first] >= 0)
+        row_of = np.full(len(first), -1)
+        row_of[rows] = np.arange(len(rows))
+        of_row = row_of[labels[self.rows]]
+        first_rows = self.row_of[first[rows]]
+        keep = np.isin(self.branch_row, first_rows)
+        cells = np.diff(self.cell_offsets).reshape(-1, self.n_actions)[first_rows]
+        return EnvModel(self.env, [self.states[i] for i in first], self.features[first],
+                        rows, row_of, of_row[self.branch_row[keep]], self.branch_action[keep],
+                        labels[self.branch_next[keep]], self.branch_prob[keep],
+                        np.concatenate([[0], np.cumsum(cells)]), of_row[self.start_rows],
+                        self.start_probs), of_row
 
 
 def _classes(signature: np.ndarray) -> tuple[int, np.ndarray]:
@@ -327,23 +319,12 @@ class ProductMdp:
     @cached_property
     def table(self) -> TransitionTable:
         """The transition table over the model's rows."""
-        return self._table(self.model)
-
-    @cached_property
-    def class_table(self) -> TransitionTable:
-        """The transition table over the model's row classes, which soft VI
-        trains on; ``table`` itself when every class is one row."""
-        classes = self.model.row_classes
-        return self.table if classes.n_rows == self.model.n_rows else self._table(classes)
-
-    def _table(self, rows) -> TransitionTable:
-        """The table over ``rows``, an ``EnvModel`` or its ``RowClasses``."""
-        nxt = rows.branch_next
-        keeps_going = (self.q_next[nxt] == Q0) & (rows.row_of[nxt] >= 0)
-        next_row = np.where(keeps_going, rows.row_of[nxt], -1)
+        m = self.model
+        nxt = m.branch_next
+        keeps_going = (self.q_next[nxt] == Q0) & (m.row_of[nxt] >= 0)
         return TransitionTable(
-            rows.n_rows, self.model.n_actions, rows.branch_row, rows.branch_action,
-            next_row, rows.branch_prob, self.reward_next[nxt])
+            m.n_rows, m.n_actions, m.branch_row, m.branch_action,
+            np.where(keeps_going, m.row_of[nxt], -1), m.branch_prob, self.reward_next[nxt])
 
     # -- stepping ----------------------------------------------------------
 
@@ -391,17 +372,8 @@ class ProductMdp:
         pass is a fixed map of ``v``, so once it returns a vector equal to
         its input every later pass returns that vector too, and the loop
         stops there with the full-horizon result.
-
-        A policy with a row per model row (Q-learning's) runs on ``table``;
-        one with fewer rows has a row per row class, as soft VI trains it,
-        and runs on ``class_table``, which gives every row its class's
-        value bit for bit.
         """
-        m = self.model
-        if len(policy.probs) == m.n_rows:
-            t, start_rows = self.table, m.start_rows
-        else:
-            t, start_rows = self.class_table, m.row_classes.start_rows
+        t, m = self.table, self.model
         w = policy.probs[t.branch_row, t.branch_action] * t.branch_prob
         r_pi = np.bincount(t.branch_row, weights=w * t.branch_reward,
                            minlength=t.n_rows)
@@ -415,4 +387,4 @@ class ProductMdp:
             v_prev, v = v, r_pi + np.bincount(src, weights=v_next, minlength=t.n_rows)
             if (v == v_prev).all():
                 break
-        return float(m.start_probs @ v[start_rows])
+        return float(m.start_probs @ v[m.start_rows])

@@ -21,17 +21,18 @@ import numpy as np
 from . import formula as fm
 from . import metrics, rl
 from .fspa import build_fspa
-from .product import SPARSE, ProductMdp, acceptance_reachable
+from .product import SPARSE, EnvModel, ProductMdp, acceptance_reachable
 
 
 # Soft-VI candidates that need training wait until they count this many
-# cells (the model's rows x actions), then train as one
-# ``rl.soft_value_iteration`` batch on their row-class tables.  Sized for
-# memory as well as time: a batch peaks at 60-90 bytes per trained cell
-# (traced on ctf5, ctf7 and nav10: the waiting transition tables, VI arrays
-# and sweep temporaries).  24,000 cells are 11 ctf5 candidates, whose 630
-# class cells each peak at 0.6 MB.  Counting class cells (38 candidates)
-# trained the ctf5 oracle 17% faster but raised its peak RSS by 1.8 MB.
+# cells of the full model (its rows x actions), then train as one
+# ``rl.soft_value_iteration`` batch on their tables over the model's
+# quotient.  Sized for memory as well as time: a batch peaks at 60-90 bytes
+# per trained cell (traced on ctf5, ctf7 and nav10: the waiting transition
+# tables, VI arrays and sweep temporaries).  24,000 cells are 11 ctf5
+# candidates, whose 630 quotient cells each peak at 0.6 MB.  Counting
+# quotient cells (38 candidates) trained the ctf5 oracle 17% faster but
+# raised its peak RSS by 1.8 MB.
 VI_BATCH_CELLS = 24_000
 
 
@@ -104,34 +105,39 @@ def _key_stream(seed: int, key: str, purpose: int) -> np.random.Generator:
         np.random.SeedSequence([seed, zlib.crc32(key.encode()), purpose]))
 
 
-def train_policy(mdp: ProductMdp, cfg, stream_key: str, rows) -> rl.TabularPolicy:
-    """The policy trained for one candidate under the run config ``cfg``.
+def product_model(model: EnvModel, cfg) -> tuple[EnvModel, np.ndarray | None]:
+    """The model products are built on under the run config ``cfg``, and
+    the row in it of each of ``model``'s rows, or None if it is ``model``.
 
-    Soft VI is deterministic, so it trains once, on the product's row
-    classes, and each row takes its class's action distribution.
-    Q-learning trains ``search.n_rep`` replicates on the run's streams
-    keyed by ``stream_key``, and ``rl.select_replicate`` keeps the one of
-    highest mean entropy over the policy rows ``rows``.
+    Soft VI trains on ``model.quotient``, which gives every row its class's
+    policy and return bit for bit; Q-learning's sampled runs tell the
+    members of a class apart, so it trains on ``model`` itself.
+    """
+    return model.quotient if cfg.trainer.mode == rl.EXACT_SOFT_VI else (model, None)
+
+
+def train_policy(mdp: ProductMdp, cfg, stream_key: str, rows) -> rl.TabularPolicy:
+    """The policy trained for one candidate under the run config ``cfg``,
+    with a row per row of ``mdp.model``.
+
+    Soft VI is deterministic, so it trains once.  Q-learning trains
+    ``search.n_rep`` replicates on the run's streams keyed by
+    ``stream_key``, and ``rl.select_replicate`` keeps the one of highest
+    mean entropy over the policy rows ``rows``.
     """
     if cfg.trainer.mode == rl.EXACT_SOFT_VI:
-        policy = rl.soft_value_iteration([mdp.class_table], mdp.reward.gamma, cfg.trainer)[0]
-        return _rows_policy(policy, mdp.model)
+        return rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg.trainer)[0]
     replicates = [rl.q_learning(mdp, cfg.trainer, _key_stream(cfg.seed, stream_key, rep))
                   for rep in range(cfg.search.n_rep)]
     return rl.select_replicate(replicates, rows)
 
 
-def _rows_policy(policy: rl.TabularPolicy, model) -> rl.TabularPolicy:
-    """``policy`` with a row per model row: a soft-VI policy, which has a
-    row per row class, gives each row its class's; any other is returned."""
-    if len(policy.probs) == model.n_rows:
-        return policy
-    return rl.TabularPolicy(policy.probs[model.row_classes.of_row])
-
-
 class Evaluator:
     """Shared pipeline + cache for scoring candidate explanations under the
-    run config ``cfg`` (a ``config.RunConfig``).
+    run config ``cfg`` (a ``config.RunConfig``).  Products are built on
+    ``product_model``: the quotient of ``model`` under soft VI, where the
+    sampled rows are renamed to their quotient rows once, and ``model``
+    itself under Q-learning.
 
     Two exact shortcuts skip training that cannot change a record, and two
     counters say how often each fired:
@@ -151,6 +157,10 @@ class Evaluator:
     def __init__(self, model, predicates, target: rl.TabularPolicy,
                  sample: metrics.StateSample, cfg):
         self.model = model
+        self.product_model, of_row = product_model(model, cfg)
+        # the sample in the rows of the candidates' policies
+        self._product_sample = sample if of_row is None else metrics.StateSample(
+            tuple(of_row[sample.index].tolist()), sample.weights)
         self.predicates = tuple(predicates)
         self.target = target
         self.sample = sample
@@ -193,7 +203,7 @@ class Evaluator:
         """
         keys = []
         batch = _Batch()
-        cells = self.model.n_rows * self.model.n_actions   # of every table trained here
+        cells = self.model.n_rows * self.model.n_actions   # the full model's, per candidate
         for canon in canons:
             key = fm.render(canon, self.predicates)
             keys.append(key)
@@ -207,18 +217,19 @@ class Evaluator:
         return [self.cache[key] for key in keys]
 
     def _enqueue(self, key: str, canon: fm.CanonicalExplanation, batch: _Batch) -> None:
-        automaton = build_fspa(canon, self.predicates, self.model.features)
+        model = self.product_model
+        automaton = build_fspa(canon, self.predicates, model.features)
         if self.cfg.reward.mode == SPARSE and self.cfg.search.return_threshold >= 0:
             memo_key = automaton[0].tobytes()
             reachable = self._reachable.get(memo_key)
             if reachable is None:
                 reachable = self._reachable[memo_key] = acceptance_reachable(
-                    self.model, automaton[0])
+                    model, automaton[0])
             if not reachable:
                 batch.unreachable += 1
                 batch.queue[key] = metrics.UtilityRecord(key=key, wkl=None, mean_return=0.0)
                 return
-        mdp = ProductMdp(self.model, automaton, self.cfg.reward, self.cfg.environment.horizon)
+        mdp = ProductMdp(model, automaton, self.cfg.reward, self.cfg.environment.horizon)
         if self.cfg.trainer.mode != rl.EXACT_SOFT_VI:
             # Q-learning draws from a stream keyed by ``key``: equal products
             # train to different policies
@@ -239,7 +250,7 @@ class Evaluator:
         """Train the batch, then enter its records into the cache in order."""
         trained = {}
         if batch.train:
-            tables = [mdp.class_table for _, mdp in batch.train]
+            tables = [mdp.table for _, mdp in batch.train]
             try:
                 policies = rl.soft_value_iteration(tables, self.cfg.reward.gamma,
                                                    self.cfg.trainer)
@@ -259,12 +270,12 @@ class Evaluator:
 
     def _record(self, key: str, mdp: ProductMdp,
                 policy: rl.TabularPolicy) -> metrics.UtilityRecord:
-        """Filter or score a trained policy, which has a row per model row
-        or, from soft VI, per row class."""
+        """Filter or score a trained policy, which has a row per row of
+        ``product_model``."""
         mean_return = mdp.average_return(policy)
         if mean_return <= self.cfg.search.return_threshold:
             return metrics.UtilityRecord(key=key, wkl=None, mean_return=mean_return)
-        return metrics.utility(_rows_policy(policy, self.model), self.target, self.sample,
+        return metrics.utility(policy, self.target, self._product_sample,
                                key=key, mean_return=mean_return, eps=self.cfg.metric.kl_eps,
                                target_rows=self._target_rows)
 

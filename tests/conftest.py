@@ -79,8 +79,10 @@ def build_product(model, canon, preds, reward=RewardConfig(), horizon: int = 100
 
 
 def evaluator_product(ev, canon):
-    """The product MDP ``ev`` trains ``canon`` on: its model, predicates,
-    reward and horizon."""
+    """The product MDP of ``canon`` on ``ev``'s full model, with its
+    predicates, reward and horizon: the one ``ev`` trains under Q-learning.
+    Under soft VI ``ev`` trains the product on the model's quotient, which
+    gives every row the same policy and return bit for bit."""
     return build_product(ev.model, canon, ev.predicates, ev.cfg.reward,
                          ev.cfg.environment.horizon)
 
@@ -216,6 +218,20 @@ def ctf_product_mdps(draw):
     """A random product MDP on a small CtF map, with or without random
     starts, and a sparse or dense reward."""
     return _draw_products(draw, 1, ctf=True)[0][0]
+
+
+@st.composite
+def explained_ctf_products(draw, count: int = 1, multi_start: bool = False):
+    """``count`` ``(product MDP, explanation, predicates)`` triples that
+    differ only in their explanation, on one random small CtF map with or
+    without random starts; with ``multi_start``, with several start states."""
+    return _draw_products(draw, count, multi_start=multi_start, ctf=True)
+
+
+def quotient_product(mdp, canon, preds):
+    """The product of ``canon`` on the quotient of ``mdp``'s model, with
+    ``mdp``'s reward and horizon, as the evaluator builds it under soft VI."""
+    return build_product(mdp.model.quotient[0], canon, preds, mdp.reward, mdp.horizon)
 
 
 @st.composite

@@ -36,7 +36,7 @@ CTF_ENVIRONMENT = {"type": "ctf", "map_text": "Bbbrr\nbbbrR\n", "horizon": 40}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REFERENCE_CONFIG = str(CONFIGS / "ctf_reference.yaml")
 # the reference run with a fourth and a fifth predicate, and its class size
-LARGER_CONFIGS = [("ctf_n4.yaml", 1408), ("ctf_n5.yaml", 15360)]
+LARGER_CONFIGS = [("ctf_n4.yaml", 1408), ("ctf_n5.yaml", 15360), ("ctf_n6.yaml", 167936)]
 # oracle.csv and results.csv of the reference config, as written before the
 # evaluator's exact shortcuts (acceptance pre-filter, product reuse) existed
 GOLDEN = Path(__file__).resolve().parent / "data" / "ctf_reference"

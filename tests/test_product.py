@@ -28,8 +28,9 @@ from tlexplain.rl import TabularPolicy
 
 import reference as ref
 from conftest import (PROPERTY, build_product, ctf_product_mdps, evaluator_product,
-                      explained_products, full_horizon_return, multi_start_product_mdps,
-                      product_mdp_pairs, product_mdps)
+                      explained_ctf_products, explained_products, full_horizon_return,
+                      multi_start_product_mdps, product_mdp_pairs, product_mdps,
+                      quotient_product)
 
 CORRIDOR = "S..G\n"
 WALLED = """\
@@ -241,12 +242,24 @@ class TestModelSizes:
     ])
     def test_row_classes(self, name, classes, rows):
         model = build_env_model(_map_env(name))
-        assert (model.row_classes.n_rows, model.n_rows) == (classes, rows)
+        quotient, of_row = model.quotient
+        assert (quotient.n_rows, model.n_rows, len(of_row)) == (classes, rows, rows)
+        assert (quotient is model) == (classes == rows)
+
+    @pytest.mark.parametrize("name, states, rows, branches, start_rows", [
+        ("ctf5", 138, 126, 937, 1),
+        ("ctf7", 883, 856, 5_537, 540),
+        ("nav10", 100, 96, 480, 1),
+    ])
+    def test_quotient_counts(self, name, states, rows, branches, start_rows):
+        quotient, _ = build_env_model(_map_env(name)).quotient
+        assert (len(quotient.states), quotient.n_rows, len(quotient.branch_prob),
+                len(quotient.start_rows)) == (states, rows, branches, start_rows)
 
 
 class TestRowPartition:
-    """``row_partition`` against the reference refinement, and the row
-    classes built from it."""
+    """``row_partition`` against the reference refinement, and the
+    quotient model built from it."""
 
     @pytest.mark.parametrize("name", ["ctf5", "ctf7", "nav10"])
     def test_matches_reference(self, name):
@@ -261,16 +274,61 @@ class TestRowPartition:
     @pytest.mark.parametrize("name", ["ctf5", "ctf7", "nav10"])
     def test_classes_hold_their_first_rows_branches(self, name):
         model = build_env_model(_map_env(name))
-        c = model.row_classes
-        first = [int(np.flatnonzero(c.of_row == k)[0]) for k in range(c.n_rows)]
-        assert first == sorted(first)      # numbered in the order of their first rows
-        keep = np.isin(model.branch_row, first)
-        assert np.array_equal(c.branch_row, c.of_row[model.branch_row[keep]])
-        for attr in ("branch_action", "branch_next", "branch_prob"):
-            assert np.array_equal(getattr(c, attr), getattr(model, attr)[keep])
-        assert np.array_equal(c.row_of[model.rows], c.of_row)
-        assert (c.row_of[model.row_of < 0] == -1).all()
-        assert np.array_equal(c.start_rows, c.of_row[model.start_rows])
+        labels = row_partition(model)
+        q, of_row = model.quotient
+        first = [int(np.flatnonzero(labels == k)[0]) for k in range(len(q.states))]
+        assert first == sorted(first)      # numbered in order of first occurrence
+        assert q.states == [model.states[i] for i in first]
+        assert q.features.tobytes() == model.features[first].tobytes()
+        assert np.array_equal(q.row_of >= 0, model.row_of[first] >= 0)
+        assert np.array_equal(q.rows, np.flatnonzero(q.row_of >= 0))
+        assert np.array_equal(q.row_of[q.rows], np.arange(q.n_rows))
+        assert np.array_equal(of_row, q.row_of[labels[model.rows]])
+        first_rows = model.row_of[np.array(first)[q.rows]]
+        keep = np.isin(model.branch_row, first_rows)
+        assert np.array_equal(q.branch_row, of_row[model.branch_row[keep]])
+        assert np.array_equal(q.branch_next, labels[model.branch_next[keep]])
+        for attr in ("branch_action", "branch_prob"):
+            assert getattr(q, attr).tobytes() == getattr(model, attr)[keep].tobytes()
+        n = model.n_actions
+        assert np.array_equal(np.diff(q.cell_offsets),
+                              np.diff(model.cell_offsets).reshape(-1, n)[first_rows].ravel())
+        # every row's branches, renamed, are its class's, in branch order
+        row = model.branch_row
+        at = np.arange(len(row)) - model.cell_offsets[row * n] + q.cell_offsets[of_row[row] * n]
+        assert np.array_equal(q.branch_next[at], labels[model.branch_next])
+        assert q.branch_prob[at].tobytes() == model.branch_prob.tobytes()
+        assert np.array_equal(q.start_rows, of_row[model.start_rows])
+        assert q.start_probs.tobytes() == model.start_probs.tobytes()
+
+
+class TestQuotientProducts:
+    """What the evaluator's exact shortcuts read from a product on the
+    model's quotient, against the same product on the model."""
+
+    @PROPERTY
+    @given(st.one_of(explained_ctf_products(2), explained_ctf_products(2, multi_start=True)))
+    def test_shortcuts_read_the_same(self, products):
+        """Acceptance is reachable on the quotient exactly when it is on the
+        model, and two explanations' products have byte-equal ``q_next``
+        and ``reward_next`` on the quotient exactly when they do on the
+        model, so ``n_unreachable`` and ``n_product_hits`` do not move."""
+        model = products[0][0].model
+        labels = row_partition(model)
+        first = np.unique(labels, return_index=True)[1]
+        keys = []
+        for mdp, canon, preds in products:
+            classes = quotient_product(mdp, canon, preds)
+            assert (acceptance_reachable(classes.model, classes.q_next)
+                    == acceptance_reachable(model, mdp.q_next))
+            for name in ("q_next", "reward_next"):
+                on_classes, on_states = getattr(classes, name), getattr(mdp, name)
+                assert on_classes.tobytes() == on_states[first].tobytes()
+                assert on_classes[labels].tobytes() == on_states.tobytes()
+            keys.append((mdp.q_next.tobytes() + mdp.reward_next.tobytes(),
+                         classes.q_next.tobytes() + classes.reward_next.tobytes()))
+        (states_a, classes_a), (states_b, classes_b) = keys
+        assert (states_a == states_b) == (classes_a == classes_b)
 
 
 def _assert_start_draws_match_choice(mdp, seed, draws=300):

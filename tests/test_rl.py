@@ -17,8 +17,9 @@ from tlexplain import rl, search
 from tlexplain.product import (DENSE, SPARSE, ProductMdp, RewardConfig, TransitionTable,
                                acceptance_reachable, build_env_model)
 
-from conftest import (PROPERTY, build_product, ctf_product_mdps, evaluator_product,
-                      full_horizon_return, product_mdp_batches, product_mdps)
+from conftest import (PROPERTY, build_product, evaluator_product, explained_ctf_products,
+                      full_horizon_return, product_mdp_batches, product_mdps,
+                      quotient_product)
 from reference import expand_transitions
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -134,7 +135,8 @@ def _assert_batch_matches_serial(tables, gamma, cfg):
 
 def _trainable_products(cfg):
     """The distinct products the evaluator trains for ``cfg``'s explanation
-    class: one per product, without unreachable ones under sparse
+    class, built on the full model: one ``(product MDP, explanation,
+    predicates)`` per product, without unreachable ones under sparse
     rewards."""
     env = config.build_env(cfg)
     model, preds = build_env_model(env), config.build_predicates(cfg, env)
@@ -143,13 +145,14 @@ def _trainable_products(cfg):
         mdp = build_product(model, canon, preds, cfg.reward, cfg.environment.horizon)
         if cfg.reward.mode == SPARSE and not acceptance_reachable(model, mdp.q_next):
             continue
-        products.setdefault(mdp.q_next.tobytes() + mdp.reward_next.tobytes(), mdp)
+        products.setdefault(mdp.q_next.tobytes() + mdp.reward_next.tobytes(),
+                            (mdp, canon, preds))
     return list(products.values())
 
 
 def _trainable_tables(cfg):
     """The full transition tables of ``_trainable_products``."""
-    return [mdp.table for mdp in _trainable_products(cfg)]
+    return [mdp.table for mdp, _, _ in _trainable_products(cfg)]
 
 
 def _map_config(reference_config, name):
@@ -498,32 +501,33 @@ class TestBatchedSoftValueIteration:
 
 
 class TestRowClassTraining:
-    """Soft VI and the exact return on ``class_table`` against the full
-    table: every row gets its class's policy and return bit for bit."""
+    """Soft VI and the exact return on the model's quotient against the
+    full table: every row gets its class's policy and return bit for bit."""
 
     @staticmethod
-    def _assert_matches_full_table(mdp, cfg):
+    def _assert_matches_full_table(mdp, canon, preds, cfg):
+        classes = quotient_product(mdp, canon, preds)
         gamma = mdp.reward.gamma
         try:
             expected = _serial_soft_vi(mdp.table, gamma, cfg)
         except rl.NoConvergenceError as exc:
             with pytest.raises(rl.NoConvergenceError) as excinfo:
-                rl.soft_value_iteration([mdp.class_table], gamma, cfg)
+                rl.soft_value_iteration([classes.table], gamma, cfg)
             assert str(excinfo.value) == str(exc)
             return
-        policy = rl.soft_value_iteration([mdp.class_table], gamma, cfg)[0]
-        expanded = policy.probs[mdp.model.row_classes.of_row]
-        assert expanded.tobytes() == expected.probs.tobytes()
+        policy = rl.soft_value_iteration([classes.table], gamma, cfg)[0]
+        _, of_row = mdp.model.quotient
+        assert policy.probs[of_row].tobytes() == expected.probs.tobytes()
         # the return's bits, -0.0 included
-        got, want = mdp.average_return(policy), full_horizon_return(mdp, expected)
+        got, want = classes.average_return(policy), full_horizon_return(mdp, expected)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @PROPERTY
-    @given(ctf_product_mdps(), st.sampled_from((0.05, 0.1, 1.0)),
+    @given(explained_ctf_products(), st.sampled_from((0.05, 0.1, 1.0)),
            st.sampled_from((10_000, 20)))
-    def test_matches_full_table_on_random_ctf_maps(self, mdp, tau, max_iterations):
+    def test_matches_full_table_on_random_ctf_maps(self, products, tau, max_iterations):
         self._assert_matches_full_table(
-            mdp, rl.TrainerConfig(tau=tau, max_iterations=max_iterations))
+            *products[0], rl.TrainerConfig(tau=tau, max_iterations=max_iterations))
 
     @pytest.mark.parametrize("name", ["ctf5", "ctf7"])
     @pytest.mark.parametrize("max_iterations", [10_000, 20])
@@ -532,18 +536,23 @@ class TestRowClassTraining:
         """In 20 sweeps 13 products on each map do not converge: each
         error names the full table's residual."""
         cfg = _map_config(reference_config, name)
-        for mdp in _trainable_products(cfg):
+        for mdp, canon, preds in _trainable_products(cfg):
             self._assert_matches_full_table(
-                mdp, replace(cfg.trainer, max_iterations=max_iterations))
+                mdp, canon, preds, replace(cfg.trainer, max_iterations=max_iterations))
 
     def test_train_policy_expands_the_class_policy(self, reference_runtime):
+        """The target trains on the quotient, and each row takes its
+        class's action distribution: the full table's policy."""
         ev = reference_runtime.evaluator
-        mdp = evaluator_product(ev, fm.parse_explanation(
-            "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)", ev.predicates))
-        assert mdp.class_table.n_rows == 126
-        policy = search.train_policy(mdp, ev.cfg, "k", range(mdp.model.n_rows))
+        canon = fm.parse_explanation(reference_runtime.target_key, ev.predicates)
+        mdp = evaluator_product(ev, canon)
+        classes = quotient_product(mdp, canon, ev.predicates)
+        assert classes.model is ev.product_model and classes.table.n_rows == 126
         expected = _serial_soft_vi(mdp.table, mdp.reward.gamma, ev.trainer_cfg)
-        assert policy.probs.tobytes() == expected.probs.tobytes()
+        assert ev.target.probs.tobytes() == expected.probs.tobytes()
+        policy = search.train_policy(classes, ev.cfg, "k", range(mdp.model.n_rows))
+        _, of_row = mdp.model.quotient
+        assert policy.probs[of_row].tobytes() == expected.probs.tobytes()
 
 
 class TestQLearning:

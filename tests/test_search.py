@@ -198,21 +198,37 @@ class TestEvaluateMany:
         assert a is b and sizes == [1] and ev.n_product_hits == 0
 
     def test_row_classes_change_no_record(self, monkeypatch):
-        """The n=4 oracle trained on row classes, and again with every row
-        its own class, which trains on the full tables: the same records,
-        field for field and bit for bit."""
+        """The n=4 oracle trained on the model's quotient, and again with
+        every state its own class, where the quotient is the model itself:
+        the same records, field for field and bit for bit."""
         cfg = load_config(CONFIG_DIR / "ctf_n4.yaml")
         classes = build_runtime(cfg).evaluator
         ranked, filtered = brute_force_oracle(classes)
-        assert classes.model.row_classes.n_rows == 126
+        assert (len(classes.product_model.states), classes.product_model.n_rows) == (138, 126)
         monkeypatch.setattr(product, "row_partition", lambda model: np.arange(len(model.states)))
         rows = build_runtime(cfg).evaluator
-        assert rows.model.row_classes.n_rows == 462
+        assert rows.product_model is rows.model and rows.model.n_rows == 462
         ranked_rows, filtered_rows = brute_force_oracle(rows)
         assert len(ranked + filtered) == 1408
         assert ([repr(r) for r in ranked_rows + filtered_rows]
                 == [repr(r) for r in ranked + filtered])
         self._assert_same_evaluators(classes, rows)
+
+    def test_policy_path_target_on_row_classes(self, reference_runtime, reference_config,
+                                               tmp_path):
+        """The explanation target's policy, saved to a file and loaded as
+        the target, on ctf5, where the quotient merges rows: the oracle
+        gives the explanation target's records, field for field."""
+        path = tmp_path / "target_policy.txt"
+        reference_runtime.evaluator.target.save(path)
+        runtime = build_runtime(replace(reference_config, target={"policy_path": str(path)}))
+        ev = runtime.evaluator
+        assert runtime.target_key is None and ev.product_model.n_rows == 126
+        assert ev.target.probs.tobytes() == reference_runtime.evaluator.target.probs.tobytes()
+        expected = fresh_evaluator(reference_runtime)
+        assert ([repr(r) for r in sum(brute_force_oracle(ev), [])]
+                == [repr(r) for r in sum(brute_force_oracle(expected), [])])
+        self._assert_same_evaluators(ev, expected)
 
     def test_no_convergence_names_the_first_candidate(self, reference_runtime):
         """In 20 sweeps the first trained candidate converges and the second
