@@ -151,11 +151,11 @@ def cmd_oracle(args) -> int:
 def cmd_enumerate(args) -> int:
     cfg = load_config(args.config)
     predicates = build_predicates(cfg, build_env(cfg))
-    fm.check_cap(len(predicates), cfg.search.enumeration_cap)
+    canons = fm.enumerate_all(predicates, cap=cfg.search.enumeration_cap)  # checks the cap
     print(fm.class_size(len(predicates)))
     if args.list:
-        for canon in fm.enumerate_all(predicates, cap=cfg.search.enumeration_cap):
-            print(fm.render(canon, predicates))
+        for key in sorted(fm.render(canon, predicates) for canon in canons):
+            print(key)
     return EXIT_OK
 
 

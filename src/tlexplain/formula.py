@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,10 +280,9 @@ def _part_shapes(lits: list[Literal]) -> list[CanonicalPart]:
 def class_size(n: int) -> int:
     """Number of distinct canonical explanations over ``n`` predicates.
 
-    Closed form of ``len(enumerate_all(...))``: each predicate carries a
-    negation bit and goes to the F- or G-part, and a part with ``k``
-    predicates takes any of its :func:`_part_shapes`, whose number depends
-    only on ``k``.
+    Closed form of how many :func:`enumerate_all` yields: each predicate has
+    a negation bit and goes to the F- or G-part, and a part with ``k`` takes
+    any of its :func:`_part_shapes`, whose number depends only on ``k``.
     """
 
     def forms(k: int) -> int:
@@ -292,29 +292,29 @@ def class_size(n: int) -> int:
                         for k in range(1, n))
 
 
-def check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceededError(f"{n} predicates exceeds the enumeration cap {cap}")
+def enumerate_all(predicates, cap: int = 6) -> Iterator[CanonicalExplanation]:
+    """Every distinct canonical explanation over the predicate set, lazily.
 
-
-def enumerate_all(predicates, cap: int = 6) -> list[CanonicalExplanation]:
-    """Every distinct canonical explanation over the predicate set.
-
-    For each F/G split of the predicates and each negation pattern, takes
-    the product of the two parts' shapes; distinct splits, negations or
-    shapes give distinct explanations.  Sorted by rendered key.
+    Refuses more than ``cap`` predicates at the call.  Yields by F/G split,
+    then negation pattern, then F-part shape, then G-part shape; distinct
+    splits, negations or shapes give distinct explanations.
     """
     n = len(predicates)
-    check_cap(n, cap)
-    out = []
+    if n > cap:
+        raise CapExceededError(f"{n} predicates exceeds the enumeration cap {cap}")
+    return _generate(n)
+
+
+def _generate(n: int) -> Iterator[CanonicalExplanation]:
     for temporal in itertools.product((0, 1), repeat=n):
         if 0 not in temporal or 1 not in temporal:
             continue
         for neg in itertools.product((False, True), repeat=n):
             f_shapes = _part_shapes([(i, neg[i]) for i in range(n) if not temporal[i]])
             g_shapes = _part_shapes([(i, neg[i]) for i in range(n) if temporal[i]])
-            out.extend(CanonicalExplanation(f, g) for f in f_shapes for g in g_shapes)
-    return sorted(out, key=lambda canon: render(canon, predicates))
+            for f in f_shapes:
+                for g in g_shapes:
+                    yield CanonicalExplanation(f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -401,14 +401,14 @@ def brute_force_oracle(evaluator: Evaluator
                        ) -> tuple[list[metrics.UtilityRecord], list[metrics.UtilityRecord]]:
     """Evaluate every canonical explanation with the shared pipeline.
 
-    Returns (ranked unfiltered records, filtered records); the ranking is
-    :func:`rank`'s, by wKL with the rendered key as tiebreak, and the
-    filtered records keep the enumeration's order, which is by key.  The
-    enumeration obeys ``search.enumeration_cap``.
+    Returns (ranked unfiltered records by :func:`rank`, filtered records by
+    key).  No record depends on the order of evaluation, so only this orders
+    them.  The enumeration obeys ``search.enumeration_cap``.
     """
     ranked, filtered = [], []
     canons = fm.enumerate_all(evaluator.predicates, cap=evaluator.cfg.search.enumeration_cap)
     for record in evaluator.evaluate_many(canons):
         (filtered if record.filtered else ranked).append(record)
     ranked.sort(key=rank)
+    filtered.sort(key=lambda record: record.key)
     return ranked, filtered

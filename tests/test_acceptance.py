@@ -43,7 +43,7 @@ def oracle(reference_runtime):
 
 def test_criterion_01_enumeration_count(preds3):
     start = time.perf_counter()
-    explanations = fm.enumerate_all(preds3)
+    explanations = list(fm.enumerate_all(preds3))
     elapsed = time.perf_counter() - start
     _report(1, "3-predicate enumeration yields exactly 96 canonical "
                "explanations in under 1 s",

@@ -35,8 +35,9 @@ CTF_ENVIRONMENT = {"type": "ctf", "map_text": "Bbbrr\nbbbrR\n", "horizon": 40}
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REFERENCE_CONFIG = str(CONFIGS / "ctf_reference.yaml")
-# the reference run with a fourth and a fifth predicate, and its class size
-LARGER_CONFIGS = [("ctf_n4.yaml", 1408), ("ctf_n5.yaml", 15360), ("ctf_n6.yaml", 167936)]
+# the reference run with a fourth to a seventh predicate, and its class size
+LARGER_CONFIGS = [("ctf_n4.yaml", 1408), ("ctf_n5.yaml", 15360), ("ctf_n6.yaml", 167936),
+                  ("ctf_n7.yaml", 1605632)]
 # oracle.csv and results.csv of the reference config, as written before the
 # evaluator's exact shortcuts (acceptance pre-filter, product reuse) existed
 GOLDEN = Path(__file__).resolve().parent / "data" / "ctf_reference"
@@ -311,6 +312,7 @@ class TestEnumerateCommand:
         assert cli.main(["enumerate", "--config", str(config), "--list"]) == cli.EXIT_OK
         listed = capsys.readouterr().out.splitlines()[1:]
         assert count == len(listed) == len(set(listed))
+        assert listed == sorted(listed)
         config = _write_config(tmp_path, {**cfg, "search": {"enumeration_cap": n - 1}})
         for extra in ([], ["--list"]):
             assert cli.main(["enumerate", "--config", str(config), *extra]) == cli.EXIT_REFUSED

@@ -140,23 +140,23 @@ class TestRender:
 
 class TestEnumerateAll:
     def test_n1_empty(self):
-        assert fm.enumerate_all(generic_predicates(1)) == []
+        assert list(fm.enumerate_all(generic_predicates(1))) == []
 
     def test_n2_count(self):
         # frozen from the truth-table signature oracle over all 2^8 encodings
-        assert len(fm.enumerate_all(generic_predicates(2))) == 8
+        assert len(list(fm.enumerate_all(generic_predicates(2)))) == 8
 
     def test_n3_count(self):
-        assert len(fm.enumerate_all(generic_predicates(3))) == 96
+        assert len(list(fm.enumerate_all(generic_predicates(3)))) == 96
 
     def test_n4_count(self):
         # the canonical rewrite rules yield 1408 at N=4 (documented deviation
         # from the externally reported 640, whose dedup rules are unspecified)
-        assert len(fm.enumerate_all(generic_predicates(4))) == 1408
+        assert len(list(fm.enumerate_all(generic_predicates(4)))) == 1408
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_class_size_matches_enumeration(self, n):
-        assert fm.class_size(n) == len(fm.enumerate_all(generic_predicates(n)))
+        assert fm.class_size(n) == len(list(fm.enumerate_all(generic_predicates(n))))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_decoded_encodings(self, n):
@@ -166,7 +166,8 @@ class TestEnumerateAll:
         for enc in iter_valid_encodings(n):
             canon = fm.decode(enc)
             by_key.setdefault(fm.render(canon, preds), canon)
-        assert fm.enumerate_all(preds) == [by_key[k] for k in sorted(by_key)]
+        enumerated = sorted(fm.enumerate_all(preds), key=lambda canon: fm.render(canon, preds))
+        assert enumerated == [by_key[k] for k in sorted(by_key)]
 
     def test_class_size_n5(self):
         # confirmed once by full enumeration, which takes seconds at n=5
@@ -181,11 +182,11 @@ class TestEnumerateAll:
         signatures = {
             _signature(fm.decode(enc), n) for enc in iter_valid_encodings(n)
         }
-        assert len(fm.enumerate_all(generic_predicates(n))) == len(signatures)
+        assert len(list(fm.enumerate_all(generic_predicates(n)))) == len(signatures)
 
-    def test_sorted_and_unique_keys(self, preds3):
+    def test_unique_keys(self, preds3):
+        # the order is the oracle's to set (test_search.TestBruteForceOracle)
         keys = [fm.render(c, preds3) for c in fm.enumerate_all(preds3)]
-        assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
 
@@ -439,7 +440,7 @@ class TestPredicateValidation:
     def test_identifier_names_round_trip(self, names):
         preds = tuple(fm.AtomicPredicate(i, name, i, 1.0) for i, name in enumerate(names))
         fm.validate_predicates(preds)
-        canons = fm.enumerate_all(preds)
+        canons = list(fm.enumerate_all(preds))
         keys = {canon: fm.render(canon, preds) for canon in canons}
         assert len(set(keys.values())) == len(canons) == fm.class_size(len(names))
         for canon in canons:

@@ -99,7 +99,7 @@ class TestStep:
     def test_exclusivity_of_q0_guards(self, rng):
         """At most one strict q0-guard fires, for random formulas and states."""
         preds = generic_predicates(4)
-        explanations = fm.enumerate_all(preds)
+        explanations = list(fm.enumerate_all(preds))
         picks = rng.choice(len(explanations), size=20, replace=False)
         for k in picks:
             canon = explanations[k]
@@ -117,7 +117,7 @@ class TestStep:
         -0.0, for a negated literal)."""
         preds = generic_predicates(3)
         ties_f = ties_g = 0
-        for canon in fm.enumerate_all(preds)[::7]:
+        for canon in list(fm.enumerate_all(preds))[::7]:
             xs = rng.uniform(0, 2, size=(200, 3))
             xs[rng.random(xs.shape) < 0.3] = 1.0
             codes, rho_f, rho_g = fa.build_fspa(canon, preds, xs)

@@ -431,7 +431,7 @@ class TestSoftValueIterationAgainstReference:
 
     def test_matches_reference_on_every_reference_candidate(self, reference_runtime):
         ev = reference_runtime.evaluator
-        candidates = fm.enumerate_all(ev.predicates)
+        candidates = list(fm.enumerate_all(ev.predicates))
         assert len(candidates) == 96
         for canon in candidates:
             mdp = evaluator_product(ev, canon)
@@ -678,7 +678,7 @@ class TestQLearningAgainstReference:
     def test_matches_reference_on_every_reference_candidate(self, reference_runtime):
         ev = reference_runtime.evaluator
         cfg = replace(ev.trainer_cfg, mode=rl.Q_LEARNING, episodes=8)
-        candidates = fm.enumerate_all(ev.predicates)
+        candidates = list(fm.enumerate_all(ev.predicates))
         assert len(candidates) == 96
         for seed, canon in enumerate(candidates):
             self._assert_same_training(evaluator_product(ev, canon), cfg, seed)

@@ -22,6 +22,7 @@ from tlexplain.search import (
     eval_neighbors,
     greedy_search,
     multi_start,
+    rank,
     train_policy,
 )
 
@@ -44,6 +45,11 @@ def _target_encoding(runtime):
 
 def _target_canon(runtime):
     return fm.parse_explanation(TARGET_KEY, runtime.evaluator.predicates)
+
+
+def _by_key(predicates) -> list:
+    """The class over ``predicates``, sorted by rendered key."""
+    return sorted(fm.enumerate_all(predicates), key=lambda canon: fm.render(canon, predicates))
 
 
 class TestSearchParams:
@@ -231,17 +237,19 @@ class TestEvaluateMany:
         self._assert_same_evaluators(ev, expected)
 
     def test_no_convergence_names_the_first_candidate(self, reference_runtime):
-        """In 20 sweeps the first trained candidate converges and the second
-        does not: the batch holding both fails on the candidate, and with
-        the residual, that evaluation one at a time fails on."""
+        """In 20 sweeps, in key order, the first trained candidate converges
+        and the second does not: the batch holding both fails on the
+        candidate, and with the residual, that evaluation one at a time
+        fails on."""
         trainer = replace(reference_runtime.evaluator.trainer_cfg, max_iterations=20)
         serial = fresh_evaluator(reference_runtime, trainer=trainer)
+        canons = _by_key(serial.predicates)
         with pytest.raises(rl.NoConvergenceError) as expected:
-            for canon in fm.enumerate_all(serial.predicates):
+            for canon in canons:
                 serial.evaluate(canon)
         assert serial.n_unreachable < len(serial.cache)   # one was trained first
         with pytest.raises(rl.NoConvergenceError) as excinfo:
-            brute_force_oracle(fresh_evaluator(reference_runtime, trainer=trainer))
+            fresh_evaluator(reference_runtime, trainer=trainer).evaluate_many(canons)
         assert str(excinfo.value) == str(expected.value)
         assert str(excinfo.value).startswith("candidate ")
 
@@ -401,6 +409,36 @@ class TestBruteForceOracle:
     def test_head_is_target(self, oracle):
         ranked, _ = oracle
         assert ranked[0].key == TARGET_KEY and ranked[0].wkl == 0.0
+
+    def test_orders_its_output(self, oracle):
+        # the enumeration yields in generation order, not by key
+        ranked, filtered = oracle
+        assert [rank(r) for r in ranked] == sorted(rank(r) for r in ranked)
+        assert [r.key for r in filtered] == sorted(r.key for r in filtered)
+
+    @pytest.mark.parametrize("config", ["ctf_reference.yaml", "ctf_n4.yaml"])
+    def test_records_do_not_depend_on_evaluation_order(self, config, monkeypatch):
+        """The n=3 and n=4 classes evaluated in generation order, key order
+        and two seeded shuffles, which change the batches and which member
+        of a product class trains: the same record per key, the same
+        counters and the same oracle lists."""
+        runtime = build_runtime(load_config(CONFIG_DIR / config))
+        generated = list(fm.enumerate_all(runtime.evaluator.predicates))
+        orders = [generated, _by_key(runtime.evaluator.predicates)]
+        for seed in (1, 2):
+            shuffle = np.random.default_rng(seed).permutation(len(generated))
+            orders.append([generated[i] for i in shuffle])
+        outcomes = []
+        for order in orders:
+            monkeypatch.setattr(fm, "enumerate_all",
+                                lambda predicates, cap, order=order: iter(order))
+            ev = fresh_evaluator(runtime)
+            ranked, filtered = brute_force_oracle(ev)
+            outcomes.append(({key: repr(r) for key, r in ev.cache.items()},
+                             ev.n_unreachable, ev.n_product_hits,
+                             [repr(r) for r in ranked], [repr(r) for r in filtered]))
+        assert len(outcomes[0][0]) == len(generated)
+        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
     def test_obeys_enumeration_cap(self, reference_runtime):
         params = replace(reference_runtime.evaluator.params, enumeration_cap=2)
