@@ -8,8 +8,8 @@ Subcommands::
     tlexplain eval      --config run.yaml [--seed N] "F(...) & G(...)"
     tlexplain trace-dot TRACE.jsonl [--out FILE]
 
-Exit statuses: 0 ok, 2 config/IO error, 3 guarded operation refused,
-4 internal invariant violation.
+Exit statuses: 0 ok (also when the reader closes stdout), 2 config/IO
+error, 3 guarded operation refused, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -289,6 +290,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout (``--list | head``): not an error.  Point
+        # stdout at devnull, so that the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (fm.CapExceededError, StateSpaceTooLargeError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED

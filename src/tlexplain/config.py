@@ -256,7 +256,7 @@ def _train_target(cfg: RunConfig, model: EnvModel, predicates) -> tuple[rl.Tabul
     mdp = ProductMdp(trained_on, fspa.build_fspa(canon, predicates, trained_on.features),
                      cfg.reward, cfg.environment.horizon)
     policy = train_policy(mdp, cfg, "target:" + key, range(model.n_rows))
-    return (policy if of_row is None else rl.TabularPolicy(policy.probs[of_row])), key
+    return rl.TabularPolicy(policy.probs[of_row]), key
 
 
 def _nav_shaped_target(cfg: RunConfig, model: EnvModel) -> rl.TabularPolicy:
@@ -284,6 +284,5 @@ def build_runtime(cfg: RunConfig) -> Runtime:
     except rl.NoConvergenceError as exc:
         raise rl.NoConvergenceError(f"target policy: {exc}") from exc
     sample_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 424243]))
-    sample = metrics.build_sample(model, target, cfg.metric.sample_size, sample_rng,
-                                  weights_enabled=cfg.metric.weights_enabled)
+    sample = metrics.build_sample(model, target, cfg.metric, sample_rng)
     return Runtime(Evaluator(model, predicates, target, sample, cfg), target_key)

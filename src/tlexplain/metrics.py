@@ -47,10 +47,14 @@ class MetricConfig:
 
 @dataclass(frozen=True)
 class StateSample:
-    """Sampled non-trap states (policy rows) with their utility weights."""
+    """Sampled non-trap states (policy rows) with their utility weights, and
+    the target's side of every wKL: its action distributions on the rows,
+    clamped at ``eps`` (:func:`clamped_rows`)."""
 
     rows: tuple[int, ...]
     weights: np.ndarray
+    target_rows: np.ndarray
+    eps: float
 
     @cached_property
     def index(self) -> np.ndarray:
@@ -151,31 +155,28 @@ def weights(target, sample_rows, enabled: bool = True):
     return hbar / total
 
 
-def build_sample(model, target, n: int, rng: np.random.Generator,
-                 weights_enabled: bool = True) -> StateSample:
-    rows = sample_nontrap(model, n, rng)
-    return StateSample(tuple(rows), weights(target, rows, enabled=weights_enabled))
+def build_sample(model, target, metric: MetricConfig,
+                 rng: np.random.Generator) -> StateSample:
+    """The sample that scores every candidate against ``target`` under the
+    ``metric`` config section."""
+    rows = sample_nontrap(model, metric.sample_size, rng)
+    return StateSample(tuple(rows), weights(target, rows, enabled=metric.weights_enabled),
+                       clamped_rows(target, rows, metric.kl_eps), metric.kl_eps)
 
 
-def clamped_rows(policy, sample: StateSample, eps: float = KL_EPS) -> np.ndarray:
-    """``policy``'s action distributions on the sampled rows, clamped and
-    renormalized as :func:`kl_rows` does."""
-    rows = sample.index
+def clamped_rows(policy, rows, eps: float = KL_EPS) -> np.ndarray:
+    """``policy``'s action distributions on the policy rows ``rows``, clamped
+    and renormalized as :func:`kl_rows` does."""
+    rows = np.asarray(rows, dtype=int)
     if rows.max(initial=-1) >= policy.probs.shape[0]:
         raise CoverageGapError("sampled states not covered by both policies")
     return _clamp(policy.probs[rows], eps)
 
 
-def utility(candidate, target, sample: StateSample, key: str = "",
-            mean_return: float = float("nan"), eps: float = KL_EPS,
-            target_rows: np.ndarray | None = None) -> UtilityRecord:
-    """Weighted-KL utility of a candidate policy against the target.
-
-    ``target_rows`` is ``clamped_rows(target, sample, eps)``, which a caller
-    scoring many candidates against one target computes once.
-    """
-    if target_rows is None:
-        target_rows = clamped_rows(target, sample, eps)
-    divs = _kl_clamped(clamped_rows(candidate, sample, eps), target_rows)
+def utility(candidate, sample: StateSample, key: str = "",
+            mean_return: float = float("nan")) -> UtilityRecord:
+    """Weighted-KL utility of a candidate policy against the target whose
+    side ``sample`` carries."""
+    divs = _kl_clamped(clamped_rows(candidate, sample.index, sample.eps), sample.target_rows)
     wkl = float(np.dot(sample.weights, divs))
     return UtilityRecord(key=key, wkl=wkl, mean_return=mean_return)

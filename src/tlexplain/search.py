@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -105,15 +104,16 @@ def _key_stream(seed: int, key: str, purpose: int) -> np.random.Generator:
         np.random.SeedSequence([seed, zlib.crc32(key.encode()), purpose]))
 
 
-def product_model(model: EnvModel, cfg) -> tuple[EnvModel, np.ndarray | None]:
+def product_model(model: EnvModel, cfg) -> tuple[EnvModel, np.ndarray]:
     """The model products are built on under the run config ``cfg``, and
-    the row in it of each of ``model``'s rows, or None if it is ``model``.
+    the row in it of each of ``model``'s rows.
 
     Soft VI trains on ``model.quotient``, which gives every row its class's
     policy and return bit for bit; Q-learning's sampled runs tell the
     members of a class apart, so it trains on ``model`` itself.
     """
-    return model.quotient if cfg.trainer.mode == rl.EXACT_SOFT_VI else (model, None)
+    return (model.quotient if cfg.trainer.mode == rl.EXACT_SOFT_VI
+            else (model, np.arange(model.n_rows)))
 
 
 def train_policy(mdp: ProductMdp, cfg, stream_key: str, rows) -> rl.TabularPolicy:
@@ -159,8 +159,7 @@ class Evaluator:
         self.model = model
         self.product_model, of_row = product_model(model, cfg)
         # the sample in the rows of the candidates' policies
-        self._product_sample = sample if of_row is None else metrics.StateSample(
-            tuple(of_row[sample.index].tolist()), sample.weights)
+        self._product_sample = replace(sample, rows=tuple(of_row[sample.index].tolist()))
         self.predicates = tuple(predicates)
         self.target = target
         self.sample = sample
@@ -234,7 +233,7 @@ class Evaluator:
             # Q-learning draws from a stream keyed by ``key``: equal products
             # train to different policies
             batch.queue[key] = self._record(
-                key, mdp, train_policy(mdp, self.cfg, key, self.sample.rows))
+                key, mdp, train_policy(mdp, self.cfg, key, self._product_sample.rows))
             return
         product = mdp.q_next.tobytes() + mdp.reward_next.tobytes()
         source = self._products.get(product) or batch.products.get(product)
@@ -275,14 +274,7 @@ class Evaluator:
         mean_return = mdp.average_return(policy)
         if mean_return <= self.cfg.search.return_threshold:
             return metrics.UtilityRecord(key=key, wkl=None, mean_return=mean_return)
-        return metrics.utility(policy, self.target, self._product_sample,
-                               key=key, mean_return=mean_return, eps=self.cfg.metric.kl_eps,
-                               target_rows=self._target_rows)
-
-    @cached_property
-    def _target_rows(self) -> np.ndarray:
-        """The target's side of every wKL: ``metrics.clamped_rows``."""
-        return metrics.clamped_rows(self.target, self.sample, self.cfg.metric.kl_eps)
+        return metrics.utility(policy, self._product_sample, key=key, mean_return=mean_return)
 
 
 @dataclass

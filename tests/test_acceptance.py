@@ -93,9 +93,8 @@ def test_criterion_05_ablation_direction(oracle, reference_runtime):
     full = hits(base)
     no_ext = hits(replace(base, n_ext=0))
     no_exp = hits(replace(base, expansion_enabled=False))
-    unit_sample = metrics.StateSample(
-        reference_runtime.evaluator.sample.rows,
-        np.ones(len(reference_runtime.evaluator.sample.rows)))
+    sample = reference_runtime.evaluator.sample
+    unit_sample = replace(sample, weights=np.ones(len(sample.rows)))
     no_weights = hits(base, unit_sample)
     _report(5, "over 20 restarts the full search reaches the optimum at "
                f"least as often as each ablation (full={full}, "
@@ -132,8 +131,9 @@ def test_criterion_07_metric_properties(rng):
     w = metrics.weights(target, list(range(8)))
     ok &= abs(w.sum() - 1.0) <= 1e-9
     cand = TabularPolicy(rng.dirichlet(np.ones(4), size=8))
-    sample = metrics.StateSample(tuple(range(8)), w)
-    record = metrics.utility(cand, target, sample)
+    sample = metrics.StateSample(tuple(range(8)), w,
+                                 metrics.clamped_rows(target, range(8)), metrics.KL_EPS)
+    record = metrics.utility(cand, sample)
     ok &= record.utility == -record.wkl
     _report(7, "KL, normalized entropy, weight, and utility identities hold",
             bool(ok))

@@ -318,6 +318,18 @@ class TestEnumerateCommand:
             assert cli.main(["enumerate", "--config", str(config), *extra]) == cli.EXIT_REFUSED
             assert f"exceeds the enumeration cap {n - 1}" in capsys.readouterr().err
 
+    def test_closed_stdout_is_not_an_error(self):
+        """``--list | head -n 1``: the n=5 listing (about 0.8 MB) outgrows any
+        pipe buffer, so the listing writes to the closed pipe."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tlexplain.cli", "enumerate", "--config",
+             str(CONFIGS / "ctf_n5.yaml"), "--list"], env=_python_env(),
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"15360\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (cli.EXIT_OK, b"")
+
     @pytest.mark.parametrize("name, count", LARGER_CONFIGS)
     def test_larger_config_count(self, capsys, name, count):
         assert cli.main(["enumerate", "--config", str(CONFIGS / name)]) == cli.EXIT_OK
@@ -467,12 +479,16 @@ class TestGoldenOutputs:
             "0 reused a trained product")
 
 
+def _python_env() -> dict:
+    """The environment of a fresh interpreter that imports this tlexplain."""
+    src = str(Path(tlexplain.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this tlexplain."""
-    src = str(Path(tlexplain.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], env=_python_env(),
                           capture_output=True, text=True, timeout=120)
 
 

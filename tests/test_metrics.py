@@ -190,17 +190,18 @@ class TestWeights:
 class TestUtility:
     def _sample(self, target, rows, enabled=True):
         w = metrics.weights(target, rows, enabled=enabled)
-        return metrics.StateSample(tuple(rows), w)
+        return metrics.StateSample(tuple(rows), w, metrics.clamped_rows(target, rows),
+                                   metrics.KL_EPS)
 
     def test_self_match_is_zero(self, rng):
         target = _random_policy(8, 4, rng, sharpness=3.0)
-        record = metrics.utility(target, target, self._sample(target, range(8)))
+        record = metrics.utility(target, self._sample(target, range(8)))
         assert record.wkl == 0.0 and record.utility == 0.0
 
     def test_utility_is_exact_negation(self, rng):
         target = _random_policy(8, 4, rng, sharpness=3.0)
         cand = _random_policy(8, 4, rng)
-        record = metrics.utility(cand, target, self._sample(target, range(8)))
+        record = metrics.utility(cand, self._sample(target, range(8)))
         assert record.utility == -record.wkl
         assert record.utility <= 0.0
 
@@ -208,15 +209,15 @@ class TestUtility:
         target = _random_policy(8, 4, rng, sharpness=3.0)
         cand = _random_policy(8, 4, rng)
         rows = [1, 3, 5, 7]
-        a = metrics.utility(cand, target, self._sample(target, rows))
-        b = metrics.utility(cand, target, self._sample(target, rows[::-1]))
+        a = metrics.utility(cand, self._sample(target, rows))
+        b = metrics.utility(cand, self._sample(target, rows[::-1]))
         assert a.wkl == pytest.approx(b.wkl, rel=1e-12)
 
     def test_unit_weight_ablation_is_unnormalized_sum(self, rng):
         target = _random_policy(6, 3, rng, sharpness=3.0)
         cand = _random_policy(6, 3, rng)
         rows = list(range(6))
-        record = metrics.utility(cand, target, self._sample(target, rows, enabled=False))
+        record = metrics.utility(cand, self._sample(target, rows, enabled=False))
         manual = sum(metrics.kl_rows(cand.probs[r], target.probs[r]) for r in rows)
         assert record.wkl == pytest.approx(manual, rel=1e-12)
 
@@ -224,12 +225,12 @@ class TestUtility:
         target = _random_policy(6, 3, rng, sharpness=3.0)
         cand = _random_policy(6, 3, rng)
         sample = self._sample(target, range(6))
-        base = metrics.utility(cand, target, sample).utility
+        base = metrics.utility(cand, sample).utility
         for r in range(6):
             improved_probs = cand.probs.copy()
             improved_probs[r] = target.probs[r]
             improved = _policy(improved_probs)
-            assert metrics.utility(improved, target, sample).utility >= base - 1e-12
+            assert metrics.utility(improved, sample).utility >= base - 1e-12
 
     def test_disagreement_on_zero_weight_rows_costs_nothing(self, rng):
         """A candidate that differs from the target only where the target is
@@ -238,22 +239,26 @@ class TestUtility:
                           [0, 0, 0.5, 0.5, 0]])
         cand = target.probs.copy()
         cand[1:3] = rng.dirichlet(np.ones(5), size=2)
-        record = metrics.utility(_policy(cand), target, self._sample(target, range(4)))
+        record = metrics.utility(_policy(cand), self._sample(target, range(4)))
         assert record.wkl == 0.0
 
     def test_coverage_gap_rejected(self, rng):
         target = _random_policy(8, 4, rng)
         cand = _random_policy(4, 4, rng)
         with pytest.raises(metrics.CoverageGapError):
-            metrics.utility(cand, target, self._sample(target, range(8)))
+            metrics.utility(cand, self._sample(target, range(8)))
 
 
 class TestBuildSample:
     def test_deterministic_and_weighted(self, nav_model, rng):
         target = _random_policy(nav_model.n_rows, nav_model.n_actions,
                                 np.random.default_rng(0), sharpness=3.0)
-        s1 = metrics.build_sample(nav_model, target, 6, np.random.default_rng(5))
-        s2 = metrics.build_sample(nav_model, target, 6, np.random.default_rng(5))
+        metric = metrics.MetricConfig(sample_size=6, kl_eps=1e-6)
+        s1 = metrics.build_sample(nav_model, target, metric, np.random.default_rng(5))
+        s2 = metrics.build_sample(nav_model, target, metric, np.random.default_rng(5))
         assert s1.rows == s2.rows
         assert np.array_equal(s1.weights, s2.weights)
         assert s1.weights.sum() == pytest.approx(1.0, abs=1e-9)
+        assert s1.eps == metric.kl_eps
+        assert (s1.target_rows.tobytes()
+                == metrics.clamped_rows(target, s1.rows, metric.kl_eps).tobytes())

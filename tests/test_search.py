@@ -116,7 +116,8 @@ class TestEvaluate:
                  fm.AtomicPredicate(1, "psi1", 1, 1.0))
         uniform = rl.TabularPolicy(
             np.full((model.n_rows, model.n_actions), 1.0 / model.n_actions))
-        sample = metrics.build_sample(model, uniform, 8, np.random.default_rng(0))
+        sample = metrics.build_sample(model, uniform, metrics.MetricConfig(sample_size=8),
+                                      np.random.default_rng(0))
         cfg = RunConfig(envs.EnvConfig("S.#G\n..##\n....\n", type="nav"), [],
                         RewardConfig(), rl.TrainerConfig(tau=0.01),
                         metrics.MetricConfig(), SearchParams(), {})
@@ -463,8 +464,7 @@ def _reference_record(ev, canon):
     mean_return = full_horizon_return(mdp, policy)
     if mean_return <= ev.params.return_threshold:
         return metrics.UtilityRecord(key, None, mean_return)
-    return metrics.utility(policy, ev.target, ev.sample, key=key,
-                           mean_return=mean_return, eps=ev.cfg.metric.kl_eps)
+    return metrics.utility(policy, ev.sample, key=key, mean_return=mean_return)
 
 
 class TestExactShortcuts:
@@ -483,6 +483,10 @@ class TestExactShortcuts:
             trainer=replace(base.trainer, mode=trainer, episodes=8),
             search=replace(base.search, n_rep=2, return_threshold=threshold))
         brute_force_oracle(ev)
+        if trainer == rl.Q_LEARNING:
+            model, of_row = search.product_model(ev.model, ev.cfg)
+            assert model is ev.model and np.array_equal(of_row, np.arange(model.n_rows))
+            assert ev._product_sample.rows == ev.sample.rows
         prefilter = reward == SPARSE and threshold >= 0
         unreachable, trained = 0, set()
         for canon in fm.enumerate_all(ev.predicates):
