@@ -17,8 +17,6 @@ import numpy as np
 from tlexplain import formula as fm
 from tlexplain import metrics, search
 from tlexplain.config import build_runtime, load_config
-from tlexplain.fspa import build_fspa
-from tlexplain.product import ProductMdp
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ctf_reference.yaml"
 
@@ -46,11 +44,9 @@ def main() -> None:
             print(f"{key}\n  {line}  -> filtered by the return threshold\n")
             continue
         print(f"{key}\n  {line}  wKL {rec.wkl:.4f}  utility {rec.utility:.4f}")
-        mdp = ProductMdp(ev.model, build_fspa(canon, ev.predicates, ev.model.features),
-                         ev.cfg.reward, ev.cfg.environment.horizon)
-        cand = search.train_policy(mdp, ev.cfg, key, sample.rows)
+        cand = search.explanation_policy(ev.model, canon, ev.predicates, ev.cfg, key)
         rows = list(sample.rows)[:3]
-        kls = metrics.kl_rows(cand.probs[rows], ev.target.probs[rows])
+        kls = metrics.kl_rows(cand.probs[rows], runtime.target.probs[rows])
         print(f"  first 3 sampled-state KLs: {np.array2string(kls, precision=3)}")
         print()
 

@@ -18,10 +18,10 @@ import numpy as np
 import yaml
 
 from . import formula as fm
-from . import fspa, metrics, rl
+from . import metrics, rl
 from .envs import CtfEnv, EnvConfig, GridMap, MapFormatError, NavEnv, NavMap
-from .product import EnvModel, ProductMdp, RewardConfig, TransitionTable, build_env_model
-from .search import Evaluator, SearchParams, product_model, train_policy
+from .product import EnvModel, RewardConfig, TransitionTable, build_env_model
+from .search import Evaluator, SearchParams, explanation_policy
 
 SCHEMA_VERSION = 5
 SECTIONS = {"environment": EnvConfig, "reward": RewardConfig,
@@ -190,10 +190,11 @@ def load_config(path) -> RunConfig:
 
 @dataclass
 class Runtime:
-    """The evaluator (which holds the model, predicates and target policy)
-    and the target's rendered explanation, if it has one."""
+    """The evaluator (which holds the model and predicates), the target
+    policy, and the target's rendered explanation, if it has one."""
 
     evaluator: Evaluator
+    target: rl.TabularPolicy
     target_key: str | None
 
 
@@ -252,11 +253,7 @@ def _train_target(cfg: RunConfig, model: EnvModel, predicates) -> tuple[rl.Tabul
 
     canon = fm.parse_explanation(cfg.target["explanation"], predicates)
     key = fm.render(canon, predicates)
-    trained_on, of_row = product_model(model, cfg)
-    mdp = ProductMdp(trained_on, fspa.build_fspa(canon, predicates, trained_on.features),
-                     cfg.reward, cfg.environment.horizon)
-    policy = train_policy(mdp, cfg, "target:" + key, range(model.n_rows))
-    return rl.TabularPolicy(policy.probs[of_row]), key
+    return explanation_policy(model, canon, predicates, cfg, "target:" + key), key
 
 
 def _nav_shaped_target(cfg: RunConfig, model: EnvModel) -> rl.TabularPolicy:
@@ -285,4 +282,4 @@ def build_runtime(cfg: RunConfig) -> Runtime:
         raise rl.NoConvergenceError(f"target policy: {exc}") from exc
     sample_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 424243]))
     sample = metrics.build_sample(model, target, cfg.metric, sample_rng)
-    return Runtime(Evaluator(model, predicates, target, sample, cfg), target_key)
+    return Runtime(Evaluator(model, predicates, sample, cfg), target, target_key)

@@ -6,6 +6,7 @@ and score the weighted-KL utility against the target policy.  Results are
 cached under the canonical rendered key, so re-encodings of the same formula
 are never retrained; a candidate that cannot accept, or whose product equals
 an earlier one's under soft VI, is not trained at all (see ``Evaluator``).
+Every product, the target's included, trains in ``train_policies``.
 The search walks single-bit-flip neighborhoods with the form-bit expansion
 and next-best extension escapes, restarted from random encodings.
 """
@@ -13,7 +14,7 @@ and next-best extension escapes, restarted from random encodings.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,10 +24,11 @@ from .fspa import build_fspa
 from .product import SPARSE, EnvModel, ProductMdp, acceptance_reachable
 
 
-# Soft-VI candidates that need training wait until they count this many
-# cells of the full model (its rows x actions), then train as one
-# ``rl.soft_value_iteration`` batch on their tables over the model's
-# quotient.  Sized for memory as well as time: a batch peaks at 60-90 bytes
+# Candidates that need training wait until they count this many cells of
+# the full model (its rows x actions), then train in one ``train_policies``
+# call: under soft VI one ``rl.soft_value_iteration`` batch on their tables
+# over the model's quotient, under Q-learning one product after another.
+# Sized for soft VI's memory as well as time: a batch peaks at 60-90 bytes
 # per trained cell (traced on ctf5, ctf7 and nav10: the waiting transition
 # tables, VI arrays and sweep temporaries).  24,000 cells are 11 ctf5
 # candidates, whose 630 quotient cells each peak at 0.6 MB.  Counting
@@ -83,21 +85,6 @@ class MultiStartResult:
     traces: list[TraceNode]
 
 
-@dataclass
-class _Batch:
-    """Candidates of one ``Evaluator.evaluate_many`` call not yet in the
-    cache, in evaluation order.  ``queue`` maps each key to its record, or
-    to the key of the candidate in ``train`` whose record it copies;
-    ``products`` (product bytes -> key, as ``Evaluator._products``) and the
-    counters are committed with the records."""
-
-    queue: dict = field(default_factory=dict)
-    train: list = field(default_factory=list)     # (key, ProductMdp)
-    products: dict = field(default_factory=dict)
-    unreachable: int = 0
-    product_hits: int = 0
-
-
 def _key_stream(seed: int, key: str, purpose: int) -> np.random.Generator:
     """Deterministic rng keyed by (run seed, explanation, purpose)."""
     return np.random.default_rng(
@@ -116,20 +103,35 @@ def product_model(model: EnvModel, cfg) -> tuple[EnvModel, np.ndarray]:
             else (model, np.arange(model.n_rows)))
 
 
-def train_policy(mdp: ProductMdp, cfg, stream_key: str, rows) -> rl.TabularPolicy:
-    """The policy trained for one candidate under the run config ``cfg``,
-    with a row per row of ``mdp.model``.
+def train_policies(mdps, cfg, stream_keys, rows) -> list[rl.TabularPolicy]:
+    """The policies trained for the products ``mdps`` under the run config
+    ``cfg``, one per product, each with a row per row of its model.
 
-    Soft VI is deterministic, so it trains once.  Q-learning trains
-    ``search.n_rep`` replicates on the run's streams keyed by
-    ``stream_key``, and ``rl.select_replicate`` keeps the one of highest
+    Soft VI is deterministic: it trains the products once, as one
+    ``rl.soft_value_iteration`` batch.  Q-learning trains ``search.n_rep``
+    replicates of each product on the run's streams keyed by its entry of
+    ``stream_keys``, and ``rl.select_replicate`` keeps the one of highest
     mean entropy over the policy rows ``rows``.
     """
     if cfg.trainer.mode == rl.EXACT_SOFT_VI:
-        return rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg.trainer)[0]
-    replicates = [rl.q_learning(mdp, cfg.trainer, _key_stream(cfg.seed, stream_key, rep))
-                  for rep in range(cfg.search.n_rep)]
-    return rl.select_replicate(replicates, rows)
+        return rl.soft_value_iteration([mdp.table for mdp in mdps], mdps[0].reward.gamma,
+                                       cfg.trainer)
+    return [rl.select_replicate([rl.q_learning(mdp, cfg.trainer, _key_stream(cfg.seed, key, rep))
+                                 for rep in range(cfg.search.n_rep)], rows)
+            for mdp, key in zip(mdps, stream_keys)]
+
+
+def explanation_policy(model: EnvModel, canon: fm.CanonicalExplanation, predicates, cfg,
+                       stream_key: str) -> rl.TabularPolicy:
+    """The policy trained for the explanation ``canon`` under the run config
+    ``cfg``, with a row per row of ``model``: the product is built on
+    ``product_model``, trained by ``train_policies`` and expanded by its
+    ``of_row``.  Q-learning selects its replicate over every row."""
+    trained_on, of_row = product_model(model, cfg)
+    mdp = ProductMdp(trained_on, build_fspa(canon, predicates, trained_on.features),
+                     cfg.reward, cfg.environment.horizon)
+    policy, = train_policies([mdp], cfg, [stream_key], range(model.n_rows))
+    return rl.TabularPolicy(policy.probs[of_row])
 
 
 class Evaluator:
@@ -154,14 +156,12 @@ class Evaluator:
       record under its own key.
     """
 
-    def __init__(self, model, predicates, target: rl.TabularPolicy,
-                 sample: metrics.StateSample, cfg):
+    def __init__(self, model, predicates, sample: metrics.StateSample, cfg):
         self.model = model
         self.product_model, of_row = product_model(model, cfg)
         # the sample in the rows of the candidates' policies
         self._product_sample = replace(sample, rows=tuple(of_row[sample.index].tolist()))
         self.predicates = tuple(predicates)
-        self.target = target
         self.sample = sample
         self.cfg = cfg
         self.cache: dict[str, metrics.UtilityRecord] = {}
@@ -191,31 +191,32 @@ class Evaluator:
         on one canon after another would give, and the cache and both
         counters end up as they would.
 
-        Under soft VI the candidates that need training are trained
-        together, in batches of at least ``VI_BATCH_CELLS`` cells (the last
-        may be smaller); a batch's records enter the cache, in evaluation
-        order, once it has trained.  A candidate whose product equals a
-        waiting one's copies its record when that is known.  A batch that
+        The candidates that need training, under either trainer, wait until
+        they count ``VI_BATCH_CELLS`` cells (the last batch may hold fewer),
+        then train in one ``train_policies`` call; a batch's records enter
+        the cache, in evaluation order, once it has trained.  A batch that
         does not converge raises the error the first of its unconverged
         candidates would raise alone, and enters nothing into the cache.
-        Under Q-learning each candidate trains in turn.
         """
         keys = []
-        batch = _Batch()
+        # queue: key -> None (acceptance unreachable) or the key whose record
+        # it copies, its own when it trains; train: key -> ProductMdp;
+        # products: the batch's entries of ``_products``
+        queue, train, products = {}, {}, {}
         cells = self.model.n_rows * self.model.n_actions   # the full model's, per candidate
         for canon in canons:
             key = fm.render(canon, self.predicates)
             keys.append(key)
-            if key in self.cache or key in batch.queue:
+            if key in self.cache or key in queue:
                 continue
-            self._enqueue(key, canon, batch)
-            if len(batch.train) * cells >= VI_BATCH_CELLS:
-                self._commit(batch)
-                batch = _Batch()
-        self._commit(batch)
+            self._enqueue(key, canon, queue, train, products)
+            if len(train) * cells >= VI_BATCH_CELLS:
+                self._commit(queue, train, products)
+                queue, train, products = {}, {}, {}
+        self._commit(queue, train, products)
         return [self.cache[key] for key in keys]
 
-    def _enqueue(self, key: str, canon: fm.CanonicalExplanation, batch: _Batch) -> None:
+    def _enqueue(self, key: str, canon, queue: dict, train: dict, products: dict) -> None:
         model = self.product_model
         automaton = build_fspa(canon, self.predicates, model.features)
         if self.cfg.reward.mode == SPARSE and self.cfg.search.return_threshold >= 0:
@@ -225,47 +226,42 @@ class Evaluator:
                 reachable = self._reachable[memo_key] = acceptance_reachable(
                     model, automaton[0])
             if not reachable:
-                batch.unreachable += 1
-                batch.queue[key] = metrics.UtilityRecord(key=key, wkl=None, mean_return=0.0)
+                queue[key] = None
                 return
         mdp = ProductMdp(model, automaton, self.cfg.reward, self.cfg.environment.horizon)
-        if self.cfg.trainer.mode != rl.EXACT_SOFT_VI:
+        source = key
+        if self.cfg.trainer.mode == rl.EXACT_SOFT_VI:
             # Q-learning draws from a stream keyed by ``key``: equal products
             # train to different policies
-            batch.queue[key] = self._record(
-                key, mdp, train_policy(mdp, self.cfg, key, self._product_sample.rows))
-            return
-        product = mdp.q_next.tobytes() + mdp.reward_next.tobytes()
-        source = self._products.get(product) or batch.products.get(product)
-        if source is not None:
-            batch.product_hits += 1
-            batch.queue[key] = source
-            return
-        batch.products[product] = key
-        batch.queue[key] = key
-        batch.train.append((key, mdp))
+            product = mdp.q_next.tobytes() + mdp.reward_next.tobytes()
+            source = self._products.get(product) or products.setdefault(product, key)
+        queue[key] = source
+        if source == key:
+            train[key] = mdp
 
-    def _commit(self, batch: _Batch) -> None:
-        """Train the batch, then enter its records into the cache in order."""
-        trained = {}
-        if batch.train:
-            tables = [mdp.table for _, mdp in batch.train]
+    def _commit(self, queue: dict, train: dict, products: dict) -> None:
+        """Train the batch, then enter its records into the cache in order,
+        counting the shortcuts that made them; each product is let go once
+        it is scored."""
+        policies = {}
+        if train:
+            keys = list(train)
             try:
-                policies = rl.soft_value_iteration(tables, self.cfg.reward.gamma,
-                                                   self.cfg.trainer)
+                policies = dict(zip(keys, train_policies(
+                    list(train.values()), self.cfg, keys, self._product_sample.rows)))
             except rl.NoConvergenceError as exc:
-                raise rl.NoConvergenceError(
-                    f"candidate {batch.train[exc.index][0]}: {exc}") from exc
-            trained = {key: self._record(key, mdp, policy)
-                       for (key, mdp), policy in zip(batch.train, policies)}
-        for key, entry in batch.queue.items():
-            if isinstance(entry, str):
-                source = trained.get(entry) or self.cache[entry]
-                entry = source if entry == key else replace(source, key=key)
-            self.cache[key] = entry
-        self._products.update(batch.products)
-        self.n_unreachable += batch.unreachable
-        self.n_product_hits += batch.product_hits
+                raise rl.NoConvergenceError(f"candidate {keys[exc.index]}: {exc}") from exc
+        for key, source in queue.items():
+            if source is None:
+                self.n_unreachable += 1
+                record = metrics.UtilityRecord(key, None, 0.0)
+            elif source == key:
+                record = self._record(key, train.pop(key), policies[key])
+            else:   # its source entered the cache before it
+                self.n_product_hits += 1
+                record = replace(self.cache[source], key=key)
+            self.cache[key] = record
+        self._products.update(products)
 
     def _record(self, key: str, mdp: ProductMdp,
                 policy: rl.TabularPolicy) -> metrics.UtilityRecord:

@@ -65,11 +65,11 @@ def reference_runtime(reference_config):
 
 
 def fresh_evaluator(runtime, sample=None, **sections):
-    """A new evaluator (empty cache) on ``runtime``'s model and target, with
-    the given config sections (``search=...``, ``trainer=...``) replaced."""
+    """A new evaluator (empty cache) on ``runtime``'s model and sample, which
+    carries the target's side of the metric, with the given config sections
+    (``search=...``, ``trainer=...``) replaced."""
     ev = runtime.evaluator
-    return Evaluator(ev.model, ev.predicates, ev.target, sample or ev.sample,
-                     replace(ev.cfg, **sections))
+    return Evaluator(ev.model, ev.predicates, sample or ev.sample, replace(ev.cfg, **sections))
 
 
 def build_product(model, canon, preds, reward=RewardConfig(), horizon: int = 100):

@@ -478,6 +478,17 @@ class TestGoldenOutputs:
             "81 evaluations: 40 without training (acceptance unreachable), "
             "0 reused a trained product")
 
+    def test_q_learning_oracle_is_byte_identical(self, tmp_path, capsys):
+        """The Q-learning candidates train in batches; each record is the
+        one it gets trained alone."""
+        args = ["oracle", "--config", str(QLEARN / "config.yaml"), "--out", str(tmp_path)]
+        assert cli.main(args) == cli.EXIT_OK
+        assert (tmp_path / "oracle.csv").read_bytes() == (QLEARN / "oracle.csv").read_bytes()
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "(42 ranked, 54 filtered)",
+            "96 evaluations: 52 without training (acceptance unreachable), "
+            "0 reused a trained product"]
+
 
 def _python_env() -> dict:
     """The environment of a fresh interpreter that imports this tlexplain."""

@@ -147,7 +147,7 @@ class TestBuildRuntime:
         runtime = build_runtime(load_config(_write(tmp_path, NAV_CONFIG)))
         ev = runtime.evaluator
         assert runtime.target_key == "F(psi0) & G(!psi1)"
-        assert ev.target.probs.shape == (ev.model.n_rows, 5)
+        assert runtime.target.probs.shape == (ev.model.n_rows, 5)
         record = ev.evaluate(
             __import__("tlexplain").formula.parse_explanation(
                 runtime.target_key, ev.predicates))
@@ -156,13 +156,12 @@ class TestBuildRuntime:
     def test_policy_path_target(self, tmp_path):
         runtime = build_runtime(load_config(_write(tmp_path, NAV_CONFIG)))
         policy_file = tmp_path / "target_policy.txt"
-        runtime.evaluator.target.save(policy_file)
+        runtime.target.save(policy_file)
         cfg = dict(NAV_CONFIG)
         cfg["target"] = {"policy_path": "target_policy.txt"}
         runtime2 = build_runtime(load_config(_write(tmp_path, cfg, "run2.yaml")))
         assert runtime2.target_key is None
-        assert np.array_equal(runtime2.evaluator.target.probs,
-                              runtime.evaluator.target.probs)
+        assert np.array_equal(runtime2.target.probs, runtime.target.probs)
 
     def test_policy_shape_mismatch_rejected(self, tmp_path):
         bad = tmp_path / "bad_policy.txt"
@@ -181,7 +180,7 @@ class TestBuildRuntime:
         # the shaped target heads toward the goal from the start cell
         ev = runtime.evaluator
         start_row = int(ev.model.start_rows[0])
-        assert ev.target.probs[start_row].argmax() == 3  # "right"
+        assert runtime.target.probs[start_row].argmax() == 3  # "right"
 
     def test_builtin_requires_nav_env(self, tmp_path):
         cfg = dict(NAV_CONFIG)

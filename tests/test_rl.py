@@ -540,17 +540,20 @@ class TestRowClassTraining:
             self._assert_matches_full_table(
                 mdp, canon, preds, replace(cfg.trainer, max_iterations=max_iterations))
 
-    def test_train_policy_expands_the_class_policy(self, reference_runtime):
-        """The target trains on the quotient, and each row takes its
-        class's action distribution: the full table's policy."""
+    def test_explanation_policy_expands_the_class_policy(self, reference_runtime):
+        """The target, and any explanation's policy, trains on the quotient,
+        and each row takes its class's action distribution: the full
+        table's policy."""
         ev = reference_runtime.evaluator
         canon = fm.parse_explanation(reference_runtime.target_key, ev.predicates)
         mdp = evaluator_product(ev, canon)
         classes = quotient_product(mdp, canon, ev.predicates)
         assert classes.model is ev.product_model and classes.table.n_rows == 126
         expected = _serial_soft_vi(mdp.table, mdp.reward.gamma, ev.trainer_cfg)
-        assert ev.target.probs.tobytes() == expected.probs.tobytes()
-        policy = search.train_policy(classes, ev.cfg, "k", range(mdp.model.n_rows))
+        assert reference_runtime.target.probs.tobytes() == expected.probs.tobytes()
+        policy = search.explanation_policy(ev.model, canon, ev.predicates, ev.cfg, "k")
+        assert policy.probs.tobytes() == expected.probs.tobytes()
+        policy, = search.train_policies([classes], ev.cfg, ["k"], range(mdp.model.n_rows))
         _, of_row = mdp.model.quotient
         assert policy.probs[of_row].tobytes() == expected.probs.tobytes()
 
@@ -579,22 +582,30 @@ class TestQLearning:
         assert not np.array_equal(p1.probs, p2.probs)
 
     def test_train_dispatch(self):
-        """``search.train_policy`` trains soft VI once; under Q-learning it
-        trains ``n_rep`` replicates on the streams keyed by the candidate
-        and keeps the one ``rl.select_replicate`` picks."""
+        """``search.train_policies`` trains soft VI once per product; under
+        Q-learning it trains ``n_rep`` replicates of each product on the
+        streams keyed by its stream key and keeps the one
+        ``rl.select_replicate`` picks."""
         mdp = _corridor_mdp()
         rows = range(mdp.model.n_rows)
         run = SimpleNamespace(seed=0, trainer=rl.TrainerConfig(tau=0.1),
                               search=search.SearchParams(n_rep=3))
         vi = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, run.trainer)[0]
-        assert np.array_equal(search.train_policy(mdp, run, "k", rows).probs, vi.probs)
+        assert all(np.array_equal(policy.probs, vi.probs)
+                   for policy in search.train_policies([mdp, mdp], run, ["k", "j"], rows))
         run.trainer = self._cfg(50)
         replicates = [rl.q_learning(mdp, run.trainer, search._key_stream(0, "k", rep))
                       for rep in range(3)]
         assert len({p.probs.tobytes() for p in replicates}) == 3
         expected = rl.select_replicate(replicates, rows)
         assert expected is replicates[2]
-        assert np.array_equal(search.train_policy(mdp, run, "k", rows).probs, expected.probs)
+        other = rl.select_replicate(
+            [rl.q_learning(mdp, run.trainer, search._key_stream(0, "j", rep))
+             for rep in range(3)], rows)
+        assert other.probs.tobytes() != expected.probs.tobytes()
+        got = search.train_policies([mdp, mdp], run, ["k", "j"], rows)
+        assert [p.probs.tobytes() for p in got] == [expected.probs.tobytes(),
+                                                    other.probs.tobytes()]
         with pytest.raises(ValueError):
             rl.TrainerConfig(mode="sarsa")
 

@@ -1,6 +1,7 @@
 """Search layer: evaluation cache, neighborhoods, greedy walk, multi-start."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from tlexplain.search import (
     greedy_search,
     multi_start,
     rank,
-    train_policy,
+    train_policies,
 )
 
 TARGET_KEY = "F(psi_ba_rf) & G(!psi_ba_ra | psi_ba_bt)"
+QLEARN_CONFIG = Path(__file__).resolve().parent / "data" / "ctf_qlearn" / "config.yaml"
 # no explanation's policy on the reference map returns more than this, so
 # every candidate is filtered
 UNREACHABLE_RETURN = 10.0
@@ -121,7 +123,7 @@ class TestEvaluate:
         cfg = RunConfig(envs.EnvConfig("S.#G\n..##\n....\n", type="nav"), [],
                         RewardConfig(), rl.TrainerConfig(tau=0.01),
                         metrics.MetricConfig(), SearchParams(), {})
-        ev = Evaluator(model, preds, uniform, sample, cfg)
+        ev = Evaluator(model, preds, sample, cfg)
         record = ev.evaluate(fm.parse_explanation("F(psi0) & G(!psi1)", preds))
         assert record.filtered and record.mean_return <= 0.05
 
@@ -188,6 +190,28 @@ class TestEvaluateMany:
         full = -(-search.VI_BATCH_CELLS // (462 * 5))   # tables that reach the budget
         assert sizes[:-1] == [full] * (len(sizes) - 1) and 1 <= sizes[-1] <= full
 
+    def test_q_learning_candidates_wait_in_the_batch(self, monkeypatch):
+        """Under Q-learning the 44 candidates the n=3 oracle trains wait in
+        batches as soft VI's do, and give the records, order and counters
+        of training one at a time."""
+        runtime = build_runtime(load_config(QLEARN_CONFIG))
+        sizes, original = [], search.train_policies
+
+        def recording(mdps, *args):
+            sizes.append(len(mdps))
+            return original(mdps, *args)
+
+        monkeypatch.setattr(search, "train_policies", recording)
+        batched = fresh_evaluator(runtime)
+        brute_force_oracle(batched)
+        assert sizes == [11] * 4
+        monkeypatch.setattr(search, "VI_BATCH_CELLS", 1)
+        serial = fresh_evaluator(runtime)
+        brute_force_oracle(serial)
+        assert sizes[4:] == [1] * 44
+        self._assert_same_evaluators(batched, serial)
+        assert (serial.n_unreachable, serial.n_product_hits) == (52, 0)
+
     def test_equal_products_in_one_batch_train_once(self, reference_runtime, monkeypatch):
         ev = fresh_evaluator(reference_runtime)
         first, second = next(g for g in _product_groups(ev) if len(g) > 1)[:2]
@@ -227,11 +251,11 @@ class TestEvaluateMany:
         the target, on ctf5, where the quotient merges rows: the oracle
         gives the explanation target's records, field for field."""
         path = tmp_path / "target_policy.txt"
-        reference_runtime.evaluator.target.save(path)
+        reference_runtime.target.save(path)
         runtime = build_runtime(replace(reference_config, target={"policy_path": str(path)}))
         ev = runtime.evaluator
         assert runtime.target_key is None and ev.product_model.n_rows == 126
-        assert ev.target.probs.tobytes() == reference_runtime.evaluator.target.probs.tobytes()
+        assert runtime.target.probs.tobytes() == reference_runtime.target.probs.tobytes()
         expected = fresh_evaluator(reference_runtime)
         assert ([repr(r) for r in sum(brute_force_oracle(ev), [])]
                 == [repr(r) for r in sum(brute_force_oracle(expected), [])])
@@ -417,13 +441,16 @@ class TestBruteForceOracle:
         assert [rank(r) for r in ranked] == sorted(rank(r) for r in ranked)
         assert [r.key for r in filtered] == sorted(r.key for r in filtered)
 
-    @pytest.mark.parametrize("config", ["ctf_reference.yaml", "ctf_n4.yaml"])
+    @pytest.mark.parametrize("config", [CONFIG_DIR / "ctf_reference.yaml",
+                                        CONFIG_DIR / "ctf_n4.yaml", QLEARN_CONFIG],
+                             ids=["ctf_reference.yaml", "ctf_n4.yaml", "ctf_qlearn"])
     def test_records_do_not_depend_on_evaluation_order(self, config, monkeypatch):
-        """The n=3 and n=4 classes evaluated in generation order, key order
-        and two seeded shuffles, which change the batches and which member
-        of a product class trains: the same record per key, the same
-        counters and the same oracle lists."""
-        runtime = build_runtime(load_config(CONFIG_DIR / config))
+        """The n=3 and n=4 classes under soft VI, and the n=3 class under
+        Q-learning, evaluated in generation order, key order and two seeded
+        shuffles, which change the batches and which member of a product
+        class trains: the same record per key, the same counters and the
+        same oracle lists."""
+        runtime = build_runtime(load_config(config))
         generated = list(fm.enumerate_all(runtime.evaluator.predicates))
         orders = [generated, _by_key(runtime.evaluator.predicates)]
         for seed in (1, 2):
@@ -460,7 +487,7 @@ def _reference_record(ev, canon):
     full-horizon return, then filter or score."""
     key = fm.render(canon, ev.predicates)
     mdp = evaluator_product(ev, canon)
-    policy = train_policy(mdp, ev.cfg, key, ev.sample.rows)
+    policy, = train_policies([mdp], ev.cfg, [key], ev.sample.rows)
     mean_return = full_horizon_return(mdp, policy)
     if mean_return <= ev.params.return_threshold:
         return metrics.UtilityRecord(key, None, mean_return)
