@@ -72,6 +72,13 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
+def _output_dir(cfg: RunConfig) -> Path:
+    """``cfg.output``, made before the solve, so that a bad path fails first."""
+    out_dir = Path(cfg.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _write_manifest(cfg: RunConfig, out_dir: Path) -> None:
     manifest = yaml.safe_dump(cfg.to_dict(), sort_keys=True)
     (out_dir / "manifest.yaml").write_text(manifest)
@@ -94,9 +101,8 @@ def _print_row_classes(evaluator) -> None:
 def cmd_search(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     runtime = build_runtime(cfg)
+    out_dir = _output_dir(cfg)
     result = multi_start(runtime.evaluator, cfg.search)
-    out_dir = Path(cfg.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(cfg, out_dir)
 
     with (out_dir / "results.csv").open("w", newline="") as fh:
@@ -131,9 +137,8 @@ def cmd_search(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     runtime = build_runtime(cfg)
+    out_dir = _output_dir(cfg)
     ranked, filtered = brute_force_oracle(runtime.evaluator)
-    out_dir = Path(cfg.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "oracle.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("rank", "explanation", "wkl", "utility", "mean_return"))

@@ -94,9 +94,7 @@ def sample_nontrap(model, n: int, rng: np.random.Generator) -> list[int]:
     n_rows = model.n_rows
     if n_rows == 0:
         raise NoNontrapStatesError("no non-trap states to sample")
-    replace = n > n_rows
-    return sorted(rng.choice(n_rows, size=min(n, n_rows) if not replace else n,
-                             replace=replace).tolist())
+    return sorted(rng.choice(n_rows, size=n, replace=n > n_rows).tolist())
 
 
 def _clamp(p: np.ndarray, eps: float) -> np.ndarray:

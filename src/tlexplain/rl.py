@@ -129,19 +129,19 @@ def soft_value_iteration(tables: list[TransitionTable], gamma: float,
     policy per table, seed-independent.
 
     The tables must share ``n_rows`` and ``n_actions`` and sweep together.
-    Everything that does not depend on ``v`` is computed once: the
-    action-major cell of each branch, offset by the table's slot in the
-    batch, the expected immediate reward per cell, and the discounted
-    weights of branches into non-terminal rows.  A sweep is then one
-    ``bincount`` plus one log-sum-exp over actions for the whole batch;
+    Everything that does not depend on ``v`` is computed once per table:
+    the action-major cell of each branch, the expected immediate reward per
+    cell, and the discounted weights of branches into non-terminal rows.
+    The batch packs these, offset by each table's slot; a sweep is then one
+    ``bincount`` plus one log-sum-exp over actions for the whole batch, and
     ``v`` is ``(K, n_rows)`` for ``K`` tables.  Each cell sums the same
     terms in the same order as it would for its table alone, so each
     policy is bit for bit what the table would get by itself.
 
     Each table keeps its own residual and gets its policy on the sweep
-    where that residual first falls below tolerance; the batch then drops
-    it and sweeps on with the rest.  If tables are still unconverged after
-    ``max_iterations`` sweeps, the error names the first of them.
+    where that residual first falls below tolerance; the batch is then
+    packed again from the tables left.  If tables are still unconverged
+    after ``max_iterations`` sweeps, the error names the first of them.
     """
     if not tables:
         return []
@@ -149,19 +149,27 @@ def soft_value_iteration(tables: list[TransitionTable], gamma: float,
     if any((t.n_rows, t.n_actions) != (n_rows, n_actions) for t in tables):
         raise ValueError("tables trained together must share n_rows and n_actions")
     block = n_rows * n_actions           # cells of one table
-    base, cells, nxt, weight, sizes = [], [], [], [], []
-    for k, t in enumerate(tables):
+    # per table: the expected immediate reward of each cell, and the cell,
+    # next row and discounted weight of each branch into a non-terminal row
+    bases, lives = [], []
+    for t in tables:
         table_cells = t.branch_action * n_rows + t.branch_row
-        base.append(np.bincount(table_cells, weights=t.branch_prob * t.branch_reward,
-                                minlength=block))
+        bases.append(np.bincount(table_cells, weights=t.branch_prob * t.branch_reward,
+                                 minlength=block))
         live = t.branch_next_row >= 0
-        cells.append(table_cells[live] + k * block)
-        nxt.append(t.branch_next_row[live] + k * n_rows)
-        weight.append(gamma * t.branch_prob[live])
-        sizes.append(len(weight[-1]))        # live branches per slot
-    base, cells, nxt, weight = map(np.concatenate, (base, cells, nxt, weight))
+        lives.append((table_cells[live], t.branch_next_row[live], gamma * t.branch_prob[live]))
+
+    def pack(alive):
+        """The batch's arrays for the tables in ``alive``, one per slot: slot
+        ``j``'s cells and rows are offset by ``j`` tables' cells and rows."""
+        return (np.concatenate([bases[i] for i in alive]),
+                np.concatenate([lives[i][0] + j * block for j, i in enumerate(alive)]),
+                np.concatenate([lives[i][1] + j * n_rows for j, i in enumerate(alive)]),
+                np.concatenate([lives[i][2] for i in alive]))
+
     tau, tolerance = cfg.tau, cfg.tolerance
     alive = list(range(len(tables)))     # the table in each slot
+    base, cells, nxt, weight = pack(alive)
     policies: list[TabularPolicy | None] = [None] * len(tables)
     v = np.zeros((len(tables), n_rows))
     for _ in range(cfg.max_iterations):
@@ -186,22 +194,10 @@ def soft_value_iteration(tables: list[TransitionTable], gamma: float,
             policies[alive[k]] = TabularPolicy(_policy_rows(z[k], s[k]))
         if all(done):
             return policies
-        # drop the finished slots; each other slot moves down by the number
-        # of finished slots before it.  One array is replaced at a time, so
-        # that old and new copies of all of them never coexist.
-        keep = np.logical_not(done)
-        kept = np.repeat(keep, sizes)
-        sizes = [n for n, d in zip(sizes, done) if not d]
-        shift = np.repeat(np.cumsum(done)[keep], sizes) * n_rows
-        nxt = nxt[kept]
-        nxt -= shift
-        shift *= n_actions
-        cells = cells[kept]
-        cells -= shift
-        weight = weight[kept]
-        base, v = base.reshape(len(done), block)[keep].ravel(), v[keep]
+        v = v[np.logical_not(done)]
         alive = [i for i, d in zip(alive, done) if not d]
         delta = [r for r, d in zip(delta, done) if not d]
+        base, cells, nxt, weight = pack(alive)
     raise NoConvergenceError(
         f"soft value iteration did not reach tolerance {tolerance} in "
         f"{cfg.max_iterations} sweeps (final residual {delta[0]:.3g})", alive[0])

@@ -28,10 +28,10 @@ from .product import SPARSE, EnvModel, ProductMdp, acceptance_reachable
 # the full model (its rows x actions), then train in one ``train_policies``
 # call: under soft VI one ``rl.soft_value_iteration`` batch on their tables
 # over the model's quotient, under Q-learning one product after another.
-# Sized for soft VI's memory as well as time: a batch peaks at 60-90 bytes
+# Sized for soft VI's memory as well as time: a batch peaks at 70-115 bytes
 # per trained cell (traced on ctf5, ctf7 and nav10: the waiting transition
 # tables, VI arrays and sweep temporaries).  24,000 cells are 11 ctf5
-# candidates, whose 630 quotient cells each peak at 0.6 MB.  Counting
+# candidates, whose 630 quotient cells each peak at 0.7-0.8 MB.  Counting
 # quotient cells (38 candidates) trained the ctf5 oracle 17% faster but
 # raised its peak RSS by 1.8 MB.
 VI_BATCH_CELLS = 24_000
@@ -116,9 +116,13 @@ def train_policies(mdps, cfg, stream_keys, rows) -> list[rl.TabularPolicy]:
     if cfg.trainer.mode == rl.EXACT_SOFT_VI:
         return rl.soft_value_iteration([mdp.table for mdp in mdps], mdps[0].reward.gamma,
                                        cfg.trainer)
-    return [rl.select_replicate([rl.q_learning(mdp, cfg.trainer, _key_stream(cfg.seed, key, rep))
-                                 for rep in range(cfg.search.n_rep)], rows)
-            for mdp, key in zip(mdps, stream_keys)]
+    policies = []
+    for mdp, key in zip(mdps, stream_keys):
+        replicates = [rl.q_learning(mdp, cfg.trainer, _key_stream(cfg.seed, key, rep))
+                      for rep in range(cfg.search.n_rep)]
+        vars(mdp).pop("step_outcomes", None)    # the outcome lists q_learning reads
+        policies.append(rl.select_replicate(replicates, rows))
+    return policies
 
 
 def explanation_policy(model: EnvModel, canon: fm.CanonicalExplanation, predicates, cfg,
@@ -278,7 +282,6 @@ class _SearchContext:
     evaluator: Evaluator
     params: SearchParams
     trace: list[TraceNode]
-    touched: set
     restart: int = 0
 
     def record(self, record, step, parent, move):
@@ -307,13 +310,11 @@ def eval_neighbors(enc: fm.ExplanationEncoding, ctx: _SearchContext, step: int,
     ev, params = ctx.evaluator, ctx.params
     nbh = fm.neighborhood(enc)
     center, *records = ev.evaluate_many([fm.decode(e) for e in [enc, *nbh]])
-    ctx.touched.add(center.key)
     # key -> (record, encoding) of every candidate met, the center first
     found = {center.key: (center, enc)}
 
     def consider(cands, records, move):
         for cand_enc, record in zip(cands, records):
-            ctx.touched.add(record.key)
             if record.key not in found:
                 found[record.key] = (record, cand_enc)
                 ctx.record(record, step, center.key, move)
@@ -339,7 +340,6 @@ def greedy_search(start: fm.ExplanationEncoding, ctx: _SearchContext
     params = ctx.params
     enc = start
     head = ctx.evaluator.evaluate(fm.decode(enc))
-    ctx.touched.add(head.key)
     ctx.record(head, 0, None, "init")
 
     for step in range(1, params.n_max + 1):
@@ -362,27 +362,25 @@ def greedy_search(start: fm.ExplanationEncoding, ctx: _SearchContext
 
 
 def multi_start(evaluator: Evaluator, params: SearchParams) -> MultiStartResult:
-    """Seeded random restarts sharing one cache, with top-k reporting."""
+    """Seeded random restarts sharing one cache, with top-k reporting.  A
+    restart traces every key it evaluates, so its ``searched_frac`` is the
+    share of the class among its trace nodes' keys."""
     n = len(evaluator.predicates)
     denominator = fm.class_size(n)
     trace: list[TraceNode] = []
-    all_touched: set[str] = set()
     results = []
     for i in range(params.n_search):
         rng = np.random.default_rng(
             np.random.SeedSequence([evaluator.cfg.seed, 7919, i]))
         start = fm.random_encoding(n, rng)
-        touched: set[str] = set()
-        record = greedy_search(
-            start, _SearchContext(evaluator, params, trace, touched, restart=i))
-        all_touched |= touched
-        frac = len(touched) / denominator
+        record = greedy_search(start, _SearchContext(evaluator, params, trace, restart=i))
+        frac = len({node.key for node in trace if node.restart == i}) / denominator
         results.append(RestartResult(i, record.key, record.utility, frac, record) if record
                        else RestartResult(i, None, None, frac, None))
     # empty restarts go last, in restart order
     results.sort(key=lambda r: (r.record is None, r.record and rank(r.record)))
     return MultiStartResult(results[:params.top_k],
-                            len(all_touched) / denominator, denominator, trace)
+                            len({node.key for node in trace}) / denominator, denominator, trace)
 
 
 def brute_force_oracle(evaluator: Evaluator

@@ -283,6 +283,22 @@ class TestOracleCommand:
         assert "exceeds the enumeration cap 1" in capsys.readouterr().err
 
 
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", ["search", "oracle"])
+    def test_unusable_out_fails_before_the_solve(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the output directory was made")
+
+        monkeypatch.setattr(cli, "multi_start", solve)
+        monkeypatch.setattr(cli, "brute_force_oracle", solve)
+        (tmp_path / "file").write_text("")
+        config = _write_config(tmp_path)
+        out = str(tmp_path / "file" / "sub")
+        assert cli.main([command, "--config", str(config), "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestEnumerateCommand:
     def test_reference_count(self, capsys):
         assert cli.main(["enumerate", "--config", REFERENCE_CONFIG]) == cli.EXIT_OK

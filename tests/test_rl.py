@@ -457,7 +457,11 @@ class TestBatchedSoftValueIteration:
         tables = _trainable_tables(cfg)
         assert len(tables) == {"ctf5": 39, "ctf7": 60, "nav10": 67}[name]
         for i in range(0, len(tables), 8):
-            _assert_batch_matches_serial(tables[i:i + 8], cfg.reward.gamma, cfg.trainer)
+            batch = tables[i:i + 8]
+            # reversed, each table sweeps in another slot and finishes
+            # beside other tables
+            for slots in (batch, batch[::-1]):
+                _assert_batch_matches_serial(slots, cfg.reward.gamma, cfg.trainer)
 
     def test_unconverged_tables_name_the_first(self, reference_runtime):
         """In 17 sweeps about half the reference tables converge: a batch

@@ -282,7 +282,7 @@ class TestEvaluateMany:
 class TestEvalNeighbors:
     def _ctx(self, runtime, params=None):
         ev = fresh_evaluator(runtime, search=params or runtime.evaluator.params)
-        return _SearchContext(ev, params or ev.params, trace=[], touched=set())
+        return _SearchContext(ev, params or ev.params, trace=[])
 
     def test_buffer_sorted_and_unique(self, reference_runtime):
         ctx = self._ctx(reference_runtime)
@@ -335,7 +335,7 @@ class TestEvalNeighbors:
 class TestGreedySearch:
     def test_start_at_optimum_stays(self, reference_runtime):
         ev = fresh_evaluator(reference_runtime)
-        ctx = _SearchContext(ev, ev.params, trace=[], touched=set())
+        ctx = _SearchContext(ev, ev.params, trace=[])
         enc = next(e for e in iter_valid_encodings(3)
                    if fm.render(fm.decode(e), ev.predicates) == TARGET_KEY)
         record = greedy_search(enc, ctx)
@@ -344,7 +344,7 @@ class TestGreedySearch:
     def test_all_filtered_finds_nothing(self, reference_runtime):
         params = _all_filtered(reference_runtime)
         ctx = _SearchContext(fresh_evaluator(reference_runtime, search=params), params,
-                             trace=[], touched=set())
+                             trace=[])
         assert greedy_search(_target_encoding(reference_runtime), ctx) is None
         assert ctx.trace[0].move == "init"
         assert all(node.filtered for node in ctx.trace)
@@ -413,6 +413,58 @@ class TestMultiStart:
         result = multi_start(fresh_evaluator(reference_runtime),
                              replace(reference_runtime.evaluator.params, n_search=1))
         assert result.denominator == 96
+
+
+class TestSearchedFractions:
+    """A restart's ``searched_frac`` counts the keys among its trace nodes;
+    a spy on ``Evaluator.evaluate_many`` checks that these are the keys it
+    evaluated."""
+
+    @staticmethod
+    def _check(evaluator, params, monkeypatch):
+        evaluated, current = {}, [None]   # restart -> keys; the restart running
+        greedy, evaluate_many = search.greedy_search, Evaluator.evaluate_many
+
+        def spy_greedy(start, ctx):
+            current[0] = ctx.restart
+            return greedy(start, ctx)
+
+        def spy_evaluate_many(self, canons):
+            records = evaluate_many(self, canons)
+            evaluated.setdefault(current[0], set()).update(r.key for r in records)
+            return records
+
+        monkeypatch.setattr(search, "greedy_search", spy_greedy)
+        monkeypatch.setattr(Evaluator, "evaluate_many", spy_evaluate_many)
+        result = multi_start(evaluator, params)
+        assert sorted(evaluated) == list(range(params.n_search))
+        for i, keys in evaluated.items():
+            assert keys == {node.key for node in result.traces if node.restart == i}
+        for res in result.results:
+            assert res.searched_frac == len(evaluated[res.restart]) / result.denominator
+        everything = set().union(*evaluated.values())
+        assert result.overall_searched_frac == len(everything) / result.denominator
+        return result
+
+    def test_reference(self, reference_runtime, monkeypatch):
+        self._check(fresh_evaluator(reference_runtime), reference_runtime.evaluator.params,
+                    monkeypatch)
+
+    def test_empty_restarts(self, monkeypatch):
+        # n=4, seed 5: restarts 6 and 8 find nothing, but evaluate and trace
+        cfg = load_config(CONFIG_DIR / "ctf_n4.yaml")
+        cfg.seed = 5
+        result = self._check(build_runtime(cfg).evaluator, cfg.search, monkeypatch)
+        empty = [res for res in result.results if res.record is None]
+        assert [res.restart for res in empty] == [6, 8]
+        assert all(res.searched_frac > 0 for res in empty)
+
+    def test_warm_cache(self, reference_runtime, monkeypatch):
+        # the oracle first, as the reference walkthrough demo runs them: every
+        # key a restart evaluates is a cache hit
+        ev = fresh_evaluator(reference_runtime)
+        brute_force_oracle(ev)
+        self._check(ev, reference_runtime.evaluator.params, monkeypatch)
 
 
 @pytest.fixture(scope="module")
