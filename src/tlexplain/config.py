@@ -269,7 +269,8 @@ def _nav_shaped_target(cfg: RunConfig, model: EnvModel) -> rl.TabularPolicy:
     table = TransitionTable(model.n_rows, model.n_actions, model.branch_row,
                             model.branch_action, model.row_of[nxt], model.branch_prob,
                             reward)
-    return rl.soft_value_iteration([table], cfg.reward.gamma, cfg.trainer)[0]
+    (_, policy), = rl.soft_value_iteration([table], cfg.reward.gamma, cfg.trainer)
+    return policy
 
 
 def build_runtime(cfg: RunConfig) -> Runtime:

@@ -364,27 +364,51 @@ class ProductMdp:
     # -- returns -----------------------------------------------------------
 
     def average_return(self, policy) -> float:
-        """Exact expected undiscounted return over ``horizon`` steps.
+        """Exact expected undiscounted return over ``horizon`` steps: the
+        return of a group of one, ``average_returns([self], [policy])``."""
+        return average_returns([self], [policy])[0]
 
-        Backward induction over the transition table: after pass ``i``,
-        ``v`` holds each row's expected return-to-go with ``i`` steps left.
-        A branch into a terminal product state earns its reward only.  The
-        pass is a fixed map of ``v``, so once it returns a vector equal to
-        its input every later pass returns that vector too, and the loop
-        stops there with the full-horizon result.
-        """
-        t, m = self.table, self.model
+
+def average_returns(mdps, policies) -> list[float]:
+    """The exact expected undiscounted return of each product of ``mdps``
+    under its policy of ``policies``, over their shared ``horizon``.
+
+    One backward induction over all their transition tables, each table's
+    rows offset by the rows of the tables before it: after pass ``i``, ``v``
+    holds each row's expected return-to-go with ``i`` steps left.  A branch
+    into a terminal product state earns its reward only.  A pass maps each
+    table's values by its own rows alone, and is a fixed map: once it
+    returns a table's values unchanged, every later pass returns them
+    unchanged too.  So the loop stops once every table is at that fixed
+    point, or after ``horizon`` passes, and each row sums the same terms in
+    the same order as for its table alone: every return is bit for bit the
+    full-horizon return of its product.
+    """
+    if not mdps:
+        return []
+    horizon = mdps[0].horizon
+    if any(mdp.horizon != horizon for mdp in mdps):
+        raise ValueError("returns taken together must share their horizon")
+    offsets, r_pi, src, nxt, w_live = [], [], [], [], []
+    n = 0
+    for mdp, policy in zip(mdps, policies):
+        t = mdp.table
         w = policy.probs[t.branch_row, t.branch_action] * t.branch_prob
-        r_pi = np.bincount(t.branch_row, weights=w * t.branch_reward,
-                           minlength=t.n_rows)
+        r_pi.append(np.bincount(t.branch_row, weights=w * t.branch_reward, minlength=t.n_rows))
         live = t.branch_next_row >= 0
-        src, nxt, w_live = t.branch_row[live], t.branch_next_row[live], w[live]
-        v = np.zeros(t.n_rows)
-        for _ in range(self.horizon):
-            v_next = v.take(nxt)
-            v_next *= w_live
-            # out of place: with no live branch, bincount returns int64 zeros
-            v_prev, v = v, r_pi + np.bincount(src, weights=v_next, minlength=t.n_rows)
-            if (v == v_prev).all():
-                break
-        return float(m.start_probs @ v[m.start_rows])
+        src.append(t.branch_row[live] + n)
+        nxt.append(t.branch_next_row[live] + n)
+        w_live.append(w[live])
+        offsets.append(n)
+        n += t.n_rows
+    r_pi, src, nxt, w_live = map(np.concatenate, (r_pi, src, nxt, w_live))
+    v = np.zeros(n)
+    for _ in range(horizon):
+        v_next = v.take(nxt)
+        v_next *= w_live
+        # out of place: with no live branch, bincount returns int64 zeros
+        v_prev, v = v, r_pi + np.bincount(src, weights=v_next, minlength=n)
+        if (v == v_prev).all():
+            break
+    return [float(mdp.model.start_probs @ v[mdp.model.start_rows + offset])
+            for mdp, offset in zip(mdps, offsets)]

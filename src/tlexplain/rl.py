@@ -8,7 +8,9 @@ path that makes replicate selection meaningful.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import ceil
 from pathlib import Path
 
@@ -22,8 +24,8 @@ Q_LEARNING = "q-learning"
 
 
 class NoConvergenceError(RuntimeError):
-    """``index`` is the position, in the trained batch, of the table that
-    did not converge."""
+    """``index`` is the place, in the trained stream, of the table that did
+    not converge."""
 
     def __init__(self, message: str, index: int = 0):
         super().__init__(message)
@@ -123,84 +125,117 @@ def _policy_rows(z: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((z / s).T)
 
 
-def soft_value_iteration(tables: list[TransitionTable], gamma: float,
-                         cfg: TrainerConfig) -> list[TabularPolicy]:
-    """Iterate the soft Bellman backup to tolerance on each table; one
-    policy per table, seed-independent.
+def soft_value_iteration(tables: Iterable[TransitionTable], gamma: float, cfg: TrainerConfig,
+                         slots: int = 1) -> Iterator[tuple[int, TabularPolicy]]:
+    """Iterate the soft Bellman backup to tolerance on each table of the
+    stream ``tables``; yields ``(i, policy)`` for the ``i``-th table on the
+    sweep its policy is out.  Policies are seed-independent.
 
-    The tables must share ``n_rows`` and ``n_actions`` and sweep together.
-    Everything that does not depend on ``v`` is computed once per table:
-    the action-major cell of each branch, the expected immediate reward per
-    cell, and the discounted weights of branches into non-terminal rows.
-    The batch packs these, offset by each table's slot; a sweep is then one
-    ``bincount`` plus one log-sum-exp over actions for the whole batch, and
-    ``v`` is ``(K, n_rows)`` for ``K`` tables.  Each cell sums the same
-    terms in the same order as it would for its table alone, so each
-    policy is bit for bit what the table would get by itself.
+    Up to ``slots`` tables sweep together, and they must share ``n_rows``
+    and ``n_actions``.  Everything that does not depend on ``v`` is computed
+    once, as a table enters: the action-major cell of each branch, the
+    expected immediate reward per cell, and the discounted weights of
+    branches into non-terminal rows.  The slots' arrays are packed, slot
+    ``k``'s cells and rows offset by ``k`` tables' cells and rows, so a
+    sweep is one ``bincount`` plus one log-sum-exp over actions for all of
+    them, and ``v`` is ``(K, n_rows)`` for ``K`` tables.  Each cell sums the
+    same terms in the same order as it would for its table alone, so each
+    policy is bit for bit what the table would get by itself, whatever its
+    slot.
 
-    Each table keeps its own residual and gets its policy on the sweep
-    where that residual first falls below tolerance; the batch is then
-    packed again from the tables left.  If tables are still unconverged
-    after ``max_iterations`` sweeps, the error names the first of them.
+    Each table keeps its own residual and counts its own sweeps.  Its
+    policy goes out on the sweep where its residual first falls below
+    tolerance.  The finished tables' slots are then masked out of the
+    packed arrays, and the stream's next tables take slots after the
+    others, each with a zero row of ``v``.  So the slots hold their tables
+    in stream order, and slot 0 is the first to run out of sweeps: if its
+    table has not converged after ``max_iterations`` sweeps of its own,
+    ``NoConvergenceError`` gives its place in the stream and its residual.
     """
-    if not tables:
-        return []
-    n_rows, n_actions = tables[0].n_rows, tables[0].n_actions
-    if any((t.n_rows, t.n_actions) != (n_rows, n_actions) for t in tables):
-        raise ValueError("tables trained together must share n_rows and n_actions")
+    if slots < 1:
+        raise ValueError(f"slots must be >= 1, got {slots}")
+    stream = enumerate(tables)
+    first = next(stream, None)
+    if first is None:
+        return
+    n_rows, n_actions = first[1].n_rows, first[1].n_actions
     block = n_rows * n_actions           # cells of one table
-    # per table: the expected immediate reward of each cell, and the cell,
-    # next row and discounted weight of each branch into a non-terminal row
-    bases, lives = [], []
-    for t in tables:
-        table_cells = t.branch_action * n_rows + t.branch_row
-        bases.append(np.bincount(table_cells, weights=t.branch_prob * t.branch_reward,
-                                 minlength=block))
-        live = t.branch_next_row >= 0
-        lives.append((table_cells[live], t.branch_next_row[live], gamma * t.branch_prob[live]))
-
-    def pack(alive):
-        """The batch's arrays for the tables in ``alive``, one per slot: slot
-        ``j``'s cells and rows are offset by ``j`` tables' cells and rows."""
-        return (np.concatenate([bases[i] for i in alive]),
-                np.concatenate([lives[i][0] + j * block for j, i in enumerate(alive)]),
-                np.concatenate([lives[i][1] + j * n_rows for j, i in enumerate(alive)]),
-                np.concatenate([lives[i][2] for i in alive]))
-
-    tau, tolerance = cfg.tau, cfg.tolerance
-    alive = list(range(len(tables)))     # the table in each slot
-    base, cells, nxt, weight = pack(alive)
-    policies: list[TabularPolicy | None] = [None] * len(tables)
-    v = np.zeros((len(tables), n_rows))
-    for _ in range(cfg.max_iterations):
-        v_next = v.take(nxt)
-        v_next *= weight
-        # with no branch into a live row, bincount returns int64 zeros
-        q = (np.bincount(cells, weights=v_next, minlength=base.size)
-             if cells.size else np.zeros(base.size))
-        q += base
-        m, z, s = _action_softmax(q.reshape(len(alive), n_actions, n_rows), tau)
-        v_new = np.log(s)
-        v_new *= tau
-        v_new += m
-        diff = v_new - v
-        np.abs(diff, out=diff)
-        delta = diff.max(axis=1).tolist()
-        v = v_new
-        done = [d < tolerance for d in delta]   # a NaN residual never converges
-        if not any(done):
-            continue
-        for k in (k for k, d in enumerate(done) if d):
-            policies[alive[k]] = TabularPolicy(_policy_rows(z[k], s[k]))
-        if all(done):
-            return policies
-        v = v[np.logical_not(done)]
-        alive = [i for i, d in zip(alive, done) if not d]
-        delta = [r for r, d in zip(delta, done) if not d]
-        base, cells, nxt, weight = pack(alive)
-    raise NoConvergenceError(
-        f"soft value iteration did not reach tolerance {tolerance} in "
-        f"{cfg.max_iterations} sweeps (final residual {delta[0]:.3g})", alive[0])
+    stream = chain([first], stream)
+    tau, tolerance, limit = cfg.tau, cfg.tolerance, cfg.max_iterations
+    # per slot: the table's place in the stream, the sweep it entered
+    # after, and its number of branches into non-terminal rows
+    places, entered, sizes = [], [], []
+    # while slots are held, the one entry ``(base, cells, nxt, weight)``:
+    # the expected immediate reward of each cell, and the cell, next row
+    # and discounted weight of each branch into a non-terminal row
+    packed = []
+    v = np.zeros((0, n_rows))
+    sweep = 0
+    while True:
+        entering = []
+        for i, t in islice(stream, slots - len(places)):
+            if (t.n_rows, t.n_actions) != (n_rows, n_actions):
+                raise ValueError("tables trained together must share n_rows and n_actions")
+            k = len(places)
+            table_cells = t.branch_action * n_rows + t.branch_row
+            live = t.branch_next_row >= 0
+            entering.append((np.bincount(table_cells, weights=t.branch_prob * t.branch_reward,
+                                         minlength=block),
+                             table_cells[live] + k * block, t.branch_next_row[live] + k * n_rows,
+                             gamma * t.branch_prob[live]))
+            places.append(i)
+            entered.append(sweep)
+            sizes.append(entering[-1][1].size)
+        if not places:
+            return
+        if entering:
+            packed = [tuple(map(np.concatenate, zip(*packed, *entering)))]
+            v = np.concatenate([v, np.zeros((len(entering), n_rows))])
+            del entering
+        base, cells, nxt, weight = packed[0]
+        deadline = entered[0] + limit        # slot 0's last sweep
+        while True:
+            v_next = v.take(nxt)
+            v_next *= weight
+            # with no branch into a live row, bincount returns int64 zeros
+            q = (np.bincount(cells, weights=v_next, minlength=base.size)
+                 if cells.size else np.zeros(base.size))
+            q += base
+            m, z, s = _action_softmax(q.reshape(len(places), n_actions, n_rows), tau)
+            v_new = np.log(s)
+            v_new *= tau
+            v_new += m
+            diff = v_new - v
+            np.abs(diff, out=diff)
+            delta = diff.max(axis=1).tolist()
+            v = v_new
+            sweep += 1
+            done = [d < tolerance for d in delta]   # a NaN residual never converges
+            if any(done) or sweep == deadline:
+                break
+        del v_next, diff                 # the sweep's temporaries, before the consumer runs
+        if any(done):
+            for k in (k for k, d in enumerate(done) if d):
+                yield places[k], TabularPolicy(_policy_rows(z[k], s[k]))
+            del q, z
+            keep = [not d for d in done]
+            v = v[keep]
+            packed = []
+            if not all(done):
+                # each slot left moves down by the finished slots before it
+                branches = np.repeat(keep, sizes)
+                moved = np.repeat(np.cumsum(done), sizes)[branches]
+                base = base.reshape(-1, block)[keep].ravel()
+                cells = cells[branches] - moved * block
+                nxt = nxt[branches] - moved * n_rows
+                weight = weight[branches]
+                packed.append((base, cells, nxt, weight))
+            places, entered, sizes, delta = ([x for x, k in zip(xs, keep) if k]
+                                             for xs in (places, entered, sizes, delta))
+        if places and entered[0] + limit == sweep:
+            raise NoConvergenceError(
+                f"soft value iteration did not reach tolerance {tolerance} in "
+                f"{limit} sweeps (final residual {delta[0]:.3g})", places[0])
 
 
 _BLOCK_WORDS = 1024  # raw words fetched per numpy call; larger blocks cost memory

@@ -14,6 +14,7 @@ and next-best extension escapes, restarted from random encodings.
 from __future__ import annotations
 
 import zlib
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,19 +22,20 @@ import numpy as np
 from . import formula as fm
 from . import metrics, rl
 from .fspa import build_fspa
-from .product import SPARSE, EnvModel, ProductMdp, acceptance_reachable
+from .product import SPARSE, EnvModel, ProductMdp, acceptance_reachable, average_returns
 
 
-# Candidates that need training wait until they count this many cells of
-# the full model (its rows x actions), then train in one ``train_policies``
-# call: under soft VI one ``rl.soft_value_iteration`` batch on their tables
-# over the model's quotient, under Q-learning one product after another.
-# Sized for soft VI's memory as well as time: a batch peaks at 70-115 bytes
-# per trained cell (traced on ctf5, ctf7 and nav10: the waiting transition
-# tables, VI arrays and sweep temporaries).  24,000 cells are 11 ctf5
-# candidates, whose 630 quotient cells each peak at 0.7-0.8 MB.  Counting
+# Soft VI sweeps as many candidates' tables at once as it takes to reach
+# this many cells of the full model (its rows x actions): the slots of one
+# ``rl.soft_value_iteration`` stream, on tables over the model's quotient.
+# Its trained candidates are scored in groups of as many, one
+# ``product.average_returns`` call each.  Sized for soft VI's memory as
+# well as time: a stream peaks at 71-103 bytes per cell of the tables it
+# holds (traced on ctf5, ctf7 and nav10: the entering transition tables,
+# packed VI arrays and sweep temporaries).  24,000 cells are 11 ctf5
+# candidates, whose 630 quotient cells each peak at 0.7 MB.  Counting
 # quotient cells (38 candidates) trained the ctf5 oracle 17% faster but
-# raised its peak RSS by 1.8 MB.
+# raised its peak RSS by 1.8 MB, with batches that did not refill.
 VI_BATCH_CELLS = 24_000
 
 
@@ -103,26 +105,27 @@ def product_model(model: EnvModel, cfg) -> tuple[EnvModel, np.ndarray]:
             else (model, np.arange(model.n_rows)))
 
 
-def train_policies(mdps, cfg, stream_keys, rows) -> list[rl.TabularPolicy]:
-    """The policies trained for the products ``mdps`` under the run config
-    ``cfg``, one per product, each with a row per row of its model.
+def train_policies(products, cfg, rows, slots: int = 1):
+    """Train the products of the stream ``products``, ``(product MDP,
+    stream key)`` pairs, under the run config ``cfg``; yields ``(i,
+    policy)`` for the ``i``-th product as soon as its policy is out, with a
+    row per row of its model.
 
-    Soft VI is deterministic: it trains the products once, as one
-    ``rl.soft_value_iteration`` batch.  Q-learning trains ``search.n_rep``
-    replicates of each product on the run's streams keyed by its entry of
-    ``stream_keys``, and ``rl.select_replicate`` keeps the one of highest
-    mean entropy over the policy rows ``rows``.
+    Soft VI is deterministic: it trains each product once, up to ``slots``
+    of them sweeping together in ``rl.soft_value_iteration``.  Q-learning
+    trains each product as it comes: ``search.n_rep`` replicates on the
+    run's streams keyed by its stream key, and ``rl.select_replicate``
+    keeps the one of highest mean entropy over the policy rows ``rows``.
     """
     if cfg.trainer.mode == rl.EXACT_SOFT_VI:
-        return rl.soft_value_iteration([mdp.table for mdp in mdps], mdps[0].reward.gamma,
-                                       cfg.trainer)
-    policies = []
-    for mdp, key in zip(mdps, stream_keys):
+        yield from rl.soft_value_iteration((mdp.table for mdp, _ in products),
+                                           cfg.reward.gamma, cfg.trainer, slots)
+        return
+    for i, (mdp, key) in enumerate(products):
         replicates = [rl.q_learning(mdp, cfg.trainer, _key_stream(cfg.seed, key, rep))
                       for rep in range(cfg.search.n_rep)]
         vars(mdp).pop("step_outcomes", None)    # the outcome lists q_learning reads
-        policies.append(rl.select_replicate(replicates, rows))
-    return policies
+        yield i, rl.select_replicate(replicates, rows)
 
 
 def explanation_policy(model: EnvModel, canon: fm.CanonicalExplanation, predicates, cfg,
@@ -134,7 +137,7 @@ def explanation_policy(model: EnvModel, canon: fm.CanonicalExplanation, predicat
     trained_on, of_row = product_model(model, cfg)
     mdp = ProductMdp(trained_on, build_fspa(canon, predicates, trained_on.features),
                      cfg.reward, cfg.environment.horizon)
-    policy, = train_policies([mdp], cfg, [stream_key], range(model.n_rows))
+    (_, policy), = train_policies([(mdp, stream_key)], cfg, range(model.n_rows))
     return rl.TabularPolicy(policy.probs[of_row])
 
 
@@ -155,9 +158,9 @@ class Evaluator:
       runs can earn is <= 0.  Each distinct ``q_next`` is searched once.
     - ``n_product_hits`` (soft VI only): a candidate whose ``q_next`` and
       ``reward_next`` have the same bytes as an earlier candidate's, even
-      one still waiting in the same training batch, has the same transition
-      table, so the same policy, return and wKL; it gets a copy of that
-      record under its own key.
+      one still training, has the same transition table, so the same
+      policy, return and wKL; it gets a copy of that record under its own
+      key.
     """
 
     def __init__(self, model, predicates, sample: metrics.StateSample, cfg):
@@ -195,32 +198,70 @@ class Evaluator:
         on one canon after another would give, and the cache and both
         counters end up as they would.
 
-        The candidates that need training, under either trainer, wait until
-        they count ``VI_BATCH_CELLS`` cells (the last batch may hold fewer),
-        then train in one ``train_policies`` call; a batch's records enter
-        the cache, in evaluation order, once it has trained.  A batch that
-        does not converge raises the error the first of its unconverged
-        candidates would raise alone, and enters nothing into the cache.
+        The candidates that need training, under either trainer, stream
+        into one ``train_policies`` call as their products are built, with
+        as many slots as candidates that reach ``VI_BATCH_CELLS`` cells.
+        Trained policies are scored in the order they come out, with one
+        ``product.average_returns`` call per group: under soft VI groups of
+        up to as many, and under Q-learning, which trains one product at a
+        time on the full model, groups of one, so that a single full table
+        waits for its return.  A candidate's product is let go once it is
+        scored.  Records enter the cache in evaluation order, each once
+        those before it have.  A candidate that does not converge raises
+        the error it would raise alone, and the cache then holds only
+        records that evaluating one canon at a time enters before it.
         """
         keys = []
-        # queue: key -> None (acceptance unreachable) or the key whose record
-        # it copies, its own when it trains; train: key -> ProductMdp;
-        # products: the batch's entries of ``_products``
-        queue, train, products = {}, {}, {}
+        # the candidates whose records are not cached yet, in evaluation
+        # order, with their sources (see ``_source``)
+        queue, queued = deque(), set()
+        training = {}   # place in the stream -> (key, product), until scored
+        records = {}    # key -> record of a scored candidate, until it is cached
         cells = self.model.n_rows * self.model.n_actions   # the full model's, per candidate
-        for canon in canons:
-            key = fm.render(canon, self.predicates)
-            keys.append(key)
-            if key in self.cache or key in queue:
-                continue
-            self._enqueue(key, canon, queue, train, products)
-            if len(train) * cells >= VI_BATCH_CELLS:
-                self._commit(queue, train, products)
-                queue, train, products = {}, {}, {}
-        self._commit(queue, train, products)
+        slots = -(-VI_BATCH_CELLS // cells)
+        group_size = slots if self.cfg.trainer.mode == rl.EXACT_SOFT_VI else 1
+
+        def stream():
+            """The products to train, as ``(product, key)`` pairs, building
+            each candidate's product as it comes and queueing every new
+            key with its source."""
+            place = 0
+            for canon in canons:
+                key = fm.render(canon, self.predicates)
+                keys.append(key)
+                if key in self.cache or key in queued:
+                    continue
+                source, mdp = self._source(key, canon)
+                queue.append((key, source))
+                queued.add(key)
+                if mdp is not None:
+                    training[place] = key, mdp
+                    place += 1
+                    yield mdp, key
+
+        try:
+            group = []
+            for out in train_policies(stream(), self.cfg, self._product_sample.rows, slots):
+                group.append(out)
+                if len(group) == group_size:
+                    self._score(group, training, records)
+                    self._enter(queue, queued, records)
+                    group = []
+            if group:
+                self._score(group, training, records)
+            self._enter(queue, queued, records)
+        except rl.NoConvergenceError as exc:
+            raise rl.NoConvergenceError(f"candidate {training[exc.index][0]}: {exc}") from exc
+        finally:
+            if queue:   # the call failed: forget the products of uncached candidates
+                self._products = {product: key for product, key in self._products.items()
+                                  if key in self.cache}
         return [self.cache[key] for key in keys]
 
-    def _enqueue(self, key: str, canon, queue: dict, train: dict, products: dict) -> None:
+    def _source(self, key: str, canon):
+        """``(source, product)`` for a new candidate: the source is None when
+        acceptance is unreachable, else the key whose record it copies, its
+        own when it trains, and then the product is the one it trains."""
         model = self.product_model
         automaton = build_fspa(canon, self.predicates, model.features)
         if self.cfg.reward.mode == SPARSE and self.cfg.search.return_threshold >= 0:
@@ -230,51 +271,48 @@ class Evaluator:
                 reachable = self._reachable[memo_key] = acceptance_reachable(
                     model, automaton[0])
             if not reachable:
-                queue[key] = None
-                return
+                return None, None
         mdp = ProductMdp(model, automaton, self.cfg.reward, self.cfg.environment.horizon)
-        source = key
         if self.cfg.trainer.mode == rl.EXACT_SOFT_VI:
             # Q-learning draws from a stream keyed by ``key``: equal products
             # train to different policies
             product = mdp.q_next.tobytes() + mdp.reward_next.tobytes()
-            source = self._products.get(product) or products.setdefault(product, key)
-        queue[key] = source
-        if source == key:
-            train[key] = mdp
+            source = self._products.setdefault(product, key)
+            if source != key:
+                return source, None
+        return key, mdp
 
-    def _commit(self, queue: dict, train: dict, products: dict) -> None:
-        """Train the batch, then enter its records into the cache in order,
-        counting the shortcuts that made them; each product is let go once
-        it is scored."""
-        policies = {}
-        if train:
-            keys = list(train)
-            try:
-                policies = dict(zip(keys, train_policies(
-                    list(train.values()), self.cfg, keys, self._product_sample.rows)))
-            except rl.NoConvergenceError as exc:
-                raise rl.NoConvergenceError(f"candidate {keys[exc.index]}: {exc}") from exc
-        for key, source in queue.items():
+    def _score(self, group, training: dict, records: dict) -> None:
+        """Filter or score the trained ``(place, policy)`` pairs of
+        ``group``, whose policies have a row per row of ``product_model``,
+        with one return call, and let their products go."""
+        trained = [training.pop(i) for i, _ in group]
+        returns = average_returns([mdp for _, mdp in trained], [policy for _, policy in group])
+        threshold = self.cfg.search.return_threshold
+        for (key, _), (_, policy), mean_return in zip(trained, group, returns):
+            records[key] = (
+                metrics.UtilityRecord(key=key, wkl=None, mean_return=mean_return)
+                if mean_return <= threshold else
+                metrics.utility(policy, self._product_sample, key=key, mean_return=mean_return))
+
+    def _enter(self, queue: deque, queued: set, records: dict) -> None:
+        """Enter the queue's records into the cache in order, as far as
+        they exist, counting the shortcuts that made them."""
+        while queue:
+            key, source = queue[0]
             if source is None:
                 self.n_unreachable += 1
                 record = metrics.UtilityRecord(key, None, 0.0)
-            elif source == key:
-                record = self._record(key, train.pop(key), policies[key])
-            else:   # its source entered the cache before it
+            elif source != key:   # its source entered the cache before it
                 self.n_product_hits += 1
                 record = replace(self.cache[source], key=key)
+            elif key in records:
+                record = records.pop(key)
+            else:
+                return
             self.cache[key] = record
-        self._products.update(products)
-
-    def _record(self, key: str, mdp: ProductMdp,
-                policy: rl.TabularPolicy) -> metrics.UtilityRecord:
-        """Filter or score a trained policy, which has a row per row of
-        ``product_model``."""
-        mean_return = mdp.average_return(policy)
-        if mean_return <= self.cfg.search.return_threshold:
-            return metrics.UtilityRecord(key=key, wkl=None, mean_return=mean_return)
-        return metrics.utility(policy, self._product_sample, key=key, mean_return=mean_return)
+            queue.popleft()
+            queued.remove(key)
 
 
 @dataclass

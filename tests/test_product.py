@@ -675,7 +675,8 @@ def _random_policy(model, seed):
 
 def _soft_vi(mdp, trainer_cfg):
     """The soft-VI policy of ``mdp`` under its own discount."""
-    return rl.soft_value_iteration([mdp.table], mdp.reward.gamma, trainer_cfg)[0]
+    (_, policy), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, trainer_cfg)
+    return policy
 
 
 def _with(mdp, canon, preds, reward=None, horizon=None):

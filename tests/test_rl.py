@@ -15,7 +15,7 @@ from tlexplain import formula as fm
 from tlexplain import fspa as fa
 from tlexplain import rl, search
 from tlexplain.product import (DENSE, SPARSE, ProductMdp, RewardConfig, TransitionTable,
-                               acceptance_reachable, build_env_model)
+                               acceptance_reachable, average_returns, build_env_model)
 
 from conftest import (PROPERTY, build_product, evaluator_product, explained_ctf_products,
                       full_horizon_return, product_mdp_batches, product_mdps,
@@ -110,10 +110,12 @@ def _serial_soft_vi(table, gamma, cfg):
         f"{cfg.max_iterations} sweeps (final residual {delta:.3g})")
 
 
-def _assert_batch_matches_serial(tables, gamma, cfg):
-    """Trained as one batch, every table gets its serial policy bit for bit;
-    if some table does not converge, the batch raises the serial error of
-    the first such table, with its index."""
+def _assert_stream_matches_serial(tables, gamma, cfg, slots=None):
+    """Trained as one stream with ``slots`` slots (by default one per
+    table, so that they all sweep together), every table gets its serial
+    policy bit for bit, once; if some table does not converge, the stream
+    raises the serial error of the first such table, with its place."""
+    slots = slots or max(len(tables), 1)
     expected = []
     for table in tables:
         try:
@@ -123,14 +125,14 @@ def _assert_batch_matches_serial(tables, gamma, cfg):
     failed = [i for i, e in enumerate(expected) if isinstance(e, rl.NoConvergenceError)]
     if failed:
         with pytest.raises(rl.NoConvergenceError) as excinfo:
-            rl.soft_value_iteration(tables, gamma, cfg)
+            list(rl.soft_value_iteration(iter(tables), gamma, cfg, slots))
         assert excinfo.value.index == failed[0]
         assert str(excinfo.value) == str(expected[failed[0]])
         return
-    policies = rl.soft_value_iteration(tables, gamma, cfg)
-    assert len(policies) == len(tables)
-    for policy, want in zip(policies, expected):
-        assert np.array_equal(policy.probs, want.probs)
+    out = list(rl.soft_value_iteration(iter(tables), gamma, cfg, slots))
+    assert sorted(i for i, _ in out) == list(range(len(tables)))
+    for i, policy in out:
+        assert policy.probs.tobytes() == expected[i].probs.tobytes()
 
 
 def _trainable_products(cfg):
@@ -369,19 +371,19 @@ class TestTabularPolicy:
 
 class TestSoftValueIteration:
     def test_closed_form_softmax(self):
-        policy = rl.soft_value_iteration([_bandit()], 0.9, rl.TrainerConfig(tau=1.0))[0]
+        (_, policy), = rl.soft_value_iteration([_bandit()], 0.9, rl.TrainerConfig(tau=1.0))
         assert policy.probs[0] == pytest.approx(softmax([1.0, 0.0]), abs=1e-9)
         assert policy.probs[0, 0] == pytest.approx(0.731, abs=1e-3)
 
     def test_small_tau_concentrates(self):
-        policy = rl.soft_value_iteration([_bandit()], 0.9, rl.TrainerConfig(tau=0.01))[0]
+        (_, policy), = rl.soft_value_iteration([_bandit()], 0.9, rl.TrainerConfig(tau=0.01))
         assert policy.probs[0, 0] > 0.99
 
     def test_bitwise_deterministic(self):
         mdp = _corridor_mdp()
         cfg = rl.TrainerConfig(tau=0.1)
-        p1 = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)[0]
-        p2 = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)[0]
+        (_, p1), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)
+        (_, p2), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)
         assert np.array_equal(p1.probs, p2.probs)
 
     def test_fixed_point_idempotent(self):
@@ -391,14 +393,14 @@ class TestSoftValueIteration:
         _, v, _ = _reference_soft_vi(branches, mdp, cfg)
         q, v_again = _reference_backup(branches, mdp, v, cfg.tau)
         assert np.abs(v_again - v).max() < cfg.tolerance
-        policy = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)[0]
+        (_, policy), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)
         assert np.abs(policy.probs - softmax(q / cfg.tau, axis=1)).max() < 1e-9
 
     def test_no_convergence_raises(self):
         mdp = _corridor_mdp()
         cfg = rl.TrainerConfig(tau=0.1, tolerance=1e-15, max_iterations=2)
         with pytest.raises(rl.NoConvergenceError, match="2 sweeps.*residual"):
-            rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)
+            list(rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg))
 
     def test_greedy_matches_brute_force_on_two_state_mdp(self):
         """Enumerate all four deterministic policies of a 2-row chain."""
@@ -411,7 +413,7 @@ class TestSoftValueIteration:
             branch_reward=np.array([0.0, 0.2, 1.0, 0.0]),
         )
         # brute force: a0 then a0 earns 0 + 0.9*1 = 0.9 > 0.2
-        policy = rl.soft_value_iteration([table], 0.9, rl.TrainerConfig(tau=0.01))[0]
+        (_, policy), = rl.soft_value_iteration([table], 0.9, rl.TrainerConfig(tau=0.01))
         assert policy.probs.argmax(axis=1).tolist() == [0, 0]
 
 
@@ -421,13 +423,13 @@ class TestSoftValueIterationAgainstReference:
     def test_matches_reference_on_random_problems(self, mdp, tau):
         cfg = rl.TrainerConfig(tau=tau)
         expected, _, sweeps = _reference_soft_vi(_reference_branches(mdp), mdp, cfg)
-        policy = rl.soft_value_iteration([mdp.table], mdp.reward.gamma,
-                                         replace(cfg, max_iterations=sweeps))[0]
+        (_, policy), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma,
+                                               replace(cfg, max_iterations=sweeps))
         assert np.abs(policy.probs - expected).max() <= 1e-12
         if sweeps > 1:  # converging in exactly `sweeps`, not fewer
             with pytest.raises(rl.NoConvergenceError):
-                rl.soft_value_iteration([mdp.table], mdp.reward.gamma,
-                                        replace(cfg, max_iterations=sweeps - 1))
+                list(rl.soft_value_iteration([mdp.table], mdp.reward.gamma,
+                                             replace(cfg, max_iterations=sweeps - 1)))
 
     def test_matches_reference_on_every_reference_candidate(self, reference_runtime):
         ev = reference_runtime.evaluator
@@ -437,7 +439,8 @@ class TestSoftValueIterationAgainstReference:
             mdp = evaluator_product(ev, canon)
             expected, _, _ = _reference_soft_vi(_reference_branches(mdp), mdp,
                                                 ev.trainer_cfg)
-            policy = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, ev.trainer_cfg)[0]
+            (_, policy), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma,
+                                                   ev.trainer_cfg)
             assert np.abs(policy.probs - expected).max() <= 1e-9, fm.render(canon, ev.predicates)
 
 
@@ -446,10 +449,12 @@ class TestBatchedSoftValueIteration:
 
     @PROPERTY
     @given(product_mdp_batches(), st.sampled_from((0.05, 0.1, 0.3, 1.0)),
-           st.sampled_from((10_000, 12, 3)))
-    def test_matches_serial_on_random_batches(self, batch, tau, max_iterations):
+           st.sampled_from((10_000, 12, 3)), st.sampled_from((None, 1, 2, 3)))
+    def test_matches_serial_on_random_batches(self, batch, tau, max_iterations, slots):
+        """All together (``None``) or streamed through fewer slots."""
         cfg = rl.TrainerConfig(tau=tau, max_iterations=max_iterations)
-        _assert_batch_matches_serial([mdp.table for mdp in batch], batch[0].reward.gamma, cfg)
+        _assert_stream_matches_serial([mdp.table for mdp in batch], batch[0].reward.gamma, cfg,
+                                      slots)
 
     @pytest.mark.parametrize("name", ["ctf5", "ctf7", "nav10"])
     def test_matches_serial_on_every_trainable_table(self, reference_config, name):
@@ -461,7 +466,7 @@ class TestBatchedSoftValueIteration:
             # reversed, each table sweeps in another slot and finishes
             # beside other tables
             for slots in (batch, batch[::-1]):
-                _assert_batch_matches_serial(slots, cfg.reward.gamma, cfg.trainer)
+                _assert_stream_matches_serial(slots, cfg.reward.gamma, cfg.trainer)
 
     def test_unconverged_tables_name_the_first(self, reference_runtime):
         """In 17 sweeps about half the reference tables converge: a batch
@@ -479,29 +484,169 @@ class TestBatchedSoftValueIteration:
         batch = [t for pair in zip(converged[:3], unconverged[:3]) for t in pair]
         assert len(batch) == 6
         with pytest.raises(rl.NoConvergenceError) as excinfo:
-            rl.soft_value_iteration(batch, 0.95, cfg)
+            list(rl.soft_value_iteration(batch, 0.95, cfg, slots=len(batch)))
         assert excinfo.value.index == 1
-        _assert_batch_matches_serial(batch, 0.95, cfg)
+        _assert_stream_matches_serial(batch, 0.95, cfg)
 
     def test_tables_without_live_branches(self):
         """Every branch ends the episode: no branch into a live row, alone,
-        together, and beside tables that have them."""
+        together, beside tables that have them, and entering refilled
+        slots."""
         corridor = _corridor_mdp()
         table = corridor.table
         ends = replace(table, branch_next_row=np.full_like(table.branch_next_row, -1))
         ends_later = replace(ends, branch_reward=table.branch_reward + 0.5)
         cfg = rl.TrainerConfig(tau=0.1)
         for batch in ([ends], [ends, ends_later], [table, ends], [ends, table, ends_later]):
-            _assert_batch_matches_serial(batch, corridor.reward.gamma, cfg)
-        _assert_batch_matches_serial([_bandit(), _bandit((0.0, 0.5))], 0.9, cfg)
+            _assert_stream_matches_serial(batch, corridor.reward.gamma, cfg)
+        for slots in (1, 2):
+            _assert_stream_matches_serial([table, ends, ends_later, table, ends],
+                                          corridor.reward.gamma, cfg, slots)
+        _assert_stream_matches_serial([_bandit(), _bandit((0.0, 0.5))], 0.9, cfg)
 
     def test_tables_must_share_their_shape(self):
         with pytest.raises(ValueError, match="share n_rows and n_actions"):
-            rl.soft_value_iteration([_bandit(), _bandit((1.0, 0.0, 0.5))], 0.9,
-                                    rl.TrainerConfig())
+            list(rl.soft_value_iteration([_bandit(), _bandit((1.0, 0.0, 0.5))], 0.9,
+                                         rl.TrainerConfig()))
 
     def test_empty_batch(self):
-        assert rl.soft_value_iteration([], 0.9, rl.TrainerConfig()) == []
+        assert list(rl.soft_value_iteration([], 0.9, rl.TrainerConfig())) == []
+
+
+class TestSoftValueIterationStream:
+    """Streams of more tables than slots: a finished table's slot goes, and
+    the next table enters after the others with a zero row of ``v`` while
+    they sweep on."""
+
+    @staticmethod
+    def _widths(monkeypatch) -> list[int]:
+        """Records the number of tables in each batched sweep."""
+        widths, softmax = [], rl._action_softmax
+
+        def recording(q, tau):
+            if q.ndim == 3:          # a batch; the serial loop's q is 2-D
+                widths.append(q.shape[0])
+            return softmax(q, tau)
+
+        monkeypatch.setattr(rl, "_action_softmax", recording)
+        return widths
+
+    @pytest.mark.parametrize("name, slots", [("ctf5", 3), ("ctf5", 11), ("nav10", 11)])
+    def test_refilled_slots_match_serial(self, reference_config, monkeypatch, name, slots):
+        """Every trainable table, in both orders, through fewer slots than
+        tables: each gets its serial policy bit for bit and sweeps as often
+        as alone, the slots stay full until the stream runs out, and fast
+        tables finish before slow ones that entered earlier."""
+        cfg = _map_config(reference_config, name)
+        tables = _trainable_tables(cfg)
+        widths = self._widths(monkeypatch)
+        list(rl.soft_value_iteration(tables, cfg.reward.gamma, cfg.trainer))
+        table_sweeps = len(widths)      # one table at a time
+        for order in (tables, tables[::-1]):
+            widths.clear()
+            _assert_stream_matches_serial(order, cfg.reward.gamma, cfg.trainer, slots)
+            assert sum(widths) == table_sweeps and max(widths) == slots
+            # a slot empties only once the stream is done
+            assert widths == sorted(widths, reverse=True)
+            places = [i for i, _ in rl.soft_value_iteration(
+                iter(order), cfg.reward.gamma, cfg.trainer, slots)]
+            assert places != sorted(places)
+
+    def test_unconverged_stream_names_the_first(self, reference_runtime):
+        """In 17 sweeps about half the reference tables converge.  Streams
+        of both kinds through one to three slots, with the unconverged
+        tables entering first, last or between converged ones, and together
+        or apart: each names the first unconverged table in stream order,
+        with the residual the serial loop ends with."""
+        tables = _trainable_tables(reference_runtime.evaluator.cfg)
+        cfg = replace(reference_runtime.evaluator.trainer_cfg, max_iterations=17)
+        converged, unconverged = [], []
+        for table in tables:
+            try:
+                _serial_soft_vi(table, 0.95, cfg)
+                converged.append(table)
+            except rl.NoConvergenceError:
+                unconverged.append(table)
+        c, u = converged[:5], unconverged[:3]
+        streams = [c + u, u + c, c[:3] + u[:1] + c[3:] + u[1:],
+                   [t for pair in zip(c, u) for t in pair], u[::-1]]
+        for stream in streams:
+            for slots in (1, 2, 3):
+                _assert_stream_matches_serial(stream, 0.95, cfg, slots)
+
+    def test_slots_must_be_positive(self):
+        with pytest.raises(ValueError, match="slots"):
+            list(rl.soft_value_iteration([_bandit()], 0.9, rl.TrainerConfig(), slots=0))
+
+
+def _fixed_point_pass(mdp, policy) -> int:
+    """The pass on which the backward induction of ``mdp``'s return alone
+    first returns its input, or its horizon when none does."""
+    t = mdp.table
+    w = policy.probs[t.branch_row, t.branch_action] * t.branch_prob
+    r_pi = np.bincount(t.branch_row, weights=w * t.branch_reward, minlength=t.n_rows)
+    live = t.branch_next_row >= 0
+    v = np.zeros(t.n_rows)
+    for i in range(1, mdp.horizon + 1):
+        v_new = r_pi + np.bincount(t.branch_row[live], weights=w[live] * v[t.branch_next_row[live]],
+                                   minlength=t.n_rows)
+        if (v_new == v).all():
+            return i
+        v = v_new
+    return mdp.horizon
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestGroupedReturn:
+    """``product.average_returns`` over a group against
+    ``full_horizon_return`` per product: the same bits, -0.0 included."""
+
+    @PROPERTY
+    @given(product_mdp_batches(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_full_horizon_on_random_groups(self, batch, seed, trained):
+        rng = np.random.default_rng(seed)
+        if trained:
+            cfg = rl.TrainerConfig(tau=0.05)
+            policies = [p for _, p in sorted(rl.soft_value_iteration(
+                [mdp.table for mdp in batch], batch[0].reward.gamma, cfg, len(batch)),
+                key=lambda out: out[0])]
+        else:
+            policies = [rl.TabularPolicy(rng.dirichlet(np.ones(mdp.model.n_actions),
+                                                       size=mdp.model.n_rows))
+                        for mdp in batch]
+        got = average_returns(batch, policies)
+        assert [_bits(x) for x in got] == [_bits(full_horizon_return(mdp, policy))
+                                           for mdp, policy in zip(batch, policies)]
+
+    @pytest.mark.parametrize("name", ["ctf5", "ctf7"])
+    def test_tables_that_stop_at_different_passes(self, reference_config, name):
+        """The trainable products with their soft-VI policies, in groups of
+        11: each group mixes tables at their fixed point within a few
+        passes with tables that run the whole horizon."""
+        cfg = _map_config(reference_config, name)
+        mdps = [mdp for mdp, _, _ in _trainable_products(cfg)]
+        policies = [_serial_soft_vi(mdp.table, mdp.reward.gamma, cfg.trainer) for mdp in mdps]
+        passes = [_fixed_point_pass(mdp, policy) for mdp, policy in zip(mdps, policies)]
+        for i in range(0, len(mdps), 11):
+            group = slice(i, i + 11)
+            assert len(set(passes[group])) > 1
+            got = average_returns(mdps[group], policies[group])
+            assert [_bits(x) for x in got] == [_bits(full_horizon_return(mdp, policy)) for
+                                               mdp, policy in zip(mdps[group], policies[group])]
+        assert min(passes) < 10 and max(passes) == cfg.environment.horizon
+
+    def test_horizons_must_match(self):
+        mdp = _corridor_mdp()
+        other = ProductMdp(mdp.model, (mdp.q_next, mdp.q_next * 0.0, mdp.q_next * 0.0),
+                           mdp.reward, mdp.horizon + 1)
+        policy = rl.TabularPolicy(np.full((mdp.model.n_rows, mdp.model.n_actions),
+                                          1.0 / mdp.model.n_actions))
+        with pytest.raises(ValueError, match="horizon"):
+            average_returns([mdp, other], [policy, policy])
+        assert average_returns([], []) == []
 
 
 class TestRowClassTraining:
@@ -516,10 +661,10 @@ class TestRowClassTraining:
             expected = _serial_soft_vi(mdp.table, gamma, cfg)
         except rl.NoConvergenceError as exc:
             with pytest.raises(rl.NoConvergenceError) as excinfo:
-                rl.soft_value_iteration([classes.table], gamma, cfg)
+                list(rl.soft_value_iteration([classes.table], gamma, cfg))
             assert str(excinfo.value) == str(exc)
             return
-        policy = rl.soft_value_iteration([classes.table], gamma, cfg)[0]
+        (_, policy), = rl.soft_value_iteration([classes.table], gamma, cfg)
         _, of_row = mdp.model.quotient
         assert policy.probs[of_row].tobytes() == expected.probs.tobytes()
         # the return's bits, -0.0 included
@@ -557,7 +702,7 @@ class TestRowClassTraining:
         assert reference_runtime.target.probs.tobytes() == expected.probs.tobytes()
         policy = search.explanation_policy(ev.model, canon, ev.predicates, ev.cfg, "k")
         assert policy.probs.tobytes() == expected.probs.tobytes()
-        policy, = search.train_policies([classes], ev.cfg, ["k"], range(mdp.model.n_rows))
+        (_, policy), = search.train_policies([(classes, "k")], ev.cfg, range(mdp.model.n_rows))
         _, of_row = mdp.model.quotient
         assert policy.probs[of_row].tobytes() == expected.probs.tobytes()
 
@@ -570,7 +715,8 @@ class TestQLearning:
     def test_greedy_matches_value_iteration(self):
         mdp = _corridor_mdp()
         ql = rl.q_learning(mdp, self._cfg(), np.random.default_rng(0))
-        vi = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, rl.TrainerConfig(tau=0.01))[0]
+        (_, vi), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma,
+                                           rl.TrainerConfig(tau=0.01))
         assert ql.probs.argmax(axis=1).tolist() == vi.probs.argmax(axis=1).tolist()
 
     def test_equal_seeds_identical(self):
@@ -592,11 +738,12 @@ class TestQLearning:
         ``rl.select_replicate`` picks."""
         mdp = _corridor_mdp()
         rows = range(mdp.model.n_rows)
-        run = SimpleNamespace(seed=0, trainer=rl.TrainerConfig(tau=0.1),
+        run = SimpleNamespace(seed=0, trainer=rl.TrainerConfig(tau=0.1), reward=mdp.reward,
                               search=search.SearchParams(n_rep=3))
-        vi = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, run.trainer)[0]
-        assert all(np.array_equal(policy.probs, vi.probs)
-                   for policy in search.train_policies([mdp, mdp], run, ["k", "j"], rows))
+        (_, vi), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, run.trainer)
+        got = list(search.train_policies([(mdp, "k"), (mdp, "j")], run, rows, slots=2))
+        assert sorted(i for i, _ in got) == [0, 1]
+        assert all(np.array_equal(policy.probs, vi.probs) for _, policy in got)
         run.trainer = self._cfg(50)
         replicates = [rl.q_learning(mdp, run.trainer, search._key_stream(0, "k", rep))
                       for rep in range(3)]
@@ -607,9 +754,9 @@ class TestQLearning:
             [rl.q_learning(mdp, run.trainer, search._key_stream(0, "j", rep))
              for rep in range(3)], rows)
         assert other.probs.tobytes() != expected.probs.tobytes()
-        got = search.train_policies([mdp, mdp], run, ["k", "j"], rows)
-        assert [p.probs.tobytes() for p in got] == [expected.probs.tobytes(),
-                                                    other.probs.tobytes()]
+        got = search.train_policies([(mdp, "k"), (mdp, "j")], run, rows)
+        assert [(i, p.probs.tobytes()) for i, p in got] == [(0, expected.probs.tobytes()),
+                                                            (1, other.probs.tobytes())]
         with pytest.raises(ValueError):
             rl.TrainerConfig(mode="sarsa")
 

@@ -78,19 +78,12 @@ class TestEvaluate:
     def test_cache_hit_skips_retraining(self, reference_runtime, monkeypatch):
         ev = fresh_evaluator(reference_runtime)
         canon = _target_canon(reference_runtime)
-        calls = []
-        original = rl.soft_value_iteration
-
-        def counting_vi(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(rl, "soft_value_iteration", counting_vi)
+        trained, _, _ = _training_spy(monkeypatch)
         first = ev.evaluate(canon)
-        assert len(calls) == 1
+        assert sum(trained) == 1
         second = ev.evaluate(canon)
         assert second is first
-        assert len(calls) == 1
+        assert sum(trained) == 1
 
     def test_cache_soundness_across_evaluators(self, reference_runtime):
         canon = _target_canon(reference_runtime)
@@ -128,17 +121,35 @@ class TestEvaluate:
         assert record.filtered and record.mean_return <= 0.05
 
 
-def _trained_batches(monkeypatch) -> list[int]:
-    """Record the number of tables of each ``rl.soft_value_iteration`` call."""
-    sizes = []
-    original = rl.soft_value_iteration
+def _training_spy(monkeypatch) -> tuple[list[int], list[int], list[int]]:
+    """Records the number of tables each ``rl.soft_value_iteration`` call
+    trains, the number of tables in each of its sweeps, and the number of
+    products in each ``product.average_returns`` call of the evaluator."""
+    trained, widths, groups = [], [], []
+    vi, softmax, returns = rl.soft_value_iteration, rl._action_softmax, search.average_returns
 
-    def recording_vi(tables, gamma, cfg):
-        sizes.append(len(tables))
-        return original(tables, gamma, cfg)
+    def counting_vi(tables, *args, **kwargs):
+        trained.append(0)
 
-    monkeypatch.setattr(rl, "soft_value_iteration", recording_vi)
-    return sizes
+        def counted():
+            for table in tables:
+                trained[-1] += 1
+                yield table
+        return vi(counted(), *args, **kwargs)
+
+    def recording_softmax(q, tau):
+        if q.ndim == 3:      # a soft-VI sweep; Q-learning's final softmax is 2-D
+            widths.append(q.shape[0])
+        return softmax(q, tau)
+
+    def recording_returns(mdps, policies):
+        groups.append(len(mdps))
+        return returns(mdps, policies)
+
+    monkeypatch.setattr(rl, "soft_value_iteration", counting_vi)
+    monkeypatch.setattr(rl, "_action_softmax", recording_softmax)
+    monkeypatch.setattr(search, "average_returns", recording_returns)
+    return trained, widths, groups
 
 
 def _product_groups(ev) -> list[list]:
@@ -164,13 +175,17 @@ class TestEvaluateMany:
         assert (a.n_unreachable, a.n_product_hits) == (b.n_unreachable, b.n_product_hits)
 
     def test_oracle_matches_one_at_a_time(self, reference_runtime, monkeypatch):
-        sizes = _trained_batches(monkeypatch)
+        trained, widths, _ = _training_spy(monkeypatch)
         batched = fresh_evaluator(reference_runtime)
         brute_force_oracle(batched)
-        assert len(sizes) < 39 == sum(sizes)
+        assert trained == [39]
+        batched_widths = widths[:]
         serial = fresh_evaluator(reference_runtime)
         for canon in fm.enumerate_all(serial.predicates):
             serial.evaluate(canon)
+        assert sum(trained[1:]) == 39 and max(trained[1:]) == 1
+        # each table sweeps as often in its slot as alone
+        assert sum(batched_widths) == len(widths) - len(batched_widths)
         self._assert_same_evaluators(batched, serial)
         assert (batched.n_unreachable, batched.n_product_hits) == (52, 5)
 
@@ -184,49 +199,69 @@ class TestEvaluateMany:
         assert repr(result) == repr(expected)
         self._assert_same_evaluators(batched, serial)
 
-    def test_batches_flush_at_the_budget(self, reference_runtime, monkeypatch):
-        sizes = _trained_batches(monkeypatch)
+    def test_slots_hold_the_budget(self, reference_runtime, monkeypatch):
+        """The oracle's tables sweep in as many slots as tables reach
+        ``VI_BATCH_CELLS`` cells of the full model, never more: the last
+        table takes its slot while the slots hold fewer cells.  The slots
+        stay full until the stream runs out, and the returns are taken in
+        groups of as many."""
+        _, widths, groups = _training_spy(monkeypatch)
         brute_force_oracle(fresh_evaluator(reference_runtime))
-        full = -(-search.VI_BATCH_CELLS // (462 * 5))   # tables that reach the budget
-        assert sizes[:-1] == [full] * (len(sizes) - 1) and 1 <= sizes[-1] <= full
+        cells = 462 * 5
+        full = -(-search.VI_BATCH_CELLS // cells)   # tables that reach the budget
+        assert (full - 1) * cells < search.VI_BATCH_CELLS <= full * cells
+        assert max(widths) == full and widths == sorted(widths, reverse=True)
+        assert groups[:-1] == [full] * (len(groups) - 1) and 1 <= groups[-1] <= full
+        assert sum(groups) == 39
 
-    def test_q_learning_candidates_wait_in_the_batch(self, monkeypatch):
-        """Under Q-learning the 44 candidates the n=3 oracle trains wait in
-        batches as soft VI's do, and give the records, order and counters
-        of training one at a time."""
+    def test_q_learning_candidates_train_as_they_come(self, monkeypatch):
+        """Under Q-learning each of the 44 candidates the n=3 oracle trains
+        has its replicates trained, on the streams keyed by its own
+        explanation, and its return taken alone before the next candidate's
+        product is built; the records, order and counters are those of
+        evaluating one canon at a time."""
         runtime = build_runtime(load_config(QLEARN_CONFIG))
-        sizes, original = [], search.train_policies
+        _, _, groups = _training_spy(monkeypatch)
+        events = []
 
-        def recording(mdps, *args):
-            sizes.append(len(mdps))
-            return original(mdps, *args)
+        def record(module, name, event):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(search, "train_policies", recording)
-        batched = fresh_evaluator(runtime)
-        brute_force_oracle(batched)
-        assert sizes == [11] * 4
-        monkeypatch.setattr(search, "VI_BATCH_CELLS", 1)
+            def recording(*args, **kwargs):
+                events.append(event)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+
+        record(search, "ProductMdp", "build")
+        record(rl, "q_learning", "train")
+        record(search, "average_returns", "return")
+        streamed = fresh_evaluator(runtime)
+        brute_force_oracle(streamed)
+        n_rep = runtime.evaluator.params.n_rep
+        assert events == (["build"] + ["train"] * n_rep + ["return"]) * 44
+        assert groups == [1] * 44
         serial = fresh_evaluator(runtime)
-        brute_force_oracle(serial)
-        assert sizes[4:] == [1] * 44
-        self._assert_same_evaluators(batched, serial)
+        for canon in fm.enumerate_all(serial.predicates):
+            serial.evaluate(canon)
+        self._assert_same_evaluators(streamed, serial)
         assert (serial.n_unreachable, serial.n_product_hits) == (52, 0)
 
     def test_equal_products_in_one_batch_train_once(self, reference_runtime, monkeypatch):
         ev = fresh_evaluator(reference_runtime)
         first, second = next(g for g in _product_groups(ev) if len(g) > 1)[:2]
-        sizes = _trained_batches(monkeypatch)
+        trained, _, _ = _training_spy(monkeypatch)
         a, b = ev.evaluate_many([first, second])
-        assert sizes == [1] and ev.n_product_hits == 1
+        assert trained == [1] and ev.n_product_hits == 1
         assert b == replace(a, key=fm.render(second, ev.predicates)) and a.key != b.key
         assert list(ev.cache) == [a.key, b.key]
 
     def test_repeated_canon_is_evaluated_once(self, reference_runtime, monkeypatch):
         ev = fresh_evaluator(reference_runtime)
         canon = _target_canon(reference_runtime)
-        sizes = _trained_batches(monkeypatch)
+        trained, _, _ = _training_spy(monkeypatch)
         a, b = ev.evaluate_many([canon, canon])
-        assert a is b and sizes == [1] and ev.n_product_hits == 0
+        assert a is b and trained == [1] and ev.n_product_hits == 0
 
     def test_row_classes_change_no_record(self, monkeypatch):
         """The n=4 oracle trained on the model's quotient, and again with
@@ -263,9 +298,11 @@ class TestEvaluateMany:
 
     def test_no_convergence_names_the_first_candidate(self, reference_runtime):
         """In 20 sweeps, in key order, the first trained candidate converges
-        and the second does not: the batch holding both fails on the
+        and the second does not: the stream holding both fails on the
         candidate, and with the residual, that evaluation one at a time
-        fails on."""
+        fails on.  Its cache then holds a prefix of what one at a time
+        enters before failing, and its product memo names only cached
+        candidates."""
         trainer = replace(reference_runtime.evaluator.trainer_cfg, max_iterations=20)
         serial = fresh_evaluator(reference_runtime, trainer=trainer)
         canons = _by_key(serial.predicates)
@@ -273,10 +310,15 @@ class TestEvaluateMany:
             for canon in canons:
                 serial.evaluate(canon)
         assert serial.n_unreachable < len(serial.cache)   # one was trained first
+        streamed = fresh_evaluator(reference_runtime, trainer=trainer)
         with pytest.raises(rl.NoConvergenceError) as excinfo:
-            fresh_evaluator(reference_runtime, trainer=trainer).evaluate_many(canons)
+            streamed.evaluate_many(canons)
         assert str(excinfo.value) == str(expected.value)
         assert str(excinfo.value).startswith("candidate ")
+        entered = len(streamed.cache)
+        assert [(k, repr(r)) for k, r in streamed.cache.items()] == \
+            [(k, repr(r)) for k, r in serial.cache.items()][:entered]
+        assert set(streamed._products.values()) <= set(streamed.cache)
 
 
 class TestEvalNeighbors:
@@ -539,7 +581,7 @@ def _reference_record(ev, canon):
     full-horizon return, then filter or score."""
     key = fm.render(canon, ev.predicates)
     mdp = evaluator_product(ev, canon)
-    policy, = train_policies([mdp], ev.cfg, [key], ev.sample.rows)
+    (_, policy), = train_policies([(mdp, key)], ev.cfg, ev.sample.rows)
     mean_return = full_horizon_return(mdp, policy)
     if mean_return <= ev.params.return_threshold:
         return metrics.UtilityRecord(key, None, mean_return)
