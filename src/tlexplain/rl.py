@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from math import ceil
 from pathlib import Path
 
@@ -132,68 +132,61 @@ def soft_value_iteration(tables: Iterable[TransitionTable], gamma: float, cfg: T
     sweep its policy is out.  Policies are seed-independent.
 
     Up to ``slots`` tables sweep together, and they must share ``n_rows``
-    and ``n_actions``.  Everything that does not depend on ``v`` is computed
-    once, as a table enters: the action-major cell of each branch, the
-    expected immediate reward per cell, and the discounted weights of
-    branches into non-terminal rows.  The slots' arrays are packed, slot
-    ``k``'s cells and rows offset by ``k`` tables' cells and rows, so a
-    sweep is one ``bincount`` plus one log-sum-exp over actions for all of
-    them, and ``v`` is ``(K, n_rows)`` for ``K`` tables.  Each cell sums the
-    same terms in the same order as it would for its table alone, so each
+    and ``n_actions`` with the first.  Everything that does not depend on
+    ``v`` is computed once, as a table enters, into the record of its slot:
+    the action-major cell of each branch, the expected immediate reward per
+    cell, and the discounted weights of branches into non-terminal rows.
+    Whenever the slots change, their records are packed, slot ``k``'s cells
+    and rows offset by ``k`` tables' cells and rows, so a sweep is one
+    ``bincount`` plus one log-sum-exp over actions for all of them, and
+    ``v`` is ``(K, n_rows)`` for ``K`` tables.  Each cell sums the same
+    terms in the same order as it would for its table alone, so each
     policy is bit for bit what the table would get by itself, whatever its
     slot.
 
-    Each table keeps its own residual and counts its own sweeps.  Its
-    policy goes out on the sweep where its residual first falls below
-    tolerance.  The finished tables' slots are then masked out of the
-    packed arrays, and the stream's next tables take slots after the
-    others, each with a zero row of ``v``.  So the slots hold their tables
-    in stream order, and slot 0 is the first to run out of sweeps: if its
-    table has not converged after ``max_iterations`` sweeps of its own,
-    ``NoConvergenceError`` gives its place in the stream and its residual.
+    Each table keeps its own residual and counts its own sweeps.  On the
+    sweep where its residual first falls below tolerance, its record goes
+    and, once the packed arrays and the sweep's temporaries are dropped,
+    its policy goes out.  Only then do the stream's next tables take the
+    free slots, after the others, each with a zero row of ``v``: no more
+    than ``slots`` tables are pulled from the stream and not yet out.  So
+    the slots hold their tables in stream order, and slot 0 is the first
+    to run out of sweeps: if its table has not converged after
+    ``max_iterations`` sweeps of its own, ``NoConvergenceError`` gives its
+    place in the stream and its residual.
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
     stream = enumerate(tables)
-    first = next(stream, None)
-    if first is None:
-        return
-    n_rows, n_actions = first[1].n_rows, first[1].n_actions
-    block = n_rows * n_actions           # cells of one table
-    stream = chain([first], stream)
     tau, tolerance, limit = cfg.tau, cfg.tolerance, cfg.max_iterations
-    # per slot: the table's place in the stream, the sweep it entered
-    # after, and its number of branches into non-terminal rows
-    places, entered, sizes = [], [], []
-    # while slots are held, the one entry ``(base, cells, nxt, weight)``:
-    # the expected immediate reward of each cell, and the cell, next row
-    # and discounted weight of each branch into a non-terminal row
-    packed = []
-    v = np.zeros((0, n_rows))
+    # one record per slot, in stream order: (place, entered, base, cells,
+    # nxt, weight), the table's place in the stream, the sweep it entered
+    # after, the expected immediate reward of each cell, and the cell, next
+    # row and discounted weight of each branch into a non-terminal row
+    held = []
+    shape = None
     sweep = 0
     while True:
-        entering = []
-        for i, t in islice(stream, slots - len(places)):
-            if (t.n_rows, t.n_actions) != (n_rows, n_actions):
+        kept = len(held)
+        for i, t in islice(stream, slots - kept):
+            if shape is None:            # the first table fixes the shape
+                shape = n_rows, n_actions = t.n_rows, t.n_actions
+                block, v = n_rows * n_actions, np.zeros((0, n_rows))
+            elif (t.n_rows, t.n_actions) != shape:
                 raise ValueError("tables trained together must share n_rows and n_actions")
-            k = len(places)
             table_cells = t.branch_action * n_rows + t.branch_row
             live = t.branch_next_row >= 0
-            entering.append((np.bincount(table_cells, weights=t.branch_prob * t.branch_reward,
-                                         minlength=block),
-                             table_cells[live] + k * block, t.branch_next_row[live] + k * n_rows,
-                             gamma * t.branch_prob[live]))
-            places.append(i)
-            entered.append(sweep)
-            sizes.append(entering[-1][1].size)
-        if not places:
+            held.append((i, sweep, np.bincount(table_cells, weights=t.branch_prob * t.branch_reward,
+                                               minlength=block),
+                         table_cells[live], t.branch_next_row[live], gamma * t.branch_prob[live]))
+        if not held:
             return
-        if entering:
-            packed = [tuple(map(np.concatenate, zip(*packed, *entering)))]
-            v = np.concatenate([v, np.zeros((len(entering), n_rows))])
-            del entering
-        base, cells, nxt, weight = packed[0]
-        deadline = entered[0] + limit        # slot 0's last sweep
+        v = np.concatenate([v, np.zeros((len(held) - kept, n_rows))])
+        base = np.concatenate([r[2] for r in held])
+        cells = np.concatenate([r[3] + k * block for k, r in enumerate(held)])
+        nxt = np.concatenate([r[4] + k * n_rows for k, r in enumerate(held)])
+        weight = np.concatenate([r[5] for r in held])
+        deadline = held[0][1] + limit        # slot 0's last sweep
         while True:
             v_next = v.take(nxt)
             v_next *= weight
@@ -201,7 +194,7 @@ def soft_value_iteration(tables: Iterable[TransitionTable], gamma: float, cfg: T
             q = (np.bincount(cells, weights=v_next, minlength=base.size)
                  if cells.size else np.zeros(base.size))
             q += base
-            m, z, s = _action_softmax(q.reshape(len(places), n_actions, n_rows), tau)
+            m, z, s = _action_softmax(q.reshape(len(held), n_actions, n_rows), tau)
             v_new = np.log(s)
             v_new *= tau
             v_new += m
@@ -213,29 +206,16 @@ def soft_value_iteration(tables: Iterable[TransitionTable], gamma: float, cfg: T
             done = [d < tolerance for d in delta]   # a NaN residual never converges
             if any(done) or sweep == deadline:
                 break
-        del v_next, diff                 # the sweep's temporaries, before the consumer runs
-        if any(done):
-            for k in (k for k, d in enumerate(done) if d):
-                yield places[k], TabularPolicy(_policy_rows(z[k], s[k]))
-            del q, z
-            keep = [not d for d in done]
-            v = v[keep]
-            packed = []
-            if not all(done):
-                # each slot left moves down by the finished slots before it
-                branches = np.repeat(keep, sizes)
-                moved = np.repeat(np.cumsum(done), sizes)[branches]
-                base = base.reshape(-1, block)[keep].ravel()
-                cells = cells[branches] - moved * block
-                nxt = nxt[branches] - moved * n_rows
-                weight = weight[branches]
-                packed.append((base, cells, nxt, weight))
-            places, entered, sizes, delta = ([x for x, k in zip(xs, keep) if k]
-                                             for xs in (places, entered, sizes, delta))
-        if places and entered[0] + limit == sweep:
+        out = [(r[0], TabularPolicy(_policy_rows(z[k], s[k])))
+               for k, r in enumerate(held) if done[k]]
+        v = v[[not d for d in done]]
+        held, delta = ([x for x, d in zip(xs, done) if not d] for xs in (held, delta))
+        del base, cells, nxt, weight, v_next, q, m, z, s, v_new, diff
+        yield from out
+        if held and held[0][1] + limit == sweep:     # slot 0's last sweep
             raise NoConvergenceError(
                 f"soft value iteration did not reach tolerance {tolerance} in "
-                f"{limit} sweeps (final residual {delta[0]:.3g})", places[0])
+                f"{limit} sweeps (final residual {delta[0]:.3g})", held[0][0])
 
 
 _BLOCK_WORDS = 1024  # raw words fetched per numpy call; larger blocks cost memory

@@ -30,12 +30,13 @@ from .product import SPARSE, EnvModel, ProductMdp, acceptance_reachable, average
 # ``rl.soft_value_iteration`` stream, on tables over the model's quotient.
 # Its trained candidates are scored in groups of as many, one
 # ``product.average_returns`` call each.  Sized for soft VI's memory as
-# well as time: a stream peaks at 71-103 bytes per cell of the tables it
+# well as time: a stream peaks at 71-100 bytes per cell of the tables it
 # holds (traced on ctf5, ctf7 and nav10: the entering transition tables,
-# packed VI arrays and sweep temporaries).  24,000 cells are 11 ctf5
-# candidates, whose 630 quotient cells each peak at 0.7 MB.  Counting
-# quotient cells (38 candidates) trained the ctf5 oracle 17% faster but
-# raised its peak RSS by 1.8 MB, with batches that did not refill.
+# the slots' records, their packed arrays and the sweep temporaries).
+# 24,000 cells are 11 ctf5 candidates, whose 630 quotient cells each peak
+# at 0.7 MB.  Counting quotient cells (38 candidates) trained the ctf5
+# oracle 17% faster but raised its peak RSS by 1.8 MB, with batches that
+# did not refill.
 VI_BATCH_CELLS = 24_000
 
 

@@ -504,10 +504,12 @@ class TestBatchedSoftValueIteration:
                                           corridor.reward.gamma, cfg, slots)
         _assert_stream_matches_serial([_bandit(), _bandit((0.0, 0.5))], 0.9, cfg)
 
-    def test_tables_must_share_their_shape(self):
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_tables_must_share_their_shape(self, slots):
+        """Refused as it enters a refilled slot (1) or the first batch (2)."""
         with pytest.raises(ValueError, match="share n_rows and n_actions"):
             list(rl.soft_value_iteration([_bandit(), _bandit((1.0, 0.0, 0.5))], 0.9,
-                                         rl.TrainerConfig()))
+                                         rl.TrainerConfig(), slots))
 
     def test_empty_batch(self):
         assert list(rl.soft_value_iteration([], 0.9, rl.TrainerConfig())) == []
@@ -573,6 +575,27 @@ class TestSoftValueIterationStream:
         for stream in streams:
             for slots in (1, 2, 3):
                 _assert_stream_matches_serial(stream, 0.95, cfg, slots)
+
+    @pytest.mark.parametrize("slots", [1, 3, 11])
+    def test_holds_at_most_slots_tables(self, reference_config, slots):
+        """A table is pulled from the stream only once a slot is free: never
+        more than ``slots`` tables pulled and not yet yielded, and every
+        slot filled."""
+        tables = _trainable_tables(reference_config)
+        pulled, yielded, outstanding = 0, 0, []
+
+        def counting():
+            nonlocal pulled
+            for table in tables:
+                pulled += 1
+                outstanding.append(pulled - yielded)
+                yield table
+
+        for _ in rl.soft_value_iteration(counting(), reference_config.reward.gamma,
+                                         reference_config.trainer, slots):
+            yielded += 1
+        assert yielded == pulled == len(tables)
+        assert max(outstanding) == slots
 
     def test_slots_must_be_positive(self):
         with pytest.raises(ValueError, match="slots"):
