@@ -365,7 +365,11 @@ class ProductMdp:
 
     def average_return(self, policy) -> float:
         """Exact expected undiscounted return over ``horizon`` steps: the
-        return of a group of one, ``average_returns([self], [policy])``."""
+        return of a group of one, ``average_returns([self], [policy])``.
+
+        The evaluator never calls it: it takes its returns in groups.  It
+        is kept for the tests and for perfbench's tracer, which wraps it by
+        name, so a traced run's ``product.return_s`` reads 0."""
         return average_returns([self], [policy])[0]
 
 

@@ -24,12 +24,12 @@ Q_LEARNING = "q-learning"
 
 
 class NoConvergenceError(RuntimeError):
-    """``index`` is the place, in the trained stream, of the table that did
-    not converge."""
+    """``item`` is the item the trained stream paired with the table that
+    did not converge."""
 
-    def __init__(self, message: str, index: int = 0):
+    def __init__(self, message: str, item=None):
         super().__init__(message)
-        self.index = index
+        self.item = item
 
 
 class EmptySampleError(ValueError):
@@ -125,11 +125,12 @@ def _policy_rows(z: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((z / s).T)
 
 
-def soft_value_iteration(tables: Iterable[TransitionTable], gamma: float, cfg: TrainerConfig,
-                         slots: int = 1) -> Iterator[tuple[int, TabularPolicy]]:
+def soft_value_iteration(tables: Iterable[tuple[object, TransitionTable]], gamma: float,
+                         cfg: TrainerConfig, slots: int = 1
+                         ) -> Iterator[tuple[object, TabularPolicy]]:
     """Iterate the soft Bellman backup to tolerance on each table of the
-    stream ``tables``; yields ``(i, policy)`` for the ``i``-th table on the
-    sweep its policy is out.  Policies are seed-independent.
+    stream ``tables``, ``(item, table)`` pairs; yields ``(item, policy)``
+    on the sweep the table's policy is out.  Policies are seed-independent.
 
     Up to ``slots`` tables sweep together, and they must share ``n_rows``
     and ``n_actions`` with the first.  Everything that does not depend on
@@ -153,22 +154,22 @@ def soft_value_iteration(tables: Iterable[TransitionTable], gamma: float, cfg: T
     the slots hold their tables in stream order, and slot 0 is the first
     to run out of sweeps: if its table has not converged after
     ``max_iterations`` sweeps of its own, ``NoConvergenceError`` gives its
-    place in the stream and its residual.
+    item and its residual.
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
-    stream = enumerate(tables)
+    stream = iter(tables)
     tau, tolerance, limit = cfg.tau, cfg.tolerance, cfg.max_iterations
-    # one record per slot, in stream order: (place, entered, base, cells,
-    # nxt, weight), the table's place in the stream, the sweep it entered
-    # after, the expected immediate reward of each cell, and the cell, next
-    # row and discounted weight of each branch into a non-terminal row
+    # one record per slot, in stream order: (item, entered, base, cells,
+    # nxt, weight), the table's item, the sweep it entered after, the
+    # expected immediate reward of each cell, and the cell, next row and
+    # discounted weight of each branch into a non-terminal row
     held = []
     shape = None
     sweep = 0
     while True:
         kept = len(held)
-        for i, t in islice(stream, slots - kept):
+        for item, t in islice(stream, slots - kept):
             if shape is None:            # the first table fixes the shape
                 shape = n_rows, n_actions = t.n_rows, t.n_actions
                 block, v = n_rows * n_actions, np.zeros((0, n_rows))
@@ -176,8 +177,8 @@ def soft_value_iteration(tables: Iterable[TransitionTable], gamma: float, cfg: T
                 raise ValueError("tables trained together must share n_rows and n_actions")
             table_cells = t.branch_action * n_rows + t.branch_row
             live = t.branch_next_row >= 0
-            held.append((i, sweep, np.bincount(table_cells, weights=t.branch_prob * t.branch_reward,
-                                               minlength=block),
+            held.append((item, sweep, np.bincount(table_cells, minlength=block,
+                                                  weights=t.branch_prob * t.branch_reward),
                          table_cells[live], t.branch_next_row[live], gamma * t.branch_prob[live]))
         if not held:
             return

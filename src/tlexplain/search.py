@@ -16,6 +16,7 @@ from __future__ import annotations
 import zlib
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -107,26 +108,29 @@ def product_model(model: EnvModel, cfg) -> tuple[EnvModel, np.ndarray]:
 
 
 def train_policies(products, cfg, rows, slots: int = 1):
-    """Train the products of the stream ``products``, ``(product MDP,
-    stream key)`` pairs, under the run config ``cfg``; yields ``(i,
-    policy)`` for the ``i``-th product as soon as its policy is out, with a
-    row per row of its model.
+    """Train the products of the stream ``products``, ``(item, product MDP,
+    stream key)`` triples, under the run config ``cfg``; yields lists of
+    ``(item, policy)`` pairs to score together, each policy with a row per
+    row of its model, as soon as their policies are out.
 
     Soft VI is deterministic: it trains each product once, up to ``slots``
-    of them sweeping together in ``rl.soft_value_iteration``.  Q-learning
-    trains each product as it comes: ``search.n_rep`` replicates on the
-    run's streams keyed by its stream key, and ``rl.select_replicate``
-    keeps the one of highest mean entropy over the policy rows ``rows``.
+    of them sweeping together in ``rl.soft_value_iteration``, and yields
+    its policies ``slots`` at a time.  Q-learning trains each product as it
+    comes, on the full model, and yields it alone: ``search.n_rep``
+    replicates on the run's streams keyed by its stream key, of which
+    ``rl.select_replicate`` keeps the one of highest mean entropy over the
+    policy rows ``rows``.
     """
     if cfg.trainer.mode == rl.EXACT_SOFT_VI:
-        yield from rl.soft_value_iteration((mdp.table for mdp, _ in products),
+        policies = rl.soft_value_iteration(((item, mdp.table) for item, mdp, _ in products),
                                            cfg.reward.gamma, cfg.trainer, slots)
+        yield from iter(lambda: list(islice(policies, slots)), [])
         return
-    for i, (mdp, key) in enumerate(products):
+    for item, mdp, key in products:
         replicates = [rl.q_learning(mdp, cfg.trainer, _key_stream(cfg.seed, key, rep))
                       for rep in range(cfg.search.n_rep)]
         vars(mdp).pop("step_outcomes", None)    # the outcome lists q_learning reads
-        yield i, rl.select_replicate(replicates, rows)
+        yield [(item, rl.select_replicate(replicates, rows))]
 
 
 def explanation_policy(model: EnvModel, canon: fm.CanonicalExplanation, predicates, cfg,
@@ -138,7 +142,7 @@ def explanation_policy(model: EnvModel, canon: fm.CanonicalExplanation, predicat
     trained_on, of_row = product_model(model, cfg)
     mdp = ProductMdp(trained_on, build_fspa(canon, predicates, trained_on.features),
                      cfg.reward, cfg.environment.horizon)
-    (_, policy), = train_policies([(mdp, stream_key)], cfg, range(model.n_rows))
+    [(_, policy)], = train_policies([(None, mdp, stream_key)], cfg, range(model.n_rows))
     return rl.TabularPolicy(policy.probs[of_row])
 
 
@@ -201,58 +205,46 @@ class Evaluator:
 
         The candidates that need training, under either trainer, stream
         into one ``train_policies`` call as their products are built, with
-        as many slots as candidates that reach ``VI_BATCH_CELLS`` cells.
-        Trained policies are scored in the order they come out, with one
-        ``product.average_returns`` call per group: under soft VI groups of
-        up to as many, and under Q-learning, which trains one product at a
-        time on the full model, groups of one, so that a single full table
-        waits for its return.  A candidate's product is let go once it is
-        scored.  Records enter the cache in evaluation order, each once
-        those before it have.  A candidate that does not converge raises
-        the error it would raise alone, and the cache then holds only
+        as many slots as candidates that reach ``VI_BATCH_CELLS`` cells,
+        and each group it hands back is scored with one
+        ``product.average_returns`` call.  A candidate's product is let go
+        once it is scored.  Records enter the cache in evaluation order,
+        each once those before it have.  A candidate that does not converge
+        raises the error it would raise alone, and the cache then holds only
         records that evaluating one canon at a time enters before it.
         """
         keys = []
-        # the candidates whose records are not cached yet, in evaluation
-        # order, with their sources (see ``_source``)
+        # an entry [key, source, product, record] per candidate whose record
+        # is not cached yet, in evaluation order (see ``_source``): the
+        # product until it is scored, then the record
         queue, queued = deque(), set()
-        training = {}   # place in the stream -> (key, product), until scored
-        records = {}    # key -> record of a scored candidate, until it is cached
         cells = self.model.n_rows * self.model.n_actions   # the full model's, per candidate
         slots = -(-VI_BATCH_CELLS // cells)
-        group_size = slots if self.cfg.trainer.mode == rl.EXACT_SOFT_VI else 1
 
         def stream():
-            """The products to train, as ``(product, key)`` pairs, building
-            each candidate's product as it comes and queueing every new
-            key with its source."""
-            place = 0
+            """The entries to train, as ``(entry, product, key)`` triples,
+            building each candidate's product as it comes and queueing
+            every new key's entry."""
             for canon in canons:
                 key = fm.render(canon, self.predicates)
                 keys.append(key)
                 if key in self.cache or key in queued:
                     continue
                 source, mdp = self._source(key, canon)
-                queue.append((key, source))
+                entry = [key, source, mdp, None]
+                queue.append(entry)
                 queued.add(key)
                 if mdp is not None:
-                    training[place] = key, mdp
-                    place += 1
-                    yield mdp, key
+                    yield entry, mdp, key
 
         try:
-            group = []
-            for out in train_policies(stream(), self.cfg, self._product_sample.rows, slots):
-                group.append(out)
-                if len(group) == group_size:
-                    self._score(group, training, records)
-                    self._enter(queue, queued, records)
-                    group = []
-            if group:
-                self._score(group, training, records)
-            self._enter(queue, queued, records)
+            for group in train_policies(stream(), self.cfg, self._product_sample.rows, slots):
+                self._score(group)
+                self._enter(queue, queued)
+                del group   # its policies, before the next group trains
+            self._enter(queue, queued)   # the candidates after the last trained one
         except rl.NoConvergenceError as exc:
-            raise rl.NoConvergenceError(f"candidate {training[exc.index][0]}: {exc}") from exc
+            raise rl.NoConvergenceError(f"candidate {exc.item[0]}: {exc}") from exc
         finally:
             if queue:   # the call failed: forget the products of uncached candidates
                 self._products = {product: key for product, key in self._products.items()
@@ -283,33 +275,32 @@ class Evaluator:
                 return source, None
         return key, mdp
 
-    def _score(self, group, training: dict, records: dict) -> None:
-        """Filter or score the trained ``(place, policy)`` pairs of
+    def _score(self, group) -> None:
+        """Filter or score the trained ``(entry, policy)`` pairs of
         ``group``, whose policies have a row per row of ``product_model``,
-        with one return call, and let their products go."""
-        trained = [training.pop(i) for i, _ in group]
-        returns = average_returns([mdp for _, mdp in trained], [policy for _, policy in group])
+        with one return call, replacing each entry's product with its
+        record."""
+        returns = average_returns([entry[2] for entry, _ in group], [policy for _, policy in group])
         threshold = self.cfg.search.return_threshold
-        for (key, _), (_, policy), mean_return in zip(trained, group, returns):
-            records[key] = (
+        for (entry, policy), mean_return in zip(group, returns):
+            key = entry[0]
+            entry[2:] = None, (
                 metrics.UtilityRecord(key=key, wkl=None, mean_return=mean_return)
                 if mean_return <= threshold else
                 metrics.utility(policy, self._product_sample, key=key, mean_return=mean_return))
 
-    def _enter(self, queue: deque, queued: set, records: dict) -> None:
+    def _enter(self, queue: deque, queued: set) -> None:
         """Enter the queue's records into the cache in order, as far as
         they exist, counting the shortcuts that made them."""
         while queue:
-            key, source = queue[0]
+            key, source, _, record = queue[0]
             if source is None:
                 self.n_unreachable += 1
                 record = metrics.UtilityRecord(key, None, 0.0)
             elif source != key:   # its source entered the cache before it
                 self.n_product_hits += 1
                 record = replace(self.cache[source], key=key)
-            elif key in records:
-                record = records.pop(key)
-            else:
+            elif record is None:
                 return
             self.cache[key] = record
             queue.popleft()

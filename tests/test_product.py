@@ -675,7 +675,7 @@ def _random_policy(model, seed):
 
 def _soft_vi(mdp, trainer_cfg):
     """The soft-VI policy of ``mdp`` under its own discount."""
-    (_, policy), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, trainer_cfg)
+    (_, policy), = rl.soft_value_iteration([(None, mdp.table)], mdp.reward.gamma, trainer_cfg)
     return policy
 
 

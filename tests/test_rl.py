@@ -112,10 +112,14 @@ def _serial_soft_vi(table, gamma, cfg):
 
 def _assert_stream_matches_serial(tables, gamma, cfg, slots=None):
     """Trained as one stream with ``slots`` slots (by default one per
-    table, so that they all sweep together), every table gets its serial
-    policy bit for bit, once; if some table does not converge, the stream
-    raises the serial error of the first such table, with its place."""
+    table, so that they all sweep together), each table paired with a
+    sentinel of its own, every table gets its serial policy bit for bit,
+    once, beside its own sentinel; if some table does not converge, the
+    stream raises the serial error of the first such table, with its
+    sentinel."""
     slots = slots or max(len(tables), 1)
+    sentinels = [object() for _ in tables]
+    place = {sentinel: i for i, sentinel in enumerate(sentinels)}   # by identity
     expected = []
     for table in tables:
         try:
@@ -125,14 +129,15 @@ def _assert_stream_matches_serial(tables, gamma, cfg, slots=None):
     failed = [i for i, e in enumerate(expected) if isinstance(e, rl.NoConvergenceError)]
     if failed:
         with pytest.raises(rl.NoConvergenceError) as excinfo:
-            list(rl.soft_value_iteration(iter(tables), gamma, cfg, slots))
-        assert excinfo.value.index == failed[0]
+            list(rl.soft_value_iteration(zip(sentinels, tables), gamma, cfg, slots))
+        assert excinfo.value.item is sentinels[failed[0]]
         assert str(excinfo.value) == str(expected[failed[0]])
         return
-    out = list(rl.soft_value_iteration(iter(tables), gamma, cfg, slots))
-    assert sorted(i for i, _ in out) == list(range(len(tables)))
-    for i, policy in out:
-        assert policy.probs.tobytes() == expected[i].probs.tobytes()
+    out = list(rl.soft_value_iteration(zip(sentinels, tables), gamma, cfg, slots))
+    assert sorted(place[item] for item, _ in out) == list(range(len(tables)))
+    for item, policy in out:
+        assert item is sentinels[place[item]]
+        assert policy.probs.tobytes() == expected[place[item]].probs.tobytes()
 
 
 def _trainable_products(cfg):
@@ -371,19 +376,19 @@ class TestTabularPolicy:
 
 class TestSoftValueIteration:
     def test_closed_form_softmax(self):
-        (_, policy), = rl.soft_value_iteration([_bandit()], 0.9, rl.TrainerConfig(tau=1.0))
+        (_, policy), = rl.soft_value_iteration([(None, _bandit())], 0.9, rl.TrainerConfig(tau=1.0))
         assert policy.probs[0] == pytest.approx(softmax([1.0, 0.0]), abs=1e-9)
         assert policy.probs[0, 0] == pytest.approx(0.731, abs=1e-3)
 
     def test_small_tau_concentrates(self):
-        (_, policy), = rl.soft_value_iteration([_bandit()], 0.9, rl.TrainerConfig(tau=0.01))
+        (_, policy), = rl.soft_value_iteration([(None, _bandit())], 0.9, rl.TrainerConfig(tau=0.01))
         assert policy.probs[0, 0] > 0.99
 
     def test_bitwise_deterministic(self):
         mdp = _corridor_mdp()
         cfg = rl.TrainerConfig(tau=0.1)
-        (_, p1), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)
-        (_, p2), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)
+        (_, p1), = rl.soft_value_iteration([(None, mdp.table)], mdp.reward.gamma, cfg)
+        (_, p2), = rl.soft_value_iteration([(None, mdp.table)], mdp.reward.gamma, cfg)
         assert np.array_equal(p1.probs, p2.probs)
 
     def test_fixed_point_idempotent(self):
@@ -393,14 +398,14 @@ class TestSoftValueIteration:
         _, v, _ = _reference_soft_vi(branches, mdp, cfg)
         q, v_again = _reference_backup(branches, mdp, v, cfg.tau)
         assert np.abs(v_again - v).max() < cfg.tolerance
-        (_, policy), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg)
+        (_, policy), = rl.soft_value_iteration([(None, mdp.table)], mdp.reward.gamma, cfg)
         assert np.abs(policy.probs - softmax(q / cfg.tau, axis=1)).max() < 1e-9
 
     def test_no_convergence_raises(self):
         mdp = _corridor_mdp()
         cfg = rl.TrainerConfig(tau=0.1, tolerance=1e-15, max_iterations=2)
         with pytest.raises(rl.NoConvergenceError, match="2 sweeps.*residual"):
-            list(rl.soft_value_iteration([mdp.table], mdp.reward.gamma, cfg))
+            list(rl.soft_value_iteration([(None, mdp.table)], mdp.reward.gamma, cfg))
 
     def test_greedy_matches_brute_force_on_two_state_mdp(self):
         """Enumerate all four deterministic policies of a 2-row chain."""
@@ -413,7 +418,7 @@ class TestSoftValueIteration:
             branch_reward=np.array([0.0, 0.2, 1.0, 0.0]),
         )
         # brute force: a0 then a0 earns 0 + 0.9*1 = 0.9 > 0.2
-        (_, policy), = rl.soft_value_iteration([table], 0.9, rl.TrainerConfig(tau=0.01))
+        (_, policy), = rl.soft_value_iteration([(None, table)], 0.9, rl.TrainerConfig(tau=0.01))
         assert policy.probs.argmax(axis=1).tolist() == [0, 0]
 
 
@@ -423,12 +428,12 @@ class TestSoftValueIterationAgainstReference:
     def test_matches_reference_on_random_problems(self, mdp, tau):
         cfg = rl.TrainerConfig(tau=tau)
         expected, _, sweeps = _reference_soft_vi(_reference_branches(mdp), mdp, cfg)
-        (_, policy), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma,
+        (_, policy), = rl.soft_value_iteration([(None, mdp.table)], mdp.reward.gamma,
                                                replace(cfg, max_iterations=sweeps))
         assert np.abs(policy.probs - expected).max() <= 1e-12
         if sweeps > 1:  # converging in exactly `sweeps`, not fewer
             with pytest.raises(rl.NoConvergenceError):
-                list(rl.soft_value_iteration([mdp.table], mdp.reward.gamma,
+                list(rl.soft_value_iteration([(None, mdp.table)], mdp.reward.gamma,
                                              replace(cfg, max_iterations=sweeps - 1)))
 
     def test_matches_reference_on_every_reference_candidate(self, reference_runtime):
@@ -439,7 +444,7 @@ class TestSoftValueIterationAgainstReference:
             mdp = evaluator_product(ev, canon)
             expected, _, _ = _reference_soft_vi(_reference_branches(mdp), mdp,
                                                 ev.trainer_cfg)
-            (_, policy), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma,
+            (_, policy), = rl.soft_value_iteration([(None, mdp.table)], mdp.reward.gamma,
                                                    ev.trainer_cfg)
             assert np.abs(policy.probs - expected).max() <= 1e-9, fm.render(canon, ev.predicates)
 
@@ -484,8 +489,8 @@ class TestBatchedSoftValueIteration:
         batch = [t for pair in zip(converged[:3], unconverged[:3]) for t in pair]
         assert len(batch) == 6
         with pytest.raises(rl.NoConvergenceError) as excinfo:
-            list(rl.soft_value_iteration(batch, 0.95, cfg, slots=len(batch)))
-        assert excinfo.value.index == 1
+            list(rl.soft_value_iteration(enumerate(batch), 0.95, cfg, slots=len(batch)))
+        assert excinfo.value.item == 1
         _assert_stream_matches_serial(batch, 0.95, cfg)
 
     def test_tables_without_live_branches(self):
@@ -508,7 +513,7 @@ class TestBatchedSoftValueIteration:
     def test_tables_must_share_their_shape(self, slots):
         """Refused as it enters a refilled slot (1) or the first batch (2)."""
         with pytest.raises(ValueError, match="share n_rows and n_actions"):
-            list(rl.soft_value_iteration([_bandit(), _bandit((1.0, 0.0, 0.5))], 0.9,
+            list(rl.soft_value_iteration(enumerate([_bandit(), _bandit((1.0, 0.0, 0.5))]), 0.9,
                                          rl.TrainerConfig(), slots))
 
     def test_empty_batch(self):
@@ -542,7 +547,7 @@ class TestSoftValueIterationStream:
         cfg = _map_config(reference_config, name)
         tables = _trainable_tables(cfg)
         widths = self._widths(monkeypatch)
-        list(rl.soft_value_iteration(tables, cfg.reward.gamma, cfg.trainer))
+        list(rl.soft_value_iteration(enumerate(tables), cfg.reward.gamma, cfg.trainer))
         table_sweeps = len(widths)      # one table at a time
         for order in (tables, tables[::-1]):
             widths.clear()
@@ -551,7 +556,7 @@ class TestSoftValueIterationStream:
             # a slot empties only once the stream is done
             assert widths == sorted(widths, reverse=True)
             places = [i for i, _ in rl.soft_value_iteration(
-                iter(order), cfg.reward.gamma, cfg.trainer, slots)]
+                enumerate(order), cfg.reward.gamma, cfg.trainer, slots)]
             assert places != sorted(places)
 
     def test_unconverged_stream_names_the_first(self, reference_runtime):
@@ -591,7 +596,7 @@ class TestSoftValueIterationStream:
                 outstanding.append(pulled - yielded)
                 yield table
 
-        for _ in rl.soft_value_iteration(counting(), reference_config.reward.gamma,
+        for _ in rl.soft_value_iteration(enumerate(counting()), reference_config.reward.gamma,
                                          reference_config.trainer, slots):
             yielded += 1
         assert yielded == pulled == len(tables)
@@ -599,7 +604,7 @@ class TestSoftValueIterationStream:
 
     def test_slots_must_be_positive(self):
         with pytest.raises(ValueError, match="slots"):
-            list(rl.soft_value_iteration([_bandit()], 0.9, rl.TrainerConfig(), slots=0))
+            list(rl.soft_value_iteration([(None, _bandit())], 0.9, rl.TrainerConfig(), slots=0))
 
 
 def _fixed_point_pass(mdp, policy) -> int:
@@ -634,7 +639,7 @@ class TestGroupedReturn:
         if trained:
             cfg = rl.TrainerConfig(tau=0.05)
             policies = [p for _, p in sorted(rl.soft_value_iteration(
-                [mdp.table for mdp in batch], batch[0].reward.gamma, cfg, len(batch)),
+                enumerate(mdp.table for mdp in batch), batch[0].reward.gamma, cfg, len(batch)),
                 key=lambda out: out[0])]
         else:
             policies = [rl.TabularPolicy(rng.dirichlet(np.ones(mdp.model.n_actions),
@@ -684,10 +689,10 @@ class TestRowClassTraining:
             expected = _serial_soft_vi(mdp.table, gamma, cfg)
         except rl.NoConvergenceError as exc:
             with pytest.raises(rl.NoConvergenceError) as excinfo:
-                list(rl.soft_value_iteration([classes.table], gamma, cfg))
+                list(rl.soft_value_iteration([(None, classes.table)], gamma, cfg))
             assert str(excinfo.value) == str(exc)
             return
-        (_, policy), = rl.soft_value_iteration([classes.table], gamma, cfg)
+        (_, policy), = rl.soft_value_iteration([(None, classes.table)], gamma, cfg)
         _, of_row = mdp.model.quotient
         assert policy.probs[of_row].tobytes() == expected.probs.tobytes()
         # the return's bits, -0.0 included
@@ -725,7 +730,8 @@ class TestRowClassTraining:
         assert reference_runtime.target.probs.tobytes() == expected.probs.tobytes()
         policy = search.explanation_policy(ev.model, canon, ev.predicates, ev.cfg, "k")
         assert policy.probs.tobytes() == expected.probs.tobytes()
-        (_, policy), = search.train_policies([(classes, "k")], ev.cfg, range(mdp.model.n_rows))
+        [(_, policy)], = search.train_policies([(None, classes, "k")], ev.cfg,
+                                               range(mdp.model.n_rows))
         _, of_row = mdp.model.quotient
         assert policy.probs[of_row].tobytes() == expected.probs.tobytes()
 
@@ -738,7 +744,7 @@ class TestQLearning:
     def test_greedy_matches_value_iteration(self):
         mdp = _corridor_mdp()
         ql = rl.q_learning(mdp, self._cfg(), np.random.default_rng(0))
-        (_, vi), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma,
+        (_, vi), = rl.soft_value_iteration([(None, mdp.table)], mdp.reward.gamma,
                                            rl.TrainerConfig(tau=0.01))
         assert ql.probs.argmax(axis=1).tolist() == vi.probs.argmax(axis=1).tolist()
 
@@ -755,16 +761,17 @@ class TestQLearning:
         assert not np.array_equal(p1.probs, p2.probs)
 
     def test_train_dispatch(self):
-        """``search.train_policies`` trains soft VI once per product; under
-        Q-learning it trains ``n_rep`` replicates of each product on the
-        streams keyed by its stream key and keeps the one
-        ``rl.select_replicate`` picks."""
+        """``search.train_policies`` trains soft VI once per product and
+        hands its policies back ``slots`` at a time; under Q-learning it
+        trains ``n_rep`` replicates of each product on the streams keyed by
+        its stream key, keeps the one ``rl.select_replicate`` picks and
+        hands it back alone."""
         mdp = _corridor_mdp()
         rows = range(mdp.model.n_rows)
         run = SimpleNamespace(seed=0, trainer=rl.TrainerConfig(tau=0.1), reward=mdp.reward,
                               search=search.SearchParams(n_rep=3))
-        (_, vi), = rl.soft_value_iteration([mdp.table], mdp.reward.gamma, run.trainer)
-        got = list(search.train_policies([(mdp, "k"), (mdp, "j")], run, rows, slots=2))
+        (_, vi), = rl.soft_value_iteration([(None, mdp.table)], mdp.reward.gamma, run.trainer)
+        got, = search.train_policies([(0, mdp, "k"), (1, mdp, "j")], run, rows, slots=2)
         assert sorted(i for i, _ in got) == [0, 1]
         assert all(np.array_equal(policy.probs, vi.probs) for _, policy in got)
         run.trainer = self._cfg(50)
@@ -777,9 +784,9 @@ class TestQLearning:
             [rl.q_learning(mdp, run.trainer, search._key_stream(0, "j", rep))
              for rep in range(3)], rows)
         assert other.probs.tobytes() != expected.probs.tobytes()
-        got = search.train_policies([(mdp, "k"), (mdp, "j")], run, rows)
-        assert [(i, p.probs.tobytes()) for i, p in got] == [(0, expected.probs.tobytes()),
-                                                            (1, other.probs.tobytes())]
+        got = search.train_policies([(0, mdp, "k"), (1, mdp, "j")], run, rows)
+        assert [[(i, p.probs.tobytes()) for i, p in group] for group in got] == [
+            [(0, expected.probs.tobytes())], [(1, other.probs.tobytes())]]
         with pytest.raises(ValueError):
             rl.TrainerConfig(mode="sarsa")
 

@@ -1,5 +1,6 @@
 """Search layer: evaluation cache, neighborhoods, greedy walk, multi-start."""
 
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -246,6 +247,37 @@ class TestEvaluateMany:
             serial.evaluate(canon)
         self._assert_same_evaluators(streamed, serial)
         assert (serial.n_unreachable, serial.n_product_hits) == (52, 0)
+
+    @pytest.mark.parametrize("config", [CONFIG_DIR / "ctf_reference.yaml",
+                                        CONFIG_DIR / "ctf_n4.yaml", QLEARN_CONFIG],
+                             ids=["ctf_reference.yaml", "ctf_n4.yaml", "ctf_qlearn"])
+    def test_products_are_let_go_once_scored(self, config, monkeypatch):
+        """A candidate's product is let go once it is scored.  At each
+        return call, under soft VI, no more products are alive than a group
+        of ``slots`` and the ``slots - 1`` tables still sweeping beside its
+        last one (21 on ctf5); under Q-learning only the one being scored.
+        None is alive once the oracle returns."""
+        ev = build_runtime(load_config(config)).evaluator
+        slots = -(-search.VI_BATCH_CELLS // (ev.model.n_rows * ev.model.n_actions))
+        bound = 2 * slots - 1 if ev.trainer_cfg.mode == rl.EXACT_SOFT_VI else 1
+        built, alive = [], []
+        build, returns = search.ProductMdp, search.average_returns
+
+        def tracked(*args, **kwargs):
+            mdp = build(*args, **kwargs)
+            built.append(weakref.ref(mdp))
+            return mdp
+
+        def counting(mdps, policies):
+            alive.append(sum(ref() is not None for ref in built))
+            assert alive[-1] >= len(mdps)
+            return returns(mdps, policies)
+
+        monkeypatch.setattr(search, "ProductMdp", tracked)
+        monkeypatch.setattr(search, "average_returns", counting)
+        brute_force_oracle(ev)
+        assert alive and max(alive) <= bound
+        assert all(ref() is None for ref in built)
 
     def test_equal_products_in_one_batch_train_once(self, reference_runtime, monkeypatch):
         ev = fresh_evaluator(reference_runtime)
@@ -581,7 +613,7 @@ def _reference_record(ev, canon):
     full-horizon return, then filter or score."""
     key = fm.render(canon, ev.predicates)
     mdp = evaluator_product(ev, canon)
-    (_, policy), = train_policies([(mdp, key)], ev.cfg, ev.sample.rows)
+    [(_, policy)], = train_policies([(None, mdp, key)], ev.cfg, ev.sample.rows)
     mean_return = full_horizon_return(mdp, policy)
     if mean_return <= ev.params.return_threshold:
         return metrics.UtilityRecord(key, None, mean_return)
