@@ -10,7 +10,6 @@ count more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,40 +46,14 @@ class MetricConfig:
 
 @dataclass(frozen=True)
 class StateSample:
-    """Sampled non-trap states (policy rows) with their utility weights, and
-    the target's side of every wKL: its action distributions on the rows,
-    clamped at ``eps`` (:func:`clamped_rows`)."""
+    """Sampled non-trap states (policy rows, an int index array) with their
+    utility weights, and the target's side of every wKL: its action
+    distributions on the rows, clamped at ``eps`` (:func:`clamped_rows`)."""
 
-    rows: tuple[int, ...]
+    rows: np.ndarray
     weights: np.ndarray
     target_rows: np.ndarray
     eps: float
-
-    @cached_property
-    def index(self) -> np.ndarray:
-        """``rows`` as an index array."""
-        return np.asarray(self.rows, dtype=int)
-
-
-@dataclass(frozen=True)
-class UtilityRecord:
-    """One candidate's score.  ``mean_return`` is its policy's exact return,
-    except for a candidate filtered because no acceptance is reachable
-    (``Evaluator.n_unreachable``): no policy is trained, and it holds 0.0,
-    an upper bound on every policy's return there."""
-
-    key: str
-    wkl: float | None    # None when the candidate is filtered
-    mean_return: float
-
-    @property
-    def filtered(self) -> bool:
-        return self.wkl is None
-
-    @property
-    def utility(self) -> float | None:
-        """``-wkl``, or None when filtered."""
-        return None if self.wkl is None else -self.wkl
 
 
 def sample_nontrap(model, n: int, rng: np.random.Generator) -> list[int]:
@@ -158,7 +131,7 @@ def build_sample(model, target, metric: MetricConfig,
     """The sample that scores every candidate against ``target`` under the
     ``metric`` config section."""
     rows = sample_nontrap(model, metric.sample_size, rng)
-    return StateSample(tuple(rows), weights(target, rows, enabled=metric.weights_enabled),
+    return StateSample(np.array(rows), weights(target, rows, enabled=metric.weights_enabled),
                        clamped_rows(target, rows, metric.kl_eps), metric.kl_eps)
 
 
@@ -171,10 +144,8 @@ def clamped_rows(policy, rows, eps: float = KL_EPS) -> np.ndarray:
     return _clamp(policy.probs[rows], eps)
 
 
-def utility(candidate, sample: StateSample, key: str = "",
-            mean_return: float = float("nan")) -> UtilityRecord:
-    """Weighted-KL utility of a candidate policy against the target whose
-    side ``sample`` carries."""
-    divs = _kl_clamped(clamped_rows(candidate, sample.index, sample.eps), sample.target_rows)
-    wkl = float(np.dot(sample.weights, divs))
-    return UtilityRecord(key=key, wkl=wkl, mean_return=mean_return)
+def utility(candidate, sample: StateSample) -> float:
+    """Weighted-KL utility, -wKL, of a candidate policy against the target
+    whose side ``sample`` carries."""
+    divs = _kl_clamped(clamped_rows(candidate, sample.rows, sample.eps), sample.target_rows)
+    return -float(np.dot(sample.weights, divs))

@@ -60,6 +60,29 @@ class SearchParams:
             raise ValueError("n_ext must be >= 0")
 
 
+@dataclass(frozen=True, slots=True)
+class UtilityRecord:
+    """One candidate's score, made only by ``Evaluator``.  ``wkl`` is None
+    when the candidate is filtered.  ``mean_return`` is its policy's exact
+    return, except for a candidate filtered because no acceptance is
+    reachable (``Evaluator.n_unreachable``): no policy is trained, and it
+    holds 0.0, an upper bound on every policy's return there.  Slotted: an
+    oracle holds one per explanation."""
+
+    key: str
+    wkl: float | None
+    mean_return: float
+
+    @property
+    def filtered(self) -> bool:
+        return self.wkl is None
+
+    @property
+    def utility(self) -> float | None:
+        """``-wkl``, or None when filtered."""
+        return None if self.wkl is None else -self.wkl
+
+
 @dataclass
 class TraceNode:
     node_id: int
@@ -78,7 +101,7 @@ class RestartResult:
     key: str | None
     utility: float | None
     searched_frac: float
-    record: metrics.UtilityRecord | None
+    record: UtilityRecord | None
 
 
 @dataclass
@@ -129,7 +152,6 @@ def train_policies(products, cfg, rows, slots: int = 1):
     for item, mdp, key in products:
         replicates = [rl.q_learning(mdp, cfg.trainer, _key_stream(cfg.seed, key, rep))
                       for rep in range(cfg.search.n_rep)]
-        vars(mdp).pop("step_outcomes", None)    # the outcome lists q_learning reads
         yield [(item, rl.select_replicate(replicates, rows))]
 
 
@@ -172,11 +194,11 @@ class Evaluator:
         self.model = model
         self.product_model, of_row = product_model(model, cfg)
         # the sample in the rows of the candidates' policies
-        self._product_sample = replace(sample, rows=tuple(of_row[sample.index].tolist()))
+        self._product_sample = replace(sample, rows=of_row[sample.rows])
         self.predicates = tuple(predicates)
         self.sample = sample
         self.cfg = cfg
-        self.cache: dict[str, metrics.UtilityRecord] = {}
+        self.cache: dict[str, UtilityRecord] = {}
         # q_next bytes + reward_next bytes -> key of the candidate trained on them
         self._products: dict[bytes, str] = {}
         # q_next bytes -> whether acceptance is reachable under them
@@ -194,11 +216,11 @@ class Evaluator:
         """``cfg.trainer``, kept for ``perfbench/check.py`` and the tests."""
         return self.cfg.trainer
 
-    def evaluate(self, canon: fm.CanonicalExplanation) -> metrics.UtilityRecord:
+    def evaluate(self, canon: fm.CanonicalExplanation) -> UtilityRecord:
         """The record of one explanation, cached: ``evaluate_many([canon])[0]``."""
         return self.evaluate_many([canon])[0]
 
-    def evaluate_many(self, canons) -> list[metrics.UtilityRecord]:
+    def evaluate_many(self, canons) -> list[UtilityRecord]:
         """The records of ``canons``, in order: each is what ``evaluate``
         on one canon after another would give, and the cache and both
         counters end up as they would.
@@ -283,11 +305,9 @@ class Evaluator:
         returns = average_returns([entry[2] for entry, _ in group], [policy for _, policy in group])
         threshold = self.cfg.search.return_threshold
         for (entry, policy), mean_return in zip(group, returns):
-            key = entry[0]
-            entry[2:] = None, (
-                metrics.UtilityRecord(key=key, wkl=None, mean_return=mean_return)
-                if mean_return <= threshold else
-                metrics.utility(policy, self._product_sample, key=key, mean_return=mean_return))
+            entry[2:] = None, UtilityRecord(
+                entry[0], None if mean_return <= threshold
+                else -metrics.utility(policy, self._product_sample), mean_return)
 
     def _enter(self, queue: deque, queued: set) -> None:
         """Enter the queue's records into the cache in order, as far as
@@ -296,7 +316,7 @@ class Evaluator:
             key, source, _, record = queue[0]
             if source is None:
                 self.n_unreachable += 1
-                record = metrics.UtilityRecord(key, None, 0.0)
+                record = UtilityRecord(key, None, 0.0)
             elif source != key:   # its source entered the cache before it
                 self.n_product_hits += 1
                 record = replace(self.cache[source], key=key)
@@ -321,7 +341,7 @@ class _SearchContext:
             parent=parent, move=move))
 
 
-def rank(record: metrics.UtilityRecord) -> tuple[float, str]:
+def rank(record: UtilityRecord) -> tuple[float, str]:
     """The sort key of an unfiltered record, best first: its wKL, then its
     rendered key."""
     return record.wkl, record.key
@@ -329,7 +349,7 @@ def rank(record: metrics.UtilityRecord) -> tuple[float, str]:
 
 def eval_neighbors(enc: fm.ExplanationEncoding, ctx: _SearchContext, step: int,
                    move_label: str = "flip"
-                   ) -> list[tuple[metrics.UtilityRecord, fm.ExplanationEncoding]]:
+                   ) -> list[tuple[UtilityRecord, fm.ExplanationEncoding]]:
     """Evaluate an explanation and its neighborhood: the unfiltered
     ``(record, encoding)`` pairs, best first by :func:`rank`, or ``[]``
     when every one is filtered.
@@ -364,7 +384,7 @@ def eval_neighbors(enc: fm.ExplanationEncoding, ctx: _SearchContext, step: int,
 
 
 def greedy_search(start: fm.ExplanationEncoding, ctx: _SearchContext
-                  ) -> metrics.UtilityRecord | None:
+                  ) -> UtilityRecord | None:
     """One local search from a start encoding: the unfiltered record it
     settles on, or None if every candidate around its start is filtered."""
     params = ctx.params
@@ -414,7 +434,7 @@ def multi_start(evaluator: Evaluator, params: SearchParams) -> MultiStartResult:
 
 
 def brute_force_oracle(evaluator: Evaluator
-                       ) -> tuple[list[metrics.UtilityRecord], list[metrics.UtilityRecord]]:
+                       ) -> tuple[list[UtilityRecord], list[UtilityRecord]]:
     """Evaluate every canonical explanation with the shared pipeline.
 
     Returns (ranked unfiltered records by :func:`rank`, filtered records by

@@ -131,10 +131,10 @@ def test_criterion_07_metric_properties(rng):
     w = metrics.weights(target, list(range(8)))
     ok &= abs(w.sum() - 1.0) <= 1e-9
     cand = TabularPolicy(rng.dirichlet(np.ones(4), size=8))
-    sample = metrics.StateSample(tuple(range(8)), w,
-                                 metrics.clamped_rows(target, range(8)), metrics.KL_EPS)
-    record = metrics.utility(cand, sample)
-    ok &= record.utility == -record.wkl
+    rows = np.arange(8)
+    sample = metrics.StateSample(rows, w, metrics.clamped_rows(target, rows), metrics.KL_EPS)
+    ok &= metrics.utility(cand, sample) == -float(
+        np.dot(w, metrics.kl_rows(cand.probs[rows], target.probs[rows])))
     _report(7, "KL, normalized entropy, weight, and utility identities hold",
             bool(ok))
 

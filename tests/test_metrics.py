@@ -190,20 +190,24 @@ class TestWeights:
 class TestUtility:
     def _sample(self, target, rows, enabled=True):
         w = metrics.weights(target, rows, enabled=enabled)
-        return metrics.StateSample(tuple(rows), w, metrics.clamped_rows(target, rows),
+        return metrics.StateSample(np.array(rows), w, metrics.clamped_rows(target, rows),
                                    metrics.KL_EPS)
 
     def test_self_match_is_zero(self, rng):
         target = _random_policy(8, 4, rng, sharpness=3.0)
-        record = metrics.utility(target, self._sample(target, range(8)))
-        assert record.wkl == 0.0 and record.utility == 0.0
+        assert metrics.utility(target, self._sample(target, range(8))) == 0.0
 
     def test_utility_is_exact_negation(self, rng):
+        """The utility is the negated entropy-weighted sum of the clamped
+        per-row KLs, bit for bit: both sides clamp and sum in the same order."""
         target = _random_policy(8, 4, rng, sharpness=3.0)
         cand = _random_policy(8, 4, rng)
-        record = metrics.utility(cand, self._sample(target, range(8)))
-        assert record.utility == -record.wkl
-        assert record.utility <= 0.0
+        rows = [0, 2, 3, 5, 6, 7]
+        sample = self._sample(target, rows)
+        u = metrics.utility(cand, sample)
+        assert u == -float(np.dot(sample.weights,
+                                  metrics.kl_rows(cand.probs[rows], target.probs[rows])))
+        assert u <= 0.0
 
     def test_order_invariance(self, rng):
         target = _random_policy(8, 4, rng, sharpness=3.0)
@@ -211,26 +215,26 @@ class TestUtility:
         rows = [1, 3, 5, 7]
         a = metrics.utility(cand, self._sample(target, rows))
         b = metrics.utility(cand, self._sample(target, rows[::-1]))
-        assert a.wkl == pytest.approx(b.wkl, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12)
 
     def test_unit_weight_ablation_is_unnormalized_sum(self, rng):
         target = _random_policy(6, 3, rng, sharpness=3.0)
         cand = _random_policy(6, 3, rng)
         rows = list(range(6))
-        record = metrics.utility(cand, self._sample(target, rows, enabled=False))
+        u = metrics.utility(cand, self._sample(target, rows, enabled=False))
         manual = sum(metrics.kl_rows(cand.probs[r], target.probs[r]) for r in rows)
-        assert record.wkl == pytest.approx(manual, rel=1e-12)
+        assert -u == pytest.approx(manual, rel=1e-12)
 
     def test_matching_target_row_never_decreases_utility(self, rng):
         target = _random_policy(6, 3, rng, sharpness=3.0)
         cand = _random_policy(6, 3, rng)
         sample = self._sample(target, range(6))
-        base = metrics.utility(cand, sample).utility
+        base = metrics.utility(cand, sample)
         for r in range(6):
             improved_probs = cand.probs.copy()
             improved_probs[r] = target.probs[r]
             improved = _policy(improved_probs)
-            assert metrics.utility(improved, sample).utility >= base - 1e-12
+            assert metrics.utility(improved, sample) >= base - 1e-12
 
     def test_disagreement_on_zero_weight_rows_costs_nothing(self, rng):
         """A candidate that differs from the target only where the target is
@@ -239,8 +243,7 @@ class TestUtility:
                           [0, 0, 0.5, 0.5, 0]])
         cand = target.probs.copy()
         cand[1:3] = rng.dirichlet(np.ones(5), size=2)
-        record = metrics.utility(_policy(cand), self._sample(target, range(4)))
-        assert record.wkl == 0.0
+        assert metrics.utility(_policy(cand), self._sample(target, range(4))) == 0.0
 
     def test_coverage_gap_rejected(self, rng):
         target = _random_policy(8, 4, rng)
@@ -256,7 +259,7 @@ class TestBuildSample:
         metric = metrics.MetricConfig(sample_size=6, kl_eps=1e-6)
         s1 = metrics.build_sample(nav_model, target, metric, np.random.default_rng(5))
         s2 = metrics.build_sample(nav_model, target, metric, np.random.default_rng(5))
-        assert s1.rows == s2.rows
+        assert np.array_equal(s1.rows, s2.rows)
         assert np.array_equal(s1.weights, s2.weights)
         assert s1.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert s1.eps == metric.kl_eps

@@ -567,6 +567,15 @@ class TestBruteForceOracle:
         assert [rank(r) for r in ranked] == sorted(rank(r) for r in ranked)
         assert [r.key for r in filtered] == sorted(r.key for r in filtered)
 
+    def test_records_are_slotted(self, oracle):
+        """An oracle holds one record per explanation: no record of any
+        kind (scored, filtered after training, unreachable, or a reused
+        product's copy) carries an instance dict."""
+        ranked, filtered = oracle
+        assert {type(r) for r in ranked + filtered} == {search.UtilityRecord}
+        assert not any(hasattr(r, "__dict__") for r in ranked + filtered)
+        assert any(r.filtered and r.mean_return == 0.0 for r in filtered)
+
     @pytest.mark.parametrize("config", [CONFIG_DIR / "ctf_reference.yaml",
                                         CONFIG_DIR / "ctf_n4.yaml", QLEARN_CONFIG],
                              ids=["ctf_reference.yaml", "ctf_n4.yaml", "ctf_qlearn"])
@@ -616,8 +625,8 @@ def _reference_record(ev, canon):
     [(_, policy)], = train_policies([(None, mdp, key)], ev.cfg, ev.sample.rows)
     mean_return = full_horizon_return(mdp, policy)
     if mean_return <= ev.params.return_threshold:
-        return metrics.UtilityRecord(key, None, mean_return)
-    return metrics.utility(policy, ev.sample, key=key, mean_return=mean_return)
+        return search.UtilityRecord(key, None, mean_return)
+    return search.UtilityRecord(key, -metrics.utility(policy, ev.sample), mean_return)
 
 
 class TestExactShortcuts:
@@ -639,7 +648,7 @@ class TestExactShortcuts:
         if trainer == rl.Q_LEARNING:
             model, of_row = search.product_model(ev.model, ev.cfg)
             assert model is ev.model and np.array_equal(of_row, np.arange(model.n_rows))
-            assert ev._product_sample.rows == ev.sample.rows
+            assert np.array_equal(ev._product_sample.rows, ev.sample.rows)
         prefilter = reward == SPARSE and threshold >= 0
         unreachable, trained = 0, set()
         for canon in fm.enumerate_all(ev.predicates):
